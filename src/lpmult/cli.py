@@ -23,9 +23,9 @@ from .catalog import (OperatorFamilyParam, beurling_imag, beurling_matrix,
 from .exponents import ExponentConfig
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, search_extremal)
-from .report import (CertReport, StoreError, lookup_store, load_store,
-                     sequence_from_record, sequence_to_record, update_store,
-                     TOOLKIT_VERSION)
+from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
+                     load_store, sequence_from_record, sequence_to_record,
+                     update_store, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import WitnessSpec, best_axis_direction, build_matrix_witness, build_witness
@@ -37,10 +37,6 @@ EXIT_CROSSCHECK = 3
 EXIT_STORE = 4
 
 CROSS_CHECK_TOL = 1e-8
-
-
-class CrossCheckError(RuntimeError):
-    pass
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -179,6 +175,7 @@ def cmd_certify(args) -> int:
         raise ValueError(f"family must be one of {_CERTIFY_FAMILIES}")
     symbol, n_plus, n_minus, dplus, dminus = _witness_directions(args.family, args.theta)
 
+    t0 = time.monotonic()
     seq, beta, source = _load_or_search_martingale(args, exps, symbol.m)
     if symbol.shape == "matrix":
         seq = _embed_vector(seq, symbol.m)
@@ -188,7 +185,6 @@ def cmd_certify(args) -> int:
                      delta_plus=dplus, delta_minus=dminus,
                      sequence=seq, beta=beta, G=args.grid,
                      unitary=np.eye(symbol.m) if symbol.shape == "matrix" else None)
-    t0 = time.monotonic()
     build = build_matrix_witness if symbol.shape == "matrix" else build_witness
     res = build(ws)
     wall = time.monotonic() - t0

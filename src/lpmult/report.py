@@ -20,8 +20,8 @@ import numpy as np
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
 
-__all__ = ["CertReport", "StoreError", "store_key", "load_store", "update_store",
-           "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
+__all__ = ["CertReport", "CrossCheckError", "StoreError", "store_key", "load_store",
+           "update_store", "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -30,6 +30,10 @@ IMPROVEMENT_MARGIN = 1e-12
 
 class StoreError(RuntimeError):
     """Raised when the extremizer store is unreadable or would be clobbered."""
+
+
+class CrossCheckError(ValueError):
+    """Raised when two computations of one certified quantity disagree."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class CertReport:
     def __post_init__(self):
         if self.target_constant is not None:
             if self.certified_lower_bound > self.target_constant + 1e-9:
-                raise ValueError(
+                raise CrossCheckError(
                     f"certified bound {self.certified_lower_bound} exceeds target "
                     f"{self.target_constant} beyond tolerance; implementation bug")
 

@@ -72,13 +72,33 @@ def block_zero_mass(phi: TensorGridFunction, k: int) -> float:
     return float(np.max(np.abs(mean)))
 
 
+def _block_operator(grid: TorusGrid, M: MultiplierSymbol, m_in: int) -> np.ndarray:
+    """The lift on one block as a (G^d * m_out) x (G^d * m_in) matrix.
+
+    Row and column index (point, component) in C order.  Built by applying
+    the centered-lattice FFT multiplier to each basis function of one block.
+    """
+    d, G = grid.d, grid.G
+    n_in = G**d * m_in
+    m_out = 1 if M.shape == "scalar" else M.m
+    axes = tuple(range(1, d + 1))
+    basis = np.eye(n_in, dtype=complex).reshape((n_in,) + (G,) * d + (m_in,))
+    c = coefficients(basis, grid, axes)
+    # Every symbol shape acts as an (m_out x m_in) matrix per frequency.
+    sym = M.evaluate(grid.frequency_mesh()).reshape((G,) * d + (m_out, m_in))
+    out = from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
+    return out.reshape(n_in, G**d * m_out).T
+
+
 def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol, k: int,
                       zero_mass_tol: float = 1e-12) -> TensorGridFunction:
     """Multiply each joint Fourier coefficient by M(j_k); other blocks untouched.
 
     Requires phi to have (numerically) zero mean in block k.  A scalar or
     matrix symbol keeps the value shape; a vector symbol maps a scalar
-    function to a C^m-valued one.
+    function to a C^m-valued one.  The lift is one small block operator
+    applied by a single matrix product; when block k is the last block the
+    values need no transposition.
     """
     if M.d != phi.grid.d:
         raise ValueError(f"block dimension {phi.grid.d} != symbol dimension {M.d}")
@@ -90,22 +110,14 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol, k: int,
     if block_zero_mass(phi, k) > zero_mass_tol * max(scale, 1.0):
         raise ValueError(f"block {k} carries frequency-zero mass; not mean-zero")
 
-    axes = phi.block_axes(k)
-    c = coefficients(phi.values, phi.grid, axes)
-    sym = M.evaluate(phi.grid.frequency_mesh())
-
-    # Reshape the (G,)*d symbol values to sit on the block-k axes.
     d, G = phi.grid.d, phi.grid.G
-    lead = [1] * (d * phi.J)
-    for i, ax in enumerate(axes):
-        lead[ax] = G
-    if M.shape == "scalar":
-        out_c = sym.reshape(lead) * c
-    elif M.shape == "vector":
-        out_c = sym.reshape(lead + [M.m]) * c[..., None]
-    else:
-        out_c = np.einsum("...ij,...j->...i", sym.reshape(lead + [M.m, M.m]), c)
-    return TensorGridFunction(phi.grid, phi.J, from_coefficients(out_c, phi.grid, axes))
+    m_in = max(phi.m, 1)
+    K = _block_operator(phi.grid, M, m_in).reshape(G**d, -1, G**d, m_in)
+    A, B = G ** (d * k), G ** (d * (phi.J - k - 1))
+    x = phi.values.reshape(A, G**d, B, m_in)
+    y = np.tensordot(x, K, axes=([1, 3], [2, 3])).transpose(0, 2, 1, 3)
+    out_shape = (G,) * (d * phi.J) + (() if M.shape == "scalar" else (M.m,))
+    return TensorGridFunction(phi.grid, phi.J, y.reshape(out_shape))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
 from .symbols import MultiplierSymbol
-from .tensor import TensorGridFunction, tensor_lift_apply
+from .tensor import POINT_CAP, TensorGridFunction, tensor_lift_apply
 
 __all__ = ["WitnessSpec", "WitnessResult", "build_witness", "build_matrix_witness",
            "best_axis_direction"]
@@ -75,8 +75,6 @@ class WitnessSpec:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    phi_sum: TensorGridFunction
-    transformed_sum: TensorGridFunction
     ratio: float
     certified_lower_bound: float
     martingale_ratio: float
@@ -122,66 +120,55 @@ def _sign_blocks(ws: WitnessSpec):
     return grid, signs, idx
 
 
-def _assemble_blocks(ws: WitnessSpec):
-    """The summands Phi_k (k = 1..N) as TensorGridFunctions on (T^d)^(N+1)."""
-    grid, signs, idx = _sign_blocks(ws)
-    N = ws.sequence.N
-    d, G = grid.d, grid.G
-    J = N + 1
-    m = ws.sequence.m
-    scalar = ws.symbol.shape != "matrix"
-    if scalar and m != 1:
-        raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
-
-    def lift(arr, block):
-        """Reshape a (G,)*d block field onto the axes of block `block`."""
-        shape = [1] * (d * J)
-        for i, ax in enumerate(range(d * block, d * block + d)):
-            shape[ax] = G
-        return arr.reshape(shape)
-
-    phis = []
-    for k in range(1, N + 1):
-        table = ws.sequence.tables[k - 1]  # shape (2,)*k + (m,)
-        gathered = table[tuple(lift(idx[j], j) for j in range(k))]
-        vals = lift(signs[k], k)[..., None] * gathered
-        if scalar:
-            vals = vals[..., 0]
-        vals = np.broadcast_to(vals, (G,) * (d * J) + (() if scalar else (m,))).copy()
-        phis.append(TensorGridFunction(grid, J, vals))
-    return phis
-
-
-def _stack_pair(top: TensorGridFunction, bottom_values: np.ndarray) -> np.ndarray:
-    """Concatenate transformed and tau-scaled components along the value axis."""
-    tv = top.values
-    if top.m == 0:
-        tv = tv[..., None]
-    if bottom_values.ndim == tv.ndim - 1:
-        bottom_values = bottom_values[..., None]
-    return np.concatenate([tv, bottom_values], axis=-1)
+def _grow(prefix_sum: np.ndarray, k: int, d: int) -> np.ndarray:
+    """View a sum over blocks 0..k-1 as constant along a new block k."""
+    return prefix_sum.reshape(prefix_sum.shape[:d * k] + (1,) * d + prefix_sum.shape[d * k:])
 
 
 def _build(ws: WitnessSpec) -> WitnessResult:
+    """Stream the witness over k = 1..N on prefix arrays.
+
+    Phi_k and T^k Phi_k depend only on blocks 0..k, so each summand is built
+    and lifted with J = k + 1 (block k last) and then added into running
+    sums that grow by one block per step.  Only the final sums are full size.
+    """
     if ws.exps.p0 > ws.exps.p:
         raise ValueError("tensor lift requires p0 <= p")
+    N, d, G = ws.sequence.N, ws.symbol.d, ws.G
+    if G ** (d * (N + 1)) > POINT_CAP:
+        raise ValueError(f"witness point count {G ** (d * (N + 1))} exceeds cap {POINT_CAP}")
+    scalar = ws.symbol.shape != "matrix"
+    if scalar and ws.sequence.m != 1:
+        raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
     slack = _direction_slack(ws)
+    grid, signs, idx = _sign_blocks(ws)
 
-    phis = _assemble_blocks(ws)
-    grid = phis[0].grid
-    J = phis[0].J
+    def on_block(arr, j, J):
+        """Reshape a (G,)*d block field onto the axes of block j of J."""
+        return arr.reshape((1,) * (d * j) + (G,) * d + (1,) * (d * (J - 1 - j)))
 
-    phi_sum_vals = sum(p.values for p in phis)
-    phi_sum = TensorGridFunction(grid, J, phi_sum_vals)
+    phi_sum = pair_sum = None
+    for k in range(1, N + 1):
+        J = k + 1
+        table = ws.sequence.tables[k - 1]  # shape (2,)*k + (m,)
+        gathered = table[tuple(on_block(idx[j], j, J) for j in range(k))]
+        vals = on_block(signs[k], k, J)[..., None] * gathered
+        if scalar:
+            vals = vals[..., 0]
+        top = tensor_lift_apply(TensorGridFunction(grid, J, vals), ws.symbol, k).values
+        # The stacked pair (T^k Phi_k, tau Phi_k) along one component axis.
+        with_axis = (G,) * (d * J) + (-1,)
+        pair = np.concatenate([top.reshape(with_axis), ws.tau * vals.reshape(with_axis)],
+                              axis=-1)
+        del top  # the norms below need the memory
+        if k > 1:
+            vals += _grow(phi_sum, k, d)
+            pair += _grow(pair_sum, k, d)
+        phi_sum, pair_sum = vals, pair
 
-    transformed = []
-    for k, phi in enumerate(phis, start=1):
-        top = tensor_lift_apply(phi, ws.symbol, k)
-        transformed.append(_stack_pair(top, ws.tau * phi.values))
-    t_sum = TensorGridFunction(grid, J, sum(transformed))
-
-    num = t_sum.lp_norm(ws.exps.p0)
-    den = phi_sum.lp_norm(ws.exps.p)
+    den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(ws.exps.p)
+    del phi_sum, vals  # free a full array before the larger pair norm
+    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(ws.exps.p0)
     if den == 0.0:
         raise ZeroDivisionError("witness has zero Lp norm")
     ratio = num / den
@@ -189,8 +176,6 @@ def _build(ws: WitnessSpec) -> WitnessResult:
     mart = perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
     A = ws.rescale
     return WitnessResult(
-        phi_sum=phi_sum,
-        transformed_sum=t_sum,
         ratio=float(ratio),
         certified_lower_bound=float(ratio / abs(A)),
         martingale_ratio=float(mart),

@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import MartingaleDifferenceSequence
+from lpmult.martingale import MartingaleDifferenceSequence, search_extremal
 from lpmult.report import sequence_to_record
 
 
@@ -171,3 +172,24 @@ def test_certify_warm_start_from_store(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["notes"]["martingale_source"] == "store"
     assert rep["certified_lower_bound"] >= (52.0 / 21.0) ** 0.25 - 1e-6
+
+
+def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
+    # A target below the certified bound trips the CertReport invariant,
+    # which is a cross-check failure, not a configuration error.
+    monkeypatch.setattr("lpmult.cli._target_for", lambda *args: 1.0)
+    code, _ = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "2",
+                    "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 3
+
+
+def test_certify_wall_time_covers_search(tmp_path, monkeypatch):
+    def slow_search(*args, **kwargs):
+        time.sleep(0.2)
+        return search_extremal(*args, **kwargs)
+
+    monkeypatch.setattr("lpmult.cli.search_extremal", slow_search)
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "2",
+                      "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["wall_time_s"] >= 0.2

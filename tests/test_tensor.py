@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling, beurling_symbol
-from lpmult.grid import TorusGrid
+from lpmult.catalog import (beurling, beurling_matrix, beurling_symbol,
+                            vector_perturbation)
+from lpmult.grid import TorusGrid, coefficients, from_coefficients
 from lpmult.tensor import (TensorGridFunction, block_zero_mass,
                            shear_norm_check, tensor_lift_apply,
                            p2_lift_bound_check)
@@ -65,6 +66,41 @@ def test_lift_acts_on_single_block():
     out = tensor_lift_apply(phi, beurling(), 1)
     lam = beurling_symbol(k)
     assert np.max(np.abs(out.values - lam * vals)) < 1e-12
+
+
+def _fft_lift_reference(phi, M, k):
+    """The lift as a full FFT over block k: coefficients, multiply, invert."""
+    axes = phi.block_axes(k)
+    c = coefficients(phi.values, phi.grid, axes)
+    sym = M.evaluate(phi.grid.frequency_mesh())
+    lead = [1] * (phi.grid.d * phi.J)
+    for ax in axes:
+        lead[ax] = phi.grid.G
+    if M.shape == "scalar":
+        out_c = sym.reshape(lead) * c
+    elif M.shape == "vector":
+        out_c = sym.reshape(lead + [M.m]) * c[..., None]
+    else:
+        out_c = np.einsum("...ij,...j->...i", sym.reshape(lead + [M.m, M.m]), c)
+    return from_coefficients(out_c, phi.grid, axes)
+
+
+@pytest.mark.parametrize("G", [2, 4])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("M", [beurling(), vector_perturbation(beurling(), 0.5),
+                               beurling_matrix()], ids=["scalar", "vector", "matrix"])
+def test_lift_matches_fft_reference(M, k, G):
+    rng = np.random.default_rng(np.random.PCG64(10 * k + G))
+    grid, J = TorusGrid(2, G), 3
+    comp = (M.m,) if M.shape == "matrix" else ()
+    shape = (G,) * (2 * J) + comp
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals -= vals.mean(axis=(2 * k, 2 * k + 1), keepdims=True)
+    phi = TensorGridFunction(grid, J, vals)
+    out = tensor_lift_apply(phi, M, k)
+    ref = _fft_lift_reference(phi, M, k)
+    assert out.values.shape == ref.shape
+    assert np.max(np.abs(out.values - ref)) < 1e-12
 
 
 def test_lift_requires_mean_zero_block():

@@ -1,5 +1,7 @@
 """Sign-function witnesses: eigenrelation exactness and certified ratios."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,41 @@ def test_best_axis_direction():
     assert dev == pytest.approx(1.0 - 112.0 / 113.0, abs=1e-12)
     with pytest.raises(ValueError):
         best_axis_direction(beurling_matrix(), 1.0)
+
+
+def _random_spec(N, seed=0):
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    seq = MartingaleDifferenceSequence(tuple(
+        rng.standard_normal((2,) * k + (1,)) + 1j * rng.standard_normal((2,) * k + (1,))
+        for k in range(1, N + 1)))
+    beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
+    return WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
+                       n_plus=(0, 1), n_minus=(1, 0), delta_plus=1.0,
+                       delta_minus=-1.0, sequence=seq, beta=beta, G=2)
+
+
+def test_oversize_witness_refused_before_allocation():
+    # N = 12 at G = 2 has 4^13 points (1 GiB per complex array), over POINT_CAP.
+    spec = _random_spec(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            build_witness(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_witness_peak_memory_streams():
+    # One full-size scalar array on (T^2)^9 at G = 2 is 4^9 complex values.
+    spec = _random_spec(8)
+    full = 4**9 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        res = build_witness(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ratio == pytest.approx(res.martingale_ratio, abs=1e-10)
+    assert peak <= 8 * full
