@@ -24,8 +24,7 @@ from .tensor import (TensorGridFunction, shear_norm_check, tensor_lift_apply,
                      p2_lift_bound_check)
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
-from .witness import (WitnessResult, WitnessSpec, best_axis_direction,
-                      build_matrix_witness, build_witness)
+from .witness import WitnessResult, WitnessSpec, build_matrix_witness, build_witness
 from .report import CertReport, StoreError, TOOLKIT_VERSION
 
 __version__ = TOOLKIT_VERSION
@@ -44,6 +43,6 @@ __all__ = [
     "shear_norm_check", "tensor_lift_apply", "p2_lift_bound_check",
     "GaussianPairingConfig", "gaussian_damped_pairing",
     "multiplier_deviation", "WitnessResult", "WitnessSpec",
-    "best_axis_direction", "build_matrix_witness", "build_witness",
+    "build_matrix_witness", "build_witness",
     "CertReport", "StoreError", "TOOLKIT_VERSION",
 ]

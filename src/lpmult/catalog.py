@@ -88,32 +88,32 @@ def rotated_symbol(theta: float):
 def identity_symbol(d: int = 2) -> MultiplierSymbol:
     return MultiplierSymbol(
         d=d, shape="scalar", evaluator=lambda xi: np.ones(xi.shape[:-1], dtype=complex),
-        even=True, sup_bound=1.0, total=True, name="identity")
+        total=True, name="identity")
 
 
 def beurling() -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="scalar", evaluator=beurling_symbol,
-                            even=True, sup_bound=1.0, name="beurling")
+                            name="beurling")
 
 
 def beurling_real() -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="scalar", evaluator=_beurling_real,
-                            even=True, sup_bound=1.0, name="beurling-real")
+                            name="beurling-real")
 
 
 def beurling_imag() -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="scalar", evaluator=_beurling_imag,
-                            even=True, sup_bound=1.0, name="beurling-imag")
+                            name="beurling-imag")
 
 
 def beurling_matrix() -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="matrix", evaluator=beurling_matrix_symbol,
-                            m=2, even=True, sup_bound=1.0, name="beurling-matrix")
+                            m=2, name="beurling-matrix")
 
 
 def rotated(theta: float) -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="scalar", evaluator=rotated_symbol(theta),
-                            even=True, sup_bound=1.0, name=f"rotated({theta})")
+                            name=f"rotated({theta})")
 
 
 def vector_perturbation(base: MultiplierSymbol, tau: float) -> MultiplierSymbol:
@@ -129,8 +129,7 @@ def vector_perturbation(base: MultiplierSymbol, tau: float) -> MultiplierSymbol:
         return out
 
     return MultiplierSymbol(
-        d=base.d, shape="vector", evaluator=evaluator, m=2, even=base.even,
-        sup_bound=math.hypot(base.sup_bound, tau),
+        d=base.d, shape="vector", evaluator=evaluator, m=2,
         total=False, name=f"({base.name}, {tau})")
 
 
@@ -181,7 +180,6 @@ def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
             return (c * (x1 * x1 - x2 * x2) + 2j * x1 * x2) / r2
 
         return MultiplierSymbol(d=2, shape="scalar", evaluator=scaled_eval,
-                                even=True, sup_bound=max(abs(c), 1.0),
                                 name=f"scaled({c})")
     if fam == "F":
         z = complex(param.z)
@@ -191,7 +189,6 @@ def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
             return ((x1 * x1 - x2 * x2) + 2.0 * z * x1 * x2) / r2
 
         return MultiplierSymbol(d=2, shape="scalar", evaluator=f_eval,
-                                even=True, sup_bound=max(abs(z), 1.0),
                                 name=f"F({z})")
     if fam == "riesz":
         # Standard convention -i xi_j / |xi|; fixed here since composite
@@ -204,7 +201,7 @@ def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
             return -1j * xi[..., j - 1] / r
 
         return MultiplierSymbol(d=2, shape="scalar", evaluator=riesz_eval,
-                                even=False, sup_bound=1.0, name=f"riesz({j})")
+                                name=f"riesz({j})")
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -318,7 +315,6 @@ def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
     pair = GridFunction(f.grid, np.stack([f.values.real, f.values.imag], axis=-1))
     matrix_sym = MultiplierSymbol(d=2, shape="matrix",
                                   evaluator=_beurling_complex_mult_matrix,
-                                  m=2, even=True, sup_bound=1.0,
-                                  name="beurling-matrix-cm")
+                                  m=2, name="beurling-matrix-cm")
     vec = apply_discrete_multiplier(pair, matrix_sym)
     return _lp(scalar, p), _lp(vec, p)

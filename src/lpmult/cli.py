@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (OperatorFamilyParam, beurling_imag, beurling_matrix,
-                      beurling_real, family_symbol, identity_symbol, rotated,
-                      target_constant, tau_admissible)
+from .catalog import (OperatorFamilyParam, beurling_matrix, beurling_real,
+                      family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, search_extremal)
@@ -28,7 +27,7 @@ from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
                      update_store, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import WitnessSpec, best_axis_direction, build_matrix_witness, build_witness
+from .witness import WitnessSpec, build_matrix_witness, build_witness
 from .grid import TorusGrid
 
 EXIT_OK = 0
@@ -70,9 +69,7 @@ def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
 
 
 def _target_for(exps: ExponentConfig, tau: float, predicate: str) -> float | None:
-    if exps.p == exps.p0 and tau_admissible(exps, tau, predicate):
-        return math.hypot(exps.pstar - 1.0, tau)
-    return None
+    return target_constant(OperatorFamilyParam("beurling"), exps, tau, predicate).c_tau
 
 
 def cmd_search_martingale(args) -> int:
@@ -115,31 +112,20 @@ _CERTIFY_FAMILIES = ("beurling-real", "beurling-imag", "rotated", "vector",
                      "beurling-matrix")
 
 
-def _witness_directions(family: str, theta: float):
-    """(symbol, n+, n-, delta+, delta-) for a certifiable family.
+def _reduction(family: str, theta: float) -> tuple[int, float]:
+    """(s, a) with symbol(xi) = s * Re B(R_a xi), R_a the rotation by angle a.
 
-    Axis directions are exact for symbols with axis extrema; the others use
-    the best odd-coordinate-sum lattice approximants (odd sum keeps the
-    sampled sign functions free of zeros on the offset grid).
+    Multiplier norms on R^2 do not change under rotation or sign, so every
+    family is certified by the exact Re B axis witness.
     """
-    if family == "beurling-real" or family == "vector":
-        return beurling_real(), (0, 1), (1, 0), 1.0, -1.0
-    if family == "beurling-matrix":
-        return beurling_matrix(), (0, 1), (1, 0), 1.0, -1.0
-    if family == "rotated" and theta == 0.0:
-        return rotated(0.0), (1, 0), (0, 1), 1.0, -1.0
+    if family == "beurling-imag":
+        return 1, math.pi / 4
     if family == "rotated":
-        sym = rotated(theta)
-    else:
-        sym = beurling_imag()
-    np_, dp = best_axis_direction(sym, 1.0, bound=8, odd_sum=True)
-    nm_, dm = best_axis_direction(sym, -1.0, bound=8, odd_sum=True)
-    vp = float(sym.evaluate(np.asarray(np_, dtype=float)).real)
-    vm = float(sym.evaluate(np.asarray(nm_, dtype=float)).real)
-    return sym, np_, nm_, vp, vm
+        return -1, -theta / 2
+    return 1, 0.0
 
 
-def _load_or_search_martingale(args, exps, m: int):
+def _load_or_search_martingale(args, exps):
     if args.martingale is not None:
         rec = json.loads(Path(args.martingale).read_text())
         seq, beta = sequence_from_record(rec)
@@ -173,31 +159,20 @@ def cmd_certify(args) -> int:
     exps = ExponentConfig(args.p, args.p0)
     if args.family not in _CERTIFY_FAMILIES:
         raise ValueError(f"family must be one of {_CERTIFY_FAMILIES}")
-    symbol, n_plus, n_minus, dplus, dminus = _witness_directions(args.family, args.theta)
+    symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
+    sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()
-    seq, beta, source = _load_or_search_martingale(args, exps, symbol.m)
+    seq, beta, source = _load_or_search_martingale(args, exps)
     if symbol.shape == "matrix":
         seq = _embed_vector(seq, symbol.m)
 
-    ws = WitnessSpec(exps=exps, tau=args.tau, symbol=symbol,
-                     n_plus=n_plus, n_minus=n_minus,
-                     delta_plus=dplus, delta_minus=dminus,
-                     sequence=seq, beta=beta, G=args.grid,
-                     unitary=np.eye(symbol.m) if symbol.shape == "matrix" else None)
+    ws = WitnessSpec(exps=exps, tau=args.tau, symbol=symbol, sequence=seq, beta=beta)
     build = build_matrix_witness if symbol.shape == "matrix" else build_witness
     res = build(ws)
     wall = time.monotonic() - t0
 
-    # The sampled sign functions are exact symbol eigenfunctions only on
-    # axis directions; the martingale cross-check is decisive there and
-    # advisory for delta-approximation directions.
-    def _is_axis(n):
-        return sum(1 for v in n if v != 0) == 1
-
-    exact = (_is_axis(n_plus) and _is_axis(n_minus)
-             and dplus == 1.0 and dminus == -1.0)
-    if exact and abs(res.ratio - res.martingale_ratio) > CROSS_CHECK_TOL:
+    if abs(res.ratio - res.martingale_ratio) > CROSS_CHECK_TOL:
         raise CrossCheckError(
             f"witness ratio {res.ratio} disagrees with martingale ratio "
             f"{res.martingale_ratio} beyond {CROSS_CHECK_TOL}")
@@ -205,7 +180,7 @@ def cmd_certify(args) -> int:
     report = CertReport(
         family=args.family,
         params={"theta": args.theta} if args.family == "rotated" else {},
-        p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=args.grid,
+        p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=ws.G,
         achieved_ratio=res.ratio,
         certified_lower_bound=res.certified_lower_bound,
         target_constant=_target_for(exps, args.tau, args.predicate),
@@ -216,12 +191,8 @@ def cmd_certify(args) -> int:
         notes={
             "martingale_source": source,
             "martingale_ratio": res.martingale_ratio,
-            "direction_slack": res.direction_slack,
-            "axis_exact": exact,
-            "delta_gap": max(abs(1.0 - dplus), abs(-1.0 - dminus)),
-            "n_plus": list(n_plus), "n_minus": list(n_minus),
-            "delta_plus": dplus, "delta_minus": dminus,
-            "rescale_A": res.rescale,
+            "reduction": {"relation": "symbol(xi) = sign * ReB(R_angle xi)",
+                          "sign": sign, "angle": angle},
             "beta": list(beta),
             "symbol_convention": "displayed quotient (xi2^2-xi1^2+2i xi1 xi2)/|xi|^2",
         },
@@ -364,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("family", choices=_CERTIFY_FAMILIES)
     _add_common(ct)
     ct.add_argument("--n", type=int, default=2)
-    ct.add_argument("--grid", type=int, default=2)
     ct.add_argument("--theta", type=float, default=0.0)
     ct.add_argument("--martingale", type=Path, default=None)
     ct.add_argument("--restarts", type=int, default=16)

@@ -8,7 +8,6 @@ exact instead of approximate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,52 +135,6 @@ class GridFunction:
         if self.m == 0:
             return np.abs(self.values)
         return np.linalg.norm(self.values, axis=-1)
-
-    def to_json(self) -> str:
-        """Serialize as {d, G, shape, m, values} with complex [re, im] pairs."""
-        flat = np.ravel(self.values)
-        payload = {
-            "d": self.grid.d,
-            "G": self.grid.G,
-            "shape": "scalar" if self.m == 0 else "vector",
-            "m": self.m,
-            "values": [[float(z.real), float(z.imag)] for z in flat],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridFunction":
-        payload = json.loads(text)
-        grid = TorusGrid(payload["d"], payload["G"])
-        flat = np.array([complex(re, im) for re, im in payload["values"]])
-        shape = (grid.G,) * grid.d
-        if payload["m"]:
-            shape = shape + (payload["m"],)
-        return cls(grid, flat.reshape(shape))
-
-    def to_bytes(self) -> bytes:
-        """Binary form: JSON header line, then little-endian f64 [re, im] pairs."""
-        header = json.dumps(
-            {"d": self.grid.d, "G": self.grid.G,
-             "shape": "scalar" if self.m == 0 else "vector", "m": self.m}
-        ).encode() + b"\n"
-        flat = np.ravel(self.values)
-        body = np.empty(2 * flat.size, dtype="<f8")
-        body[0::2] = flat.real
-        body[1::2] = flat.imag
-        return header + body.tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridFunction":
-        header, _, body = blob.partition(b"\n")
-        meta = json.loads(header)
-        raw = np.frombuffer(body, dtype="<f8")
-        flat = raw[0::2] + 1j * raw[1::2]
-        grid = TorusGrid(meta["d"], meta["G"])
-        shape = (grid.G,) * grid.d
-        if meta["m"]:
-            shape = shape + (meta["m"],)
-        return cls(grid, flat.reshape(shape).copy())
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

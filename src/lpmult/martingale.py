@@ -251,8 +251,7 @@ def _beta_candidates(N, rng, restarts):
 
 
 def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudget,
-                    warm_start: SearchResult | None = None,
-                    real_tables: bool = False) -> SearchResult:
+                    warm_start: SearchResult | None = None) -> SearchResult:
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     For each candidate beta the tables are ascended from random complex
@@ -305,7 +304,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
             starts.append([t.copy() for t in warm_noised])
         for _ in range(budget.restarts):
             tabs = [rng.standard_normal((2,) * k + (m,))
-                    + (0.0 if real_tables else 1.0j) * rng.standard_normal((2,) * k + (m,))
+                    + 1j * rng.standard_normal((2,) * k + (m,))
                     for k in range(1, N + 1)]
             starts.append(tabs)
         for tabs in starts:

@@ -27,8 +27,6 @@ class MultiplierSymbol:
     shape: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     m: int = 1
-    even: bool = False
-    sup_bound: float = 1.0
     total: bool = False
     name: str = "symbol"
 

@@ -98,8 +98,7 @@ def test_criterion_03_explicit_instance_regression():
     assert abs(ratio - ORACLE_EXPLICIT) < 1e-12
     for G in (2, 4):
         spec = WitnessSpec(exps=ExponentConfig(4.0), tau=1.0,
-                           symbol=beurling_real(), n_plus=(0, 1), n_minus=(1, 0),
-                           delta_plus=1.0, delta_minus=-1.0, sequence=seq,
+                           symbol=beurling_real(), sequence=seq,
                            beta=(-1, 1), G=G)
         res = build_witness(spec)
         assert abs(res.ratio - ORACLE_EXPLICIT) < 1e-10
@@ -280,7 +279,7 @@ def test_criterion_11_determinism(tmp_path):
     assert run("s1", search_args) == run("s2", search_args)
 
     certify_args = ["certify", "beurling-real", "--p", "4", "--tau", "1",
-                    "--n", "2", "--grid", "2", "--seed", "9",
+                    "--n", "2", "--seed", "9",
                     "--iters", "300", "--restarts", "4"]
     assert run("c1", certify_args) == run("c2", certify_args)
     print("PASS criterion 11: reports bit-identical across re-runs")

@@ -8,10 +8,13 @@ import time
 import numpy as np
 import pytest
 
+from lpmult.catalog import beurling_imag, beurling_real, rotated
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import MartingaleDifferenceSequence, search_extremal
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
+                               perturbed_ratio_exact, search_extremal)
 from lpmult.report import sequence_to_record
+from lpmult.witness import WitnessResult, build_witness
 
 
 def _run(args, tmp_path, name="out.json"):
@@ -57,14 +60,14 @@ def test_certify_explicit_instance(tmp_path):
     inst.write_text(json.dumps(rec))
 
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1",
-                      "--n", "2", "--grid", "2", "--martingale", str(inst),
+                      "--n", "2", "--martingale", str(inst),
                       "--store-dir", str(tmp_path / "store")], tmp_path)
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["certified_lower_bound"] == pytest.approx((52.0 / 21.0) ** 0.25,
                                                          abs=1e-9)
     assert rep["target_constant"] == pytest.approx(math.sqrt(10.0))
-    assert rep["notes"]["axis_exact"] is True
+    assert rep["notes"]["reduction"]["angle"] == 0.0
 
 
 def test_certify_matrix_trivial(tmp_path):
@@ -86,16 +89,40 @@ def test_certify_vector_depth_one(tmp_path):
     assert rep["target_constant"] == pytest.approx(3.0)
 
 
-def test_certify_imag_uses_approximate_directions(tmp_path):
-    code, out = _run(["certify", "beurling-imag", "--p", "4", "--tau", "0",
-                      "--n", "2", "--grid", "4", "--iters", "200",
-                      "--restarts", "4", "--store-dir", str(tmp_path / "store")],
-                     tmp_path)
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["notes"]["axis_exact"] is False
-    assert sum(rep["notes"]["n_plus"]) % 2 == 1
-    assert rep["certified_lower_bound"] > 0.0
+def test_certify_every_family_through_re_b(tmp_path):
+    # Im B and rotated(theta) are rotations of +-Re B, so every family
+    # certifies the same martingale at the same bound.
+    rng = np.random.default_rng(np.random.PCG64(11))
+    seq = MartingaleDifferenceSequence.scalar(
+        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
+        for k in range(1, 4))
+    beta = (1, -1, 1)
+    exps = ExponentConfig(4.0)
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(seq, beta, 0.5, exps, ratio, 0, "def2")))
+
+    # The recorded reduction symbol(xi) = s * Re B(R_a xi) must hold.
+    xi = rng.standard_normal((100, 2))
+    bounds = {}
+    for family, symbol in ((["beurling-real"], beurling_real()),
+                           (["beurling-imag"], beurling_imag()),
+                           (["vector"], beurling_real()),
+                           (["rotated", "--theta", "0"], rotated(0.0)),
+                           (["rotated", "--theta", "0.7"], rotated(0.7))):
+        code, out = _run(["certify", *family, "--p", "4", "--tau", "0.5", "--n", "3",
+                          "--martingale", str(inst),
+                          "--store-dir", str(tmp_path / "store")], tmp_path)
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["certified_lower_bound"] == rep["achieved_ratio"]
+        bounds[" ".join(family)] = rep["certified_lower_bound"]
+        s, a = rep["notes"]["reduction"]["sign"], rep["notes"]["reduction"]["angle"]
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        reduced = s * beurling_real().evaluate(xi @ rot.T)
+        assert np.max(np.abs(symbol.evaluate(xi) - reduced)) <= 1e-14
+    assert max(bounds.values()) - min(bounds.values()) <= 1e-12
+    assert bounds["beurling-real"] == pytest.approx(ratio, abs=1e-10)
 
 
 def test_transference_deviation_table(tmp_path):
@@ -166,7 +193,7 @@ def test_certify_warm_start_from_store(tmp_path):
                  "--store-dir", str(store), "--out", str(tmp_path / "s.json")])
     assert code == 0
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1",
-                      "--n", "2", "--grid", "2", "--store-dir", str(store)],
+                      "--n", "2", "--store-dir", str(store)],
                      tmp_path, "c.json")
     assert code == 0
     rep = json.loads(out.read_text())
@@ -193,3 +220,17 @@ def test_certify_wall_time_covers_search(tmp_path, monkeypatch):
                       "--store-dir", str(tmp_path / "store")], tmp_path)
     assert code == 0
     assert json.loads(out.read_text())["wall_time_s"] >= 0.2
+
+
+def test_certify_crosscheck_runs_on_every_family(tmp_path, monkeypatch):
+    # A witness that drifts from the martingale ratio must fail every family.
+    def drifting(ws):
+        res = build_witness(ws)
+        return WitnessResult(1.01 * res.ratio, 1.01 * res.ratio, res.martingale_ratio)
+
+    monkeypatch.setattr("lpmult.cli.build_witness", drifting)
+    for family in (["beurling-imag"], ["rotated", "--theta", "0.7"]):
+        code, _ = _run(["certify", *family, "--p", "4", "--tau", "1", "--n", "2",
+                        "--iters", "50", "--restarts", "2",
+                        "--store-dir", str(tmp_path / "store")], tmp_path)
+        assert code == 3

@@ -1,4 +1,4 @@
-"""Offset grid geometry, FFT coefficient round trips, and serialization."""
+"""Offset grid geometry, FFT coefficient round trips, and Lp norms."""
 
 import numpy as np
 import pytest
@@ -89,20 +89,3 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         GridFunction(grid, np.array([[np.inf] * 4] * 4))
 
-
-def test_json_round_trip():
-    rng = np.random.default_rng(np.random.PCG64(2))
-    grid = TorusGrid(2, 4)
-    f = GridFunction(grid, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    g = GridFunction.from_json(f.to_json())
-    assert g.grid == f.grid
-    assert np.array_equal(g.values, f.values)
-
-
-def test_bytes_round_trip_vector():
-    rng = np.random.default_rng(np.random.PCG64(3))
-    grid = TorusGrid(1, 4)
-    f = GridFunction(grid, rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
-    g = GridFunction.from_bytes(f.to_bytes())
-    assert g.m == 3
-    assert np.array_equal(g.values, f.values)

@@ -58,6 +58,21 @@ def test_rotated_symbol_values_and_range():
     assert rotated_symbol(theta)(half) == pytest.approx(1.0)
 
 
+def test_rotation_reduction_to_beurling_real():
+    # Im B(xi) = Re B(R_{pi/4} xi) and rotated(theta)(xi) = -Re B(R_{-theta/2} xi).
+    rng = np.random.default_rng(np.random.PCG64(7))
+    xi = rng.standard_normal((1000, 2))
+
+    def re_b_rotated(a):
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        return beurling_real().evaluate(xi @ rot.T)
+
+    assert np.max(np.abs(beurling_imag().evaluate(xi) - re_b_rotated(math.pi / 4))) <= 1e-14
+    for theta in (0.0, 0.3, 0.7, -2.0, math.pi / 2):
+        err = np.max(np.abs(rotated(theta).evaluate(xi) + re_b_rotated(-theta / 2)))
+        assert err <= 1e-14
+
+
 def test_family_symbol_examples():
     f0 = family_symbol(OperatorFamilyParam(family="F", z=0.0))
     assert f0.evaluate(np.array([1.0, 0.0])) == pytest.approx(1.0)

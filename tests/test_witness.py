@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real
+from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import MartingaleDifferenceSequence
-from lpmult.witness import (WitnessSpec, best_axis_direction,
-                            build_matrix_witness, build_witness)
+from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
 
 
 def _explicit_instance(m=1):
@@ -20,19 +19,17 @@ def _explicit_instance(m=1):
     return MartingaleDifferenceSequence((d1, d2))
 
 
-def _spec(seq, tau, G, symbol=None, **kw):
+def _spec(seq, tau, G, symbol=None):
     return WitnessSpec(
         exps=ExponentConfig(4.0), tau=tau,
         symbol=beurling_real() if symbol is None else symbol,
-        n_plus=(0, 1), n_minus=(1, 0), delta_plus=1.0, delta_minus=-1.0,
-        sequence=seq, beta=(-1, 1), G=G, **kw)
+        sequence=seq, beta=(-1, 1), G=G)
 
 
 def test_explicit_witness_matches_enumeration():
     target = (52.0 / 21.0) ** 0.25
     for G in (2, 4):
         res = build_witness(_spec(_explicit_instance(), 1.0, G))
-        assert res.direction_slack <= 1e-12
         assert res.ratio == pytest.approx(target, abs=1e-10)
         assert res.martingale_ratio == pytest.approx(target, abs=1e-12)
         assert res.certified_lower_bound == pytest.approx(target, abs=1e-10)
@@ -45,7 +42,7 @@ def test_witness_tau_zero():
 
 def test_matrix_witness_matches_scalar():
     seq = _explicit_instance(m=2)
-    spec = _spec(seq, 1.0, 2, symbol=beurling_matrix(), unitary=np.eye(2))
+    spec = _spec(seq, 1.0, 2, symbol=beurling_matrix())
     res = build_matrix_witness(spec)
     assert res.ratio == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
     assert res.martingale_ratio == pytest.approx(res.ratio, abs=1e-10)
@@ -53,8 +50,7 @@ def test_matrix_witness_matches_scalar():
 
 def test_witness_shape_dispatch():
     with pytest.raises(ValueError):
-        build_witness(_spec(_explicit_instance(m=2), 1.0, 2, symbol=beurling_matrix(),
-                            unitary=np.eye(2)))
+        build_witness(_spec(_explicit_instance(m=2), 1.0, 2, symbol=beurling_matrix()))
     with pytest.raises(ValueError):
         build_matrix_witness(_spec(_explicit_instance(), 1.0, 2))
 
@@ -63,61 +59,20 @@ def test_spec_validation():
     seq = _explicit_instance()
     with pytest.raises(ValueError):
         WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
-                    n_plus=(0, 0), n_minus=(1, 0), delta_plus=1.0,
-                    delta_minus=-1.0, sequence=seq, beta=(-1, 1))
-    with pytest.raises(ValueError):
-        WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
-                    n_plus=(0, 1), n_minus=(1, 0), delta_plus=-1.0,
-                    delta_minus=1.0, sequence=seq, beta=(-1, 1))
-    with pytest.raises(ValueError):
-        WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
-                    n_plus=(0, 1), n_minus=(1, 0), delta_plus=1.0,
-                    delta_minus=-1.0, sequence=seq, beta=(-1,))
-    with pytest.raises(ValueError):
-        _spec(_explicit_instance(m=2), 0.0, 2, symbol=beurling_matrix(),
-              unitary=np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_even_sum_direction_hits_hyperplane():
-    # sign((1, 1) . theta) vanishes on the offset grid; the builder refuses.
-    spec = WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_imag(),
-                       n_plus=(1, 1), n_minus=(1, -1), delta_plus=1.0,
-                       delta_minus=-1.0, sequence=_explicit_instance(),
-                       beta=(-1, 1), G=4)
-    with pytest.raises(ValueError):
-        build_witness(spec)
+                    sequence=seq, beta=(-1,))
+    # Im B vanishes on both axes and rotated(0) = -Re B has them reversed;
+    # both are certified through Re B by a rotation, never directly.
+    for symbol in (beurling_imag(), rotated(0.0)):
+        with pytest.raises(ValueError):
+            _spec(seq, 0.0, 2, symbol=symbol)
 
 
 def test_p0_above_p_rejected():
     spec = WitnessSpec(exps=ExponentConfig(2.0, 4.0), tau=0.0,
-                       symbol=beurling_real(), n_plus=(0, 1), n_minus=(1, 0),
-                       delta_plus=1.0, delta_minus=-1.0,
-                       sequence=_explicit_instance(), beta=(-1, 1))
+                       symbol=beurling_real(), sequence=_explicit_instance(),
+                       beta=(-1, 1))
     with pytest.raises(ValueError):
         build_witness(spec)
-
-
-def test_rescale_for_approximate_deltas():
-    # With delta+- = +-0.8 the rescale is A = 2 / 1.6 = 1.25 and the
-    # certified bound is the achieved ratio divided by A.
-    seq = _explicit_instance()
-    spec = WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
-                       n_plus=(0, 1), n_minus=(1, 0), delta_plus=0.8,
-                       delta_minus=-0.8, sequence=seq, beta=(-1, 1), G=2)
-    res = build_witness(spec)
-    assert spec.rescale == pytest.approx(1.25)
-    assert res.certified_lower_bound == pytest.approx(res.ratio / 1.25)
-
-
-def test_best_axis_direction():
-    n, dev = best_axis_direction(beurling_real(), 1.0, bound=4)
-    assert abs(n[1]) > 0 and n[0] == 0
-    assert dev == pytest.approx(0.0, abs=1e-14)
-    n, dev = best_axis_direction(beurling_imag(), 1.0, bound=8, odd_sum=True)
-    assert sum(n) % 2 == 1
-    assert dev == pytest.approx(1.0 - 112.0 / 113.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        best_axis_direction(beurling_matrix(), 1.0)
 
 
 def _random_spec(N, seed=0):
@@ -127,8 +82,7 @@ def _random_spec(N, seed=0):
         for k in range(1, N + 1)))
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
     return WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
-                       n_plus=(0, 1), n_minus=(1, 0), delta_plus=1.0,
-                       delta_minus=-1.0, sequence=seq, beta=beta, G=2)
+                       sequence=seq, beta=beta, G=2)
 
 
 def test_oversize_witness_refused_before_allocation():
