@@ -8,9 +8,8 @@ checks connecting the discrete model to the continuous operators.
 """
 
 from .exponents import ExponentConfig
-from .grid import GridFunction, TorusGrid, lp_norm
+from .grid import TorusGrid
 from .symbols import MultiplierSymbol
-from .multiplier import apply_discrete_multiplier, l2_operator_norm, operator_ratio
 from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
                       beurling_imag, beurling_matrix, beurling_matrix_symbol,
                       beurling_real, beurling_symbol, complex_vs_matrix_path,
@@ -20,8 +19,8 @@ from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, TransformConfig, evaluate_sequence,
                          extend_with_zero, perturbed_ratio_exact,
                          search_extremal)
-from .tensor import (TensorGridFunction, shear_norm_check, tensor_lift_apply,
-                     p2_lift_bound_check)
+from .tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
+                     shear_norm_check, tensor_lift_apply, p2_lift_bound_check)
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
 from .witness import WitnessResult, WitnessSpec, build_matrix_witness, build_witness
@@ -30,8 +29,7 @@ from .report import CertReport, StoreError, TOOLKIT_VERSION
 __version__ = TOOLKIT_VERSION
 
 __all__ = [
-    "ExponentConfig", "GridFunction", "TorusGrid", "lp_norm",
-    "MultiplierSymbol", "apply_discrete_multiplier", "l2_operator_norm",
+    "ExponentConfig", "TorusGrid", "MultiplierSymbol", "l2_operator_norm",
     "operator_ratio", "OperatorFamilyParam", "TargetConstants", "beurling",
     "beurling_imag", "beurling_matrix", "beurling_matrix_symbol",
     "beurling_real", "beurling_symbol", "complex_vs_matrix_path",

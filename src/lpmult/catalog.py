@@ -15,6 +15,7 @@ import numpy as np
 
 from .exponents import ExponentConfig
 from .symbols import MultiplierSymbol
+from .tensor import TensorGridFunction, tensor_lift_apply
 
 __all__ = [
     "beurling_symbol",
@@ -305,16 +306,13 @@ def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
     resulting pair.  The matrix acts in the complex-multiplication
     representation, so the pointwise C^2 norm equals |T_B f| exactly.
     """
-    from .grid import GridFunction, lp_norm as _lp
-    from .multiplier import apply_discrete_multiplier
-
     if f.m != 0:
         raise ValueError("complex_vs_matrix_path takes a scalar function")
-    scalar = apply_discrete_multiplier(f, beurling())
+    scalar = tensor_lift_apply(f, beurling(), 0)
 
-    pair = GridFunction(f.grid, np.stack([f.values.real, f.values.imag], axis=-1))
+    pair = TensorGridFunction(f.grid, 1, np.stack([f.values.real, f.values.imag], axis=-1))
     matrix_sym = MultiplierSymbol(d=2, shape="matrix",
                                   evaluator=_beurling_complex_mult_matrix,
                                   m=2, name="beurling-matrix-cm")
-    vec = apply_discrete_multiplier(pair, matrix_sym)
-    return _lp(scalar, p), _lp(vec, p)
+    vec = tensor_lift_apply(pair, matrix_sym, 0)
+    return scalar.lp_norm(p), vec.lp_norm(p)

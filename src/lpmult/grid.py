@@ -1,9 +1,10 @@
-"""Offset sampling grids on the torus, complex grid functions, and Lp norms.
+"""Offset sampling grids on the torus and the centered-lattice FFT.
 
 The grid on [-pi, pi)^d is shifted by half a cell so that no sample lands on
 theta = 0 or theta = -pi.  Sign functions along a coordinate axis are then
 exactly +-1 with exact zero mean, which keeps the witness eigenrelations
-exact instead of approximate.
+exact instead of approximate.  Functions sampled on these grids, one
+torus or a product of tori, are ``tensor.TensorGridFunction``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TorusGrid", "GridFunction", "lp_norm"]
+__all__ = ["TorusGrid", "coefficients", "from_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -88,58 +89,3 @@ def from_coefficients(c: np.ndarray, grid: TorusGrid, axes: tuple[int, ...]) -> 
         vals = vals / phase.reshape(shape)
     vals = np.fft.ifftshift(vals, axes=axes)
     return np.fft.ifftn(vals, axes=axes) * (grid.G ** len(axes))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples on a TorusGrid, scalar or C^m valued.
-
-    Scalar values have shape (G,)*d; vector values carry a trailing
-    component axis of length m.
-    """
-
-    grid: TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        d, G = self.grid.d, self.grid.G
-        if vals.shape[:d] != (G,) * d or vals.ndim not in (d, d + 1):
-            raise ValueError(f"values shape {vals.shape} does not match grid (d={d}, G={G})")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function has non-finite entries")
-
-    @property
-    def m(self) -> int:
-        """Component count; 0 marks a scalar function."""
-        return 0 if self.values.ndim == self.grid.d else self.values.shape[-1]
-
-    def coefficients(self) -> np.ndarray:
-        return coefficients(self.values, self.grid, tuple(range(self.grid.d)))
-
-    @classmethod
-    def from_coefficients(cls, c: np.ndarray, grid: TorusGrid) -> "GridFunction":
-        return cls(grid, from_coefficients(c, grid, tuple(range(grid.d))))
-
-    @classmethod
-    def monomial(cls, grid: TorusGrid, j) -> "GridFunction":
-        """The character exp(i (j, theta)) sampled on the grid."""
-        theta = grid.mesh()
-        j = np.asarray(j, dtype=float)
-        if j.shape != (grid.d,):
-            raise ValueError(f"frequency must have length {grid.d}")
-        return cls(grid, np.exp(1j * (theta @ j)))
-
-    def pointwise_norm(self) -> np.ndarray:
-        if self.m == 0:
-            return np.abs(self.values)
-        return np.linalg.norm(self.values, axis=-1)
-
-
-def lp_norm(f: GridFunction, p: float) -> float:
-    """(mean over grid points of ||f(theta)||^p)^(1/p), normalized measure."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n = f.pointwise_norm()
-    return float(np.mean(n**p) ** (1.0 / p))

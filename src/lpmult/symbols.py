@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MultiplierSymbol", "homogeneity_defect"]
+__all__ = ["MultiplierSymbol"]
 
 _SHAPES = ("scalar", "vector", "matrix")
 
@@ -67,12 +67,3 @@ class MultiplierSymbol:
             return np.linalg.norm(vals, axis=-1)
         return np.linalg.norm(vals, ord=2, axis=(-2, -1))
 
-
-def homogeneity_defect(sym: MultiplierSymbol, rng: np.random.Generator,
-                       samples: int = 64) -> float:
-    """Max deviation |sym(lam*xi) - sym(xi)| over random directions and scales."""
-    xi = rng.standard_normal((samples, sym.d))
-    lam = rng.uniform(0.1, 10.0, size=(samples, 1))
-    a = sym.evaluate(xi)
-    b = sym.evaluate(lam * xi)
-    return float(np.max(np.abs(a - b)))

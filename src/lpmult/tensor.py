@@ -1,4 +1,10 @@
-"""Multi-block torus functions, per-block multiplier lifts, and shear checks."""
+"""Functions on product tori, the one discrete multiplier, and shear checks.
+
+A ``TensorGridFunction`` samples a scalar or C^m-valued function on
+(T^d)^J; J = 1 is a plain function on T^d.  ``tensor_lift_apply`` applies
+a multiplier symbol in one block k, which for J = 1, k = 0 is the ordinary
+discrete Fourier multiplier on the centered lattice [-G/2, G/2)^d.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import ExponentConfig
 from .grid import TorusGrid, coefficients, from_coefficients
-from .multiplier import l2_operator_norm
 from .symbols import MultiplierSymbol
 
 __all__ = [
     "TensorGridFunction",
     "tensor_lift_apply",
+    "operator_ratio",
+    "l2_operator_norm",
     "shear_norm_check",
     "p2_lift_bound_check",
     "POINT_CAP",
@@ -43,9 +51,12 @@ class TensorGridFunction:
             raise ValueError(f"total point count {G**(d*J)} exceeds cap {POINT_CAP}")
         if vals.shape[: d * J] != (G,) * (d * J) or vals.ndim not in (d * J, d * J + 1):
             raise ValueError(f"values shape {vals.shape} does not match (d={d}, G={G}, J={J})")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid function has non-finite entries")
 
     @property
     def m(self) -> int:
+        """Component count; 0 marks a scalar function."""
         return 0 if self.values.ndim == self.grid.d * self.J else self.values.shape[-1]
 
     def block_axes(self, k: int) -> tuple[int, ...]:
@@ -54,51 +65,43 @@ class TensorGridFunction:
         d = self.grid.d
         return tuple(range(d * k, d * k + d))
 
-    def pointwise_norm(self) -> np.ndarray:
-        if self.m == 0:
-            return np.abs(self.values)
-        return np.linalg.norm(self.values, axis=-1)
-
     def lp_norm(self, p: float) -> float:
+        """(mean over grid points of ||f(theta)||^p)^(1/p), normalized measure."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-        n = self.pointwise_norm()
-        return float(np.mean(n**p) ** (1.0 / p))
+        v = self.values
+        n2 = v.real**2
+        n2 += v.imag**2
+        if self.m:
+            n2 = n2.sum(axis=-1)
+        return float(np.mean(n2 ** (p / 2)) ** (1.0 / p))
 
 
-def block_zero_mass(phi: TensorGridFunction, k: int) -> float:
-    """Magnitude of the block-k frequency-zero Fourier mass (the mean over theta_k)."""
-    mean = np.mean(phi.values, axis=phi.block_axes(k))
-    return float(np.max(np.abs(mean)))
+def _block_multiply(grid: TorusGrid, M: MultiplierSymbol, x: np.ndarray) -> np.ndarray:
+    """The centered-lattice FFT multiplier on a batch of one-block functions.
 
-
-def _block_operator(grid: TorusGrid, M: MultiplierSymbol, m_in: int) -> np.ndarray:
-    """The lift on one block as a (G^d * m_out) x (G^d * m_in) matrix.
-
-    Row and column index (point, component) in C order.  Built by applying
-    the centered-lattice FFT multiplier to each basis function of one block.
+    x has shape (n,) + (G,)*d + (m_in,); the result has m_out components.
     """
     d, G = grid.d, grid.G
-    n_in = G**d * m_in
     m_out = 1 if M.shape == "scalar" else M.m
     axes = tuple(range(1, d + 1))
-    basis = np.eye(n_in, dtype=complex).reshape((n_in,) + (G,) * d + (m_in,))
-    c = coefficients(basis, grid, axes)
+    c = coefficients(x, grid, axes)
     # Every symbol shape acts as an (m_out x m_in) matrix per frequency.
-    sym = M.evaluate(grid.frequency_mesh()).reshape((G,) * d + (m_out, m_in))
-    out = from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
-    return out.reshape(n_in, G**d * m_out).T
+    sym = M.evaluate(grid.frequency_mesh()).reshape((G,) * d + (m_out, x.shape[-1]))
+    return from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
 
 
-def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol, k: int,
-                      zero_mass_tol: float = 1e-12) -> TensorGridFunction:
+def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
+                      k: int) -> TensorGridFunction:
     """Multiply each joint Fourier coefficient by M(j_k); other blocks untouched.
 
-    Requires phi to have (numerically) zero mean in block k.  A scalar or
-    matrix symbol keeps the value shape; a vector symbol maps a scalar
-    function to a C^m-valued one.  The lift is one small block operator
-    applied by a single matrix product; when block k is the last block the
-    values need no transposition.
+    Frequencies are taken in [-G/2, G/2)^d.  A scalar or matrix symbol
+    keeps the value shape; a vector symbol maps a scalar function to a
+    C^m-valued one.  The values are a batch of A * B functions of block k.
+    With at least as many of them as basis functions of one block (the
+    witness at G = 2), the multiplier is turned into one small block
+    operator on the basis and applied by a single matrix product; with
+    fewer (J = 1, fine grids) it is applied to them directly.
     """
     if M.d != phi.grid.d:
         raise ValueError(f"block dimension {phi.grid.d} != symbol dimension {M.d}")
@@ -106,18 +109,37 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol, k: int,
         raise ValueError(f"{M.shape} symbols act on scalar functions, got m={phi.m}")
     if M.shape == "matrix" and phi.m != M.m:
         raise ValueError(f"matrix symbol needs C^{M.m}-valued input, got m={phi.m}")
-    scale = float(np.max(np.abs(phi.values)))
-    if block_zero_mass(phi, k) > zero_mass_tol * max(scale, 1.0):
-        raise ValueError(f"block {k} carries frequency-zero mass; not mean-zero")
+    phi.block_axes(k)  # refuses k out of range
 
     d, G = phi.grid.d, phi.grid.G
     m_in = max(phi.m, 1)
-    K = _block_operator(phi.grid, M, m_in).reshape(G**d, -1, G**d, m_in)
+    n = G**d * m_in
     A, B = G ** (d * k), G ** (d * (phi.J - k - 1))
     x = phi.values.reshape(A, G**d, B, m_in)
-    y = np.tensordot(x, K, axes=([1, 3], [2, 3])).transpose(0, 2, 1, 3)
+    if A * B < n:
+        batch = x.transpose(0, 2, 1, 3).reshape((A * B,) + (G,) * d + (m_in,))
+        y = _block_multiply(phi.grid, M, batch).reshape(A, B, G**d, -1)
+    else:
+        # Row and column of K index (point, component) of one block in C order.
+        basis = np.eye(n, dtype=complex).reshape((n,) + (G,) * d + (m_in,))
+        K = _block_multiply(phi.grid, M, basis).reshape(n, -1).T
+        y = np.tensordot(x, K.reshape(G**d, -1, G**d, m_in), axes=([1, 3], [2, 3]))
     out_shape = (G,) * (d * phi.J) + (() if M.shape == "scalar" else (M.m,))
-    return TensorGridFunction(phi.grid, phi.J, y.reshape(out_shape))
+    return TensorGridFunction(phi.grid, phi.J, y.transpose(0, 2, 1, 3).reshape(out_shape))
+
+
+def operator_ratio(f: TensorGridFunction, M: MultiplierSymbol, exps: ExponentConfig) -> float:
+    """||T_M f||_{p0} / ||f||_p on the grid, with M acting in block 0."""
+    den = f.lp_norm(exps.p)
+    if den == 0.0:
+        raise ZeroDivisionError("input function has zero Lp norm")
+    return tensor_lift_apply(f, M, 0).lp_norm(exps.p0) / den
+
+
+def l2_operator_norm(M: MultiplierSymbol, G: int) -> float:
+    """Exact L2 -> L2 norm: max pointwise operator norm over [-G/2, G/2)^d."""
+    grid = TorusGrid(M.d, G)
+    return float(np.max(M.pointwise_operator_norm(grid.frequency_mesh())))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,10 @@ def _build(ws: WitnessSpec) -> WitnessResult:
     if scalar and ws.sequence.m != 1:
         raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
     grid, signs, idx = _sign_blocks(ws)
+    # Phi_k = psi_k * d_k(...) has block-k mean mean(psi_k) * d_k, and the
+    # transference needs it to vanish; a sum of +-1 entries is exact.
+    if any(np.sum(s) != 0 for s in signs[1:]):
+        raise ValueError("every sign block psi_k (k >= 1) must have zero sum")
 
     def on_block(arr, j, J):
         """Reshape a (G,)*d block field onto the axes of block j of J."""

@@ -17,15 +17,14 @@ from lpmult.catalog import (OperatorFamilyParam, beurling_imag,
                             target_constant)
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
-from lpmult.grid import GridFunction, TorusGrid
+from lpmult.grid import TorusGrid, from_coefficients
 from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
                                TransformConfig, perturbed_ratio_exact,
                                search_extremal)
-from lpmult.multiplier import apply_discrete_multiplier
 from lpmult.transference import (GaussianPairingConfig,
                                  gaussian_damped_pairing,
                                  multiplier_deviation)
-from lpmult.tensor import TensorGridFunction, shear_norm_check
+from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_witness
 
 # Exhaustive search oracle at depth 3, p = 4, tau = 0 (48 restarts over all
@@ -143,16 +142,16 @@ def test_criterion_05_eigenrelation_exactness():
                                (1, beurling_real(), 1.0),
                                (0, beurling_imag(), 0.0),
                                (1, beurling_imag(), 0.0)):
-            f = GridFunction(grid, np.sign(theta[..., axis]) + 0j)
-            g = apply_discrete_multiplier(f, sym)
+            f = TensorGridFunction(grid, 1, np.sign(theta[..., axis]) + 0j)
+            g = tensor_lift_apply(f, sym, 0)
             assert np.max(np.abs(g.values - lam * f.values)) <= 1e-12
         # Matrix symbol: +-identity on the two axes.
         for axis, lam in ((0, -1.0), (1, 1.0)):
             vals = np.zeros((G, G, 2), dtype=complex)
             vals[..., 0] = np.sign(theta[..., axis])
             vals[..., 1] = 0.5 * np.sign(theta[..., axis])
-            f = GridFunction(grid, vals)
-            g = apply_discrete_multiplier(f, beurling_matrix())
+            f = TensorGridFunction(grid, 1, vals)
+            g = tensor_lift_apply(f, beurling_matrix(), 0)
             assert np.max(np.abs(g.values - lam * f.values)) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -235,7 +234,7 @@ def test_criterion_09_isomorphism_cross_path():
         c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         c[0, :] = 0.0
         c[:, 0] = 0.0
-        f = GridFunction.from_coefficients(c, grid)
+        f = TensorGridFunction(grid, 1, from_coefficients(c, grid, (0, 1)))
         a, b = complex_vs_matrix_path(f, ps[i % len(ps)])
         assert abs(a - b) <= 1e-10 * max(1.0, a)
     elapsed = time.monotonic() - start

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from lpmult.grid import GridFunction, TorusGrid, coefficients, from_coefficients, lp_norm
+from lpmult.grid import TorusGrid, coefficients, from_coefficients
+from lpmult.tensor import TensorGridFunction
+
+
+def _monomial(grid, j):
+    """The character exp(i (j, theta)) sampled on the grid."""
+    return TensorGridFunction(grid, 1, np.exp(1j * (grid.mesh() @ np.asarray(j, dtype=float))))
 
 
 def test_points_avoid_zero_and_minus_pi():
@@ -31,8 +37,8 @@ def test_frequencies_centered():
 
 def test_monomial_coefficients_are_delta():
     grid = TorusGrid(2, 8)
-    f = GridFunction.monomial(grid, (2, -3))
-    c = f.coefficients()
+    f = _monomial(grid, (2, -3))
+    c = coefficients(f.values, grid, (0, 1))
     k1 = 2 + grid.G // 2
     k2 = -3 + grid.G // 2
     expected = np.zeros((grid.G, grid.G), dtype=complex)
@@ -60,16 +66,16 @@ def test_partial_axis_transform_round_trip():
 
 def test_lp_norm_monomial_is_one():
     grid = TorusGrid(2, 8)
-    f = GridFunction.monomial(grid, (1, 0))
+    f = _monomial(grid, (1, 0))
     for p in (1.0, 2.0, 4.0):
-        assert lp_norm(f, p) == pytest.approx(1.0, abs=1e-12)
+        assert f.lp_norm(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_rejects_small_p():
     grid = TorusGrid(1, 4)
-    f = GridFunction(grid, np.ones(4))
+    f = TensorGridFunction(grid, 1, np.ones(4))
     with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+        f.lp_norm(0.5)
 
 
 def test_vector_valued_pointwise_norm():
@@ -77,15 +83,15 @@ def test_vector_valued_pointwise_norm():
     vals = np.zeros((4, 2), dtype=complex)
     vals[:, 0] = 3.0
     vals[:, 1] = 4.0
-    f = GridFunction(grid, vals)
+    f = TensorGridFunction(grid, 1, vals)
     assert f.m == 2
-    assert np.allclose(f.pointwise_norm(), 5.0)
+    assert f.lp_norm(4.0) == pytest.approx(5.0)
 
 
 def test_shape_mismatch_rejected():
     grid = TorusGrid(2, 4)
     with pytest.raises(ValueError):
-        GridFunction(grid, np.ones((4, 6)))
+        TensorGridFunction(grid, 1, np.ones((4, 6)))
     with pytest.raises(ValueError):
-        GridFunction(grid, np.array([[np.inf] * 4] * 4))
+        TensorGridFunction(grid, 1, np.array([[np.inf] * 4] * 4))
 

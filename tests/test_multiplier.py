@@ -6,11 +6,17 @@ import pytest
 from lpmult.catalog import (beurling, beurling_matrix, beurling_symbol,
                             complex_vs_matrix_path, identity_symbol)
 from lpmult.exponents import ExponentConfig
-from lpmult.grid import GridFunction, TorusGrid
-from lpmult.multiplier import apply_discrete_multiplier, l2_operator_norm, operator_ratio
+from lpmult.grid import TorusGrid, from_coefficients
+from lpmult.tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
+                           tensor_lift_apply)
 
 
-def _band_limited_random(grid: TorusGrid, rng) -> GridFunction:
+def _monomial(grid, j):
+    """The character exp(i (j, theta)) sampled on the grid."""
+    return TensorGridFunction(grid, 1, np.exp(1j * (grid.mesh() @ np.asarray(j, dtype=float))))
+
+
+def _band_limited_random(grid: TorusGrid, rng) -> TensorGridFunction:
     """Random trigonometric polynomial with no mass on the unpaired -G/2 row."""
     shape = (grid.G,) * grid.d
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -18,15 +24,15 @@ def _band_limited_random(grid: TorusGrid, rng) -> GridFunction:
         idx = [slice(None)] * grid.d
         idx[ax] = 0
         c[tuple(idx)] = 0.0
-    return GridFunction.from_coefficients(c, grid)
+    return TensorGridFunction(grid, 1, from_coefficients(c, grid, tuple(range(grid.d))))
 
 
 def test_monomials_are_eigenfunctions():
     grid = TorusGrid(2, 8)
     sym = beurling()
     for j in ((1, 0), (0, 1), (2, 3), (-1, 2)):
-        f = GridFunction.monomial(grid, j)
-        g = apply_discrete_multiplier(f, sym)
+        f = _monomial(grid, j)
+        g = tensor_lift_apply(f, sym, 0)
         lam = beurling_symbol(np.asarray(j, dtype=float))
         assert np.max(np.abs(g.values - lam * f.values)) < 1e-12
 
@@ -34,26 +40,27 @@ def test_monomials_are_eigenfunctions():
 def test_identity_symbol_acts_trivially():
     rng = np.random.default_rng(np.random.PCG64(0))
     grid = TorusGrid(2, 8)
-    f = GridFunction(grid, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    g = apply_discrete_multiplier(f, identity_symbol(2))
+    f = TensorGridFunction(grid, 1,
+                           rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    g = tensor_lift_apply(f, identity_symbol(2), 0)
     assert np.max(np.abs(g.values - f.values)) < 1e-12
 
 
 def test_shape_mismatches_rejected():
     grid = TorusGrid(2, 4)
-    f = GridFunction(grid, np.ones((4, 4)))
-    pair = GridFunction(grid, np.ones((4, 4, 2)))
+    f = TensorGridFunction(grid, 1, np.ones((4, 4)))
+    pair = TensorGridFunction(grid, 1, np.ones((4, 4, 2)))
     with pytest.raises(ValueError):
-        apply_discrete_multiplier(pair, beurling())
+        tensor_lift_apply(pair, beurling(), 0)
     with pytest.raises(ValueError):
-        apply_discrete_multiplier(f, beurling_matrix())
+        tensor_lift_apply(f, beurling_matrix(), 0)
 
 
 def test_operator_ratio_monomial():
     grid = TorusGrid(2, 8)
-    f = GridFunction.monomial(grid, (0, 1))
+    f = _monomial(grid, (0, 1))
     assert operator_ratio(f, beurling(), ExponentConfig(4.0)) == pytest.approx(1.0)
-    zero = GridFunction(grid, np.zeros((8, 8)))
+    zero = TensorGridFunction(grid, 1, np.zeros((8, 8)))
     with pytest.raises(ZeroDivisionError):
         operator_ratio(zero, beurling(), ExponentConfig(4.0))
 
@@ -75,7 +82,7 @@ def test_l2_ratio_never_exceeds_norm():
 
 def test_complex_vs_matrix_path_monomial():
     grid = TorusGrid(2, 8)
-    f = GridFunction.monomial(grid, (0, 1))
+    f = _monomial(grid, (0, 1))
     a, b = complex_vs_matrix_path(f, 2.0)
     assert a == pytest.approx(1.0, abs=1e-12)
     assert b == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +91,7 @@ def test_complex_vs_matrix_path_monomial():
 def test_complex_vs_matrix_path_real_input():
     grid = TorusGrid(2, 8)
     theta = grid.mesh()
-    f = GridFunction(grid, np.cos(theta[..., 0]) + np.cos(2 * theta[..., 1]))
+    f = TensorGridFunction(grid, 1, np.cos(theta[..., 0]) + np.cos(2 * theta[..., 1]))
     for p in (2.0, 4.0):
         a, b = complex_vs_matrix_path(f, p)
         assert a == pytest.approx(b, abs=1e-10)

@@ -12,7 +12,17 @@ from lpmult.catalog import (OperatorFamilyParam, beurling, beurling_imag,
                             target_constant, tau_admissible,
                             vector_perturbation)
 from lpmult.exponents import ExponentConfig
-from lpmult.symbols import MultiplierSymbol, homogeneity_defect
+from lpmult.symbols import MultiplierSymbol
+
+
+def homogeneity_defect(sym: MultiplierSymbol, rng: np.random.Generator,
+                       samples: int = 64) -> float:
+    """Max deviation |sym(lam*xi) - sym(xi)| over random directions and scales."""
+    xi = rng.standard_normal((samples, sym.d))
+    lam = rng.uniform(0.1, 10.0, size=(samples, 1))
+    a = sym.evaluate(xi)
+    b = sym.evaluate(lam * xi)
+    return float(np.max(np.abs(a - b)))
 
 
 def test_beurling_symbol_values():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from lpmult.catalog import (beurling, beurling_matrix, beurling_symbol,
-                            vector_perturbation)
+                            identity_symbol, vector_perturbation)
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
-from lpmult.tensor import (TensorGridFunction, block_zero_mass,
-                           shear_norm_check, tensor_lift_apply,
-                           p2_lift_bound_check)
+from lpmult.tensor import (TensorGridFunction, shear_norm_check,
+                           tensor_lift_apply, p2_lift_bound_check)
 
 
 def _random_mean_zero(grid, J, rng, block):
@@ -85,31 +84,39 @@ def _fft_lift_reference(phi, M, k):
     return from_coefficients(out_c, phi.grid, axes)
 
 
-@pytest.mark.parametrize("G", [2, 4])
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("M", [beurling(), vector_perturbation(beurling(), 0.5),
-                               beurling_matrix()], ids=["scalar", "vector", "matrix"])
-def test_lift_matches_fft_reference(M, k, G):
+_LIFT_SYMBOLS = {"scalar": beurling(), "vector": vector_perturbation(beurling(), 0.5),
+                 "matrix": beurling_matrix(), "identity": identity_symbol(2)}
+
+
+def _lift_cases():
+    """Symbol x (J, k) x G x block-k mean removed or kept.
+
+    The J = 3, mean-removed cases keep their ids "<symbol>-<k>-<G>"; J = 1
+    adds "-J1" and a kept block-k mean adds "-mean".
+    """
+    for name, M in _LIFT_SYMBOLS.items():
+        for J, k in ((3, 0), (3, 1), (3, 2), (1, 0)):
+            for G in (2, 4):
+                for keep_mean in (False, True):
+                    tag = (f"{name}-{k}-{G}" + ("-J1" if J == 1 else "")
+                           + ("-mean" if keep_mean else ""))
+                    yield pytest.param(M, J, k, G, keep_mean, id=tag)
+
+
+@pytest.mark.parametrize("M, J, k, G, keep_mean", _lift_cases())
+def test_lift_matches_fft_reference(M, J, k, G, keep_mean):
     rng = np.random.default_rng(np.random.PCG64(10 * k + G))
-    grid, J = TorusGrid(2, G), 3
+    grid = TorusGrid(2, G)
     comp = (M.m,) if M.shape == "matrix" else ()
     shape = (G,) * (2 * J) + comp
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    vals -= vals.mean(axis=(2 * k, 2 * k + 1), keepdims=True)
+    if not keep_mean:
+        vals -= vals.mean(axis=(2 * k, 2 * k + 1), keepdims=True)
     phi = TensorGridFunction(grid, J, vals)
     out = tensor_lift_apply(phi, M, k)
     ref = _fft_lift_reference(phi, M, k)
     assert out.values.shape == ref.shape
     assert np.max(np.abs(out.values - ref)) < 1e-12
-
-
-def test_lift_requires_mean_zero_block():
-    grid = TorusGrid(1, 4)
-    phi = TensorGridFunction(grid, 2, np.ones((4, 4)))
-    from lpmult.catalog import identity_symbol
-    assert block_zero_mass(phi, 0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        tensor_lift_apply(phi, identity_symbol(1), 0)
 
 
 def test_shear_aligned_exact():

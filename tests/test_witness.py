@@ -7,6 +7,7 @@ import pytest
 
 from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
 from lpmult.exponents import ExponentConfig
+from lpmult import witness
 from lpmult.martingale import MartingaleDifferenceSequence
 from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
 
@@ -110,3 +111,19 @@ def test_witness_peak_memory_streams():
         tracemalloc.stop()
     assert res.ratio == pytest.approx(res.martingale_ratio, abs=1e-10)
     assert peak <= 8 * full
+
+
+def test_biased_sign_block_refused(monkeypatch):
+    # A sign block psi_1 with nonzero sum gives Phi_1 a block-1 mean, which
+    # the transference to the multiplier does not allow.
+    sign_blocks = witness._sign_blocks
+
+    def biased(ws):
+        grid, signs, idx = sign_blocks(ws)
+        signs[1] = signs[1].copy()
+        signs[1][0, 0] *= -1
+        return grid, signs, idx
+
+    monkeypatch.setattr(witness, "_sign_blocks", biased)
+    with pytest.raises(ValueError):
+        build_witness(_random_spec(3))
