@@ -102,7 +102,7 @@ def cmd_search_martingale(args) -> int:
         budget={"restarts": args.restarts, "iters": args.iters,
                 "wall_cap_s": args.wall_cap},
         wall_time_s=wall,
-        notes={"beta": list(res.beta)},
+        notes={"beta": list(res.beta), "stopped_by": res.stopped_by},
     )
     _write_json(args.out, report.to_dict())
     return EXIT_OK

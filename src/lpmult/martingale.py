@@ -5,13 +5,20 @@ the sign space {+-1}^(N+1) (d_1 consumes r_0, so there are N+1 coordinates).
 The transform flips increment k by beta_k and the quadratic perturbation
 pairs the result with tau * F; the exact Lp -> Lp0 ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
+
+One realization serves the exact ratio and the search: `_realize` builds the
+values of B sequences on the hypercube by doubling, appending one sign
+coordinate per level (O(2^(N+1)) work), and the search gradient is reduced by
+the reverse halving.  `search_extremal` ascends consecutive starts together,
+each with its own step, and re-verifies every start through
+`perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -121,21 +128,23 @@ def evaluate_sequence(F: MartingaleDifferenceSequence, omega) -> np.ndarray:
     return out
 
 
-def _realize(tables, beta=None) -> np.ndarray:
-    """Values on the full sign hypercube, shape (2,)*(N+1) + (m,).
+def _realize(tables, coef=None) -> np.ndarray:
+    """Values of B sequences on the full sign hypercube, shape (B, 2^(N+1), m).
 
-    Axis i runs over omega_i in the order (+1, -1).  With beta given, the
-    k-th term is flipped by beta[k-1].
+    tables[k-1] has shape (B, 2^k, m), its prefix axes flattened in C order.
+    Point index bits run from r_0 (slowest) to r_N (fastest), bit 0 for +1,
+    so each level appends r_k as the last coordinate: V <- (V + c, V - c).
+    With coef (shape (B, N)) given, the k-th term is flipped by coef[:, k-1].
     """
-    N = len(tables)
-    m = tables[0].shape[-1]
-    out = np.zeros((2,) * (N + 1) + (m,), dtype=complex)
-    for k, table in enumerate(tables, start=1):
-        coef = 1.0 if beta is None else float(beta[k - 1])
-        rk = np.array([coef, -coef])
-        term = table.reshape((2,) * k + (1,) * (N + 1 - k) + (m,))
-        out += term * rk.reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
-    return out
+    B, _, m = tables[0].shape
+    V = np.zeros((B, 2, m), dtype=complex)
+    for k, table in enumerate(tables):
+        c = table if coef is None else table * coef[:, k, None, None]
+        new = np.empty((B, V.shape[1], 2, m), dtype=complex)
+        np.add(V, c, out=new[:, :, 0])
+        np.subtract(V, c, out=new[:, :, 1])
+        V = new.reshape(B, -1, m)
+    return V
 
 
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
@@ -150,9 +159,9 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"beta must have length {F.N}")
     if F.is_zero():
         raise ZeroDivisionError("all difference tables are zero")
-    Fv = _realize(F.tables)
-    Gv = _realize(F.tables, cfg.beta)
-    n2 = np.sum(np.abs(Fv) ** 2, axis=-1)
+    tables = [t.reshape(1, -1, F.m) for t in F.tables]
+    n2 = np.sum(np.abs(_realize(tables)) ** 2, axis=-1)
+    Gv = _realize(tables, np.array([cfg.beta], dtype=float))
     pair2 = np.sum(np.abs(Gv) ** 2, axis=-1) + cfg.tau**2 * n2
     p, p0 = exps.p, exps.p0
     num = np.mean(pair2 ** (p0 / 2.0)) ** (1.0 / p0)
@@ -168,76 +177,110 @@ def extend_with_zero(F: MartingaleDifferenceSequence) -> MartingaleDifferenceSeq
 
 # --- extremal search -------------------------------------------------------
 
+# Starts ascended together hold at most this many hypercube points; one
+# unbounded batch costs memory for no further speed.
+_BATCH_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class SearchResult:
     sequence: MartingaleDifferenceSequence
     beta: tuple[int, ...]
     ratio: float
+    stopped_by: str = "iters"
 
 
-def _ratio_and_grad(tables, beta, tau, p, p0):
-    """Log-ratio objective and its ascent gradient wrt the complex tables.
+def _levels(x):
+    """Views of flat tables x (..., 2^(N+1) - 2, m) as tables[k-1] (..., 2^k, m)."""
+    N = (x.shape[-2] + 2).bit_length() - 2
+    return [x[..., 2**k - 2: 2**(k + 1) - 2, :] for k in range(1, N + 1)]
 
-    Returns (J, grads) with J = log of the perturbed ratio and grads the
-    complex gradients 2 dJ/d(conj d_k), one array per table.
+
+def _flat(tables):
+    return np.concatenate([np.reshape(t, (-1, t.shape[-1])) for t in tables])
+
+
+def _ratio_and_grad(x, coef, tau, p, p0):
+    """Log-ratio objective of B sequences and its ascent gradient.
+
+    x holds the flat complex tables (B, 2^(N+1) - 2, m) and coef the flips
+    (B, N).  Returns (J, grad): J (B,) the log of each perturbed ratio, grad
+    the complex gradient 2 dJ/d(conj x), shaped like x.  The gradient is
+    reduced by repeated halving: summing out the last coordinate r_k leaves
+    the weights on r_0..r_{k-1}, whose +/- difference is the level-k term.
     """
-    N = len(tables)
-    Fv = _realize(tables)
-    Gv = _realize(tables, beta)
+    B, _, m = x.shape
+    Fv = _realize(_levels(x))
+    Gv = _realize(_levels(x), coef)
     n2 = np.sum(np.abs(Fv) ** 2, axis=-1)
     g2 = np.sum(np.abs(Gv) ** 2, axis=-1)
     h = g2 + tau * tau * n2
-    P = n2.size
+    P = n2.shape[1]
 
-    Dp = float(np.sum(n2 ** (p / 2.0))) / P
-    Up0 = float(np.sum(h ** (p0 / 2.0))) / P
-    if Dp <= 0.0 or Up0 < 0.0:
+    Dp = np.sum(n2 ** (p / 2.0), axis=1) / P
+    Up0 = np.sum(h ** (p0 / 2.0), axis=1) / P
+    if np.any(Dp <= 0.0) or np.any(Up0 < 0.0):
         raise ZeroDivisionError("degenerate tables in search")
-    J = math.log(Up0) / p0 - math.log(Dp) / p
+    J = np.log(Up0) / p0 - np.log(Dp) / p
 
     with np.errstate(divide="ignore", invalid="ignore"):
         hpow = np.where(h > 0, h ** (p0 / 2.0 - 1.0), 0.0)
         npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
-    coefF = (tau * tau * hpow / (2.0 * Up0) - npow / (2.0 * Dp)) / P
-    coefG = hpow / (2.0 * Up0 * P)
+    coefF = (tau * tau * hpow / (2.0 * Up0[:, None]) - npow / (2.0 * Dp[:, None])) / P
+    coefG = hpow / (2.0 * Up0[:, None] * P)
     WF = coefF[..., None] * Fv
     WG = coefG[..., None] * Gv
 
-    grads = []
-    for k in range(1, N + 1):
-        rk = np.array([1.0, -1.0]).reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
-        core = rk * (WF + beta[k - 1] * WG)
-        # Sum out the coordinates the prefix table does not see.
-        grads.append(2.0 * np.sum(core, axis=tuple(range(k, N + 1))))
-    return J, grads
+    grad = np.empty_like(x)
+    for k, g in reversed(list(enumerate(_levels(grad), start=1))):
+        WF = WF.reshape(B, -1, 2, m)
+        WG = WG.reshape(B, -1, 2, m)
+        g[:] = 2.0 * (WF[:, :, 0] - WF[:, :, 1]
+                      + coef[:, k - 1, None, None] * (WG[:, :, 0] - WG[:, :, 1]))
+        if k > 1:
+            WF = WF[:, :, 0] + WF[:, :, 1]
+            WG = WG[:, :, 0] + WG[:, :, 1]
+    return J, grad
 
 
-def _normalize(tables):
-    scale = math.sqrt(sum(float(np.sum(np.abs(t) ** 2)) for t in tables))
-    if scale == 0.0:
+def _normalize(x):
+    scale = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    if np.any(scale == 0.0):
         raise ZeroDivisionError("zero tables")
-    return [t / scale for t in tables]
+    return x / scale[:, None, None]
 
 
-def _ascend(tables, beta, tau, p, p0, iters):
-    """Normalized gradient ascent with step halving on non-improvement."""
-    x = _normalize(tables)
-    J, grads = _ratio_and_grad(x, beta, tau, p, p0)
-    step = 0.25
+def _ascend(x, coef, tau, p, p0, iters, deadline):
+    """Normalized gradient ascent with step halving on non-improvement.
+
+    Each row of x (B, 2^(N+1) - 2, m) ascends on its own, with its own step;
+    a row that stops (vanishing gradient or step) leaves the batch.  Returns
+    the ascended tables and whether the wall-clock deadline cut the ascent.
+    """
+    out = _normalize(x)
+    rows = np.arange(len(out))
+    xl = out.copy()
+    J, g = _ratio_and_grad(xl, coef, tau, p, p0)
+    step = np.full(len(out), 0.25)
     for _ in range(iters):
-        gnorm = math.sqrt(sum(float(np.sum(np.abs(g) ** 2)) for g in grads))
-        if gnorm < 1e-14:
-            break
-        trial = _normalize([t + step * g / gnorm for t, g in zip(x, grads)])
-        J_try, grads_try = _ratio_and_grad(trial, beta, tau, p, p0)
-        if J_try > J:
-            x, J, grads = trial, J_try, grads_try
-            step = min(step * 1.5, 1.0)
-        else:
-            step *= 0.5
-            if step < 1e-13:
+        gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
+        go = (gnorm >= 1e-14) & (step >= 1e-13)
+        if not go.all():
+            out[rows[~go]] = xl[~go]
+            rows, xl, coef, J, g, step, gnorm = (
+                a[go] for a in (rows, xl, coef, J, g, step, gnorm))
+            if not len(rows):
                 break
-    return x, J
+        trial = _normalize(xl + step[:, None, None] * g / gnorm[:, None, None])
+        J_try, g_try = _ratio_and_grad(trial, coef, tau, p, p0)
+        acc = J_try > J
+        xl[acc], J[acc], g[acc] = trial[acc], J_try[acc], g_try[acc]
+        step = np.where(acc, np.minimum(step * 1.5, 1.0), step * 0.5)
+        if time.monotonic() > deadline:
+            out[rows] = xl
+            return out, True
+    out[rows] = xl
+    return out, False
 
 
 def _beta_candidates(N, rng, restarts):
@@ -255,9 +298,14 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     For each candidate beta the tables are ascended from random complex
-    Gaussian restarts (and from the zero-extended warm start when given);
-    the winner is re-verified through perturbed_ratio_exact.  Ties in the
-    ratio break toward the lexicographically smallest beta.
+    Gaussian restarts (and from the zero-extended warm start when given).
+    Consecutive starts are ascended together in batches of at most
+    _BATCH_POINTS hypercube points; each start's result does not depend on
+    its batch.  Every ascended start is re-verified through
+    perturbed_ratio_exact, in start order.  Ties in the ratio break toward
+    the lexicographically smallest beta.  `iters` bounds every ascent; the
+    wall cap is a guard, and when it fires no further batch starts and the
+    result records stopped_by = "wall".
     """
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
@@ -274,11 +322,10 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
         return SearchResult(seq, beta, ratio)
 
     rng = np.random.default_rng(np.random.PCG64(budget.seed))
-    t0 = time.monotonic()
+    deadline = time.monotonic() + budget.wall_cap_s
     m = warm_start.sequence.m if warm_start is not None else 1
 
-    warm_exact = None
-    warm_noised = None
+    warm = []
     warm_beta_prefix = None
     if warm_start is not None:
         seq = warm_start.sequence
@@ -286,40 +333,41 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
             seq = extend_with_zero(seq)
         if seq.N != N:
             raise ValueError("warm start deeper than requested depth")
-        warm_exact = [t.copy() for t in seq.tables]
         # The zero-extended optimum sits on a saddle (the gradient in the
         # appended tables vanishes identically); a noised copy escapes it
         # while the exact copy pins the ratio floor.
-        warm_noised = [t.copy() for t in seq.tables]
+        noised = list(seq.tables)
         for k in range(warm_start.sequence.N, N):
-            warm_noised[k] = 1e-6 * (rng.standard_normal(warm_noised[k].shape)
-                                     + 1j * rng.standard_normal(warm_noised[k].shape))
+            noised[k] = 1e-6 * (rng.standard_normal(noised[k].shape)
+                                + 1j * rng.standard_normal(noised[k].shape))
+        warm = [_flat(seq.tables), _flat(noised)]
         warm_beta_prefix = warm_start.beta
 
-    best = None  # (ratio, beta, tables)
-    for beta in _beta_candidates(N, rng, budget.restarts):
-        starts = []
-        if warm_exact is not None and beta[: len(warm_beta_prefix)] == warm_beta_prefix:
-            starts.append([t.copy() for t in warm_exact])
-            starts.append([t.copy() for t in warm_noised])
-        for _ in range(budget.restarts):
-            tabs = [rng.standard_normal((2,) * k + (m,))
-                    + 1j * rng.standard_normal((2,) * k + (m,))
-                    for k in range(1, N + 1)]
-            starts.append(tabs)
-        for tabs in starts:
-            x, _ = _ascend(tabs, beta, tau, p, p0, budget.iters)
-            seq = MartingaleDifferenceSequence(tuple(x))
+    def starts():
+        """(beta, flat tables) in the order, and from the rng draws, of the search."""
+        for beta in _beta_candidates(N, rng, budget.restarts):
+            if warm and beta[: len(warm_beta_prefix)] == warm_beta_prefix:
+                yield from ((beta, x) for x in warm)
+            for _ in range(budget.restarts):
+                yield beta, _flat([rng.standard_normal((2**k, m))
+                                   + 1j * rng.standard_normal((2**k, m))
+                                   for k in range(1, N + 1)])
+
+    rows = max(1, _BATCH_POINTS // 2 ** (N + 1))
+    pending = starts()
+    best = None  # (ratio, beta, sequence)
+    fired = False
+    while not fired and (batch := list(islice(pending, rows))):
+        betas = [beta for beta, _ in batch]
+        x, fired = _ascend(np.stack([x for _, x in batch]), np.array(betas, dtype=float),
+                           tau, p, p0, budget.iters, deadline)
+        for beta, row in zip(betas, x):
+            seq = MartingaleDifferenceSequence(tuple(
+                t.reshape((2,) * k + (m,)) for k, t in enumerate(_levels(row), start=1)))
             ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
             if best is None or ratio > best[0] + 1e-13 or (
                     abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
                 best = (ratio, beta, seq)
-            if time.monotonic() - t0 > budget.wall_cap_s:
-                break
-        if time.monotonic() - t0 > budget.wall_cap_s:
-            break
 
-    if best is None:
-        raise RuntimeError("budget exhausted before any evaluation")
     ratio, beta, seq = best
-    return SearchResult(seq, beta, ratio)
+    return SearchResult(seq, beta, ratio, "wall" if fired else "iters")

@@ -1,13 +1,14 @@
 """Certification reports and the best-known extremizer store.
 
 Reports and store records are plain JSON with complex numbers as [re, im]
-pairs; store updates are atomic (write to a temp file, then rename) and a
-new record replaces an old one only if its re-verified ratio is strictly
-larger by 1e-12.
+pairs; store updates are atomic (write to a temp file, then rename) and
+serialized by a lock file, and a new record replaces an old one only if its
+re-verified ratio is strictly larger by 1e-12.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -127,7 +128,7 @@ def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple
     m = int(rec["m"])
     tables = []
     for k, pairs in enumerate(rec["tables"], start=1):
-        flat = np.array([complex(re, im) for re, im in pairs])
+        flat = np.asarray(pairs, dtype=float).view(complex)
         tables.append(flat.reshape((2,) * k + (m,)))
     return MartingaleDifferenceSequence(tuple(tables)), tuple(int(b) for b in rec["beta"])
 
@@ -156,8 +157,8 @@ def _atomic_write_json(path: Path, payload) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # json.dumps without indent takes the C encoder; json.dump never does.
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,16 +181,24 @@ def load_store(store_dir: str | Path) -> dict:
 
 
 def update_store(store_dir: str | Path, rec: dict) -> bool:
-    """Insert rec if strictly better than the stored one; returns True on write."""
-    store = load_store(store_dir)
-    key = store_key(rec["p"], rec["p0"], rec["tau"], rec["N"], rec["predicate"])
-    old = store.get(key)
-    if old is not None and rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
-        return False
-    verify_record(rec)
-    store[key] = rec
-    _atomic_write_json(_store_path(store_dir), store)
-    return True
+    """Insert rec if strictly better than the stored one; returns True on write.
+
+    The read, compare and write cycle holds an exclusive lock on
+    <store>/extremizers.lock, so concurrent writers keep every improvement.
+    """
+    path = _store_path(store_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path.parent / "extremizers.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        store = load_store(store_dir)
+        key = store_key(rec["p"], rec["p0"], rec["tau"], rec["N"], rec["predicate"])
+        old = store.get(key)
+        if old is not None and rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
+            return False
+        verify_record(rec)
+        store[key] = rec
+        _atomic_write_json(path, store)
+        return True
 
 
 def lookup_store(store_dir: str | Path, p: float, p0: float, tau: float, N: int,

@@ -13,7 +13,7 @@ from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.report import sequence_to_record
+from lpmult.report import lookup_store, sequence_from_record, sequence_to_record
 from lpmult.witness import WitnessResult, build_witness
 
 
@@ -234,3 +234,20 @@ def test_certify_crosscheck_runs_on_every_family(tmp_path, monkeypatch):
                         "--iters", "50", "--restarts", "2",
                         "--store-dir", str(tmp_path / "store")], tmp_path)
         assert code == 3
+
+
+def test_search_records_what_stopped_it(tmp_path):
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3",
+            "--seed", "5", "--iters", "30", "--restarts", "2"]
+    code, out = _run(args + ["--wall-cap", "1e-9", "--store-dir", str(tmp_path / "s1")],
+                     tmp_path, "wall.json")
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["notes"]["stopped_by"] == "wall"
+    seq, beta = sequence_from_record(lookup_store(tmp_path / "s1", 4.0, 4.0, 0.5, 3, "def2"))
+    assert list(beta) == rep["notes"]["beta"]
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), ExponentConfig(4.0))
+    assert ratio == rep["achieved_ratio"]
+    code, out = _run(args + ["--store-dir", str(tmp_path / "s2")], tmp_path, "iters.json")
+    assert code == 0
+    assert json.loads(out.read_text())["notes"]["stopped_by"] == "iters"

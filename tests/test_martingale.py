@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from lpmult import martingale
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
-                               TransformConfig, evaluate_sequence,
+                               TransformConfig, _ratio_and_grad, evaluate_sequence,
                                extend_with_zero, perturbed_ratio_exact,
                                search_extremal)
 
@@ -158,3 +159,72 @@ def test_search_depth_validation():
         search_extremal(ExponentConfig(4.0), 0.0, 21, SearchBudget())
     with pytest.raises(ValueError):
         SearchBudget(restarts=0)
+
+
+def _reference_realize(tables, beta=None):
+    """Per-k realization on the hypercube, shape (2,)*(N+1) + (m,)."""
+    N = len(tables)
+    m = tables[0].shape[-1]
+    out = np.zeros((2,) * (N + 1) + (m,), dtype=complex)
+    for k, table in enumerate(tables, start=1):
+        coef = 1.0 if beta is None else float(beta[k - 1])
+        rk = np.array([coef, -coef])
+        term = table.reshape((2,) * k + (1,) * (N + 1 - k) + (m,))
+        out += term * rk.reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
+    return out
+
+
+def _reference_ratio_and_grad(tables, beta, tau, p, p0):
+    """Log-ratio and its gradient 2 dJ/d(conj d_k), one full reduction per k."""
+    N = len(tables)
+    Fv = _reference_realize(tables)
+    Gv = _reference_realize(tables, beta)
+    n2 = np.sum(np.abs(Fv) ** 2, axis=-1)
+    h = np.sum(np.abs(Gv) ** 2, axis=-1) + tau * tau * n2
+    P = n2.size
+    Dp = float(np.sum(n2 ** (p / 2.0))) / P
+    Up0 = float(np.sum(h ** (p0 / 2.0))) / P
+    J = math.log(Up0) / p0 - math.log(Dp) / p
+    hpow = h ** (p0 / 2.0 - 1.0)
+    npow = n2 ** (p / 2.0 - 1.0)
+    WF = ((tau * tau * hpow / (2.0 * Up0) - npow / (2.0 * Dp)) / P)[..., None] * Fv
+    WG = (hpow / (2.0 * Up0 * P))[..., None] * Gv
+    grads = []
+    for k in range(1, N + 1):
+        rk = np.array([1.0, -1.0]).reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
+        grads.append(2.0 * np.sum(rk * (WF + beta[k - 1] * WG),
+                                  axis=tuple(range(k, N + 1))))
+    return J, grads
+
+
+@pytest.mark.parametrize("N", [1, 3, 6, 8])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("p", [4.0, 4.0 / 3.0])
+def test_batched_gradient_matches_reference(N, m, tau, p):
+    rng = np.random.default_rng(np.random.PCG64(N * 100 + m * 10 + int(tau * 2)))
+    B = 5
+    seqs = [_random_sequence(rng, N, m) for _ in range(B)]
+    betas = [tuple(int(b) for b in rng.choice([-1, 1], size=N)) for _ in range(B)]
+    x = np.stack([np.concatenate([t.reshape(-1, m) for t in s.tables]) for s in seqs])
+    exps = ExponentConfig(p)
+    J, grad = _ratio_and_grad(x, np.array(betas, dtype=float), tau, exps.p, exps.p0)
+    assert J.shape == (B,) and grad.shape == x.shape
+    for b in range(B):
+        J_ref, grads_ref = _reference_ratio_and_grad(seqs[b].tables, betas[b], tau,
+                                                     exps.p, exps.p0)
+        assert abs(J[b] - J_ref) <= 1e-12
+        ref = np.concatenate([g.reshape(-1, m) for g in grads_ref])
+        assert np.max(np.abs(grad[b] - ref)) <= 1e-12
+
+
+def test_search_independent_of_batch(monkeypatch):
+    budget = SearchBudget(restarts=4, iters=60, seed=13)
+    exps = ExponentConfig(4.0)
+    results = []
+    for points in (1, 2**20):
+        monkeypatch.setattr(martingale, "_BATCH_POINTS", points)
+        results.append(search_extremal(exps, 0.5, 5, budget))
+    one, whole = results
+    assert one.beta == whole.beta
+    assert abs(one.ratio - whole.ratio) <= 1e-12

@@ -1,10 +1,16 @@
 """Certification reports and the persisted extremizer store."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmult
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import MartingaleDifferenceSequence
 from lpmult.report import (CertReport, StoreError, load_store, lookup_store,
@@ -86,3 +92,50 @@ def test_store_refuses_corrupt_file(tmp_path):
 def test_store_key_distinguishes_parameters():
     assert store_key(4.0, 4.0, 0.0, 2, "def2") != store_key(4.0, 4.0, 0.0, 2, "cor7")
     assert store_key(4.0, 4.0, 0.0, 2, "def2") != store_key(4.0, 4.0, 0.0, 3, "def2")
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+import numpy as np
+from lpmult.exponents import ExponentConfig
+from lpmult.martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
+from lpmult.report import sequence_to_record, update_store
+
+store, writer, gate = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+seq = MartingaleDifferenceSequence((np.ones((2, 1)), np.full((2, 2, 1), 0.5)))
+exps = ExponentConfig(4.0)
+records = []
+for i in range(15):
+    tau = float(writer * 100 + i)
+    ratio = perturbed_ratio_exact(seq, TransformConfig((-1, 1), tau), exps)
+    records.append(sequence_to_record(seq, (-1, 1), tau, exps, ratio, 0, "def2"))
+(gate / f"ready{writer}").touch()
+while not (gate / "go").exists():
+    time.sleep(0.001)
+for rec in records:
+    update_store(store, rec)
+"""
+
+
+def test_concurrent_writers_keep_every_record(tmp_path):
+    # Two processes insert 15 distinct keys each into one store at once.
+    src = str(Path(lpmult.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    store = tmp_path / "store"
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(store), str(w), str(tmp_path)],
+                              env=env) for w in (1, 2)]
+    try:
+        deadline = time.monotonic() + 60.0
+        while not all((tmp_path / f"ready{w}").exists() for w in (1, 2)):
+            assert all(p.poll() is None for p in procs), "a writer exited early"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        (tmp_path / "go").touch()
+        assert [p.wait(timeout=60) for p in procs] == [0, 0]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.wait()
+    assert len(load_store(store)) == 30
