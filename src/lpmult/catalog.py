@@ -231,7 +231,6 @@ class TargetConstants:
     p0: float
     tau: float
     c_tau: float | None          # sqrt((p*-1)^2 + tau^2) when p = p0 and tau admissible
-    umd_cm: float                # p* - 1, the Hilbert-space value used for C^m
     predicate: str
     external_assumption: bool    # True when the target leans on the conjectured ceiling
     family_target: float
@@ -275,7 +274,7 @@ def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
         raise ValueError(f"no printed target for family {fam!r}")
 
     return TargetConstants(p=exps.p, p0=exps.p0, tau=tau, c_tau=c_tau,
-                           umd_cm=pstar1, predicate=predicate,
+                           predicate=predicate,
                            external_assumption=external, family_target=target)
 
 

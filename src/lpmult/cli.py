@@ -126,19 +126,20 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
 
 
 def _load_or_search_martingale(args, exps):
+    """(sequence, beta, source, stopped_by); stopped_by is None unless searched."""
     if args.martingale is not None:
         rec = json.loads(Path(args.martingale).read_text())
         seq, beta = sequence_from_record(rec)
-        return seq, beta, "file"
+        return seq, beta, "file", None
     rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n,
                        args.predicate)
     if rec is not None:
         seq, beta = sequence_from_record(rec)
-        return seq, beta, "store"
+        return seq, beta, "store", None
     budget = SearchBudget(restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap)
     res = search_extremal(exps, args.tau, args.n, budget)
-    return res.sequence, res.beta, "search"
+    return res.sequence, res.beta, "search", res.stopped_by
 
 
 def _embed_vector(seq: MartingaleDifferenceSequence, m: int) -> MartingaleDifferenceSequence:
@@ -163,7 +164,7 @@ def cmd_certify(args) -> int:
     sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()
-    seq, beta, source = _load_or_search_martingale(args, exps)
+    seq, beta, source, stopped_by = _load_or_search_martingale(args, exps)
     if symbol.shape == "matrix":
         seq = _embed_vector(seq, symbol.m)
 
@@ -177,6 +178,18 @@ def cmd_certify(args) -> int:
             f"witness ratio {res.ratio} disagrees with martingale ratio "
             f"{res.martingale_ratio} beyond {CROSS_CHECK_TOL}")
 
+    notes = {
+        "certificate": "factored",
+        "martingale_source": source,
+        "martingale_ratio": res.martingale_ratio,
+        "reduction": {"relation": "symbol(xi) = sign * ReB(R_angle xi)",
+                      "sign": sign, "angle": angle},
+        "beta": list(beta),
+        "symbol_convention": "displayed quotient (xi2^2-xi1^2+2i xi1 xi2)/|xi|^2",
+    }
+    if stopped_by is not None:
+        notes["stopped_by"] = stopped_by
+
     report = CertReport(
         family=args.family,
         params={"theta": args.theta} if args.family == "rotated" else {},
@@ -188,14 +201,7 @@ def cmd_certify(args) -> int:
         budget={"restarts": args.restarts, "iters": args.iters,
                 "wall_cap_s": args.wall_cap},
         wall_time_s=wall,
-        notes={
-            "martingale_source": source,
-            "martingale_ratio": res.martingale_ratio,
-            "reduction": {"relation": "symbol(xi) = sign * ReB(R_angle xi)",
-                          "sign": sign, "angle": angle},
-            "beta": list(beta),
-            "symbol_convention": "displayed quotient (xi2^2-xi1^2+2i xi1 xi2)/|xi|^2",
-        },
+        notes=notes,
     )
     _write_json(args.out, report.to_dict())
     return EXIT_OK

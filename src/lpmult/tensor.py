@@ -77,31 +77,13 @@ class TensorGridFunction:
         return float(np.mean(n2 ** (p / 2)) ** (1.0 / p))
 
 
-def _block_multiply(grid: TorusGrid, M: MultiplierSymbol, x: np.ndarray) -> np.ndarray:
-    """The centered-lattice FFT multiplier on a batch of one-block functions.
-
-    x has shape (n,) + (G,)*d + (m_in,); the result has m_out components.
-    """
-    d, G = grid.d, grid.G
-    m_out = 1 if M.shape == "scalar" else M.m
-    axes = tuple(range(1, d + 1))
-    c = coefficients(x, grid, axes)
-    # Every symbol shape acts as an (m_out x m_in) matrix per frequency.
-    sym = M.evaluate(grid.frequency_mesh()).reshape((G,) * d + (m_out, x.shape[-1]))
-    return from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
-
-
 def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
                       k: int) -> TensorGridFunction:
     """Multiply each joint Fourier coefficient by M(j_k); other blocks untouched.
 
     Frequencies are taken in [-G/2, G/2)^d.  A scalar or matrix symbol
     keeps the value shape; a vector symbol maps a scalar function to a
-    C^m-valued one.  The values are a batch of A * B functions of block k.
-    With at least as many of them as basis functions of one block (the
-    witness at G = 2), the multiplier is turned into one small block
-    operator on the basis and applied by a single matrix product; with
-    fewer (J = 1, fine grids) it is applied to them directly.
+    C^m-valued one.  The FFT runs over the axes of block k only.
     """
     if M.d != phi.grid.d:
         raise ValueError(f"block dimension {phi.grid.d} != symbol dimension {M.d}")
@@ -109,23 +91,17 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
         raise ValueError(f"{M.shape} symbols act on scalar functions, got m={phi.m}")
     if M.shape == "matrix" and phi.m != M.m:
         raise ValueError(f"matrix symbol needs C^{M.m}-valued input, got m={phi.m}")
-    phi.block_axes(k)  # refuses k out of range
+    axes = phi.block_axes(k)  # refuses k out of range
 
-    d, G = phi.grid.d, phi.grid.G
+    grid, d, J = phi.grid, phi.grid.d, phi.J
     m_in = max(phi.m, 1)
-    n = G**d * m_in
-    A, B = G ** (d * k), G ** (d * (phi.J - k - 1))
-    x = phi.values.reshape(A, G**d, B, m_in)
-    if A * B < n:
-        batch = x.transpose(0, 2, 1, 3).reshape((A * B,) + (G,) * d + (m_in,))
-        y = _block_multiply(phi.grid, M, batch).reshape(A, B, G**d, -1)
-    else:
-        # Row and column of K index (point, component) of one block in C order.
-        basis = np.eye(n, dtype=complex).reshape((n,) + (G,) * d + (m_in,))
-        K = _block_multiply(phi.grid, M, basis).reshape(n, -1).T
-        y = np.tensordot(x, K.reshape(G**d, -1, G**d, m_in), axes=([1, 3], [2, 3]))
-    out_shape = (G,) * (d * phi.J) + (() if M.shape == "scalar" else (M.m,))
-    return TensorGridFunction(phi.grid, phi.J, y.transpose(0, 2, 1, 3).reshape(out_shape))
+    m_out = 1 if M.shape == "scalar" else M.m
+    c = coefficients(phi.values.reshape((grid.G,) * (d * J) + (m_in,)), grid, axes)
+    # Every symbol shape acts as an (m_out x m_in) matrix per frequency of block k.
+    on_block = (1,) * (d * k) + (grid.G,) * d + (1,) * (d * (J - k - 1))
+    sym = M.evaluate(grid.frequency_mesh()).reshape(on_block + (m_out, m_in))
+    out = from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
+    return TensorGridFunction(grid, J, out[..., 0] if M.shape == "scalar" else out)
 
 
 def operator_ratio(f: TensorGridFunction, M: MultiplierSymbol, exps: ExponentConfig) -> float:

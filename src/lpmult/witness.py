@@ -1,12 +1,25 @@
 """Sign-function witnesses turning martingale extremizers into multiplier bounds.
 
-A depth-N martingale instance is realized on (T^2)^(N+1): block k carries
-the axis sign psi_k(theta_k) = sign(theta_k2) where beta_k = +1 and
-sign(theta_k1) where beta_k = -1, and block 0 seeds the d_k arguments with
-sign(theta_02).  The symbol must be +1 on the theta_2 axis and -1 on the
-theta_1 axis (Re B, or +-I for its matrix form); on the offset grid the
-axis signs are then exact eigenfunctions, so the witness ratio reproduces
-the enumerated martingale ratio to rounding.
+A depth-N martingale instance is realized on (T^2)^(N+1) as
+Phi = sum_k psi_k(theta_k) d_k(psi_0, ..., psi_{k-1}): block k carries the
+axis sign psi_k = sign(theta_k2) where beta_k = +1 and sign(theta_k1) where
+beta_k = -1, and block 0 seeds the d_k arguments with sign(theta_02).  The
+symbol must be +1 on the theta_2 axis and -1 on the theta_1 axis (Re B, or
++-I for its matrix form).
+
+The certificate is factored instead of evaluated on the G^(2(N+1)) torus
+points.  It checks three premises:
+
+1. every psi_k is +-1-valued with an exact zero sum, so under the product
+   measure (psi_0, ..., psi_N) is uniform on the sign hypercube {+-1}^(N+1);
+2. T psi_k = beta_k psi_k on one block, by one lift on the J = 1 grid per
+   distinct sign (per component for matrix symbols), so the lift of Phi_k
+   in block k is beta_k Phi_k;
+3. the torus witness is then the martingale and its transform under that
+   law, and its ratio is the enumerated `perturbed_ratio_exact`.
+
+A failed premise raises `CrossCheckError`.  Memory is O(2^(N+1)), the
+enumeration's, so certification runs to the enumeration cap.
 """
 
 from __future__ import annotations
@@ -18,14 +31,17 @@ import numpy as np
 from .exponents import ExponentConfig
 from .grid import TorusGrid
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
+from .report import CrossCheckError
 from .symbols import MultiplierSymbol
-from .tensor import POINT_CAP, TensorGridFunction, tensor_lift_apply
+from .tensor import TensorGridFunction, tensor_lift_apply
 
 __all__ = ["WitnessSpec", "WitnessResult", "build_witness", "build_matrix_witness"]
 
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+EIGEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,85 +79,60 @@ class WitnessResult:
 
 
 def _sign_blocks(ws: WitnessSpec):
-    """Per-block axis signs psi_k and the matching table indices.
+    """The grid and the axis sign psi_k of each block k = 0..N.
 
     Block 0 and every block with beta_k = +1 take sign(theta_2); blocks
-    with beta_k = -1 take sign(theta_1).  Returns (grid, signs, idx) where
-    signs[j] has shape (G, G) with +-1 entries.
+    with beta_k = -1 take sign(theta_1).  Each sign has shape (G, G).
     """
     grid = TorusGrid(2, ws.G)
     theta = grid.mesh()
     axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
-    signs = [axis_sign[b] for b in (1,) + ws.beta]
-    idx = [((1 - s) / 2).astype(int) for s in signs]
-    return grid, signs, idx
+    return grid, [axis_sign[b] for b in (1,) + ws.beta]
 
 
-def _grow(prefix_sum: np.ndarray, k: int, d: int) -> np.ndarray:
-    """View a sum over blocks 0..k-1 as constant along a new block k."""
-    return prefix_sum.reshape(prefix_sum.shape[:d * k] + (1,) * d + prefix_sum.shape[d * k:])
+def _check_sign_law(signs) -> None:
+    """Premise 1: each psi_k is +-1 with exact zero sum (sums of +-1 are exact)."""
+    for k, s in enumerate(signs):
+        if not np.all(np.abs(s) == 1.0) or np.sum(s) != 0:
+            raise CrossCheckError(f"sign block psi_{k} is not a balanced +-1 function")
+
+
+def _check_eigenrelation(ws: WitnessSpec, grid: TorusGrid, signs) -> None:
+    """Premise 2: T psi_k = beta_k psi_k for k = 1..N, one lift per distinct sign."""
+    matrix = ws.symbol.shape == "matrix"
+    checked = []
+    for k, (b, s) in enumerate(zip(ws.beta, signs[1:]), start=1):
+        if any(b == cb and np.array_equal(s, cs) for cb, cs in checked):
+            continue
+        checked.append((b, s))
+        # A matrix symbol must act as beta_k on every component separately.
+        inputs = [s[..., None] * e for e in np.eye(ws.symbol.m)] if matrix else [s]
+        for vals in inputs:
+            out = tensor_lift_apply(TensorGridFunction(grid, 1, vals), ws.symbol, 0).values
+            err = np.max(np.abs(out - b * vals))
+            if not err <= EIGEN_TOL:
+                raise CrossCheckError(f"sign block psi_{k} is not an eigenfunction of "
+                                      f"{ws.symbol.name} with eigenvalue {b} "
+                                      f"(error {err:.3g})")
 
 
 def _build(ws: WitnessSpec) -> WitnessResult:
-    """Stream the witness over k = 1..N on prefix arrays.
-
-    Phi_k and T^k Phi_k depend only on blocks 0..k, so each summand is built
-    and lifted with J = k + 1 (block k last) and then added into running
-    sums that grow by one block per step.  Only the final sums are full size.
-    """
+    """The factored certificate: sign law, one-block eigenrelation, hypercube ratio."""
     if ws.exps.p0 > ws.exps.p:
-        raise ValueError("tensor lift requires p0 <= p")
-    N, d, G = ws.sequence.N, ws.symbol.d, ws.G
-    if G ** (d * (N + 1)) > POINT_CAP:
-        raise ValueError(f"witness point count {G ** (d * (N + 1))} exceeds cap {POINT_CAP}")
-    scalar = ws.symbol.shape != "matrix"
-    if scalar and ws.sequence.m != 1:
+        raise ValueError("the witness transference requires p0 <= p")
+    if ws.symbol.shape != "matrix" and ws.sequence.m != 1:
         raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
-    grid, signs, idx = _sign_blocks(ws)
-    # Phi_k = psi_k * d_k(...) has block-k mean mean(psi_k) * d_k, and the
-    # transference needs it to vanish; a sum of +-1 entries is exact.
-    if any(np.sum(s) != 0 for s in signs[1:]):
-        raise ValueError("every sign block psi_k (k >= 1) must have zero sum")
-
-    def on_block(arr, j, J):
-        """Reshape a (G,)*d block field onto the axes of block j of J."""
-        return arr.reshape((1,) * (d * j) + (G,) * d + (1,) * (d * (J - 1 - j)))
-
-    phi_sum = pair_sum = None
-    for k in range(1, N + 1):
-        J = k + 1
-        table = ws.sequence.tables[k - 1]  # shape (2,)*k + (m,)
-        gathered = table[tuple(on_block(idx[j], j, J) for j in range(k))]
-        vals = on_block(signs[k], k, J)[..., None] * gathered
-        if scalar:
-            vals = vals[..., 0]
-        top = tensor_lift_apply(TensorGridFunction(grid, J, vals), ws.symbol, k).values
-        # The stacked pair (T^k Phi_k, tau Phi_k) along one component axis.
-        with_axis = (G,) * (d * J) + (-1,)
-        pair = np.concatenate([top.reshape(with_axis), ws.tau * vals.reshape(with_axis)],
-                              axis=-1)
-        del top  # the norms below need the memory
-        if k > 1:
-            vals += _grow(phi_sum, k, d)
-            pair += _grow(pair_sum, k, d)
-        phi_sum, pair_sum = vals, pair
-
-    den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(ws.exps.p)
-    del phi_sum, vals  # free a full array before the larger pair norm
-    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(ws.exps.p0)
-    if den == 0.0:
-        raise ZeroDivisionError("witness has zero Lp norm")
-    ratio = num / den
-
-    mart = perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
-    return WitnessResult(ratio=float(ratio), certified_lower_bound=float(ratio),
-                         martingale_ratio=float(mart))
+    grid, signs = _sign_blocks(ws)
+    _check_sign_law(signs)
+    _check_eigenrelation(ws, grid, signs)
+    ratio = perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
+    return WitnessResult(ratio=ratio, certified_lower_bound=ratio, martingale_ratio=ratio)
 
 
 def build_witness(ws: WitnessSpec) -> WitnessResult:
     """Scalar-symbol witness for the stacked multiplier (m, tau)^T.
 
-    The axis signs are exact eigenfunctions, so the achieved ratio equals
+    The axis signs are exact eigenfunctions, so the witness ratio equals
     the enumerated martingale ratio and is itself the certified bound.
     """
     if ws.symbol.shape != "scalar":
@@ -160,4 +151,3 @@ def build_matrix_witness(ws: WitnessSpec) -> WitnessResult:
     if ws.sequence.m != ws.symbol.m:
         raise ValueError("martingale value dimension must match the matrix size")
     return _build(ws)
-

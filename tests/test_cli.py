@@ -251,3 +251,39 @@ def test_search_records_what_stopped_it(tmp_path):
     code, out = _run(args + ["--store-dir", str(tmp_path / "s2")], tmp_path, "iters.json")
     assert code == 0
     assert json.loads(out.read_text())["notes"]["stopped_by"] == "iters"
+
+
+def test_certify_records_what_stopped_the_search(tmp_path):
+    args = ["certify", "beurling-real", "--p", "4", "--tau", "0.5", "--n", "3",
+            "--seed", "5", "--iters", "30", "--restarts", "2"]
+    for extra, stopped_by in ((["--wall-cap", "1e-9"], "wall"), ([], "iters")):
+        code, out = _run(args + extra + ["--store-dir", str(tmp_path / stopped_by)],
+                         tmp_path, f"{stopped_by}.json")
+        assert code == 0
+        notes = json.loads(out.read_text())["notes"]
+        assert notes["martingale_source"] == "search"
+        assert notes["stopped_by"] == stopped_by
+
+
+def test_certify_depth_12_from_file(tmp_path):
+    # 4^13 torus points would be 1 GiB per complex array; the factored
+    # certificate enumerates the 2^13 sign patterns instead.
+    N = 12
+    rng = np.random.default_rng(np.random.PCG64(12))
+    seq = MartingaleDifferenceSequence.scalar(
+        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
+        for k in range(1, N + 1))
+    beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
+    exps = ExponentConfig(4.0)
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 1.0), exps)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(seq, beta, 1.0, exps, ratio, 0, "def2")))
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", str(N),
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["N"] == N
+    assert rep["achieved_ratio"] == rep["certified_lower_bound"] == ratio
+    assert rep["notes"]["certificate"] == "factored"
+    assert "stopped_by" not in rep["notes"]

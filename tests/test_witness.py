@@ -1,14 +1,18 @@
-"""Sign-function witnesses: eigenrelation exactness and certified ratios."""
+"""Sign-function witnesses: the factored certificate against the torus evaluation."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
+from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult import witness
-from lpmult.martingale import MartingaleDifferenceSequence
+from lpmult.martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
+from lpmult.report import CrossCheckError, sequence_to_record
+from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
 
 
@@ -76,19 +80,26 @@ def test_p0_above_p_rejected():
         build_witness(spec)
 
 
-def _random_spec(N, seed=0):
+def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0, G=2):
+    """Random complex tables and flips; m = 2 pairs them with the matrix symbol."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     seq = MartingaleDifferenceSequence(tuple(
-        rng.standard_normal((2,) * k + (1,)) + 1j * rng.standard_normal((2,) * k + (1,))
+        rng.standard_normal((2,) * k + (m,)) + 1j * rng.standard_normal((2,) * k + (m,))
         for k in range(1, N + 1)))
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
-    return WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
-                       sequence=seq, beta=beta, G=2)
+    return WitnessSpec(exps=ExponentConfig(p), tau=tau,
+                       symbol=beurling_matrix() if m > 1 else beurling_real(),
+                       sequence=seq, beta=beta, G=G)
 
 
 def test_oversize_witness_refused_before_allocation():
-    # N = 12 at G = 2 has 4^13 points (1 GiB per complex array), over POINT_CAP.
-    spec = _random_spec(12)
+    # The factored certificate enumerates the hypercube, so its depth limit is
+    # the enumeration cap; one level deeper is refused before any allocation.
+    N = ENUMERATION_CAP + 1
+    seq = MartingaleDifferenceSequence(tuple(
+        np.broadcast_to(np.complex128(1.0), (2,) * k + (1,)) for k in range(1, N + 1)))
+    spec = WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
+                       sequence=seq, beta=(1,) * N)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -99,7 +110,7 @@ def test_oversize_witness_refused_before_allocation():
     assert peak < 2**20
 
 
-def test_witness_peak_memory_streams():
+def test_factored_witness_allocates_no_torus_array():
     # One full-size scalar array on (T^2)^9 at G = 2 is 4^9 complex values.
     spec = _random_spec(8)
     full = 4**9 * np.dtype(complex).itemsize
@@ -109,21 +120,117 @@ def test_witness_peak_memory_streams():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.ratio == pytest.approx(res.martingale_ratio, abs=1e-10)
-    assert peak <= 8 * full
+    assert res.ratio == res.martingale_ratio
+    assert peak < full
 
 
 def test_biased_sign_block_refused(monkeypatch):
-    # A sign block psi_1 with nonzero sum gives Phi_1 a block-1 mean, which
-    # the transference to the multiplier does not allow.
+    # A sign block psi_k with nonzero sum gives Phi_k a block-k mean, which
+    # the transference to the multiplier does not allow, and for any k it
+    # breaks the uniform law of the signs on the hypercube.
+    sign_blocks = witness._sign_blocks
+    for block in (0, 1):
+        def biased(ws):
+            grid, signs = sign_blocks(ws)
+            signs[block] = signs[block].copy()
+            signs[block][0, 0] *= -1
+            return grid, signs
+
+        monkeypatch.setattr(witness, "_sign_blocks", biased)
+        with pytest.raises(CrossCheckError):
+            build_witness(_random_spec(3))
+
+
+def _checkerboard_block_1(monkeypatch):
+    """Make psi_1 = sign(theta_1) sign(theta_2): balanced, +-1, but T psi_1 = 0."""
     sign_blocks = witness._sign_blocks
 
-    def biased(ws):
-        grid, signs, idx = sign_blocks(ws)
-        signs[1] = signs[1].copy()
-        signs[1][0, 0] *= -1
-        return grid, signs, idx
+    def checkerboard(ws):
+        grid, signs = sign_blocks(ws)
+        theta = grid.mesh()
+        signs[1] = np.sign(theta[..., 0]) * np.sign(theta[..., 1])
+        return grid, signs
 
-    monkeypatch.setattr(witness, "_sign_blocks", biased)
-    with pytest.raises(ValueError):
-        build_witness(_random_spec(3))
+    monkeypatch.setattr(witness, "_sign_blocks", checkerboard)
+
+
+def test_non_eigenfunction_sign_block_refused(monkeypatch):
+    _checkerboard_block_1(monkeypatch)
+    for spec in (_random_spec(3), _random_spec(3, m=2)):
+        build = build_matrix_witness if spec.symbol.shape == "matrix" else build_witness
+        with pytest.raises(CrossCheckError):
+            build(spec)
+
+
+def test_non_eigenfunction_sign_block_exits_crosscheck(monkeypatch, tmp_path):
+    spec = _random_spec(3)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(
+        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2")))
+    args = ["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "3",
+            "--martingale", str(inst), "--store-dir", str(tmp_path / "store"),
+            "--out", str(tmp_path / "out.json")]
+    assert main(args) == 0
+    _checkerboard_block_1(monkeypatch)
+    assert main(args) == 3
+
+
+def _torus_reference(ws):
+    """The witness ratio evaluated on all G^(2(N+1)) torus points.
+
+    Phi_k and T^k Phi_k depend only on blocks 0..k, so each summand is built
+    and lifted with J = k + 1 (block k last) and added into running sums
+    that grow by one block per step.
+    """
+    N, d, G = ws.sequence.N, 2, ws.G
+    scalar = ws.symbol.shape != "matrix"
+    grid, signs = witness._sign_blocks(ws)
+    idx = [((1 - s) / 2).astype(int) for s in signs]
+
+    def on_block(arr, j, J):
+        """Reshape a (G,)*d block field onto the axes of block j of J."""
+        return arr.reshape((1,) * (d * j) + (G,) * d + (1,) * (d * (J - 1 - j)))
+
+    def grow(prefix_sum, k):
+        """View a sum over blocks 0..k-1 as constant along a new block k."""
+        return prefix_sum.reshape(prefix_sum.shape[:d * k] + (1,) * d
+                                  + prefix_sum.shape[d * k:])
+
+    phi_sum = pair_sum = None
+    for k in range(1, N + 1):
+        J = k + 1
+        table = ws.sequence.tables[k - 1]
+        gathered = table[tuple(on_block(idx[j], j, J) for j in range(k))]
+        vals = on_block(signs[k], k, J)[..., None] * gathered
+        if scalar:
+            vals = vals[..., 0]
+        top = tensor_lift_apply(TensorGridFunction(grid, J, vals), ws.symbol, k).values
+        with_axis = (G,) * (d * J) + (-1,)
+        pair = np.concatenate([top.reshape(with_axis), ws.tau * vals.reshape(with_axis)],
+                              axis=-1)
+        if k > 1:
+            vals = vals + grow(phi_sum, k)
+            pair = pair + grow(pair_sum, k)
+        phi_sum, pair_sum = vals, pair
+    den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(ws.exps.p)
+    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(ws.exps.p0)
+    return num / den
+
+
+def _reference_cases():
+    for G, depths in ((2, range(1, 9)), (4, range(1, 4))):
+        for N in depths:
+            for m in (1, 2):
+                for tau in (0.0, 1.0):
+                    for p in (4.0, 4.0 / 3.0):
+                        yield pytest.param(N, m, tau, p, G,
+                                           id=f"G{G}-N{N}-m{m}-tau{tau:g}-p{p:.3g}")
+
+
+@pytest.mark.parametrize("N, m, tau, p, G", _reference_cases())
+def test_factored_matches_torus_reference(N, m, tau, p, G):
+    spec = _random_spec(N, seed=100 * N + 10 * m + G, m=m, tau=tau, p=p, G=G)
+    build = build_matrix_witness if m > 1 else build_witness
+    res = build(spec)
+    assert res.ratio == res.martingale_ratio == res.certified_lower_bound
+    assert abs(res.ratio - _torus_reference(spec)) <= 1e-10
