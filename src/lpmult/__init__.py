@@ -23,7 +23,7 @@ from .tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
                      shear_norm_check, tensor_lift_apply, p2_lift_bound_check)
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
-from .witness import WitnessResult, WitnessSpec, build_matrix_witness, build_witness
+from .witness import WitnessSpec, build_matrix_witness, build_witness
 from .report import CertReport, StoreError, TOOLKIT_VERSION
 
 __version__ = TOOLKIT_VERSION
@@ -40,7 +40,7 @@ __all__ = [
     "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
     "shear_norm_check", "tensor_lift_apply", "p2_lift_bound_check",
     "GaussianPairingConfig", "gaussian_damped_pairing",
-    "multiplier_deviation", "WitnessResult", "WitnessSpec",
+    "multiplier_deviation", "WitnessSpec",
     "build_matrix_witness", "build_witness",
     "CertReport", "StoreError", "TOOLKIT_VERSION",
 ]

@@ -227,11 +227,7 @@ def tau_admissible(exps: ExponentConfig, tau: float, predicate: str = "def2") ->
 class TargetConstants:
     """Target constants attached to a certification run."""
 
-    p: float
-    p0: float
-    tau: float
     c_tau: float | None          # sqrt((p*-1)^2 + tau^2) when p = p0 and tau admissible
-    predicate: str
     external_assumption: bool    # True when the target leans on the conjectured ceiling
     family_target: float
 
@@ -273,9 +269,8 @@ def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
     else:
         raise ValueError(f"no printed target for family {fam!r}")
 
-    return TargetConstants(p=exps.p, p0=exps.p0, tau=tau, c_tau=c_tau,
-                           predicate=predicate,
-                           external_assumption=external, family_target=target)
+    return TargetConstants(c_tau=c_tau, external_assumption=external,
+                           family_target=target)
 
 
 def _beurling_complex_mult_matrix(xi: np.ndarray) -> np.ndarray:

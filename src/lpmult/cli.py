@@ -1,8 +1,11 @@
 """Command-line front end: searches, certifications, sweeps, and reports.
 
-Exit codes: 0 success, 2 invalid configuration, 3 cross-check failure,
-4 store error.  All randomness flows from the single --seed flag through
-numpy's PCG64 generator, so identical flags reproduce identical numbers.
+`certify` reports one number: the enumerated martingale ratio, certified
+by the two axis-sign premises that `witness` checks.  Exit codes: 0
+success, 2 invalid configuration, 3 cross-check failure (a failed
+certificate premise, or a bound above the report's target), 4 store
+error.  All randomness flows from the single --seed flag through numpy's
+PCG64 generator, so identical flags reproduce identical numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import numpy as np
 from .catalog import (OperatorFamilyParam, beurling_matrix, beurling_real,
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
-from .martingale import (MartingaleDifferenceSequence, SearchBudget,
-                         SearchResult, search_extremal)
+from .martingale import SearchBudget, SearchResult, search_extremal
 from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
                      load_store, sequence_from_record, sequence_to_record,
                      update_store, TOOLKIT_VERSION)
@@ -34,8 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CROSSCHECK = 3
 EXIT_STORE = 4
-
-CROSS_CHECK_TOL = 1e-8
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -142,46 +142,23 @@ def _load_or_search_martingale(args, exps):
     return res.sequence, res.beta, "search", res.stopped_by
 
 
-def _embed_vector(seq: MartingaleDifferenceSequence, m: int) -> MartingaleDifferenceSequence:
-    """Pad scalar tables with zero components to make C^m-valued tables."""
-    if seq.m == m:
-        return seq
-    if seq.m != 1:
-        raise ValueError(f"cannot embed m={seq.m} tables into C^{m}")
-    tables = []
-    for t in seq.tables:
-        out = np.zeros(t.shape[:-1] + (m,), dtype=complex)
-        out[..., 0] = t[..., 0]
-        tables.append(out)
-    return MartingaleDifferenceSequence(tuple(tables))
-
-
 def cmd_certify(args) -> int:
     exps = ExponentConfig(args.p, args.p0)
-    if args.family not in _CERTIFY_FAMILIES:
-        raise ValueError(f"family must be one of {_CERTIFY_FAMILIES}")
     symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
     sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()
     seq, beta, source, stopped_by = _load_or_search_martingale(args, exps)
-    if symbol.shape == "matrix":
-        seq = _embed_vector(seq, symbol.m)
 
     ws = WitnessSpec(exps=exps, tau=args.tau, symbol=symbol, sequence=seq, beta=beta)
     build = build_matrix_witness if symbol.shape == "matrix" else build_witness
-    res = build(ws)
+    ratio = build(ws)
     wall = time.monotonic() - t0
-
-    if abs(res.ratio - res.martingale_ratio) > CROSS_CHECK_TOL:
-        raise CrossCheckError(
-            f"witness ratio {res.ratio} disagrees with martingale ratio "
-            f"{res.martingale_ratio} beyond {CROSS_CHECK_TOL}")
 
     notes = {
         "certificate": "factored",
         "martingale_source": source,
-        "martingale_ratio": res.martingale_ratio,
+        "martingale_ratio": ratio,
         "reduction": {"relation": "symbol(xi) = sign * ReB(R_angle xi)",
                       "sign": sign, "angle": angle},
         "beta": list(beta),
@@ -194,8 +171,8 @@ def cmd_certify(args) -> int:
         family=args.family,
         params={"theta": args.theta} if args.family == "rotated" else {},
         p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=ws.G,
-        achieved_ratio=res.ratio,
-        certified_lower_bound=res.certified_lower_bound,
+        achieved_ratio=ratio,
+        certified_lower_bound=ratio,
         target_constant=_target_for(exps, args.tau, args.predicate),
         predicate=args.predicate, external_assumption=False, seed=args.seed,
         budget={"restarts": args.restarts, "iters": args.iters,

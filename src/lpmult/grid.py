@@ -53,10 +53,6 @@ class TorusGrid:
         axes = np.meshgrid(*([self.frequencies_1d] * self.d), indexing="ij")
         return np.stack(axes, axis=-1).astype(float)
 
-    @property
-    def npoints(self) -> int:
-        return self.G**self.d
-
 
 def _axis_phase(grid: TorusGrid) -> np.ndarray:
     """Phase factors exp(-i k theta_0) for centered frequencies k on one axis."""

@@ -283,11 +283,17 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
     return out, False
 
 
-def _beta_candidates(N, rng, restarts):
-    """Systematic sweep for N <= 4, randomized (plus all-ones) otherwise."""
+def _beta_candidates(N, rng, restarts, warm_beta=None):
+    """Systematic sweep for N <= 4, randomized (plus all-ones) otherwise.
+
+    The warm beta extended by all +1 and by all -1 is always a candidate,
+    so the zero-extended warm start is always ascended.
+    """
     if N <= 4:
         return [tuple(b) for b in _iterproduct((-1, 1), repeat=N)]
     cands = {(1,) * N, tuple([-1] + [1] * (N - 1))}
+    if warm_beta is not None:
+        cands |= {warm_beta + (s,) * (N - len(warm_beta)) for s in (1, -1)}
     while len(cands) < max(8, restarts):
         cands.add(tuple(int(b) for b in rng.choice([-1, 1], size=N)))
     return sorted(cands)
@@ -345,7 +351,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
 
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""
-        for beta in _beta_candidates(N, rng, budget.restarts):
+        for beta in _beta_candidates(N, rng, budget.restarts, warm_beta_prefix):
             if warm and beta[: len(warm_beta_prefix)] == warm_beta_prefix:
                 yield from ((beta, x) for x in warm)
             for _ in range(budget.restarts):

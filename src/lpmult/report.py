@@ -96,9 +96,6 @@ class CertReport:
         }
         return out
 
-    def write(self, path: str | Path) -> None:
-        _atomic_write_json(Path(path), self.to_dict())
-
 
 def _complex_pairs(arr: np.ndarray):
     flat = np.ravel(arr)

@@ -7,19 +7,20 @@ beta_k = -1, and block 0 seeds the d_k arguments with sign(theta_02).  The
 symbol must be +1 on the theta_2 axis and -1 on the theta_1 axis (Re B, or
 +-I for its matrix form).
 
-The certificate is factored instead of evaluated on the G^(2(N+1)) torus
-points.  It checks three premises:
+Every psi_k is one of two axis signs, {+1: sign(theta_2), -1: sign(theta_1)},
+so the certificate is factored instead of evaluated on the G^(2(N+1)) torus
+points.  It checks two premises on each axis sign, on one G x G grid:
 
-1. every psi_k is +-1-valued with an exact zero sum, so under the product
-   measure (psi_0, ..., psi_N) is uniform on the sign hypercube {+-1}^(N+1);
-2. T psi_k = beta_k psi_k on one block, by one lift on the J = 1 grid per
-   distinct sign (per component for matrix symbols), so the lift of Phi_k
-   in block k is beta_k Phi_k;
-3. the torus witness is then the martingale and its transform under that
-   law, and its ratio is the enumerated `perturbed_ratio_exact`.
+1. it is +-1-valued with an exact zero sum, so under the product measure
+   (psi_0, ..., psi_N) is uniform on the sign hypercube {+-1}^(N+1);
+2. T psi = b psi by one lift on the J = 1 grid (one per component for
+   matrix symbols), so the lift of Phi_k in block k is beta_k Phi_k.
 
-A failed premise raises `CrossCheckError`.  Memory is O(2^(N+1)), the
-enumeration's, so certification runs to the enumeration cap.
+The torus witness is then the martingale and its transform under that law,
+and its ratio, the certified number, is the enumerated
+`perturbed_ratio_exact`.  A failed premise raises `CrossCheckError`.
+Memory is O(2^(N+1)), the enumeration's, so certification runs to the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .report import CrossCheckError
 from .symbols import MultiplierSymbol
 from .tensor import TensorGridFunction, tensor_lift_apply
 
-__all__ = ["WitnessSpec", "WitnessResult", "build_witness", "build_matrix_witness"]
+__all__ = ["WitnessSpec", "build_witness", "build_matrix_witness"]
 
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
@@ -71,83 +72,60 @@ class WitnessSpec:
         object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    ratio: float
-    certified_lower_bound: float
-    martingale_ratio: float
-
-
-def _sign_blocks(ws: WitnessSpec):
-    """The grid and the axis sign psi_k of each block k = 0..N.
-
-    Block 0 and every block with beta_k = +1 take sign(theta_2); blocks
-    with beta_k = -1 take sign(theta_1).  Each sign has shape (G, G).
-    """
-    grid = TorusGrid(2, ws.G)
+def _axis_signs(grid: TorusGrid) -> dict[int, np.ndarray]:
+    """The axis sign of each eigenvalue: {+1: sign(theta_2), -1: sign(theta_1)}."""
     theta = grid.mesh()
-    axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
-    return grid, [axis_sign[b] for b in (1,) + ws.beta]
+    return {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
 
 
-def _check_sign_law(signs) -> None:
-    """Premise 1: each psi_k is +-1 with exact zero sum (sums of +-1 are exact)."""
-    for k, s in enumerate(signs):
-        if not np.all(np.abs(s) == 1.0) or np.sum(s) != 0:
-            raise CrossCheckError(f"sign block psi_{k} is not a balanced +-1 function")
-
-
-def _check_eigenrelation(ws: WitnessSpec, grid: TorusGrid, signs) -> None:
-    """Premise 2: T psi_k = beta_k psi_k for k = 1..N, one lift per distinct sign."""
+def _check_axis_signs(ws: WitnessSpec) -> None:
+    """Premises 1 and 2 for both axis signs; neither depends on the martingale."""
+    grid = TorusGrid(2, ws.G)
     matrix = ws.symbol.shape == "matrix"
-    checked = []
-    for k, (b, s) in enumerate(zip(ws.beta, signs[1:]), start=1):
-        if any(b == cb and np.array_equal(s, cs) for cb, cs in checked):
-            continue
-        checked.append((b, s))
-        # A matrix symbol must act as beta_k on every component separately.
-        inputs = [s[..., None] * e for e in np.eye(ws.symbol.m)] if matrix else [s]
-        for vals in inputs:
+    for b, s in _axis_signs(grid).items():
+        if not np.all(np.abs(s) == 1.0) or np.sum(s) != 0:
+            raise CrossCheckError(f"axis sign {b:+d} is not a balanced +-1 function")
+        # A matrix symbol must act as b on every component separately.
+        for vals in [s[..., None] * e for e in np.eye(ws.symbol.m)] if matrix else [s]:
             out = tensor_lift_apply(TensorGridFunction(grid, 1, vals), ws.symbol, 0).values
             err = np.max(np.abs(out - b * vals))
             if not err <= EIGEN_TOL:
-                raise CrossCheckError(f"sign block psi_{k} is not an eigenfunction of "
+                raise CrossCheckError(f"axis sign {b:+d} is not an eigenfunction of "
                                       f"{ws.symbol.name} with eigenvalue {b} "
                                       f"(error {err:.3g})")
 
 
-def _build(ws: WitnessSpec) -> WitnessResult:
-    """The factored certificate: sign law, one-block eigenrelation, hypercube ratio."""
+def _build(ws: WitnessSpec) -> float:
+    """The factored certificate: the two axis signs, then the hypercube ratio."""
     if ws.exps.p0 > ws.exps.p:
         raise ValueError("the witness transference requires p0 <= p")
-    if ws.symbol.shape != "matrix" and ws.sequence.m != 1:
-        raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
-    grid, signs = _sign_blocks(ws)
-    _check_sign_law(signs)
-    _check_eigenrelation(ws, grid, signs)
-    ratio = perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
-    return WitnessResult(ratio=ratio, certified_lower_bound=ratio, martingale_ratio=ratio)
+    _check_axis_signs(ws)
+    return perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
 
 
-def build_witness(ws: WitnessSpec) -> WitnessResult:
-    """Scalar-symbol witness for the stacked multiplier (m, tau)^T.
+def build_witness(ws: WitnessSpec) -> float:
+    """Certified ratio of the scalar-symbol witness for the stacked multiplier (m, tau)^T.
 
     The axis signs are exact eigenfunctions, so the witness ratio equals
     the enumerated martingale ratio and is itself the certified bound.
     """
     if ws.symbol.shape != "scalar":
         raise ValueError("build_witness takes a scalar symbol")
+    if ws.sequence.m != 1:
+        raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
     return _build(ws)
 
 
-def build_matrix_witness(ws: WitnessSpec) -> WitnessResult:
-    """Matrix-symbol witness; the symbol is +I on the theta_2 axis, -I on theta_1.
+def build_matrix_witness(ws: WitnessSpec) -> float:
+    """Certified ratio of the matrix-symbol witness (+I on the theta_2 axis, -I on theta_1).
 
     Each block then acts as the scalar sign on every component, so the
-    ratio coincides with the enumerated C^m-valued martingale ratio.
+    ratio coincides with the enumerated C^m-valued martingale ratio.  Scalar
+    (m = 1) tables stand for their zero-padded C^m embedding, whose ratio is
+    the same.
     """
     if ws.symbol.shape != "matrix":
         raise ValueError("build_matrix_witness takes a matrix symbol")
-    if ws.sequence.m != ws.symbol.m:
-        raise ValueError("martingale value dimension must match the matrix size")
+    if ws.sequence.m not in (1, ws.symbol.m):
+        raise ValueError("martingale value dimension must be 1 or the matrix size")
     return _build(ws)

@@ -14,7 +14,6 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
 from lpmult.report import lookup_store, sequence_from_record, sequence_to_record
-from lpmult.witness import WitnessResult, build_witness
 
 
 def _run(args, tmp_path, name="out.json"):
@@ -222,18 +221,30 @@ def test_certify_wall_time_covers_search(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["wall_time_s"] >= 0.2
 
 
-def test_certify_crosscheck_runs_on_every_family(tmp_path, monkeypatch):
-    # A witness that drifts from the martingale ratio must fail every family.
-    def drifting(ws):
-        res = build_witness(ws)
-        return WitnessResult(1.01 * res.ratio, 1.01 * res.ratio, res.martingale_ratio)
+def _scalar_record(tmp_path, N, seed):
+    """A random scalar martingale file and its enumerated ratio at p = 4, tau = 1."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    seq = MartingaleDifferenceSequence.scalar(
+        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
+        for k in range(1, N + 1))
+    beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
+    exps = ExponentConfig(4.0)
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 1.0), exps)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(seq, beta, 1.0, exps, ratio, 0, "def2")))
+    return inst, ratio
 
-    monkeypatch.setattr("lpmult.cli.build_witness", drifting)
-    for family in (["beurling-imag"], ["rotated", "--theta", "0.7"]):
-        code, _ = _run(["certify", *family, "--p", "4", "--tau", "1", "--n", "2",
-                        "--iters", "50", "--restarts", "2",
-                        "--store-dir", str(tmp_path / "store")], tmp_path)
-        assert code == 3
+
+def test_certify_matrix_family_from_scalar_record(tmp_path):
+    # Scalar tables certify the matrix form as their zero-padded C^2 embedding,
+    # whose enumerated ratio is the scalar one bit for bit.
+    inst, ratio = _scalar_record(tmp_path, 6, 13)
+    for family in ("beurling-real", "beurling-matrix"):
+        code, out = _run(["certify", family, "--p", "4", "--tau", "1", "--n", "6",
+                          "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                         tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["achieved_ratio"] == ratio
 
 
 def test_search_records_what_stopped_it(tmp_path):
@@ -269,15 +280,7 @@ def test_certify_depth_12_from_file(tmp_path):
     # 4^13 torus points would be 1 GiB per complex array; the factored
     # certificate enumerates the 2^13 sign patterns instead.
     N = 12
-    rng = np.random.default_rng(np.random.PCG64(12))
-    seq = MartingaleDifferenceSequence.scalar(
-        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
-        for k in range(1, N + 1))
-    beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
-    exps = ExponentConfig(4.0)
-    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 1.0), exps)
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(sequence_to_record(seq, beta, 1.0, exps, ratio, 0, "def2")))
+    inst, ratio = _scalar_record(tmp_path, N, 12)
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", str(N),
                       "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
                      tmp_path)

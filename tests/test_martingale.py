@@ -143,6 +143,21 @@ def test_search_warm_start_monotone():
     assert nxt.ratio >= prev.ratio - 1e-12
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_search_chain_keeps_warm_start(seed):
+    # From N = 5 on the beta candidates are random; the warm beta extended
+    # by +1 and by -1 is still among them, so the zero-extended warm optimum
+    # is always a start and a small budget cannot make the chain go down.
+    exps = ExponentConfig(4.0)
+    budget = SearchBudget(restarts=4, iters=40, seed=seed, wall_cap_s=600.0)
+    prev = None
+    for N in range(2, 12):
+        res = search_extremal(exps, 0.0, N, budget, warm_start=prev)
+        if prev is not None:
+            assert res.ratio >= prev.ratio - 1e-12, N
+        prev = res
+
+
 def test_search_determinism():
     budget = SearchBudget(restarts=4, iters=150, seed=11)
     a = search_extremal(ExponentConfig(4.0), 0.5, 2, budget)

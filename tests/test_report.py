@@ -45,11 +45,9 @@ def test_report_gap_and_invariant():
         _report(certified_lower_bound=4.0)
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     rep = _report()
-    out = tmp_path / "report.json"
-    rep.write(out)
-    data = json.loads(out.read_text())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["family"] == "beurling-real"
     assert data["gap"] == pytest.approx(rep.gap)
     assert data["version"] == rep.version

@@ -9,6 +9,7 @@ import pytest
 from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
+from lpmult.grid import TorusGrid
 from lpmult import witness
 from lpmult.martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
 from lpmult.report import CrossCheckError, sequence_to_record
@@ -35,22 +36,19 @@ def test_explicit_witness_matches_enumeration():
     target = (52.0 / 21.0) ** 0.25
     for G in (2, 4):
         res = build_witness(_spec(_explicit_instance(), 1.0, G))
-        assert res.ratio == pytest.approx(target, abs=1e-10)
-        assert res.martingale_ratio == pytest.approx(target, abs=1e-12)
-        assert res.certified_lower_bound == pytest.approx(target, abs=1e-10)
+        assert res == pytest.approx(target, abs=1e-10)
 
 
 def test_witness_tau_zero():
     res = build_witness(_spec(_explicit_instance(), 0.0, 2))
-    assert res.ratio == pytest.approx(1.0, abs=1e-10)
+    assert res == pytest.approx(1.0, abs=1e-10)
 
 
 def test_matrix_witness_matches_scalar():
     seq = _explicit_instance(m=2)
     spec = _spec(seq, 1.0, 2, symbol=beurling_matrix())
     res = build_matrix_witness(spec)
-    assert res.ratio == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
-    assert res.martingale_ratio == pytest.approx(res.ratio, abs=1e-10)
+    assert res == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
 
 
 def test_witness_shape_dispatch():
@@ -58,6 +56,10 @@ def test_witness_shape_dispatch():
         build_witness(_spec(_explicit_instance(m=2), 1.0, 2, symbol=beurling_matrix()))
     with pytest.raises(ValueError):
         build_matrix_witness(_spec(_explicit_instance(), 1.0, 2))
+    # The 2x2 matrix symbol takes scalar or C^2 tables, never C^3.
+    with pytest.raises(ValueError):
+        build_matrix_witness(_spec(_explicit_instance(m=3), 1.0, 2,
+                                   symbol=beurling_matrix()))
 
 
 def test_spec_validation():
@@ -116,11 +118,10 @@ def test_factored_witness_allocates_no_torus_array():
     full = 4**9 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        res = build_witness(spec)
+        build_witness(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.ratio == res.martingale_ratio
     assert peak < full
 
 
@@ -128,34 +129,34 @@ def test_biased_sign_block_refused(monkeypatch):
     # A sign block psi_k with nonzero sum gives Phi_k a block-k mean, which
     # the transference to the multiplier does not allow, and for any k it
     # breaks the uniform law of the signs on the hypercube.
-    sign_blocks = witness._sign_blocks
-    for block in (0, 1):
-        def biased(ws):
-            grid, signs = sign_blocks(ws)
-            signs[block] = signs[block].copy()
-            signs[block][0, 0] *= -1
-            return grid, signs
+    axis_signs = witness._axis_signs
+    for b in (1, -1):
+        def biased(grid):
+            signs = axis_signs(grid)
+            signs[b] = signs[b].copy()
+            signs[b][0, 0] *= -1
+            return signs
 
-        monkeypatch.setattr(witness, "_sign_blocks", biased)
+        monkeypatch.setattr(witness, "_axis_signs", biased)
         with pytest.raises(CrossCheckError):
             build_witness(_random_spec(3))
 
 
-def _checkerboard_block_1(monkeypatch):
-    """Make psi_1 = sign(theta_1) sign(theta_2): balanced, +-1, but T psi_1 = 0."""
-    sign_blocks = witness._sign_blocks
+def _checkerboard_sign(monkeypatch):
+    """Make the +1 axis sign sign(theta_1) sign(theta_2): balanced, +-1, but T psi = 0."""
+    axis_signs = witness._axis_signs
 
-    def checkerboard(ws):
-        grid, signs = sign_blocks(ws)
+    def checkerboard(grid):
+        signs = axis_signs(grid)
         theta = grid.mesh()
         signs[1] = np.sign(theta[..., 0]) * np.sign(theta[..., 1])
-        return grid, signs
+        return signs
 
-    monkeypatch.setattr(witness, "_sign_blocks", checkerboard)
+    monkeypatch.setattr(witness, "_axis_signs", checkerboard)
 
 
 def test_non_eigenfunction_sign_block_refused(monkeypatch):
-    _checkerboard_block_1(monkeypatch)
+    _checkerboard_sign(monkeypatch)
     for spec in (_random_spec(3), _random_spec(3, m=2)):
         build = build_matrix_witness if spec.symbol.shape == "matrix" else build_witness
         with pytest.raises(CrossCheckError):
@@ -163,16 +164,21 @@ def test_non_eigenfunction_sign_block_refused(monkeypatch):
 
 
 def test_non_eigenfunction_sign_block_exits_crosscheck(monkeypatch, tmp_path):
+    # Every family is certified through the same axis signs, so each must refuse.
     spec = _random_spec(3)
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(sequence_to_record(
         spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2")))
-    args = ["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "3",
+    args = ["--p", "4", "--tau", "1", "--n", "3",
             "--martingale", str(inst), "--store-dir", str(tmp_path / "store"),
             "--out", str(tmp_path / "out.json")]
-    assert main(args) == 0
-    _checkerboard_block_1(monkeypatch)
-    assert main(args) == 3
+    families = (["beurling-real"], ["beurling-imag"], ["rotated", "--theta", "0.7"],
+                ["vector"], ["beurling-matrix"])
+    for family in families:
+        assert main(["certify", *family, *args]) == 0
+    _checkerboard_sign(monkeypatch)
+    for family in families:
+        assert main(["certify", *family, *args]) == 3
 
 
 def _torus_reference(ws):
@@ -184,7 +190,10 @@ def _torus_reference(ws):
     """
     N, d, G = ws.sequence.N, 2, ws.G
     scalar = ws.symbol.shape != "matrix"
-    grid, signs = witness._sign_blocks(ws)
+    grid = TorusGrid(2, G)
+    theta = grid.mesh()
+    axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
+    signs = [axis_sign[b] for b in (1,) + ws.beta]
     idx = [((1 - s) / 2).astype(int) for s in signs]
 
     def on_block(arr, j, J):
@@ -231,6 +240,4 @@ def _reference_cases():
 def test_factored_matches_torus_reference(N, m, tau, p, G):
     spec = _random_spec(N, seed=100 * N + 10 * m + G, m=m, tau=tau, p=p, G=G)
     build = build_matrix_witness if m > 1 else build_witness
-    res = build(spec)
-    assert res.ratio == res.martingale_ratio == res.certified_lower_bound
-    assert abs(res.ratio - _torus_reference(spec)) <= 1e-10
+    assert abs(build(spec) - _torus_reference(spec)) <= 1e-10
