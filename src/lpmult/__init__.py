@@ -11,10 +11,10 @@ from .exponents import ExponentConfig
 from .grid import TorusGrid
 from .symbols import MultiplierSymbol
 from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
-                      beurling_imag, beurling_matrix, beurling_matrix_symbol,
-                      beurling_real, beurling_symbol, complex_vs_matrix_path,
-                      family_symbol, identity_symbol, rotated, rotated_symbol,
-                      target_constant, tau_admissible, vector_perturbation)
+                      beurling_imag, beurling_matrix, beurling_real,
+                      complex_vs_matrix_path, family_symbol, identity_symbol,
+                      rotated, target_constant, tau_admissible,
+                      vector_perturbation)
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, TransformConfig, evaluate_sequence,
                          extend_with_zero, perturbed_ratio_exact,
@@ -31,9 +31,8 @@ __version__ = TOOLKIT_VERSION
 __all__ = [
     "ExponentConfig", "TorusGrid", "MultiplierSymbol", "l2_operator_norm",
     "operator_ratio", "OperatorFamilyParam", "TargetConstants", "beurling",
-    "beurling_imag", "beurling_matrix", "beurling_matrix_symbol",
-    "beurling_real", "beurling_symbol", "complex_vs_matrix_path",
-    "family_symbol", "identity_symbol", "rotated", "rotated_symbol",
+    "beurling_imag", "beurling_matrix", "beurling_real",
+    "complex_vs_matrix_path", "family_symbol", "identity_symbol", "rotated",
     "target_constant", "tau_admissible", "vector_perturbation",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
     "TransformConfig", "evaluate_sequence", "extend_with_zero",

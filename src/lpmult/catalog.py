@@ -1,5 +1,9 @@
 """Concrete symbols and target constants for the certified operator families.
 
+Every scalar family is one formula, a Re B + b Im B, with (a, b) = (1, i)
+for B, (1, 0) for Re B, (0, 1) for Im B, (-cos theta, sin theta) for
+rotated(theta), (-c, i) for scaled(c) and (-1, z) for F(z).
+
 Sign convention: the scalar Beurling symbol follows the displayed quotient
 (xi2^2 - xi1^2 + 2i xi1 xi2) / |xi|^2, so its real part is -1 at (1, 0)
 and +1 at (0, 1).  Only the value set {+-1} matters for the lower bounds;
@@ -18,9 +22,7 @@ from .symbols import MultiplierSymbol
 from .tensor import TensorGridFunction, tensor_lift_apply
 
 __all__ = [
-    "beurling_symbol",
-    "beurling_matrix_symbol",
-    "rotated_symbol",
+    "FAMILIES",
     "family_symbol",
     "OperatorFamilyParam",
     "TargetConstants",
@@ -36,6 +38,9 @@ __all__ = [
     "complex_vs_matrix_path",
 ]
 
+FAMILIES = ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
+            "rotated", "scaled", "F", "vector")
+
 
 def _split(xi: np.ndarray):
     x1, x2 = xi[..., 0], xi[..., 1]
@@ -43,45 +48,35 @@ def _split(xi: np.ndarray):
     return x1, x2, r2
 
 
-def beurling_symbol(xi) -> np.ndarray:
-    """(xi2^2 - xi1^2 + 2i xi1 xi2) / |xi|^2; unimodular away from 0."""
-    xi = np.asarray(xi, dtype=float)
-    x1, x2, r2 = _split(xi)
-    return ((x2 * x2 - x1 * x1) + 2j * x1 * x2) / r2
-
-
 def _beurling_real(xi: np.ndarray) -> np.ndarray:
     x1, x2, r2 = _split(xi)
-    return (x2 * x2 - x1 * x1) / r2 + 0j
+    return (x2 * x2 - x1 * x1) / r2
 
 
 def _beurling_imag(xi: np.ndarray) -> np.ndarray:
     x1, x2, r2 = _split(xi)
-    return 2.0 * x1 * x2 / r2 + 0j
+    return 2.0 * x1 * x2 / r2
 
 
-def beurling_matrix_symbol(xi) -> np.ndarray:
-    """[[mR, mI], [-mI, mR]](xi): a rotation matrix with unit operator norm."""
-    xi = np.asarray(xi, dtype=float)
+def _scalar_family(a: complex, b: complex, name: str) -> MultiplierSymbol:
+    """The scalar symbol a Re B + b Im B; (1, 0) gives Re B bit for bit."""
+
+    def evaluator(xi: np.ndarray) -> np.ndarray:
+        return a * _beurling_real(xi) + b * _beurling_imag(xi)
+
+    return MultiplierSymbol(d=2, shape="scalar", evaluator=evaluator, name=name)
+
+
+def _beurling_matrix_symbol(xi: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """[[mR, s mI], [-s mI, mR]](xi): a rotation matrix; s = 1 is the printed form."""
     mr = _beurling_real(xi)
-    mi = _beurling_imag(xi)
+    mi = s * _beurling_imag(xi)
     out = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
     out[..., 0, 0] = mr
     out[..., 0, 1] = mi
     out[..., 1, 0] = -mi
     out[..., 1, 1] = mr
     return out
-
-
-def rotated_symbol(theta: float):
-    """((xi1^2 - xi2^2) cos(theta) + 2 xi1 xi2 sin(theta)) / |xi|^2."""
-    ct, st = math.cos(theta), math.sin(theta)
-
-    def evaluator(xi: np.ndarray) -> np.ndarray:
-        x1, x2, r2 = _split(xi)
-        return ((x1 * x1 - x2 * x2) * ct + 2.0 * x1 * x2 * st) / r2 + 0j
-
-    return evaluator
 
 
 # --- wrapped MultiplierSymbol constructors -------------------------------
@@ -93,28 +88,25 @@ def identity_symbol(d: int = 2) -> MultiplierSymbol:
 
 
 def beurling() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="scalar", evaluator=beurling_symbol,
-                            name="beurling")
+    return _scalar_family(1.0, 1j, "beurling")
 
 
 def beurling_real() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="scalar", evaluator=_beurling_real,
-                            name="beurling-real")
+    return _scalar_family(1.0, 0.0, "beurling-real")
 
 
 def beurling_imag() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="scalar", evaluator=_beurling_imag,
-                            name="beurling-imag")
+    return _scalar_family(0.0, 1.0, "beurling-imag")
 
 
 def beurling_matrix() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="matrix", evaluator=beurling_matrix_symbol,
+    return MultiplierSymbol(d=2, shape="matrix", evaluator=_beurling_matrix_symbol,
                             m=2, name="beurling-matrix")
 
 
 def rotated(theta: float) -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="scalar", evaluator=rotated_symbol(theta),
-                            name=f"rotated({theta})")
+    """((xi1^2 - xi2^2) cos(theta) + 2 xi1 xi2 sin(theta)) / |xi|^2."""
+    return _scalar_family(-math.cos(theta), math.sin(theta), f"rotated({theta})")
 
 
 def vector_perturbation(base: MultiplierSymbol, tau: float) -> MultiplierSymbol:
@@ -143,13 +135,9 @@ class OperatorFamilyParam:
     c: float = 1.0
     z: complex = 0.0
     tau: float = 0.0
-    j: int = 1
-
-    _FAMILIES = ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
-                 "rotated", "scaled", "F", "riesz", "vector")
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for v in (self.theta, self.c, self.tau):
             if not math.isfinite(v):
@@ -159,51 +147,21 @@ class OperatorFamilyParam:
 
 
 def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
-    """Symbol evaluator for the given family tag."""
+    """Symbol of the given family tag; the scalar families pass their (a, b)."""
     fam = param.family
-    if fam == "beurling":
-        return beurling()
-    if fam == "beurling-real":
-        return beurling_real()
-    if fam == "beurling-imag":
-        return beurling_imag()
     if fam == "beurling-matrix":
         return beurling_matrix()
-    if fam == "rotated":
-        return rotated(param.theta)
     if fam == "vector":
         return vector_perturbation(beurling_real(), param.tau)
+    if fam == "rotated":
+        return rotated(param.theta)
     if fam == "scaled":
-        c = param.c
-
-        def scaled_eval(xi: np.ndarray) -> np.ndarray:
-            x1, x2, r2 = _split(xi)
-            return (c * (x1 * x1 - x2 * x2) + 2j * x1 * x2) / r2
-
-        return MultiplierSymbol(d=2, shape="scalar", evaluator=scaled_eval,
-                                name=f"scaled({c})")
+        return _scalar_family(-param.c, 1j, f"scaled({param.c})")
     if fam == "F":
         z = complex(param.z)
-
-        def f_eval(xi: np.ndarray) -> np.ndarray:
-            x1, x2, r2 = _split(xi)
-            return ((x1 * x1 - x2 * x2) + 2.0 * z * x1 * x2) / r2
-
-        return MultiplierSymbol(d=2, shape="scalar", evaluator=f_eval,
-                                name=f"F({z})")
-    if fam == "riesz":
-        # Standard convention -i xi_j / |xi|; fixed here since composite
-        # families are defined by their printed quotients, not by composing
-        # Riesz symbols.
-        j = param.j
-
-        def riesz_eval(xi: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(xi, axis=-1)
-            return -1j * xi[..., j - 1] / r
-
-        return MultiplierSymbol(d=2, shape="scalar", evaluator=riesz_eval,
-                                name=f"riesz({j})")
-    raise ValueError(f"unknown family {fam!r}")
+        return _scalar_family(-1.0, z, f"F({z})")
+    return {"beurling": beurling, "beurling-real": beurling_real,
+            "beurling-imag": beurling_imag}[fam]()
 
 
 # --- target constants ----------------------------------------------------
@@ -243,10 +201,7 @@ def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
 
     fam = param.family
     external = False
-    if fam in ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
-               "rotated"):
-        target = pstar1
-    elif fam == "vector":
+    if fam == "vector":
         if c_tau is None:
             raise ValueError("vector family target needs p = p0 and admissible tau")
         target = c_tau
@@ -266,29 +221,11 @@ def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
             external = True
         else:
             raise ValueError("F(z) targets cover real z and purely imaginary z only")
-    else:
-        raise ValueError(f"no printed target for family {fam!r}")
+    else:  # B, its parts, its matrix form and the rotated family
+        target = pstar1
 
     return TargetConstants(c_tau=c_tau, external_assumption=external,
                            family_target=target)
-
-
-def _beurling_complex_mult_matrix(xi: np.ndarray) -> np.ndarray:
-    """[[mR, -mI], [mI, mR]]: matrix form of multiplication by the scalar symbol.
-
-    This is the unitary conjugate (by diag(1, -1)) of the printed
-    [[mR, mI], [-mI, mR]]; both have the same operator norm, but only this
-    representative reproduces the scalar action componentwise.
-    """
-    xi = np.asarray(xi, dtype=float)
-    mr = _beurling_real(xi)
-    mi = _beurling_imag(xi)
-    out = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = mr
-    out[..., 0, 1] = -mi
-    out[..., 1, 0] = mi
-    out[..., 1, 1] = mr
-    return out
 
 
 def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
@@ -298,7 +235,10 @@ def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
     Matrix path: split f = u + iv into real and imaginary parts, apply the
     2x2 matrix symbol to (u-hat, v-hat)^T, and take the L^p norm of the
     resulting pair.  The matrix acts in the complex-multiplication
-    representation, so the pointwise C^2 norm equals |T_B f| exactly.
+    representation [[mR, -mI], [mI, mR]], the unitary conjugate (by
+    diag(1, -1)) of the printed matrix: both have the same operator norm, but
+    only this one reproduces the scalar action componentwise, so the
+    pointwise C^2 norm equals |T_B f| exactly.
     """
     if f.m != 0:
         raise ValueError("complex_vs_matrix_path takes a scalar function")
@@ -306,7 +246,7 @@ def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
 
     pair = TensorGridFunction(f.grid, 1, np.stack([f.values.real, f.values.imag], axis=-1))
     matrix_sym = MultiplierSymbol(d=2, shape="matrix",
-                                  evaluator=_beurling_complex_mult_matrix,
+                                  evaluator=lambda xi: _beurling_matrix_symbol(xi, -1.0),
                                   m=2, name="beurling-matrix-cm")
     vec = tensor_lift_apply(pair, matrix_sym, 0)
     return scalar.lp_norm(p), vec.lp_norm(p)

@@ -2,10 +2,11 @@
 
 `certify` reports one number: the enumerated martingale ratio, certified
 by the two axis-sign premises that `witness` checks.  Exit codes: 0
-success, 2 invalid configuration, 3 cross-check failure (a failed
-certificate premise, or a bound above the report's target), 4 store
-error.  All randomness flows from the single --seed flag through numpy's
-PCG64 generator, so identical flags reproduce identical numbers.
+success, 2 invalid configuration (a non-finite number included), 3
+cross-check failure (a failed certificate premise, or a bound above the
+report's target), 4 store error.  All randomness flows from the single
+--seed flag through numpy's PCG64 generator, so identical flags reproduce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (OperatorFamilyParam, beurling_matrix, beurling_real,
+from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_real,
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
@@ -144,6 +145,8 @@ def _load_or_search_martingale(args, exps):
 
 def cmd_certify(args) -> int:
     exps = ExponentConfig(args.p, args.p0)
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
     symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
     sign, angle = _reduction(args.family, args.theta)
 
@@ -184,40 +187,31 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _symbol_by_name(name: str, tau: float):
+def _symbol_by_name(name: str):
     if name == "identity":
         return identity_symbol(2)
-    param_kwargs = {"family": name}
-    if name == "vector":
-        param_kwargs["tau"] = tau
-    return family_symbol(OperatorFamilyParam(**param_kwargs))
+    return family_symbol(OperatorFamilyParam(name))
 
 
 def cmd_transference(args) -> int:
     if args.mode == "gaussian":
-        sym = _symbol_by_name(args.symbol, args.tau)
+        sym = _symbol_by_name(args.symbol)
         j = tuple(int(v) for v in args.j.split(","))
         k = tuple(int(v) for v in args.k.split(","))
-        b = (1.0,) * (sym.m if sym.shape == "vector" else 1)
-        target = 0.0 + 0.0j
-        if j == k:
-            val = sym.evaluate(np.asarray(j, dtype=float))
-            target = complex(np.sum(val * np.conj(np.asarray(b))))
+        # The pairing with b = 1 tends to M(j) on the diagonal and to 0 off it.
+        target = complex(sym.evaluate(np.asarray(j, dtype=float))) if j == k else 0j
         rows = []
         eps = args.eps_start
         for _ in range(args.halvings + 1):
-            cfg = GaussianPairingConfig(d=sym.d, j=j, k=k, eps=eps, b=b, p0=args.p0 or 2.0)
-            try:
-                v = gaussian_damped_pairing(cfg, sym)
-                rows.append([eps, v.real, v.imag, abs(v - target), ""])
-            except ValueError as exc:
-                rows.append([eps, "", "", "", str(exc)])
+            cfg = GaussianPairingConfig(d=sym.d, j=j, k=k, eps=eps, p0=args.p0)
+            v = gaussian_damped_pairing(cfg, sym)
+            rows.append([eps, v.real, v.imag, abs(v - target)])
             eps /= 2.0
-        _write_csv(args.out, ["eps", "value_re", "value_im", "error", "warning"], rows)
+        _write_csv(args.out, ["eps", "value_re", "value_im", "error"], rows)
         return EXIT_OK
 
     if args.mode == "deviation":
-        sym = _symbol_by_name(args.symbol, args.tau)
+        sym = _symbol_by_name(args.symbol)
         support = []
         for chunk in args.support.split(";"):
             support.append(tuple(tuple(int(v) for v in part.split(","))
@@ -250,26 +244,21 @@ def cmd_transference(args) -> int:
     raise ValueError(f"unknown transference mode {args.mode!r}")
 
 
+# The parameter a norms table sweeps, per family: (flag, parser).
+_SWEPT = {"rotated": ("theta", float), "scaled": ("c", float), "F": ("z", complex)}
+
+
 def _norms_entries(args):
-    ps = [float(v) for v in args.p.split(",")]
-    for p in ps:
+    for p in (float(v) for v in args.p.split(",")):
         exps = ExponentConfig(p)
-        if args.family in ("beurling", "beurling-real", "beurling-imag",
-                           "beurling-matrix"):
-            yield exps, OperatorFamilyParam(family=args.family), ""
-        elif args.family == "rotated":
-            for theta in (float(v) for v in args.theta.split(",")):
-                yield exps, OperatorFamilyParam(family="rotated", theta=theta), theta
-        elif args.family == "scaled":
-            for c in (float(v) for v in args.c.split(",")):
-                yield exps, OperatorFamilyParam(family="scaled", c=c), c
-        elif args.family == "F":
-            for z in (complex(v) for v in args.z.split(",")):
-                yield exps, OperatorFamilyParam(family="F", z=z), str(z)
+        if args.family in _SWEPT:
+            name, parse = _SWEPT[args.family]
+            for v in (parse(s) for s in getattr(args, name).split(",")):
+                yield exps, OperatorFamilyParam(args.family, **{name: v}), v
         elif args.family == "vector":
-            yield exps, OperatorFamilyParam(family="vector", tau=args.tau), args.tau
+            yield exps, OperatorFamilyParam("vector", tau=args.tau), args.tau
         else:
-            raise ValueError(f"unknown family {args.family!r}")
+            yield exps, OperatorFamilyParam(args.family), ""
 
 
 def _best_certified(store: dict, p: float, tau: float, predicate: str) -> float | None:
@@ -341,15 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--blocks", type=int, default=2)
     tr.add_argument("--n-shift", type=int, default=2)
     tr.add_argument("--p", type=float, default=4.0)
-    tr.add_argument("--tau", type=float, default=0.0)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", type=Path, default=None)
     tr.set_defaults(func=cmd_transference)
 
     nm = sub.add_parser("norms", help="tabulate target constants per family")
-    nm.add_argument("--family", required=True,
-                    choices=["beurling", "beurling-real", "beurling-imag",
-                             "beurling-matrix", "rotated", "scaled", "F", "vector"])
+    nm.add_argument("--family", required=True, choices=FAMILIES)
     nm.add_argument("--p", default="4")
     nm.add_argument("--theta", default="0")
     nm.add_argument("--c", default="1")
@@ -374,7 +360,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,6 +16,7 @@ each with its own step, and re-verifies every start through
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -101,6 +102,8 @@ class TransformConfig:
         beta = tuple(int(b) for b in self.beta)
         if any(b not in (-1, 1) for b in beta):
             raise ValueError("beta entries must be +-1")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         object.__setattr__(self, "beta", beta)
 
 
@@ -112,7 +115,7 @@ class SearchBudget:
     wall_cap_s: float = 60.0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iters < 1 or self.wall_cap_s <= 0:
+        if not (self.restarts >= 1 and self.iters >= 1 and self.wall_cap_s > 0):
             raise ValueError("budget fields must be positive")
 
 
@@ -148,13 +151,14 @@ def _realize(tables, coef=None) -> np.ndarray:
 
 
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
-                          exps: ExponentConfig, cap: int = ENUMERATION_CAP) -> float:
+                          exps: ExponentConfig) -> float:
     """||(G_N, tau F_N)||_{p0} / ||F_N||_p by full enumeration.
 
     The pointwise magnitude of the pair is (||G||^2 + tau^2 ||F||^2)^(1/2).
+    A ratio out of floating-point range raises FloatingPointError.
     """
-    if F.N > cap:
-        raise ValueError(f"depth {F.N} exceeds enumeration cap {cap}")
+    if F.N > ENUMERATION_CAP:
+        raise ValueError(f"depth {F.N} exceeds enumeration cap {ENUMERATION_CAP}")
     if len(cfg.beta) != F.N:
         raise ValueError(f"beta must have length {F.N}")
     if F.is_zero():
@@ -166,7 +170,10 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     p, p0 = exps.p, exps.p0
     num = np.mean(pair2 ** (p0 / 2.0)) ** (1.0 / p0)
     den = np.mean(n2 ** (p / 2.0)) ** (1.0 / p)
-    return float(num / den)
+    ratio = float(num / den)
+    if not math.isfinite(ratio):
+        raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
+    return ratio
 
 
 def extend_with_zero(F: MartingaleDifferenceSequence) -> MartingaleDifferenceSequence:
@@ -315,6 +322,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     """
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     p, p0 = exps.p, exps.p0
 
     if abs(p - 2.0) < 1e-12 and abs(p0 - 2.0) < 1e-12:

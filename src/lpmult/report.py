@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,34 +72,8 @@ class CertReport:
             return None
         return self.target_constant - self.certified_lower_bound
 
-    def to_dict(self, timestamp: float | None = None) -> dict:
-        out = {
-            "family": self.family,
-            "params": self.params,
-            "p": self.p,
-            "p0": self.p0,
-            "tau": self.tau,
-            "N": self.N,
-            "G": self.G,
-            "achieved_ratio": self.achieved_ratio,
-            "certified_lower_bound": self.certified_lower_bound,
-            "target_constant": self.target_constant,
-            "gap": self.gap,
-            "predicate": self.predicate,
-            "external_assumption": self.external_assumption,
-            "seed": self.seed,
-            "budget": self.budget,
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
-            "notes": self.notes,
-            "timestamp": time.time() if timestamp is None else timestamp,
-        }
-        return out
-
-
-def _complex_pairs(arr: np.ndarray):
-    flat = np.ravel(arr)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    def to_dict(self) -> dict:
+        return dict(asdict(self), gap=self.gap, timestamp=time.time())
 
 
 def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
@@ -112,7 +86,8 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
         "tau": tau,
         "N": seq.N,
         "m": seq.m,
-        "tables": [_complex_pairs(t) for t in seq.tables],
+        "tables": [np.stack([t.real.ravel(), t.imag.ravel()], axis=1).tolist()
+                   for t in seq.tables],
         "beta": [int(b) for b in beta],
         "ratio": ratio,
         "seed": seed,
@@ -135,7 +110,8 @@ def verify_record(rec: dict, tol: float = 1e-12) -> float:
     seq, beta = sequence_from_record(rec)
     exps = ExponentConfig(rec["p"], rec["p0"])
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, rec["tau"]), exps)
-    if abs(ratio - rec["ratio"]) > tol * max(1.0, abs(rec["ratio"])):
+    # Written so that a NaN or infinite stored ratio fails.
+    if not abs(ratio - rec["ratio"]) <= tol * max(1.0, ratio):
         raise StoreError(
             f"stored ratio {rec['ratio']} does not reproduce (got {ratio})")
     return ratio

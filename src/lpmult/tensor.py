@@ -67,7 +67,7 @@ class TensorGridFunction:
 
     def lp_norm(self, p: float) -> float:
         """(mean over grid points of ||f(theta)||^p)^(1/p), normalized measure."""
-        if p < 1:
+        if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
         v = self.values
         n2 = v.real**2

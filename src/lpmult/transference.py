@@ -2,11 +2,14 @@
 
 The pairing uses the unit-period torus and characters exp(2 pi i (j, x)),
 separate from the [-pi, pi) convention used elsewhere; the two conventions
-never mix inside one computation.
+never mix inside one computation.  Its frequency quadrature always runs on
+the same 65 nodes per axis, over the radius where the Gaussian window's
+tail falls to 1e-14.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,9 +19,10 @@ from .symbols import MultiplierSymbol
 
 __all__ = ["GaussianPairingConfig", "gaussian_damped_pairing", "multiplier_deviation"]
 
-# exp(-x) < 1e-12 for x > 27.7; the auto radius targets 1e-14.
-_TAIL_LOG = math.log(1e12)
-_AUTO_TAIL_LOG = math.log(1e14)
+# The quadrature radius R solves pi (p0 + q0) R^2 / eps = ln 1e14, and the
+# step is R / _HALF_NODES.
+_TAIL_LOG = math.log(1e14)
+_HALF_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,6 @@ class GaussianPairingConfig:
     eps: float
     b: tuple = (1.0,)
     p0: float = 2.0
-    R: float | None = None   # quadrature truncation radius (auto if None)
-    h: float | None = None   # quadrature step (auto if None)
 
     def __post_init__(self):
         j = tuple(float(v) for v in self.j)
@@ -42,14 +44,10 @@ class GaussianPairingConfig:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.p0 <= 1:
-            raise ValueError("p0 must exceed 1")
-        if self.R is not None and self.h is not None:
-            ratio = self.R / self.h
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError("R must be an integral multiple of h")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not (math.isfinite(self.p0) and self.p0 > 1):
+            raise ValueError(f"p0 must be finite and exceed 1, got {self.p0}")
 
     @property
     def q0(self) -> float:
@@ -67,7 +65,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
         (p0 q0 / eps)^{d/2} exp(-pi (p0 |xi - j|^2 + q0 |xi - k|^2) / eps),
 
     whose total mass is exp(-pi |j - k|^2 / eps) since 1/p0 + 1/q0 = 1.
-    As eps -> 0 the value converges to (M(j), b) delta_{jk}.
+    As eps -> 0 the value converges to (M(j), b) delta_{jk}.  A value out
+    of floating-point range raises FloatingPointError.
     """
     if M.d != cfg.d:
         raise ValueError(f"symbol dimension {M.d} != config dimension {cfg.d}")
@@ -85,14 +84,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
     k = np.asarray(cfg.k)
     center = (p0 * j + q0 * k) / s
 
-    R = cfg.R if cfg.R is not None else math.sqrt(_AUTO_TAIL_LOG * eps / (math.pi * s))
-    h = cfg.h if cfg.h is not None else R / 32.0
-    if math.pi * s * R * R / eps < _TAIL_LOG:
-        raise ValueError(
-            f"truncation radius {R} leaves Gaussian tail above 1e-12 at eps={eps}")
-
-    n = int(round(R / h))
-    axis = center[:, None] + h * np.arange(-n, n + 1)[None, :]
+    h = math.sqrt(_TAIL_LOG * eps / (math.pi * s)) / _HALF_NODES
+    axis = center[:, None] + h * np.arange(-_HALF_NODES, _HALF_NODES + 1)[None, :]
     grids = np.meshgrid(*axis, indexing="ij")
     xi = np.stack(grids, axis=-1)
 
@@ -116,7 +109,10 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
         integrand = integrand * w.reshape(shape)
 
     quad = np.sum(integrand) * h**d
-    return complex((p0 * q0 / eps) ** (d / 2.0) * quad)
+    value = complex((p0 * q0 / eps) ** (d / 2.0) * quad)
+    if not cmath.isfinite(value):
+        raise FloatingPointError(f"pairing {value} is not finite at eps={eps}")
+    return value
 
 
 def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:

@@ -178,6 +178,54 @@ def test_exit_code_invalid_config(tmp_path):
     assert code == 2
 
 
+_OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["certify", "beurling-real", "--p", "4", "--tau", "nan", "--n", "2"],
+                 id="certify-tau-nan"),
+    pytest.param(["certify", "rotated", "--p", "4", "--theta", "nan", "--n", "2"],
+                 id="certify-theta-nan"),
+    pytest.param(["certify", "beurling-real", "--p", "4", "--tau", "1e200", "--n", "2"],
+                 id="certify-tau-1e200", marks=_OVERFLOW),
+    pytest.param(["search-martingale", "--p", "4", "--tau", "inf", "--n", "2"],
+                 id="search-tau-inf"),
+    pytest.param(["search-martingale", "--p", "4", "--tau", "nan", "--n", "2"],
+                 id="search-tau-nan"),
+    pytest.param(["search-martingale", "--p", "4", "--tau", "1e200", "--n", "2"],
+                 id="search-tau-1e200", marks=_OVERFLOW),
+    pytest.param(["search-martingale", "--p", "4", "--n", "2", "--wall-cap", "nan"],
+                 id="search-wall-cap-nan"),
+    pytest.param(["transference", "shear", "--p", "nan"], id="shear-p-nan"),
+    pytest.param(["transference", "gaussian", "--eps-start", "nan"], id="gaussian-eps-nan"),
+    pytest.param(["transference", "gaussian", "--eps-start", "inf"], id="gaussian-eps-inf"),
+    pytest.param(["transference", "gaussian", "--p0", "nan"], id="gaussian-p0-nan"),
+    pytest.param(["transference", "gaussian", "--eps-start", "1e-320"],
+                 id="gaussian-eps-subnormal", marks=_OVERFLOW),
+])
+def test_nonfinite_input_is_refused(tmp_path, args):
+    store = tmp_path / "store"
+    if args[0] != "transference":
+        args = args + ["--store-dir", str(store)]
+    code, out = _run(args, tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert not (store / "extremizers.json").exists()
+
+
+@_OVERFLOW
+def test_certify_refuses_overflowing_tables(tmp_path):
+    # |d|^2 overflows to inf, so the enumerated ratio is inf / inf = NaN.
+    seq = MartingaleDifferenceSequence.scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
+                                                  0.0, 0, "def2")))
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
+                      "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_exit_code_store_error(tmp_path):
     (tmp_path / "extremizers.json").write_text("{corrupt")
     code = main(["search-martingale", "--p", "4", "--n", "2",

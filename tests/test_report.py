@@ -62,9 +62,9 @@ def test_sequence_record_round_trip():
 
 
 def test_verify_record_catches_tampering():
-    rec = _record(ratio=2.0)
-    with pytest.raises(StoreError):
-        verify_record(rec)
+    for ratio in (2.0, float("nan"), float("inf")):
+        with pytest.raises(StoreError):
+            verify_record(_record(ratio=ratio))
 
 
 def test_store_update_and_lookup(tmp_path):

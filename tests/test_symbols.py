@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from lpmult.catalog import (OperatorFamilyParam, beurling, beurling_imag,
-                            beurling_matrix, beurling_matrix_symbol,
-                            beurling_real, beurling_symbol, family_symbol,
-                            identity_symbol, rotated, rotated_symbol,
-                            target_constant, tau_admissible,
-                            vector_perturbation)
+                            beurling_matrix, beurling_real, family_symbol,
+                            identity_symbol, rotated, target_constant,
+                            tau_admissible, vector_perturbation)
 from lpmult.exponents import ExponentConfig
 from lpmult.symbols import MultiplierSymbol
 
@@ -26,46 +24,46 @@ def homogeneity_defect(sym: MultiplierSymbol, rng: np.random.Generator,
 
 
 def test_beurling_symbol_values():
-    assert beurling_symbol((1.0, 0.0)) == pytest.approx(-1.0)
-    assert beurling_symbol((0.0, 1.0)) == pytest.approx(1.0)
-    assert beurling_symbol((1.0, 1.0)) == pytest.approx(1j)
+    assert beurling().evaluate((1.0, 0.0)) == pytest.approx(-1.0)
+    assert beurling().evaluate((0.0, 1.0)) == pytest.approx(1.0)
+    assert beurling().evaluate((1.0, 1.0)) == pytest.approx(1j)
 
 
 def test_beurling_unimodular_and_even():
     rng = np.random.default_rng(np.random.PCG64(0))
     xi = rng.standard_normal((256, 2))
-    vals = beurling_symbol(xi)
+    vals = beurling().evaluate(xi)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
-    assert np.max(np.abs(beurling_symbol(-xi) - vals)) < 1e-12
+    assert np.max(np.abs(beurling().evaluate(-xi) - vals)) < 1e-12
 
 
 def test_beurling_matrix_examples():
-    assert np.allclose(beurling_matrix_symbol((0.0, 1.0)), np.eye(2), atol=1e-14)
-    assert np.allclose(beurling_matrix_symbol((1.0, 0.0)), -np.eye(2), atol=1e-14)
-    assert np.allclose(beurling_matrix_symbol((1.0, 1.0)),
+    assert np.allclose(beurling_matrix().evaluate((0.0, 1.0)), np.eye(2), atol=1e-14)
+    assert np.allclose(beurling_matrix().evaluate((1.0, 0.0)), -np.eye(2), atol=1e-14)
+    assert np.allclose(beurling_matrix().evaluate((1.0, 1.0)),
                        np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-14)
 
 
 def test_beurling_matrix_is_rotation():
     rng = np.random.default_rng(np.random.PCG64(1))
     xi = rng.standard_normal((128, 2))
-    M = beurling_matrix_symbol(xi)
+    M = beurling_matrix().evaluate(xi)
     eye = np.broadcast_to(np.eye(2), M.shape)
     assert np.max(np.abs(M @ np.conj(np.swapaxes(M, -1, -2)) - eye)) < 1e-12
     assert np.max(np.abs(np.linalg.det(M) - 1.0)) < 1e-12
 
 
 def test_rotated_symbol_values_and_range():
-    assert rotated_symbol(0.0)(np.array([1.0, 0.0])) == pytest.approx(1.0)
-    assert rotated_symbol(math.pi / 2)(np.array([1.0, 1.0])) == pytest.approx(1.0)
+    assert rotated(0.0).evaluate(np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert rotated(math.pi / 2).evaluate(np.array([1.0, 1.0])) == pytest.approx(1.0)
     theta = 0.7
     phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     xi = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    vals = rotated_symbol(theta)(xi).real
+    vals = rotated(theta).evaluate(xi).real
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
     assert np.max(vals) >= 1.0 - 1e-6
     half = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    assert rotated_symbol(theta)(half) == pytest.approx(1.0)
+    assert rotated(theta).evaluate(half) == pytest.approx(1.0)
 
 
 def test_rotation_reduction_to_beurling_real():
@@ -90,8 +88,33 @@ def test_family_symbol_examples():
     assert scaled.evaluate(np.array([1.0, 0.0])) == pytest.approx(2.0)
     fi = family_symbol(OperatorFamilyParam(family="F", z=1j))
     assert fi.evaluate(np.array([1.0, 1.0])) == pytest.approx(1j)
-    riesz = family_symbol(OperatorFamilyParam(family="riesz", j=1))
-    assert riesz.evaluate(np.array([1.0, 0.0])) == pytest.approx(-1j)
+
+    # Every scalar family against its printed quotient.
+    rng = np.random.default_rng(np.random.PCG64(11))
+    xi = rng.standard_normal((1000, 2))
+    x1, x2 = xi[:, 0], xi[:, 1]
+    r2 = x1 * x1 + x2 * x2
+    printed = [
+        (beurling(), ((x2 * x2 - x1 * x1) + 2j * x1 * x2) / r2),
+        (beurling_real(), (x2 * x2 - x1 * x1) / r2),
+        (beurling_imag(), 2.0 * x1 * x2 / r2),
+    ]
+    for theta in (0.0, 0.3, 0.7, -2.0, math.pi / 2):
+        printed.append((family_symbol(OperatorFamilyParam(family="rotated", theta=theta)),
+                        ((x1 * x1 - x2 * x2) * math.cos(theta)
+                         + 2.0 * x1 * x2 * math.sin(theta)) / r2))
+    for c in (0.5, 2.0):
+        printed.append((family_symbol(OperatorFamilyParam(family="scaled", c=c)),
+                        (c * (x1 * x1 - x2 * x2) + 2j * x1 * x2) / r2))
+    for z in (0.0, 1.0, 2j):
+        printed.append((family_symbol(OperatorFamilyParam(family="F", z=z)),
+                        ((x1 * x1 - x2 * x2) + 2.0 * z * x1 * x2) / r2))
+    for sym, want in printed:
+        assert np.max(np.abs(sym.evaluate(xi) - want)) <= 1e-14, sym.name
+
+    # The witness needs Re B exactly +1 on the theta_2 axis and -1 on the theta_1 axis.
+    axes = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
+    assert np.array_equal(beurling_real().evaluate(axes), [1.0, 1.0, -1.0, -1.0])
 
 
 def test_unknown_family_rejected():

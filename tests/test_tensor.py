@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import (beurling, beurling_matrix, beurling_symbol,
-                            identity_symbol, vector_perturbation)
+from lpmult.catalog import (beurling, beurling_matrix, identity_symbol,
+                            vector_perturbation)
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
 from lpmult.tensor import (TensorGridFunction, shear_norm_check,
                            tensor_lift_apply, p2_lift_bound_check)
@@ -63,7 +63,7 @@ def test_lift_acts_on_single_block():
     vals = f0[:, :, None, None] * f1[None, None, :, :]
     phi = TensorGridFunction(grid, 2, vals)
     out = tensor_lift_apply(phi, beurling(), 1)
-    lam = beurling_symbol(k)
+    lam = beurling().evaluate(k)
     assert np.max(np.abs(out.values - lam * vals)) < 1e-12
 
 

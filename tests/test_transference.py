@@ -16,8 +16,6 @@ def test_config_validation():
         GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=-1.0)
     with pytest.raises(ValueError):
         GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1, p0=1.0)
-    with pytest.raises(ValueError):
-        GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1, R=1.0, h=0.3)
 
 
 def test_identity_pairing_is_one():
@@ -57,12 +55,6 @@ def test_vector_symbol_pairing():
     with pytest.raises(ValueError):
         gaussian_damped_pairing(
             GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1, b=(1.0,)), sym)
-
-
-def test_tail_precondition_enforced():
-    cfg = GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=1.0, R=0.5, h=0.25)
-    with pytest.raises(ValueError):
-        gaussian_damped_pairing(cfg, identity_symbol(2))
 
 
 def test_mr_deviation_values():
