@@ -221,7 +221,7 @@ def cmd_transference(args) -> int:
         N = args.n_start
         for _ in range(args.doublings + 1):
             dev = multiplier_deviation(sym, support, N)
-            rows.append([N, dev, "" if prev is None else prev / dev])
+            rows.append([N, dev, "" if prev is None or dev == 0 else prev / dev])
             prev = dev
             N *= 2
         _write_csv(args.out, ["N", "deviation", "ratio_to_previous"], rows)

@@ -1,9 +1,13 @@
 """Certification reports and the best-known extremizer store.
 
 Reports and store records are plain JSON with complex numbers as [re, im]
-pairs; store updates are atomic (write to a temp file, then rename) and
-serialized by a lock file, and a new record replaces an old one only if its
-re-verified ratio is strictly larger by 1e-12.
+pairs.  The store is a directory with one file per key,
+<store>/<store_key(...)>.json holding {key: record}, so a write or a lookup
+touches one record; a file that does not hold exactly one record under the
+key its name gives (such as an old single-file extremizers.json) is refused.
+Store updates are atomic (write to a temp file, then rename) and serialized
+by a lock file, and a new record replaces an old one only if its re-verified
+ratio is strictly larger by 1e-12.
 """
 
 from __future__ import annotations
@@ -121,12 +125,7 @@ def store_key(p: float, p0: float, tau: float, N: int, predicate: str) -> str:
     return f"p={p!r},p0={p0!r},tau={tau!r},N={N},predicate={predicate}"
 
 
-def _store_path(store_dir: str | Path) -> Path:
-    return Path(store_dir) / "extremizers.json"
-
-
 def _atomic_write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -139,41 +138,47 @@ def _atomic_write_json(path: Path, payload) -> None:
         raise
 
 
-def load_store(store_dir: str | Path) -> dict:
-    path = _store_path(store_dir)
-    if not path.exists():
-        return {}
+def _read_record(path: Path) -> dict | None:
+    """The one record of a store file, under the key its name gives; None if absent."""
     try:
         with open(path) as fh:
-            store = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StoreError(f"extremizer store at {path} is unreadable: {exc}") from exc
-    if not isinstance(store, dict):
-        raise StoreError(f"extremizer store at {path} is corrupt (not an object)")
-    return store
+            data = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise StoreError(f"extremizer store file {path} is unreadable: {exc}") from exc
+    if not (isinstance(data, dict) and list(data) == [path.stem]
+            and isinstance(data[path.stem], dict)):
+        raise StoreError(f"extremizer store file {path} does not hold exactly one "
+                         f"record under the key {path.stem!r}")
+    return data[path.stem]
+
+
+def load_store(store_dir: str | Path) -> dict:
+    """Every record in the store, by key."""
+    return {path.stem: _read_record(path) for path in sorted(Path(store_dir).glob("*.json"))}
 
 
 def update_store(store_dir: str | Path, rec: dict) -> bool:
     """Insert rec if strictly better than the stored one; returns True on write.
 
-    The read, compare and write cycle holds an exclusive lock on
-    <store>/extremizers.lock, so concurrent writers keep every improvement.
+    Only rec's own key file is read and rewritten.  The read, compare and
+    write cycle holds an exclusive lock on <store>/extremizers.lock, so
+    concurrent writers keep every improvement.
     """
-    path = _store_path(store_dir)
+    key = store_key(rec["p"], rec["p0"], rec["tau"], rec["N"], rec["predicate"])
+    path = Path(store_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path.parent / "extremizers.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        store = load_store(store_dir)
-        key = store_key(rec["p"], rec["p0"], rec["tau"], rec["N"], rec["predicate"])
-        old = store.get(key)
+        old = _read_record(path)
         if old is not None and rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
             return False
         verify_record(rec)
-        store[key] = rec
-        _atomic_write_json(path, store)
+        _atomic_write_json(path, {key: rec})
         return True
 
 
 def lookup_store(store_dir: str | Path, p: float, p0: float, tau: float, N: int,
                  predicate: str) -> dict | None:
-    return load_store(store_dir).get(store_key(p, p0, tau, N, predicate))
+    return _read_record(Path(store_dir) / f"{store_key(p, p0, tau, N, predicate)}.json")

@@ -66,7 +66,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
 
     whose total mass is exp(-pi |j - k|^2 / eps) since 1/p0 + 1/q0 = 1.
     As eps -> 0 the value converges to (M(j), b) delta_{jk}.  A value out
-    of floating-point range raises FloatingPointError.
+    of floating-point range raises FloatingPointError, and an eps whose node
+    step does not resolve at the center raises ValueError.
     """
     if M.d != cfg.d:
         raise ValueError(f"symbol dimension {M.d} != config dimension {cfg.d}")
@@ -85,6 +86,10 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
     center = (p0 * j + q0 * k) / s
 
     h = math.sqrt(_TAIL_LOG * eps / (math.pi * s)) / _HALF_NODES
+    # Within 2^20 float spacings of the center, the nodes center + h n round
+    # onto each other and the window goes flat.
+    if h <= 2.0**20 * np.spacing(np.max(np.abs(center))):
+        raise ValueError(f"eps={eps} is too small: node step {h} does not resolve at {center}")
     axis = center[:, None] + h * np.arange(-_HALF_NODES, _HALF_NODES + 1)[None, :]
     grids = np.meshgrid(*axis, indexing="ij")
     xi = np.stack(grids, axis=-1)

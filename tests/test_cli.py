@@ -13,7 +13,8 @@ from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.report import lookup_store, sequence_from_record, sequence_to_record
+from lpmult.report import (load_store, lookup_store, sequence_from_record, sequence_to_record,
+                           store_key)
 
 
 def _run(args, tmp_path, name="out.json"):
@@ -136,6 +137,31 @@ def test_transference_deviation_table(tmp_path):
     assert 3.8 <= float(rows[3][2]) <= 4.2
 
 
+def test_transference_deviation_of_constant_symbol(tmp_path):
+    # The identity has zero deviation, so no ratio to the previous row exists.
+    code, out = _run(["transference", "deviation", "--symbol", "identity"],
+                     tmp_path, "dev.csv")
+    assert code == 0
+    rows = _load_csv(out)
+    assert [r[1:] for r in rows[1:]] == [["0.0", ""]] * 3
+
+
+def test_transference_gaussian_resolved_eps(tmp_path):
+    # At |center| = 1 the node step at eps = 1e-16 is above 2^20 float spacings.
+    code, out = _run(["transference", "gaussian", "--symbol", "identity",
+                      "--eps-start", "1e-16", "--halvings", "0"], tmp_path, "gauss.csv")
+    assert code == 0
+    assert float(_load_csv(out)[1][3]) < 1e-8
+
+
+@pytest.mark.parametrize("eps", ["1e-20", "1e-28", "1e-34"])
+def test_transference_gaussian_unresolved_eps_is_refused(tmp_path, eps):
+    code, out = _run(["transference", "gaussian", "--symbol", "identity",
+                      "--eps-start", eps, "--halvings", "0"], tmp_path, "gauss.csv")
+    assert code == 2
+    assert not out.exists()
+
+
 def test_transference_gaussian_identity(tmp_path):
     code, out = _run(["transference", "gaussian", "--symbol", "identity",
                       "--j", "0,1", "--k", "0,1", "--eps-start", "1",
@@ -210,7 +236,7 @@ def test_nonfinite_input_is_refused(tmp_path, args):
     code, out = _run(args, tmp_path)
     assert code == 2
     assert not out.exists()
-    assert not (store / "extremizers.json").exists()
+    assert not list(store.glob("*.json"))
 
 
 @_OVERFLOW
@@ -226,11 +252,51 @@ def test_certify_refuses_overflowing_tables(tmp_path):
     assert not out.exists()
 
 
+def _corrupt_search_n2(store, corrupt_n):
+    (store / f"{store_key(4.0, 4.0, 0.0, corrupt_n, 'def2')}.json").write_text("{corrupt")
+    return main(["search-martingale", "--p", "4", "--n", "2",
+                 "--iters", "50", "--restarts", "2", "--store-dir", str(store)])
+
+
 def test_exit_code_store_error(tmp_path):
-    (tmp_path / "extremizers.json").write_text("{corrupt")
-    code = main(["search-martingale", "--p", "4", "--n", "2",
-                 "--iters", "50", "--restarts", "2", "--store-dir", str(tmp_path)])
+    # An N = 2 search first reads the N = 1 record for its warm start.
+    assert _corrupt_search_n2(tmp_path, 1) == 4
+
+
+def test_exit_code_store_error_on_write(tmp_path):
+    # It reads the N = 2 record to compare before it writes.
+    assert _corrupt_search_n2(tmp_path, 2) == 4
+
+
+def test_corrupt_key_fails_only_what_reads_it(tmp_path):
+    store = tmp_path / "store"
+    store.mkdir()
+    # A corrupt record for tau = 1 at N = 2; the search below uses tau = 0.
+    (store / f"{store_key(4.0, 4.0, 1.0, 2, 'def2')}.json").write_text("{corrupt")
+    search = ["search-martingale", "--p", "4", "--iters", "50", "--restarts", "2",
+              "--store-dir", str(store)]
+    assert _run(search + ["--n", "2"], tmp_path, "n2.json")[0] == 0
+    assert _run(search + ["--n", "3"], tmp_path, "n3.json")[0] == 0
+    assert lookup_store(store, 4.0, 4.0, 0.0, 3, "def2") is not None
+    assert _run(["norms", "--family", "beurling", "--p", "4", "--store-dir", str(store)],
+                tmp_path, "norms.csv")[0] == 4
+
+
+def test_old_single_file_store_is_refused(tmp_path):
+    store = tmp_path / "store"
+    for n in ("2", "3"):
+        assert main(["search-martingale", "--p", "4", "--n", n, "--iters", "50",
+                     "--restarts", "2", "--store-dir", str(store),
+                     "--out", str(tmp_path / "s.json")]) == 0
+    # The old layout: every record in one extremizers.json.
+    records = load_store(store)
+    for path in store.glob("*.json"):
+        path.unlink()
+    (store / "extremizers.json").write_text(json.dumps(records, sort_keys=True))
+    code, out = _run(["norms", "--family", "beurling", "--p", "4",
+                      "--store-dir", str(store)], tmp_path, "norms.csv")
     assert code == 4
+    assert not out.exists()
 
 
 def test_certify_warm_start_from_store(tmp_path):

@@ -12,7 +12,8 @@ import pytest
 
 import lpmult
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import MartingaleDifferenceSequence
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
+                               perturbed_ratio_exact)
 from lpmult.report import (CertReport, StoreError, load_store, lookup_store,
                            sequence_from_record, sequence_to_record,
                            store_key, update_store, verify_record)
@@ -79,12 +80,69 @@ def test_store_update_and_lookup(tmp_path):
     assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["seed"] == rec["seed"]
 
 
+def _key_file(store, rec):
+    return store / f"{store_key(rec['p'], rec['p0'], rec['tau'], rec['N'], rec['predicate'])}.json"
+
+
 def test_store_refuses_corrupt_file(tmp_path):
-    (tmp_path / "extremizers.json").write_text("{not json")
+    rec = _record()
+    _key_file(tmp_path, rec).write_text("{not json")
     with pytest.raises(StoreError):
         load_store(tmp_path)
     with pytest.raises(StoreError):
-        update_store(tmp_path, _record())
+        update_store(tmp_path, rec)
+    with pytest.raises(StoreError):
+        lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
+
+
+def test_corrupt_key_leaves_other_keys_working(tmp_path):
+    a, b = _record(), dict(_record(), predicate="cor7")
+    _key_file(tmp_path, b).write_text("{not json")
+    assert update_store(tmp_path, a)
+    assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["ratio"] == a["ratio"]
+    with pytest.raises(StoreError):
+        lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
+
+
+def test_store_writes_one_file_per_key(tmp_path):
+    # N = 2 and N = 3 records of the same (p, p0, tau, predicate).
+    rec2 = _record()
+    seq3 = MartingaleDifferenceSequence((np.ones((2, 1)), np.full((2, 2, 1), 0.5),
+                                         np.full((2, 2, 2, 1), 0.25)))
+    exps = ExponentConfig(4.0)
+    ratio3 = perturbed_ratio_exact(seq3, TransformConfig((-1, 1, -1), 1.0), exps)
+    rec3 = sequence_to_record(seq3, (-1, 1, -1), 1.0, exps, ratio3, 0, "def2")
+    assert update_store(tmp_path, rec2)
+    path2 = _key_file(tmp_path, rec2)
+    key2 = path2.stem
+    # The file holds {key: record} in the C encoder's sort_keys form.
+    assert path2.read_text() == json.dumps({key2: rec2}, sort_keys=True) + "\n"
+    before = (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns)
+    time.sleep(0.01)
+    assert update_store(tmp_path, rec3)
+    assert (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns) == before
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
+        [path2.name, _key_file(tmp_path, rec3).name])
+    assert load_store(tmp_path) == {key2: rec2, _key_file(tmp_path, rec3).stem: rec3}
+
+
+def test_store_refuses_file_not_holding_its_own_key(tmp_path):
+    rec = _record()
+    key = store_key(4.0, 4.0, 1.0, 2, "def2")
+    other = store_key(4.0, 4.0, 1.0, 3, "def2")
+    # A record under a key other than the file's name.
+    (tmp_path / f"{key}.json").write_text(json.dumps({other: rec}))
+    with pytest.raises(StoreError):
+        load_store(tmp_path)
+    with pytest.raises(StoreError):
+        lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
+    # Two records in one file, as the old single-file store held them.
+    for name in (key, "extremizers"):
+        for path in tmp_path.glob("*.json"):
+            path.unlink()
+        (tmp_path / f"{name}.json").write_text(json.dumps({key: rec, other: rec}))
+        with pytest.raises(StoreError):
+            load_store(tmp_path)
 
 
 def test_store_key_distinguishes_parameters():
