@@ -1,12 +1,14 @@
 """Command-line front end: searches, certifications, sweeps, and reports.
 
-`certify` reports one number: the enumerated martingale ratio, certified
-by the two axis-sign premises that `witness` checks.  Exit codes: 0
-success, 2 invalid configuration (a non-finite number included), 3
-cross-check failure (a failed certificate premise, or a bound above the
-report's target), 4 store error.  All randomness flows from the single
---seed flag through numpy's PCG64 generator, so identical flags reproduce
-identical numbers.
+`search-martingale` and `certify` run one pipeline: take a martingale (the
+--martingale file, else the store record at depth N, else a search
+warm-started from depth N - 1; `search-martingale` always searches), certify
+it by the factored certificate in `witness`, build the report, and only then
+store a searched martingale.  Exit codes: 0 success, 2 invalid configuration
+(a non-finite number included), 3 cross-check failure (a failed certificate
+premise, or a bound above the report's target), 4 store error.  All
+randomness flows from the single --seed flag through numpy's PCG64
+generator, so identical flags reproduce identical numbers.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--store-dir", type=Path, default=Path("lpmult-store"))
     p.add_argument("--predicate", choices=["def2", "cor7"], default="def2")
+    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--iters", type=int, default=600)
+    p.add_argument("--wall-cap", type=float, default=60.0)
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -69,46 +74,6 @@ def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
             fh.close()
 
 
-def _target_for(exps: ExponentConfig, tau: float, predicate: str) -> float | None:
-    return target_constant(OperatorFamilyParam("beurling"), exps, tau, predicate).c_tau
-
-
-def cmd_search_martingale(args) -> int:
-    exps = ExponentConfig(args.p, args.p0)
-    budget = SearchBudget(restarts=args.restarts, iters=args.iters,
-                          seed=args.seed, wall_cap_s=args.wall_cap)
-    warm = None
-    if args.store_dir is not None and args.n > 1:
-        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau,
-                           args.n - 1, args.predicate)
-        if rec is not None:
-            seq, beta = sequence_from_record(rec)
-            warm = SearchResult(seq, beta, rec["ratio"])
-
-    t0 = time.monotonic()
-    res = search_extremal(exps, args.tau, args.n, budget, warm_start=warm)
-    wall = time.monotonic() - t0
-
-    rec = sequence_to_record(res.sequence, res.beta, args.tau, exps,
-                             res.ratio, args.seed, args.predicate)
-    if args.store_dir is not None:
-        update_store(args.store_dir, rec)
-
-    report = CertReport(
-        family="martingale", params={}, p=exps.p, p0=exps.p0, tau=args.tau,
-        N=args.n, G=0, achieved_ratio=res.ratio,
-        certified_lower_bound=res.ratio,
-        target_constant=_target_for(exps, args.tau, args.predicate),
-        predicate=args.predicate, external_assumption=False, seed=args.seed,
-        budget={"restarts": args.restarts, "iters": args.iters,
-                "wall_cap_s": args.wall_cap},
-        wall_time_s=wall,
-        notes={"beta": list(res.beta), "stopped_by": res.stopped_by},
-    )
-    _write_json(args.out, report.to_dict())
-    return EXIT_OK
-
-
 _CERTIFY_FAMILIES = ("beurling-real", "beurling-imag", "rotated", "vector",
                      "beurling-matrix")
 
@@ -126,24 +91,31 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
     return 1, 0.0
 
 
-def _load_or_search_martingale(args, exps):
-    """(sequence, beta, source, stopped_by); stopped_by is None unless searched."""
+def _martingale(args, exps):
+    """(sequence, beta, source, search result or None) from the --martingale file,
+    the store record at depth N (certify only), or a search warm-started from N - 1."""
     if args.martingale is not None:
         rec = json.loads(Path(args.martingale).read_text())
-        seq, beta = sequence_from_record(rec)
-        return seq, beta, "file", None
-    rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n,
-                       args.predicate)
-    if rec is not None:
-        seq, beta = sequence_from_record(rec)
-        return seq, beta, "store", None
+        return *sequence_from_record(rec), "file", None
+    if args.family != "martingale":
+        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n,
+                           args.predicate)
+        if rec is not None:
+            return *sequence_from_record(rec), "store", None
     budget = SearchBudget(restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap)
-    res = search_extremal(exps, args.tau, args.n, budget)
-    return res.sequence, res.beta, "search", res.stopped_by
+    warm = None
+    if args.n > 1:
+        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n - 1,
+                           args.predicate)
+        if rec is not None:
+            warm = SearchResult(*sequence_from_record(rec), rec["ratio"])
+    res = search_extremal(exps, args.tau, args.n, budget, warm_start=warm)
+    return res.sequence, res.beta, "search", res
 
 
 def cmd_certify(args) -> int:
+    """Martingale, factored certificate, report; then store a searched martingale."""
     exps = ExponentConfig(args.p, args.p0)
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
@@ -151,8 +123,7 @@ def cmd_certify(args) -> int:
     sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()
-    seq, beta, source, stopped_by = _load_or_search_martingale(args, exps)
-
+    seq, beta, source, res = _martingale(args, exps)
     ws = WitnessSpec(exps=exps, tau=args.tau, symbol=symbol, sequence=seq, beta=beta)
     build = build_matrix_witness if symbol.shape == "matrix" else build_witness
     ratio = build(ws)
@@ -167,8 +138,8 @@ def cmd_certify(args) -> int:
         "beta": list(beta),
         "symbol_convention": "displayed quotient (xi2^2-xi1^2+2i xi1 xi2)/|xi|^2",
     }
-    if stopped_by is not None:
-        notes["stopped_by"] = stopped_by
+    if res is not None:
+        notes["stopped_by"] = res.stopped_by
 
     report = CertReport(
         family=args.family,
@@ -176,13 +147,17 @@ def cmd_certify(args) -> int:
         p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=ws.G,
         achieved_ratio=ratio,
         certified_lower_bound=ratio,
-        target_constant=_target_for(exps, args.tau, args.predicate),
+        target_constant=target_constant(OperatorFamilyParam("beurling"), exps,
+                                        args.tau, args.predicate).c_tau,
         predicate=args.predicate, external_assumption=False, seed=args.seed,
         budget={"restarts": args.restarts, "iters": args.iters,
                 "wall_cap_s": args.wall_cap},
         wall_time_s=wall,
         notes=notes,
     )
+    if res is not None:
+        update_store(args.store_dir, sequence_to_record(
+            seq, beta, args.tau, exps, ratio, args.seed, args.predicate))
     _write_json(args.out, report.to_dict())
     return EXIT_OK
 
@@ -295,13 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sm = sub.add_parser("search-martingale",
-                        help="search for extremal martingale difference sequences")
+                        help="search for an extremal martingale, certify it through Re B "
+                             "and store it")
     _add_common(sm)
     sm.add_argument("--n", type=int, required=True)
-    sm.add_argument("--restarts", type=int, default=16)
-    sm.add_argument("--iters", type=int, default=600)
-    sm.add_argument("--wall-cap", type=float, default=60.0)
-    sm.set_defaults(func=cmd_search_martingale)
+    sm.set_defaults(func=cmd_certify, family="martingale", theta=0.0, martingale=None)
 
     ct = sub.add_parser("certify", help="build a witness and certify a lower bound")
     ct.add_argument("family", choices=_CERTIFY_FAMILIES)
@@ -309,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--n", type=int, default=2)
     ct.add_argument("--theta", type=float, default=0.0)
     ct.add_argument("--martingale", type=Path, default=None)
-    ct.add_argument("--restarts", type=int, default=16)
-    ct.add_argument("--iters", type=int, default=600)
-    ct.add_argument("--wall-cap", type=float, default=60.0)
     ct.set_defaults(func=cmd_certify)
 
     tr = sub.add_parser("transference", help="Gaussian pairing / deviation / shear sweeps")

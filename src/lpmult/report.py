@@ -4,7 +4,8 @@ Reports and store records are plain JSON with complex numbers as [re, im]
 pairs.  The store is a directory with one file per key,
 <store>/<store_key(...)>.json holding {key: record}, so a write or a lookup
 touches one record; a file that does not hold exactly one record under the
-key its name gives (such as an old single-file extremizers.json) is refused.
+key its name gives (such as an old single-file extremizers.json), or whose
+record lacks a field the readers take, is refused.
 Store updates are atomic (write to a temp file, then rename) and serialized
 by a lock file, and a new record replaces an old one only if its re-verified
 ratio is strictly larger by 1e-12.
@@ -31,6 +32,10 @@ __all__ = ["CertReport", "CrossCheckError", "StoreError", "store_key", "load_sto
 TOOLKIT_VERSION = "0.1.0"
 
 IMPROVEMENT_MARGIN = 1e-12
+
+# The fields the store's readers take from every record.
+_RECORD_FIELDS = frozenset({"p", "p0", "tau", "N", "m", "tables", "beta", "ratio",
+                            "predicate"})
 
 
 class StoreError(RuntimeError):
@@ -101,6 +106,9 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
 
 
 def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple[int, ...]]:
+    if not (isinstance(rec, dict) and {"m", "tables", "beta"} <= rec.keys()):
+        raise ValueError("a martingale record is a JSON object with the fields "
+                         "m, tables and beta")
     m = int(rec["m"])
     tables = []
     for k, pairs in enumerate(rec["tables"], start=1):
@@ -148,9 +156,11 @@ def _read_record(path: Path) -> dict | None:
     except (OSError, ValueError) as exc:
         raise StoreError(f"extremizer store file {path} is unreadable: {exc}") from exc
     if not (isinstance(data, dict) and list(data) == [path.stem]
-            and isinstance(data[path.stem], dict)):
+            and isinstance(data[path.stem], dict)
+            and _RECORD_FIELDS <= data[path.stem].keys()):
         raise StoreError(f"extremizer store file {path} does not hold exactly one "
-                         f"record under the key {path.stem!r}")
+                         f"record, with the fields {sorted(_RECORD_FIELDS)}, under "
+                         f"the key {path.stem!r}")
     return data[path.stem]
 
 

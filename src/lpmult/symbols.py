@@ -36,13 +36,6 @@ class MultiplierSymbol:
         if self.d < 1 or self.m < 1:
             raise ValueError("d and m must be positive")
 
-    def _value_shape(self) -> tuple[int, ...]:
-        if self.shape == "scalar":
-            return ()
-        if self.shape == "vector":
-            return (self.m,)
-        return (self.m, self.m)
-
     def evaluate(self, xi) -> np.ndarray:
         """Evaluate at frequencies of shape (..., d); zeros map to zero unless total."""
         xi = np.asarray(xi, dtype=float)

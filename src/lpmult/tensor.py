@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 POINT_CAP = 2**24
+_P2_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,23 +188,20 @@ def shear_norm_check(summands, N: int, p: float, eta_cells=None) -> ShearCheck:
     return ShearCheck(lhs=lhs, rhs=rhs, aligned=aligned)
 
 
-def p2_lift_bound_check(phis, M: MultiplierSymbol, blocks=None,
-                      tol: float = 1e-10) -> tuple[float, float]:
-    """Exact p = 2 form of the tensor-lift inequality.
+def p2_lift_bound_check(phis, M: MultiplierSymbol) -> tuple[float, float]:
+    """Exact p = 2 form of the tensor-lift inequality, phi_k lifted in block k.
 
     Returns (||sum_k T^k phi_k||_2, ||M||_{2->2} * ||sum_k phi_k||_2) and
-    asserts lhs <= rhs + tol; the p = 2 operator norm is closed form, so
+    asserts lhs <= rhs + 1e-10; the p = 2 operator norm is closed form, so
     this inequality is checkable without any search.
     """
-    if blocks is None:
-        blocks = list(range(len(phis)))
     f0 = phis[0]
-    lifted = [tensor_lift_apply(phi, M, k) for phi, k in zip(phis, blocks)]
+    lifted = [tensor_lift_apply(phi, M, k) for k, phi in enumerate(phis)]
     lhs = TensorGridFunction(f0.grid, f0.J,
                              sum(t.values for t in lifted)).lp_norm(2.0)
     norm = l2_operator_norm(M, f0.grid.G)
     rhs = norm * TensorGridFunction(f0.grid, f0.J,
                                     sum(f.values for f in phis)).lp_norm(2.0)
-    if lhs > rhs + tol:
-        raise AssertionError(f"tensor-lift bound violated: {lhs} > {rhs} + {tol}")
+    if lhs > rhs + _P2_TOL:
+        raise AssertionError(f"tensor-lift bound violated: {lhs} > {rhs} + {_P2_TOL}")
     return lhs, rhs

@@ -27,13 +27,12 @@ _HALF_NODES = 32
 
 @dataclass(frozen=True)
 class GaussianPairingConfig:
-    """Inputs for the damped pairing of exp(2pi i (j,x)) against exp(2pi i (k,x)) b."""
+    """Inputs for the damped pairing of exp(2pi i (j,x)) against exp(2pi i (k,x))."""
 
     d: int
     j: tuple
     k: tuple
     eps: float
-    b: tuple = (1.0,)
     p0: float = 2.0
 
     def __post_init__(self):
@@ -43,7 +42,6 @@ class GaussianPairingConfig:
             raise ValueError(f"frequencies must have length d={self.d}")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if not (math.isfinite(self.p0) and self.p0 > 1):
@@ -57,27 +55,24 @@ class GaussianPairingConfig:
 def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> complex:
     """eps^{d/2} integral of (T_M(P L_{eps/p0}), Q L_{eps/q0}) over R^d.
 
-    P = exp(2 pi i (j, x)), Q = exp(2 pi i (k, x)) b, L_a(x) = exp(-pi a |x|^2).
+    P = exp(2 pi i (j, x)), Q = exp(2 pi i (k, x)), L_a(x) = exp(-pi a |x|^2).
     T_M acts through the closed-form Gaussian spectrum of P L_{eps/p0}, and
     the x-integral collapses in closed form, leaving a single trapezoidal
-    frequency quadrature of (M(xi), b) against the Gaussian window
+    frequency quadrature of M(xi) against the Gaussian window
 
         (p0 q0 / eps)^{d/2} exp(-pi (p0 |xi - j|^2 + q0 |xi - k|^2) / eps),
 
     whose total mass is exp(-pi |j - k|^2 / eps) since 1/p0 + 1/q0 = 1.
-    As eps -> 0 the value converges to (M(j), b) delta_{jk}.  A value out
-    of floating-point range raises FloatingPointError, and an eps whose node
-    step does not resolve at the center raises ValueError.
+    As eps -> 0 the value converges to M(j) delta_{jk}.  M must be scalar:
+    a C^m-valued symbol paired against b is the scalar symbol
+    sum_i conj(b_i) M_i.  A value out of floating-point range raises
+    FloatingPointError, and an eps whose node step does not resolve at the
+    center raises ValueError.
     """
     if M.d != cfg.d:
         raise ValueError(f"symbol dimension {M.d} != config dimension {cfg.d}")
-    if M.shape == "matrix":
-        raise ValueError("pairing is defined for scalar and vector symbols")
-    b = np.asarray(cfg.b, dtype=complex)
-    if M.shape == "vector" and b.shape != (M.m,):
-        raise ValueError(f"b must have length {M.m} for this symbol")
-    if M.shape == "scalar" and b.shape != (1,):
-        raise ValueError("scalar pairing takes a single component b")
+    if M.shape != "scalar":
+        raise ValueError(f"the pairing takes a scalar symbol, got a {M.shape} one")
 
     p0, q0, eps, d = cfg.p0, cfg.q0, cfg.eps, cfg.d
     s = p0 + q0
@@ -99,11 +94,7 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
     weight = np.exp(-math.pi * (p0 * np.sum(diff_j**2, axis=-1)
                                 + q0 * np.sum(diff_k**2, axis=-1)) / eps)
 
-    vals = M.evaluate(xi)
-    if M.shape == "scalar":
-        integrand = vals * np.conj(b[0]) * weight
-    else:
-        integrand = np.einsum("...i,i->...", vals, np.conj(b)) * weight
+    integrand = M.evaluate(xi) * weight
 
     # Trapezoid weights: 1/2 at the box faces.
     for ax in range(d):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,10 +318,76 @@ def test_certify_warm_start_from_store(tmp_path):
 def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
     # A target below the certified bound trips the CertReport invariant,
     # which is a cross-check failure, not a configuration error.
-    monkeypatch.setattr("lpmult.cli._target_for", lambda *args: 1.0)
+    monkeypatch.setattr("lpmult.cli.target_constant",
+                        lambda *args: SimpleNamespace(c_tau=1.0))
+    store = tmp_path / "store"
     code, _ = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "2",
-                    "--store-dir", str(tmp_path / "store")], tmp_path)
+                    "--store-dir", str(store)], tmp_path)
     assert code == 3
+    assert not list(store.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", [["search-martingale"], ["certify", "beurling-real"]])
+def test_p0_above_p_is_refused(tmp_path, command):
+    # The witness transference needs p0 <= p, for a searched martingale too.
+    store = tmp_path / "store"
+    code, out = _run([*command, "--p", "4", "--p0", "8", "--n", "2", "--iters", "30",
+                      "--restarts", "2", "--store-dir", str(store)], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert not list(store.glob("*.json"))
+
+
+def test_certify_search_warm_starts_and_stores(tmp_path):
+    store = tmp_path / "store"
+    flags = ["--p", "4", "--tau", "0.5", "--iters", "40", "--restarts", "2",
+             "--store-dir", str(store)]
+    code, out = _run(["search-martingale", *flags, "--n", "2"], tmp_path, "n2.json")
+    assert code == 0
+    n2 = json.loads(out.read_text())["achieved_ratio"]
+    certify = ["certify", "beurling-real", *flags, "--n", "3"]
+    code, out = _run(certify, tmp_path, "n3.json")
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["notes"]["martingale_source"] == "search"
+    assert rep["certified_lower_bound"] >= n2 - 1e-12
+    rec = lookup_store(store, 4.0, 4.0, 0.5, 3, "def2")
+    assert rec["ratio"] == rep["certified_lower_bound"]
+    code, out = _run(certify, tmp_path, "again.json")
+    assert code == 0
+    again = json.loads(out.read_text())
+    assert again["notes"]["martingale_source"] == "store"
+    assert again["certified_lower_bound"] == rep["certified_lower_bound"]
+
+
+@pytest.mark.parametrize("payload", [{"tables": []}, [1, 2]], ids=["missing-m", "list"])
+def test_malformed_martingale_file_is_refused(tmp_path, payload):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--n", "2",
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["search-martingale", "--n", "3", "--iters", "30", "--restarts", "2"],
+                 id="warm-start"),
+    pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
+    pytest.param(["norms", "--family", "beurling"], id="norms"),
+])
+def test_store_record_missing_field_exits_store_error(tmp_path, command):
+    seq = MartingaleDifferenceSequence.scalar([np.ones(2), np.ones((2, 2))])
+    rec = sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0, "def2")
+    del rec["ratio"]
+    store = tmp_path / "store"
+    store.mkdir()
+    key = store_key(4.0, 4.0, 0.0, 2, "def2")
+    (store / f"{key}.json").write_text(json.dumps({key: rec}))
+    code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
+    assert code == 4
+    assert not out.exists()
 
 
 def test_certify_wall_time_covers_search(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from lpmult.catalog import beurling_real, identity_symbol, vector_perturbation
+from lpmult.catalog import (beurling_matrix, beurling_real, identity_symbol,
+                            vector_perturbation)
 from lpmult.transference import (GaussianPairingConfig, gaussian_damped_pairing,
                                  multiplier_deviation)
 
@@ -47,14 +48,12 @@ def test_mr_pairing_converges_to_symbol_value():
     assert all(a >= b for a, b in zip(errors[3:], errors[4:]))
 
 
-def test_vector_symbol_pairing():
-    sym = vector_perturbation(beurling_real(), 0.5)
-    cfg = GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=2.0**-8, b=(1.0, 0.0))
-    val = gaussian_damped_pairing(cfg, sym)
-    assert val == pytest.approx(1.0, abs=1e-2)
-    with pytest.raises(ValueError):
-        gaussian_damped_pairing(
-            GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1, b=(1.0,)), sym)
+def test_non_scalar_symbol_pairing_is_refused():
+    # A C^m-valued symbol paired against b is the scalar symbol sum_i conj(b_i) M_i.
+    cfg = GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1)
+    for sym in (vector_perturbation(beurling_real(), 0.5), beurling_matrix()):
+        with pytest.raises(ValueError):
+            gaussian_damped_pairing(cfg, sym)
 
 
 def test_mr_deviation_values():

@@ -181,6 +181,17 @@ def test_non_eigenfunction_sign_block_exits_crosscheck(monkeypatch, tmp_path):
         assert main(["certify", *family, *args]) == 3
 
 
+def test_non_eigenfunction_sign_block_refuses_search(monkeypatch, tmp_path):
+    # search-martingale is certified through Re B by the same axis signs.
+    _checkerboard_sign(monkeypatch)
+    store = tmp_path / "store"
+    assert main(["search-martingale", "--p", "4", "--n", "2", "--iters", "30",
+                 "--restarts", "2", "--store-dir", str(store),
+                 "--out", str(tmp_path / "out.json")]) == 3
+    assert not list(store.glob("*.json"))
+    assert not (tmp_path / "out.json").exists()
+
+
 def _torus_reference(ws):
     """The witness ratio evaluated on all G^(2(N+1)) torus points.
 
