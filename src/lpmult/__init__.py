@@ -16,9 +16,8 @@ from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
                       rotated, target_constant, tau_admissible,
                       vector_perturbation)
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
-                         SearchResult, TransformConfig, evaluate_sequence,
-                         extend_with_zero, perturbed_ratio_exact,
-                         search_extremal)
+                         SearchResult, TransformConfig, extend_with_zero,
+                         perturbed_ratio_exact, search_extremal)
 from .tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
                      shear_norm_check, tensor_lift_apply, p2_lift_bound_check)
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
@@ -35,7 +34,7 @@ __all__ = [
     "complex_vs_matrix_path", "family_symbol", "identity_symbol", "rotated",
     "target_constant", "tau_admissible", "vector_perturbation",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
-    "TransformConfig", "evaluate_sequence", "extend_with_zero",
+    "TransformConfig", "extend_with_zero",
     "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
     "shear_norm_check", "tensor_lift_apply", "p2_lift_bound_check",
     "GaussianPairingConfig", "gaussian_damped_pairing",

@@ -32,7 +32,7 @@ from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
                      update_store, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import WitnessSpec, build_matrix_witness, build_witness
+from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
 from .grid import TorusGrid
 
 EXIT_OK = 0
@@ -117,6 +117,7 @@ def _martingale(args, exps):
 def cmd_certify(args) -> int:
     """Martingale, factored certificate, report; then store a searched martingale."""
     exps = ExponentConfig(args.p, args.p0)
+    check_exponents(exps)
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()

@@ -9,9 +9,10 @@ enumerating all 2^(N+1) sign patterns with uniform weight.
 One realization serves the exact ratio and the search: `_realize` builds the
 values of B sequences on the hypercube by doubling, appending one sign
 coordinate per level (O(2^(N+1)) work), and the search gradient is reduced by
-the reverse halving.  `search_extremal` ascends consecutive starts together,
-each with its own step, and re-verifies every start through
-`perturbed_ratio_exact`.
+the reverse halving.  The exact ratio realizes F and G in one pass while
+their 2^(N+2) points fit in `_BATCH_POINTS`, and one after the other above.
+`search_extremal` ascends consecutive starts together, each with its own
+step, and re-verifies every start through `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "TransformConfig",
     "SearchBudget",
     "SearchResult",
-    "evaluate_sequence",
     "perturbed_ratio_exact",
     "extend_with_zero",
     "search_extremal",
@@ -40,15 +40,9 @@ __all__ = [
 
 ENUMERATION_CAP = 20
 
-# Sign-to-index convention: r = +1 maps to index 0, r = -1 to index 1.
-
-
-def _sign_index(r: int) -> int:
-    if r == 1:
-        return 0
-    if r == -1:
-        return 1
-    raise ValueError(f"signs must be +-1, got {r}")
+# Sequences realized together hold at most this many hypercube points; one
+# unbounded batch costs memory for no further speed.
+_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,6 @@ class MartingaleDifferenceSequence:
     @property
     def m(self) -> int:
         return self.tables[0].shape[-1]
-
-    def is_zero(self) -> bool:
-        return all(np.all(t == 0) for t in self.tables)
 
     @classmethod
     def scalar(cls, tables) -> "MartingaleDifferenceSequence":
@@ -119,27 +110,17 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
-def evaluate_sequence(F: MartingaleDifferenceSequence, omega) -> np.ndarray:
-    """F(omega) = sum_k d_k(omega_0, ..., omega_{k-1}) * omega_k, as a C^m vector."""
-    omega = tuple(int(w) for w in omega)
-    if len(omega) != F.N + 1:
-        raise ValueError(f"omega must have length {F.N + 1}, got {len(omega)}")
-    idx = tuple(_sign_index(w) for w in omega)
-    out = np.zeros(F.m, dtype=complex)
-    for k, table in enumerate(F.tables, start=1):
-        out += table[idx[:k]] * omega[k]
-    return out
-
-
 def _realize(tables, coef=None) -> np.ndarray:
     """Values of B sequences on the full sign hypercube, shape (B, 2^(N+1), m).
 
     tables[k-1] has shape (B, 2^k, m), its prefix axes flattened in C order.
     Point index bits run from r_0 (slowest) to r_N (fastest), bit 0 for +1,
     so each level appends r_k as the last coordinate: V <- (V + c, V - c).
-    With coef (shape (B, N)) given, the k-th term is flipped by coef[:, k-1].
+    With coef (shape (B, N)) given, the k-th term is flipped by coef[:, k-1],
+    and B is coef's: tables with one row then broadcast over the B rows.
     """
-    B, _, m = tables[0].shape
+    B = len(tables[0] if coef is None else coef)
+    m = tables[0].shape[-1]
     V = np.zeros((B, 2, m), dtype=complex)
     for k, table in enumerate(tables):
         c = table if coef is None else table * coef[:, k, None, None]
@@ -155,22 +136,25 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     """||(G_N, tau F_N)||_{p0} / ||F_N||_p by full enumeration.
 
     The pointwise magnitude of the pair is (||G||^2 + tau^2 ||F||^2)^(1/2).
-    A ratio out of floating-point range raises FloatingPointError.
+    A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a ratio
+    out of floating-point range raises FloatingPointError.
     """
     if F.N > ENUMERATION_CAP:
         raise ValueError(f"depth {F.N} exceeds enumeration cap {ENUMERATION_CAP}")
     if len(cfg.beta) != F.N:
         raise ValueError(f"beta must have length {F.N}")
-    if F.is_zero():
-        raise ZeroDivisionError("all difference tables are zero")
     tables = [t.reshape(1, -1, F.m) for t in F.tables]
-    n2 = np.sum(np.abs(_realize(tables)) ** 2, axis=-1)
-    Gv = _realize(tables, np.array([cfg.beta], dtype=float))
-    pair2 = np.sum(np.abs(Gv) ** 2, axis=-1) + cfg.tau**2 * n2
-    p, p0 = exps.p, exps.p0
-    num = np.mean(pair2 ** (p0 / 2.0)) ** (1.0 / p0)
-    den = np.mean(n2 ** (p / 2.0)) ** (1.0 / p)
-    ratio = float(num / den)
+    flips = np.array([(1,) * F.N, cfg.beta], dtype=float)
+    if 2 ** (F.N + 2) <= _BATCH_POINTS:
+        n2, g2 = (np.abs(_realize(tables, flips)) ** 2).sum(-1)
+    else:
+        n2, g2 = ((np.abs(_realize(tables, c)) ** 2).sum(-1)[0] for c in (None, flips[1:]))
+    P = n2.size
+    den = (n2 ** (exps.p / 2.0)).sum() / P
+    if not den > 0.0:
+        raise ZeroDivisionError("F_N has zero L^p norm")
+    num = ((g2 + cfg.tau**2 * n2) ** (exps.p0 / 2.0)).sum() / P
+    ratio = float(num ** (1.0 / exps.p0) / den ** (1.0 / exps.p))
     if not math.isfinite(ratio):
         raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
     return ratio
@@ -183,10 +167,6 @@ def extend_with_zero(F: MartingaleDifferenceSequence) -> MartingaleDifferenceSeq
 
 
 # --- extremal search -------------------------------------------------------
-
-# Starts ascended together hold at most this many hypercube points; one
-# unbounded batch costs memory for no further speed.
-_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True)

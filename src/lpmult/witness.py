@@ -36,7 +36,7 @@ from .report import CrossCheckError
 from .symbols import MultiplierSymbol
 from .tensor import TensorGridFunction, tensor_lift_apply
 
-__all__ = ["WitnessSpec", "build_witness", "build_matrix_witness"]
+__all__ = ["WitnessSpec", "build_witness", "build_matrix_witness", "check_exponents"]
 
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
@@ -95,10 +95,15 @@ def _check_axis_signs(ws: WitnessSpec) -> None:
                                       f"(error {err:.3g})")
 
 
+def check_exponents(exps: ExponentConfig) -> None:
+    """The witness transference needs p0 <= p; checked before any martingale is sought."""
+    if exps.p0 > exps.p:
+        raise ValueError("the witness transference requires p0 <= p")
+
+
 def _build(ws: WitnessSpec) -> float:
     """The factored certificate: the two axis signs, then the hypercube ratio."""
-    if ws.exps.p0 > ws.exps.p:
-        raise ValueError("the witness transference requires p0 <= p")
+    check_exponents(ws.exps)
     _check_axis_signs(ws)
     return perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
 

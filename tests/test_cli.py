@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,6 +254,21 @@ def test_certify_refuses_overflowing_tables(tmp_path):
     assert not out.exists()
 
 
+def test_certify_refuses_underflowing_tables(tmp_path, capsys):
+    # |d|^2 underflows to 0, so ||F_N||_p is zero: refused before dividing.
+    seq = MartingaleDifferenceSequence.scalar([np.full(2, 1e-170), np.full((2, 2), 1e-170)])
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
+                                                  0.0, 0, "def2")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
+                          "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert "zero L^p norm" in capsys.readouterr().err
+
+
 def _corrupt_search_n2(store, corrupt_n):
     (store / f"{store_key(4.0, 4.0, 0.0, corrupt_n, 'def2')}.json").write_text("{corrupt")
     return main(["search-martingale", "--p", "4", "--n", "2",
@@ -328,11 +344,16 @@ def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [["search-martingale"], ["certify", "beurling-real"]])
-def test_p0_above_p_is_refused(tmp_path, command):
-    # The witness transference needs p0 <= p, for a searched martingale too.
+def test_p0_above_p_is_refused(tmp_path, monkeypatch, command):
+    # The witness transference needs p0 <= p, for a searched martingale too,
+    # and the premise is refused before any search.
+    def no_search(*args, **kwargs):
+        raise AssertionError("search_extremal ran before p0 > p was refused")
+
+    monkeypatch.setattr("lpmult.cli.search_extremal", no_search)
     store = tmp_path / "store"
-    code, out = _run([*command, "--p", "4", "--p0", "8", "--n", "2", "--iters", "30",
-                      "--restarts", "2", "--store-dir", str(store)], tmp_path)
+    code, out = _run([*command, "--p", "4", "--p0", "8", "--n", "6",
+                      "--store-dir", str(store)], tmp_path)
     assert code == 2
     assert not out.exists()
     assert not list(store.glob("*.json"))

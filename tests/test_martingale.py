@@ -1,6 +1,8 @@
 """Exact enumeration of the perturbed martingale transform and the search."""
 
 import math
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,9 +10,30 @@ import pytest
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
-                               TransformConfig, _ratio_and_grad, evaluate_sequence,
+                               TransformConfig, _ratio_and_grad, _realize,
                                extend_with_zero, perturbed_ratio_exact,
                                search_extremal)
+
+
+def _sign_index(r):
+    """Sign-to-index convention: r = +1 maps to index 0, r = -1 to index 1."""
+    if r == 1:
+        return 0
+    if r == -1:
+        return 1
+    raise ValueError(f"signs must be +-1, got {r}")
+
+
+def evaluate_sequence(F, omega):
+    """F(omega) = sum_k d_k(omega_0, ..., omega_{k-1}) * omega_k, as a C^m vector."""
+    omega = tuple(int(w) for w in omega)
+    if len(omega) != F.N + 1:
+        raise ValueError(f"omega must have length {F.N + 1}, got {len(omega)}")
+    idx = tuple(_sign_index(w) for w in omega)
+    out = np.zeros(F.m, dtype=complex)
+    for k, table in enumerate(F.tables, start=1):
+        out += table[idx[:k]] * omega[k]
+    return out
 
 
 def _random_sequence(rng, N, m=1):
@@ -105,11 +128,53 @@ def test_ratio_input_validation():
     seq = _explicit_instance()
     with pytest.raises(ValueError):
         perturbed_ratio_exact(seq, TransformConfig((1,), 0.0), ExponentConfig(4.0))
-    zero = MartingaleDifferenceSequence((np.zeros((2, 1)),))
-    with pytest.raises(ZeroDivisionError):
-        perturbed_ratio_exact(zero, TransformConfig((1,), 0.0), ExponentConfig(4.0))
+    # 1e-170 is not zero, but its square underflows, so ||F_N||_p is 0.
+    for tiny in (0.0, 1e-170):
+        zero = MartingaleDifferenceSequence((np.full((2, 1), tiny),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroDivisionError):
+                perturbed_ratio_exact(zero, TransformConfig((1,), 0.0), ExponentConfig(4.0))
     with pytest.raises(ValueError):
         TransformConfig((2,), 0.0)
+
+
+def _two_pass_ratio(F, cfg, exps):
+    """The exact ratio with F and G realized one after the other and np.mean."""
+    tables = [t.reshape(1, -1, F.m) for t in F.tables]
+    n2 = np.sum(np.abs(_realize(tables)) ** 2, axis=-1)
+    Gv = _realize(tables, np.array([cfg.beta], dtype=float))
+    pair2 = np.sum(np.abs(Gv) ** 2, axis=-1) + cfg.tau**2 * n2
+    num = np.mean(pair2 ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
+    den = np.mean(n2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
+    return float(num / den)
+
+
+def _pointwise_ratio(F, cfg, exps):
+    """The exact ratio from F and G evaluated at each sign pattern."""
+    G = MartingaleDifferenceSequence(tuple(b * t for b, t in zip(cfg.beta, F.tables)))
+    omegas = list(product((1, -1), repeat=F.N + 1))
+    n2 = np.array([np.sum(np.abs(evaluate_sequence(F, w)) ** 2) for w in omegas])
+    g2 = np.array([np.sum(np.abs(evaluate_sequence(G, w)) ** 2) for w in omegas])
+    num = np.mean((g2 + cfg.tau**2 * n2) ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
+    den = np.mean(n2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
+    return num / den
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_fused_ratio_matches_two_pass_and_pointwise(N):
+    # N <= 10 realizes F and G in one pass, N = 11, 12 one after the other.
+    rng = np.random.default_rng(np.random.PCG64(500 + N))
+    for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
+        seq = _random_sequence(rng, N, m)
+        cfg = TransformConfig(tuple(int(b) for b in rng.choice([-1, 1], size=N)), tau)
+        for p0 in sorted({p, 1.2}):
+            exps = ExponentConfig(p, p0)
+            ratio = perturbed_ratio_exact(seq, cfg, exps)
+            assert ratio == _two_pass_ratio(seq, cfg, exps), (m, p, p0, tau)
+            if N <= 6:
+                ref = _pointwise_ratio(seq, cfg, exps)
+                assert abs(ratio - ref) <= 1e-13 * ref, (m, p, p0, tau)
 
 
 def test_search_p2_identity():
@@ -236,10 +301,14 @@ def test_batched_gradient_matches_reference(N, m, tau, p):
 def test_search_independent_of_batch(monkeypatch):
     budget = SearchBudget(restarts=4, iters=60, seed=13)
     exps = ExponentConfig(4.0)
-    results = []
+    results, ratios = [], []
     for points in (1, 2**20):
         monkeypatch.setattr(martingale, "_BATCH_POINTS", points)
         results.append(search_extremal(exps, 0.5, 5, budget))
+        ratios.append(perturbed_ratio_exact(
+            results[0].sequence, TransformConfig(results[0].beta, 0.5), exps))
     one, whole = results
     assert one.beta == whole.beta
     assert abs(one.ratio - whole.ratio) <= 1e-12
+    # F and G realized one after the other (points = 1) or in one pass.
+    assert ratios[0] == ratios[1]
