@@ -18,8 +18,7 @@ from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, TransformConfig, extend_with_zero,
                          perturbed_ratio_exact, search_extremal)
-from .tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
-                     shear_norm_check, tensor_lift_apply, p2_lift_bound_check)
+from .tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
 from .witness import WitnessSpec, build_matrix_witness, build_witness
@@ -28,15 +27,14 @@ from .report import CertReport, StoreError, TOOLKIT_VERSION
 __version__ = TOOLKIT_VERSION
 
 __all__ = [
-    "ExponentConfig", "TorusGrid", "MultiplierSymbol", "l2_operator_norm",
-    "operator_ratio", "OperatorFamilyParam", "TargetConstants", "beurling",
-    "beurling_imag", "beurling_matrix", "beurling_real",
+    "ExponentConfig", "TorusGrid", "MultiplierSymbol", "OperatorFamilyParam",
+    "TargetConstants", "beurling", "beurling_imag", "beurling_matrix", "beurling_real",
     "complex_vs_matrix_path", "family_symbol", "identity_symbol", "rotated",
     "target_constant", "tau_admissible", "vector_perturbation",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
     "TransformConfig", "extend_with_zero",
     "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
-    "shear_norm_check", "tensor_lift_apply", "p2_lift_bound_check",
+    "shear_norm_check", "tensor_lift_apply",
     "GaussianPairingConfig", "gaussian_damped_pairing",
     "multiplier_deviation", "WitnessSpec",
     "build_matrix_witness", "build_witness",

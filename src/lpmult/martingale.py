@@ -9,8 +9,10 @@ enumerating all 2^(N+1) sign patterns with uniform weight.
 One realization serves the exact ratio and the search: `_realize` builds the
 values of B sequences on the hypercube by doubling, appending one sign
 coordinate per level (O(2^(N+1)) work), and the search gradient is reduced by
-the reverse halving.  The exact ratio realizes F and G in one pass while
-their 2^(N+2) points fit in `_BATCH_POINTS`, and one after the other above.
+the reverse halving.  The exact ratio realizes F and G together in blocks of
+at most `_BLOCK_POINTS` points: the leading sign coordinates are fixed once,
+each block continues from one of their values, and the per-block sums are
+added in the balanced tree of numpy's pairwise sum over the whole hypercube.
 `search_extremal` ascends consecutive starts together, each with its own
 step, and re-verifies every start through `perturbed_ratio_exact`.
 """
@@ -40,8 +42,13 @@ __all__ = [
 
 ENUMERATION_CAP = 20
 
-# Sequences realized together hold at most this many hypercube points; one
-# unbounded batch costs memory for no further speed.
+# The exact ratio realizes F and G together in blocks of this many hypercube
+# points (a power of two, at least 256), so that every doubling pass stays in
+# cache; N <= 14 is one block.
+_BLOCK_POINTS = 2**16
+
+# The search ascends consecutive starts together while they hold at most this
+# many hypercube points; one unbounded batch costs memory for no further speed.
 _BATCH_POINTS = 4096
 
 
@@ -93,8 +100,8 @@ class TransformConfig:
         beta = tuple(int(b) for b in self.beta)
         if any(b not in (-1, 1) for b in beta):
             raise ValueError("beta entries must be +-1")
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
+        if not math.isfinite(self.tau * self.tau):
+            raise ValueError(f"tau must be finite with a finite square, got {self.tau}")
         object.__setattr__(self, "beta", beta)
 
 
@@ -110,7 +117,7 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
-def _realize(tables, coef=None) -> np.ndarray:
+def _realize(tables, coef=None, start=None) -> np.ndarray:
     """Values of B sequences on the full sign hypercube, shape (B, 2^(N+1), m).
 
     tables[k-1] has shape (B, 2^k, m), its prefix axes flattened in C order.
@@ -118,10 +125,14 @@ def _realize(tables, coef=None) -> np.ndarray:
     so each level appends r_k as the last coordinate: V <- (V + c, V - c).
     With coef (shape (B, N)) given, the k-th term is flipped by coef[:, k-1],
     and B is coef's: tables with one row then broadcast over the B rows.
+    With start (B, P0, m) given, the doubling continues from those values on
+    P0 points instead of from zero on the two values of r_0.
     """
-    B = len(tables[0] if coef is None else coef)
-    m = tables[0].shape[-1]
-    V = np.zeros((B, 2, m), dtype=complex)
+    V = start
+    if V is None:
+        V = np.zeros((len(tables[0] if coef is None else coef), 2, tables[0].shape[-1]),
+                     dtype=complex)
+    B, _, m = V.shape
     for k, table in enumerate(tables):
         c = table if coef is None else table * coef[:, k, None, None]
         new = np.empty((B, V.shape[1], 2, m), dtype=complex)
@@ -131,6 +142,13 @@ def _realize(tables, coef=None) -> np.ndarray:
     return V
 
 
+def _tree_sum(xs):
+    """Sum of 2^j numbers, added pairwise in a balanced tree."""
+    while len(xs) > 1:
+        xs = [a + b for a, b in zip(xs[0::2], xs[1::2])]
+    return xs[0]
+
+
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
                           exps: ExponentConfig) -> float:
     """||(G_N, tau F_N)||_{p0} / ||F_N||_p by full enumeration.
@@ -138,23 +156,46 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     The pointwise magnitude of the pair is (||G||^2 + tau^2 ||F||^2)^(1/2).
     A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a ratio
     out of floating-point range raises FloatingPointError.
+
+    F and G are realized together, one block of the hypercube at a time: the
+    leading j sign coordinates are realized once, and block b continues from
+    their b-th value through the slices of levels j..N that it indexes.
+    numpy sums a contiguous array pairwise, splitting it exactly at its halves
+    down to 128 elements, so per-block sums (at least 128 points a row) added
+    in a balanced tree give the whole-hypercube sums bit for bit.
     """
-    if F.N > ENUMERATION_CAP:
-        raise ValueError(f"depth {F.N} exceeds enumeration cap {ENUMERATION_CAP}")
-    if len(cfg.beta) != F.N:
-        raise ValueError(f"beta must have length {F.N}")
-    tables = [t.reshape(1, -1, F.m) for t in F.tables]
-    flips = np.array([(1,) * F.N, cfg.beta], dtype=float)
-    if 2 ** (F.N + 2) <= _BATCH_POINTS:
-        n2, g2 = (np.abs(_realize(tables, flips)) ** 2).sum(-1)
+    N, m = F.N, F.m
+    if N > ENUMERATION_CAP:
+        raise ValueError(f"depth {N} exceeds enumeration cap {ENUMERATION_CAP}")
+    if len(cfg.beta) != N:
+        raise ValueError(f"beta must have length {N}")
+    tables = [t.reshape(1, -1, m) for t in F.tables]
+    # Complex flips spare a cast in every table product; a product by +-1 is exact.
+    flips = np.array([(1,) * N, cfg.beta], dtype=complex)
+    blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
+    if blocks == 1:
+        parts = [_realize(tables, flips)]
     else:
-        n2, g2 = ((np.abs(_realize(tables, c)) ** 2).sum(-1)[0] for c in (None, flips[1:]))
-    P = n2.size
-    den = (n2 ** (exps.p / 2.0)).sum() / P
-    if not den > 0.0:
-        raise ZeroDivisionError("F_N has zero L^p norm")
-    num = ((g2 + cfg.tau**2 * n2) ** (exps.p0 / 2.0)).sum() / P
-    ratio = float(num ** (1.0 / exps.p0) / den ** (1.0 / exps.p))
+        j = blocks.bit_length() - 1
+        heads = _realize(tables[:j - 1], flips, np.zeros((2, 2, m), dtype=complex))
+        parts = (_realize([t[:, b << (k - j):(b + 1) << (k - j)]
+                           for k, t in enumerate(tables[j - 1:], start=j)],
+                          flips[:, j - 1:], heads[:, b:b + 1]) for b in range(blocks))
+    p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
+    dens, nums = [], []
+    # Overflowing squares become inf or NaN here and are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for V in parts:
+            s = np.abs(V) ** 2
+            s = s.sum(-1) if m > 1 else s[..., 0]  # the sum of one square is that square
+            n2, g2 = s[0], s[1]
+            dens.append((n2 ** p2).sum())
+            nums.append(((g2 + tau2 * n2) ** p02).sum())
+            del V, s, n2, g2  # one block at a time in memory
+        den = _tree_sum(dens) / P
+        if not den > 0.0:
+            raise ZeroDivisionError("F_N has zero L^p norm")
+        ratio = float((_tree_sum(nums) / P) ** (1.0 / exps.p0) / den ** (1.0 / exps.p))
     if not math.isfinite(ratio):
         raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
     return ratio
@@ -302,8 +343,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     """
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
+    if not math.isfinite(tau * tau):
+        raise ValueError(f"tau must be finite with a finite square, got {tau}")
     p, p0 = exps.p, exps.p0
 
     if abs(p - 2.0) < 1e-12 and abs(p0 - 2.0) < 1e-12:

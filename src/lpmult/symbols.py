@@ -51,12 +51,3 @@ class MultiplierSymbol:
         mask = zero.reshape(zero.shape + (1,) * extra)
         return np.where(mask, 0.0, out)
 
-    def pointwise_operator_norm(self, xi) -> np.ndarray:
-        """|value|, Euclidean length, or largest singular value, per shape."""
-        vals = self.evaluate(xi)
-        if self.shape == "scalar":
-            return np.abs(vals)
-        if self.shape == "vector":
-            return np.linalg.norm(vals, axis=-1)
-        return np.linalg.norm(vals, ord=2, axis=(-2, -1))
-

@@ -12,22 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentConfig
 from .grid import TorusGrid, coefficients, from_coefficients
 from .symbols import MultiplierSymbol
 
 __all__ = [
     "TensorGridFunction",
     "tensor_lift_apply",
-    "operator_ratio",
-    "l2_operator_norm",
     "shear_norm_check",
-    "p2_lift_bound_check",
     "POINT_CAP",
 ]
 
 POINT_CAP = 2**24
-_P2_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,20 +100,6 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
     return TensorGridFunction(grid, J, out[..., 0] if M.shape == "scalar" else out)
 
 
-def operator_ratio(f: TensorGridFunction, M: MultiplierSymbol, exps: ExponentConfig) -> float:
-    """||T_M f||_{p0} / ||f||_p on the grid, with M acting in block 0."""
-    den = f.lp_norm(exps.p)
-    if den == 0.0:
-        raise ZeroDivisionError("input function has zero Lp norm")
-    return tensor_lift_apply(f, M, 0).lp_norm(exps.p0) / den
-
-
-def l2_operator_norm(M: MultiplierSymbol, G: int) -> float:
-    """Exact L2 -> L2 norm: max pointwise operator norm over [-G/2, G/2)^d."""
-    grid = TorusGrid(M.d, G)
-    return float(np.max(M.pointwise_operator_norm(grid.frequency_mesh())))
-
-
 @dataclass(frozen=True)
 class ShearCheck:
     lhs: float        # eta-average of ||sum_k f^k_eta||_p^p
@@ -187,21 +168,3 @@ def shear_norm_check(summands, N: int, p: float, eta_cells=None) -> ShearCheck:
     lhs = acc / len(eta_cells)
     return ShearCheck(lhs=lhs, rhs=rhs, aligned=aligned)
 
-
-def p2_lift_bound_check(phis, M: MultiplierSymbol) -> tuple[float, float]:
-    """Exact p = 2 form of the tensor-lift inequality, phi_k lifted in block k.
-
-    Returns (||sum_k T^k phi_k||_2, ||M||_{2->2} * ||sum_k phi_k||_2) and
-    asserts lhs <= rhs + 1e-10; the p = 2 operator norm is closed form, so
-    this inequality is checkable without any search.
-    """
-    f0 = phis[0]
-    lifted = [tensor_lift_apply(phi, M, k) for k, phi in enumerate(phis)]
-    lhs = TensorGridFunction(f0.grid, f0.J,
-                             sum(t.values for t in lifted)).lp_norm(2.0)
-    norm = l2_operator_norm(M, f0.grid.G)
-    rhs = norm * TensorGridFunction(f0.grid, f0.J,
-                                    sum(f.values for f in phis)).lp_norm(2.0)
-    if lhs > rhs + _P2_TOL:
-        raise AssertionError(f"tensor-lift bound violated: {lhs} > {rhs} + {_P2_TOL}")
-    return lhs, rhs

@@ -215,13 +215,13 @@ _OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     pytest.param(["certify", "rotated", "--p", "4", "--theta", "nan", "--n", "2"],
                  id="certify-theta-nan"),
     pytest.param(["certify", "beurling-real", "--p", "4", "--tau", "1e200", "--n", "2"],
-                 id="certify-tau-1e200", marks=_OVERFLOW),
+                 id="certify-tau-1e200"),
     pytest.param(["search-martingale", "--p", "4", "--tau", "inf", "--n", "2"],
                  id="search-tau-inf"),
     pytest.param(["search-martingale", "--p", "4", "--tau", "nan", "--n", "2"],
                  id="search-tau-nan"),
     pytest.param(["search-martingale", "--p", "4", "--tau", "1e200", "--n", "2"],
-                 id="search-tau-1e200", marks=_OVERFLOW),
+                 id="search-tau-1e200"),
     pytest.param(["search-martingale", "--p", "4", "--n", "2", "--wall-cap", "nan"],
                  id="search-wall-cap-nan"),
     pytest.param(["transference", "shear", "--p", "nan"], id="shear-p-nan"),
@@ -231,7 +231,7 @@ _OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     pytest.param(["transference", "gaussian", "--eps-start", "1e-320"],
                  id="gaussian-eps-subnormal", marks=_OVERFLOW),
 ])
-def test_nonfinite_input_is_refused(tmp_path, args):
+def test_nonfinite_input_is_refused(tmp_path, args, capsys):
     store = tmp_path / "store"
     if args[0] != "transference":
         args = args + ["--store-dir", str(store)]
@@ -239,19 +239,26 @@ def test_nonfinite_input_is_refused(tmp_path, args):
     assert code == 2
     assert not out.exists()
     assert not list(store.glob("*.json"))
+    if "--tau" in args:
+        assert "tau" in capsys.readouterr().err
 
 
-@_OVERFLOW
-def test_certify_refuses_overflowing_tables(tmp_path):
-    # |d|^2 overflows to inf, so the enumerated ratio is inf / inf = NaN.
+def test_certify_refuses_overflowing_tables(tmp_path, capsys):
+    # |d|^2 overflows to inf, so the enumerated ratio is inf / inf = NaN,
+    # refused without a numpy warning.
     seq = MartingaleDifferenceSequence.scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
                                                   0.0, 0, "def2")))
-    code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
-                      "--store-dir", str(tmp_path / "store")], tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
+                          "--store-dir", str(tmp_path / "store")], tmp_path)
     assert code == 2
     assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "not finite" in err and "RuntimeWarning" not in err
 
 
 def test_certify_refuses_underflowing_tables(tmp_path, capsys):

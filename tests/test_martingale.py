@@ -1,6 +1,7 @@
 """Exact enumeration of the perturbed martingale transform and the search."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -162,19 +163,39 @@ def _pointwise_ratio(F, cfg, exps):
 
 
 @pytest.mark.parametrize("N", range(1, 13))
-def test_fused_ratio_matches_two_pass_and_pointwise(N):
-    # N <= 10 realizes F and G in one pass, N = 11, 12 one after the other.
-    rng = np.random.default_rng(np.random.PCG64(500 + N))
-    for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
-        seq = _random_sequence(rng, N, m)
-        cfg = TransformConfig(tuple(int(b) for b in rng.choice([-1, 1], size=N)), tau)
-        for p0 in sorted({p, 1.2}):
-            exps = ExponentConfig(p, p0)
-            ratio = perturbed_ratio_exact(seq, cfg, exps)
-            assert ratio == _two_pass_ratio(seq, cfg, exps), (m, p, p0, tau)
-            if N <= 6:
-                ref = _pointwise_ratio(seq, cfg, exps)
-                assert abs(ratio - ref) <= 1e-13 * ref, (m, p, p0, tau)
+def test_fused_ratio_matches_two_pass_and_pointwise(N, monkeypatch):
+    # The default block holds every N here; blocks of 2^8 points (128 a row)
+    # split N >= 7 into 2^(N-6) blocks whose sums must add up bit for bit.
+    for block_points in (martingale._BLOCK_POINTS, 2**8):
+        monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
+        rng = np.random.default_rng(np.random.PCG64(500 + N))
+        for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
+            seq = _random_sequence(rng, N, m)
+            cfg = TransformConfig(tuple(int(b) for b in rng.choice([-1, 1], size=N)), tau)
+            for p0 in sorted({p, 1.2}):
+                exps = ExponentConfig(p, p0)
+                ratio = perturbed_ratio_exact(seq, cfg, exps)
+                assert ratio == _two_pass_ratio(seq, cfg, exps), (block_points, m, p, p0, tau)
+                if N <= 6:
+                    ref = _pointwise_ratio(seq, cfg, exps)
+                    assert abs(ratio - ref) <= 1e-13 * ref, (m, p, p0, tau)
+
+
+def test_blocked_ratio_memory_stays_in_blocks():
+    # Enumerating F and G at N = 18 on all 2^19 points at once peaks at
+    # 20 MiB of temporaries; blocks of 2^16 points need about 2 MiB.
+    rng = np.random.default_rng(np.random.PCG64(18))
+    seq = _random_sequence(rng, 18)
+    cfg = TransformConfig((1, -1) * 9, 0.5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        perturbed_ratio_exact(seq, cfg, ExponentConfig(4.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_search_p2_identity():
@@ -310,5 +331,5 @@ def test_search_independent_of_batch(monkeypatch):
     one, whole = results
     assert one.beta == whole.beta
     assert abs(one.ratio - whole.ratio) <= 1e-12
-    # F and G realized one after the other (points = 1) or in one pass.
+    # The exact ratio does not depend on the search's batch size.
     assert ratios[0] == ratios[1]

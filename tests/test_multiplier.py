@@ -7,8 +7,24 @@ from lpmult.catalog import (beurling, beurling_matrix, complex_vs_matrix_path,
                             identity_symbol)
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
-from lpmult.tensor import (TensorGridFunction, l2_operator_norm, operator_ratio,
-                           tensor_lift_apply)
+from lpmult.tensor import TensorGridFunction, tensor_lift_apply
+
+
+def operator_ratio(f, M, exps):
+    """||T_M f||_{p0} / ||f||_p on the grid, with M acting in block 0."""
+    den = f.lp_norm(exps.p)
+    if den == 0.0:
+        raise ZeroDivisionError("input function has zero Lp norm")
+    return tensor_lift_apply(f, M, 0).lp_norm(exps.p0) / den
+
+
+def l2_operator_norm(M, G):
+    """Exact L2 -> L2 norm of a scalar or matrix symbol: the largest |value|
+    or singular value over the lattice [-G/2, G/2)^d."""
+    vals = M.evaluate(TorusGrid(M.d, G).frequency_mesh())
+    if M.shape == "scalar":
+        return float(np.max(np.abs(vals)))
+    return float(np.max(np.linalg.norm(vals, ord=2, axis=(-2, -1))))
 
 
 def _monomial(grid, j):

@@ -6,8 +6,29 @@ import pytest
 from lpmult.catalog import (beurling, beurling_matrix, identity_symbol,
                             vector_perturbation)
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
-from lpmult.tensor import (TensorGridFunction, shear_norm_check,
-                           tensor_lift_apply, p2_lift_bound_check)
+from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
+
+_P2_TOL = 1e-10
+
+
+def p2_lift_bound_check(phis, M):
+    """Exact p = 2 form of the tensor-lift inequality, phi_k lifted in block k.
+
+    Returns (||sum_k T^k phi_k||_2, ||M||_{2->2} * ||sum_k phi_k||_2) for a
+    scalar symbol M and asserts lhs <= rhs + 1e-10; the p = 2 operator norm
+    is the largest |M| on the lattice, so this inequality is checkable
+    without any search.
+    """
+    f0 = phis[0]
+    lifted = [tensor_lift_apply(phi, M, k) for k, phi in enumerate(phis)]
+    lhs = TensorGridFunction(f0.grid, f0.J,
+                             sum(t.values for t in lifted)).lp_norm(2.0)
+    norm = float(np.max(np.abs(M.evaluate(f0.grid.frequency_mesh()))))
+    rhs = norm * TensorGridFunction(f0.grid, f0.J,
+                                    sum(f.values for f in phis)).lp_norm(2.0)
+    if lhs > rhs + _P2_TOL:
+        raise AssertionError(f"tensor-lift bound violated: {lhs} > {rhs} + {_P2_TOL}")
+    return lhs, rhs
 
 
 def _random_mean_zero(grid, J, rng, block):
