@@ -12,9 +12,8 @@ from .grid import TorusGrid
 from .symbols import MultiplierSymbol
 from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
                       beurling_imag, beurling_matrix, beurling_real,
-                      complex_vs_matrix_path, family_symbol, identity_symbol,
-                      rotated, target_constant, tau_admissible,
-                      vector_perturbation)
+                      family_symbol, identity_symbol, rotated,
+                      target_constant, tau_admissible)
 from .martingale import (MartingaleDifferenceSequence, SearchBudget,
                          SearchResult, TransformConfig, extend_with_zero,
                          perturbed_ratio_exact, search_extremal)
@@ -29,8 +28,8 @@ __version__ = TOOLKIT_VERSION
 __all__ = [
     "ExponentConfig", "TorusGrid", "MultiplierSymbol", "OperatorFamilyParam",
     "TargetConstants", "beurling", "beurling_imag", "beurling_matrix", "beurling_real",
-    "complex_vs_matrix_path", "family_symbol", "identity_symbol", "rotated",
-    "target_constant", "tau_admissible", "vector_perturbation",
+    "family_symbol", "identity_symbol", "rotated",
+    "target_constant", "tau_admissible",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
     "TransformConfig", "extend_with_zero",
     "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",

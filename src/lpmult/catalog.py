@@ -19,7 +19,6 @@ import numpy as np
 
 from .exponents import ExponentConfig
 from .symbols import MultiplierSymbol
-from .tensor import TensorGridFunction, tensor_lift_apply
 
 __all__ = [
     "FAMILIES",
@@ -34,8 +33,6 @@ __all__ = [
     "beurling_imag",
     "beurling_matrix",
     "rotated",
-    "vector_perturbation",
-    "complex_vs_matrix_path",
 ]
 
 FAMILIES = ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
@@ -67,10 +64,10 @@ def _scalar_family(a: complex, b: complex, name: str) -> MultiplierSymbol:
     return MultiplierSymbol(d=2, shape="scalar", evaluator=evaluator, name=name)
 
 
-def _beurling_matrix_symbol(xi: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """[[mR, s mI], [-s mI, mR]](xi): a rotation matrix; s = 1 is the printed form."""
+def _beurling_matrix_symbol(xi: np.ndarray) -> np.ndarray:
+    """[[mR, mI], [-mI, mR]](xi): a rotation matrix, in the printed form."""
     mr = _beurling_real(xi)
-    mi = s * _beurling_imag(xi)
+    mi = _beurling_imag(xi)
     out = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
     out[..., 0, 0] = mr
     out[..., 0, 1] = mi
@@ -109,23 +106,6 @@ def rotated(theta: float) -> MultiplierSymbol:
     return _scalar_family(-math.cos(theta), math.sin(theta), f"rotated({theta})")
 
 
-def vector_perturbation(base: MultiplierSymbol, tau: float) -> MultiplierSymbol:
-    """The stacked symbol (base, tau)^T acting L^p(C) -> L^{p0}(C^2)."""
-    if base.shape != "scalar":
-        raise ValueError("vector perturbation stacks a scalar symbol over tau")
-
-    def evaluator(xi: np.ndarray) -> np.ndarray:
-        top = np.asarray(base.evaluator(xi), dtype=complex)
-        out = np.empty(top.shape + (2,), dtype=complex)
-        out[..., 0] = top
-        out[..., 1] = tau
-        return out
-
-    return MultiplierSymbol(
-        d=base.d, shape="vector", evaluator=evaluator, m=2,
-        total=False, name=f"({base.name}, {tau})")
-
-
 @dataclass(frozen=True)
 class OperatorFamilyParam:
     """Tagged parameters for the operator families in the catalog."""
@@ -152,7 +132,7 @@ def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
     if fam == "beurling-matrix":
         return beurling_matrix()
     if fam == "vector":
-        return vector_perturbation(beurling_real(), param.tau)
+        raise ValueError("the vector family has no symbol; it is certified through Re B")
     if fam == "rotated":
         return rotated(param.theta)
     if fam == "scaled":
@@ -227,26 +207,3 @@ def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
     return TargetConstants(c_tau=c_tau, external_assumption=external,
                            family_target=target)
 
-
-def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
-    """L^p norm of the Beurling action computed two ways; equal to 1e-10.
-
-    Complex path: multiply f-hat by the scalar symbol and take the L^p norm.
-    Matrix path: split f = u + iv into real and imaginary parts, apply the
-    2x2 matrix symbol to (u-hat, v-hat)^T, and take the L^p norm of the
-    resulting pair.  The matrix acts in the complex-multiplication
-    representation [[mR, -mI], [mI, mR]], the unitary conjugate (by
-    diag(1, -1)) of the printed matrix: both have the same operator norm, but
-    only this one reproduces the scalar action componentwise, so the
-    pointwise C^2 norm equals |T_B f| exactly.
-    """
-    if f.m != 0:
-        raise ValueError("complex_vs_matrix_path takes a scalar function")
-    scalar = tensor_lift_apply(f, beurling(), 0)
-
-    pair = TensorGridFunction(f.grid, 1, np.stack([f.values.real, f.values.imag], axis=-1))
-    matrix_sym = MultiplierSymbol(d=2, shape="matrix",
-                                  evaluator=lambda xi: _beurling_matrix_symbol(xi, -1.0),
-                                  m=2, name="beurling-matrix-cm")
-    vec = tensor_lift_apply(pair, matrix_sym, 0)
-    return scalar.lp_norm(p), vec.lp_norm(p)

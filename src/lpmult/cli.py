@@ -30,7 +30,7 @@ from .martingale import SearchBudget, SearchResult, search_extremal
 from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
                      load_store, sequence_from_record, sequence_to_record,
                      update_store, TOOLKIT_VERSION)
-from .tensor import TensorGridFunction, shear_norm_check
+from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
 from .grid import TorusGrid
@@ -207,6 +207,7 @@ def cmd_transference(args) -> int:
         rng = np.random.default_rng(np.random.PCG64(args.seed))
         grid = TorusGrid(1, args.grid)
         J = args.blocks
+        check_grid_size(grid, J)  # refuse an oversized product before any draw
         summands = []
         for _ in range(J):
             c = rng.standard_normal((grid.G,) * J) + 1j * rng.standard_normal((grid.G,) * J)

@@ -9,18 +9,18 @@ import numpy as np
 
 __all__ = ["MultiplierSymbol"]
 
-_SHAPES = ("scalar", "vector", "matrix")
+_SHAPES = ("scalar", "matrix")
 
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """A symbol xi -> scalar / C^m vector / m x m matrix on R^d minus the origin.
+    """A symbol xi -> scalar or m x m matrix on R^d minus the origin.
 
     ``evaluator`` must accept an array of shape (..., d) of nonzero
-    frequencies and return values of shape (...), (..., m) or (..., m, m)
-    according to ``shape``.  Homogeneous symbols take the zero value of
-    their shape at xi = 0; symbols declared ``total`` (e.g. constants)
-    are evaluated there as well.
+    frequencies and return values of shape (...) or (..., m, m) according
+    to ``shape``.  Homogeneous symbols take the zero value of their shape
+    at xi = 0; symbols declared ``total`` (e.g. constants) are evaluated
+    there as well.
     """
 
     d: int

@@ -19,10 +19,20 @@ __all__ = [
     "TensorGridFunction",
     "tensor_lift_apply",
     "shear_norm_check",
+    "check_grid_size",
     "POINT_CAP",
 ]
 
 POINT_CAP = 2**24
+
+
+def check_grid_size(grid: TorusGrid, J: int) -> None:
+    """Refuse a product (T^d)^J with no block or with more than POINT_CAP points."""
+    if J < 1:
+        raise ValueError("need at least one block")
+    points = grid.G ** (grid.d * J)
+    if points > POINT_CAP:
+        raise ValueError(f"total point count {points} exceeds cap {POINT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +51,7 @@ class TensorGridFunction:
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
         d, G, J = self.grid.d, self.grid.G, self.J
-        if J < 1:
-            raise ValueError("need at least one block")
-        if G ** (d * J) > POINT_CAP:
-            raise ValueError(f"total point count {G**(d*J)} exceeds cap {POINT_CAP}")
+        check_grid_size(self.grid, J)
         if vals.shape[: d * J] != (G,) * (d * J) or vals.ndim not in (d * J, d * J + 1):
             raise ValueError(f"values shape {vals.shape} does not match (d={d}, G={G}, J={J})")
         if not np.all(np.isfinite(vals)):
@@ -77,25 +84,24 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
                       k: int) -> TensorGridFunction:
     """Multiply each joint Fourier coefficient by M(j_k); other blocks untouched.
 
-    Frequencies are taken in [-G/2, G/2)^d.  A scalar or matrix symbol
-    keeps the value shape; a vector symbol maps a scalar function to a
-    C^m-valued one.  The FFT runs over the axes of block k only.
+    Frequencies are taken in [-G/2, G/2)^d.  A scalar symbol acts on a
+    scalar function and an m x m matrix symbol on a C^m-valued one; both
+    keep the value shape.  The FFT runs over the axes of block k only.
     """
     if M.d != phi.grid.d:
         raise ValueError(f"block dimension {phi.grid.d} != symbol dimension {M.d}")
-    if M.shape in ("scalar", "vector") and phi.m != 0:
-        raise ValueError(f"{M.shape} symbols act on scalar functions, got m={phi.m}")
+    if M.shape == "scalar" and phi.m != 0:
+        raise ValueError(f"scalar symbols act on scalar functions, got m={phi.m}")
     if M.shape == "matrix" and phi.m != M.m:
         raise ValueError(f"matrix symbol needs C^{M.m}-valued input, got m={phi.m}")
     axes = phi.block_axes(k)  # refuses k out of range
 
     grid, d, J = phi.grid, phi.grid.d, phi.J
-    m_in = max(phi.m, 1)
-    m_out = 1 if M.shape == "scalar" else M.m
-    c = coefficients(phi.values.reshape((grid.G,) * (d * J) + (m_in,)), grid, axes)
-    # Every symbol shape acts as an (m_out x m_in) matrix per frequency of block k.
+    m = max(phi.m, 1)
+    c = coefficients(phi.values.reshape((grid.G,) * (d * J) + (m,)), grid, axes)
+    # A scalar symbol acts as a 1 x 1 matrix per frequency of block k.
     on_block = (1,) * (d * k) + (grid.G,) * d + (1,) * (d * (J - k - 1))
-    sym = M.evaluate(grid.frequency_mesh()).reshape(on_block + (m_out, m_in))
+    sym = M.evaluate(grid.frequency_mesh()).reshape(on_block + (m, m))
     out = from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
     return TensorGridFunction(grid, J, out[..., 0] if M.shape == "scalar" else out)
 
@@ -104,45 +110,26 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
 class ShearCheck:
     lhs: float        # eta-average of ||sum_k f^k_eta||_p^p
     rhs: float        # ||sum_k f_k||_p^p
-    aligned: bool
+    aligned: bool = True  # every shift is a whole number of grid cells
 
 
-def _shift_blocks(f: TensorGridFunction, cells: list[float]) -> np.ndarray:
-    """Shift block j by cells[j] grid cells along each of its axes.
-
-    Integer shifts permute the sample points (np.roll); fractional shifts
-    fall back to a Fourier phase shift, exact for the represented
-    trigonometric polynomial but only approximate under aliasing.
-    """
+def _shift_blocks(f: TensorGridFunction, cells: list[int]) -> np.ndarray:
+    """Shift block j by cells[j] grid cells along each of its axes (np.roll)."""
     out = f.values
-    grid = f.grid
-    for j in range(f.J):
-        c = cells[j]
-        if c == int(c):
-            c = int(c) % grid.G
-            if c:
-                for ax in f.block_axes(j):
-                    out = np.roll(out, -c, axis=ax)
-        else:
-            axes = f.block_axes(j)
-            coeff = coefficients(out, grid, axes)
-            shift = c * grid.spacing
-            phase = np.exp(1j * grid.frequencies_1d * shift)
-            for ax in axes:
-                shape = [1] * coeff.ndim
-                shape[ax] = grid.G
-                coeff = coeff * phase.reshape(shape)
-            out = from_coefficients(coeff, grid, axes)
+    for j, c in enumerate(cells):
+        c %= f.grid.G
+        if c:
+            for ax in f.block_axes(j):
+                out = np.roll(out, -c, axis=ax)
     return out
 
 
-def shear_norm_check(summands, N: int, p: float, eta_cells=None) -> ShearCheck:
+def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
     """Both sides of the shear identity for f^k_eta(theta) = f_k(theta_j + N^j eta).
 
-    eta runs over multiples of the grid spacing given by eta_cells (default
-    0..G-1).  Aligned (integer-cell) shifts permute the sample points, so
-    the two sides agree to rounding; fractional offsets are flagged and the
-    check runs approximately through Fourier shifts.
+    eta runs over the G multiples 0..G-1 of the grid spacing, so every shift
+    is a whole number of cells and permutes the sample points: the two
+    sides agree to rounding.
     """
     if not summands:
         raise ValueError("need at least one summand")
@@ -151,20 +138,15 @@ def shear_norm_check(summands, N: int, p: float, eta_cells=None) -> ShearCheck:
     for f in summands:
         if f.grid != grid or f.J != J:
             raise ValueError("summands must share one product grid")
-    if eta_cells is None:
-        eta_cells = list(range(grid.G))
-    aligned = all(float(t) == int(t) for t in eta_cells)
 
     total = sum(f.values for f in summands)
     base = TensorGridFunction(grid, J, total)
     rhs = base.lp_norm(p) ** p
 
     acc = 0.0
-    for t in eta_cells:
+    for t in range(grid.G):
         # Block j (0-based) is shifted by N^(j+1) * eta.
         cells = [t * N ** (j + 1) for j in range(J)]
         shifted = sum(_shift_blocks(f, cells) for f in summands)
         acc += TensorGridFunction(grid, J, shifted).lp_norm(p) ** p
-    lhs = acc / len(eta_cells)
-    return ShearCheck(lhs=lhs, rhs=rhs, aligned=aligned)
-
+    return ShearCheck(lhs=acc / grid.G, rhs=rhs)

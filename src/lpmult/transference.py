@@ -64,8 +64,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
 
     whose total mass is exp(-pi |j - k|^2 / eps) since 1/p0 + 1/q0 = 1.
     As eps -> 0 the value converges to M(j) delta_{jk}.  M must be scalar:
-    a C^m-valued symbol paired against b is the scalar symbol
-    sum_i conj(b_i) M_i.  A value out of floating-point range raises
+    a matrix symbol paired from a against b is the scalar symbol
+    sum_ij conj(b_i) M_ij a_j.  A value out of floating-point range raises
     FloatingPointError, and an eps whose node step does not resolve at the
     center raises ValueError.
     """
@@ -133,8 +133,6 @@ def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
         diff = a - bval
         if M.shape == "scalar":
             dev = abs(complex(diff))
-        elif M.shape == "vector":
-            dev = float(np.linalg.norm(diff))
         else:
             dev = float(np.linalg.norm(diff, ord=2))
         worst = max(worst, dev)

@@ -12,8 +12,7 @@ import time
 import numpy as np
 
 from lpmult.catalog import (OperatorFamilyParam, beurling_imag,
-                            beurling_matrix, beurling_real,
-                            complex_vs_matrix_path, identity_symbol,
+                            beurling_matrix, beurling_real, identity_symbol,
                             target_constant)
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -26,6 +25,7 @@ from lpmult.transference import (GaussianPairingConfig,
                                  multiplier_deviation)
 from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_witness
+from test_multiplier import complex_vs_matrix_path
 
 # Exhaustive search oracle at depth 3, p = 4, tau = 0 (48 restarts over all
 # eight flip patterns converge to sqrt(2) to machine precision).

@@ -206,9 +206,6 @@ def test_exit_code_invalid_config(tmp_path):
     assert code == 2
 
 
-_OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 @pytest.mark.parametrize("args", [
     pytest.param(["certify", "beurling-real", "--p", "4", "--tau", "nan", "--n", "2"],
                  id="certify-tau-nan"),
@@ -229,7 +226,10 @@ _OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     pytest.param(["transference", "gaussian", "--eps-start", "inf"], id="gaussian-eps-inf"),
     pytest.param(["transference", "gaussian", "--p0", "nan"], id="gaussian-p0-nan"),
     pytest.param(["transference", "gaussian", "--eps-start", "1e-320"],
-                 id="gaussian-eps-subnormal", marks=_OVERFLOW),
+                 id="gaussian-eps-subnormal"),
+    # 64^8 points, 2 PiB of summands: refused before the first draw.
+    pytest.param(["transference", "shear", "--grid", "64", "--blocks", "8"],
+                 id="shear-oversized"),
 ])
 def test_nonfinite_input_is_refused(tmp_path, args, capsys):
     store = tmp_path / "store"

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import (beurling, beurling_matrix, complex_vs_matrix_path,
+from lpmult.catalog import (beurling, beurling_imag, beurling_matrix, beurling_real,
                             identity_symbol)
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
+from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 
 
@@ -25,6 +26,36 @@ def l2_operator_norm(M, G):
     if M.shape == "scalar":
         return float(np.max(np.abs(vals)))
     return float(np.max(np.linalg.norm(vals, ord=2, axis=(-2, -1))))
+
+
+def _beurling_cm(xi):
+    """[[mR, -mI], [mI, mR]](xi): B in the complex-multiplication representation."""
+    mr = beurling_real().evaluator(xi)
+    mi = beurling_imag().evaluator(xi)
+    return np.stack([np.stack([mr, -mi], axis=-1), np.stack([mi, mr], axis=-1)], axis=-2)
+
+
+_BEURLING_CM = MultiplierSymbol(d=2, shape="matrix", evaluator=_beurling_cm, m=2,
+                                name="beurling-matrix-cm")
+
+
+def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
+    """L^p norm of the Beurling action computed two ways; equal to 1e-10.
+
+    Complex path: multiply f-hat by the scalar symbol and take the L^p norm.
+    Matrix path: split f = u + iv into real and imaginary parts, apply the
+    2x2 matrix symbol to (u-hat, v-hat)^T, and take the L^p norm of the
+    resulting pair.  The matrix acts in the complex-multiplication
+    representation [[mR, -mI], [mI, mR]], the unitary conjugate (by
+    diag(1, -1)) of the printed matrix: both have the same operator norm, but
+    only this one reproduces the scalar action componentwise, so the
+    pointwise C^2 norm equals |T_B f| exactly.
+    """
+    if f.m != 0:
+        raise ValueError("complex_vs_matrix_path takes a scalar function")
+    scalar = tensor_lift_apply(f, beurling(), 0)
+    pair = TensorGridFunction(f.grid, 1, np.stack([f.values.real, f.values.imag], axis=-1))
+    return scalar.lp_norm(p), tensor_lift_apply(pair, _BEURLING_CM, 0).lp_norm(p)
 
 
 def _monomial(grid, j):

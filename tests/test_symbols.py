@@ -8,18 +8,16 @@ import pytest
 from lpmult.catalog import (OperatorFamilyParam, beurling, beurling_imag,
                             beurling_matrix, beurling_real, family_symbol,
                             identity_symbol, rotated, target_constant,
-                            tau_admissible, vector_perturbation)
+                            tau_admissible)
 from lpmult.exponents import ExponentConfig
 from lpmult.symbols import MultiplierSymbol
 
 
 def pointwise_operator_norm(M, xi):
-    """|value|, Euclidean length, or largest singular value, per shape."""
+    """|value| of a scalar symbol, largest singular value of a matrix one."""
     vals = M.evaluate(xi)
     if M.shape == "scalar":
         return np.abs(vals)
-    if M.shape == "vector":
-        return np.linalg.norm(vals, axis=-1)
     return np.linalg.norm(vals, ord=2, axis=(-2, -1))
 
 
@@ -98,6 +96,8 @@ def test_family_symbol_examples():
     assert scaled.evaluate(np.array([1.0, 0.0])) == pytest.approx(2.0)
     fi = family_symbol(OperatorFamilyParam(family="F", z=1j))
     assert fi.evaluate(np.array([1.0, 1.0])) == pytest.approx(1j)
+    with pytest.raises(ValueError):
+        family_symbol(OperatorFamilyParam(family="vector", tau=1.0))
 
     # Every scalar family against its printed quotient.
     rng = np.random.default_rng(np.random.PCG64(11))
@@ -153,29 +153,19 @@ def test_homogeneity():
         assert homogeneity_defect(sym, rng) < 1e-12
 
 
-def test_vector_perturbation_shape():
-    sym = vector_perturbation(beurling_real(), 0.5)
-    val = sym.evaluate(np.array([0.0, 1.0]))
-    assert val.shape == (2,)
-    assert val[0] == pytest.approx(1.0)
-    assert val[1] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        vector_perturbation(beurling_matrix(), 0.5)
-
-
 def test_pointwise_operator_norm_shapes():
     rng = np.random.default_rng(np.random.PCG64(3))
     xi = rng.standard_normal((16, 2))
     assert np.allclose(pointwise_operator_norm(beurling(), xi), 1.0)
     assert np.allclose(pointwise_operator_norm(beurling_matrix(), xi), 1.0, atol=1e-12)
-    v = vector_perturbation(beurling_real(), 0.5)
-    norms = pointwise_operator_norm(v, xi)
-    assert np.all(norms <= math.hypot(1.0, 0.5) + 1e-12)
 
 
 def test_bad_symbol_shape_rejected():
-    with pytest.raises(ValueError):
-        MultiplierSymbol(d=2, shape="tensor", evaluator=lambda xi: xi)
+    # Symbols are scalar or matrix; the vector multiplier (Re B, tau)^T is
+    # certified through Re B and has no symbol shape of its own.
+    for shape in ("tensor", "vector"):
+        with pytest.raises(ValueError):
+            MultiplierSymbol(d=2, shape=shape, evaluator=lambda xi: xi)
 
 
 def test_tau_admissibility():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import (beurling, beurling_matrix, identity_symbol,
-                            vector_perturbation)
+from lpmult.catalog import beurling, beurling_matrix, beurling_real, identity_symbol
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
-from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
+from lpmult.symbols import MultiplierSymbol
+from lpmult.tensor import (TensorGridFunction, check_grid_size, shear_norm_check,
+                           tensor_lift_apply)
 
 _P2_TOL = 1e-10
 
@@ -61,6 +62,9 @@ def test_shape_and_cap_validation():
     with pytest.raises(ValueError):
         # The point cap triggers before the (huge) value array is validated.
         TensorGridFunction(TorusGrid(1, 64), 5, np.ones(1))
+    with pytest.raises(ValueError):
+        check_grid_size(TorusGrid(1, 64), 8)
+    check_grid_size(TorusGrid(1, 8), 8)  # 8^8 points: at the cap, not over it
 
 
 def test_block_axes_and_norms():
@@ -98,14 +102,26 @@ def _fft_lift_reference(phi, M, k):
         lead[ax] = phi.grid.G
     if M.shape == "scalar":
         out_c = sym.reshape(lead) * c
-    elif M.shape == "vector":
-        out_c = sym.reshape(lead + [M.m]) * c[..., None]
     else:
         out_c = np.einsum("...ij,...j->...i", sym.reshape(lead + [M.m, M.m]), c)
     return from_coefficients(out_c, phi.grid, axes)
 
 
-_LIFT_SYMBOLS = {"scalar": beurling(), "vector": vector_perturbation(beurling(), 0.5),
+def _vector_as_matrix(tau):
+    """The vector multiplier (Re B, tau)^T as the 2 x 2 matrix symbol
+    [[Re B, 0], [tau, 0]], which sends (f, g) to (Re B f, tau f)."""
+
+    def evaluator(xi):
+        out = np.zeros(xi.shape[:-1] + (2, 2), dtype=complex)
+        out[..., 0, 0] = beurling_real().evaluator(xi)
+        out[..., 1, 0] = tau
+        return out
+
+    return MultiplierSymbol(d=2, shape="matrix", evaluator=evaluator, m=2,
+                            name=f"(beurling-real, {tau})")
+
+
+_LIFT_SYMBOLS = {"scalar": beurling(), "vector": _vector_as_matrix(0.5),
                  "matrix": beurling_matrix(), "identity": identity_symbol(2)}
 
 
@@ -150,16 +166,6 @@ def test_shear_aligned_exact():
     chk = shear_norm_check(summands, 2, 4.0)
     assert chk.aligned
     assert chk.lhs == pytest.approx(chk.rhs, abs=1e-12 * max(1.0, chk.rhs))
-
-
-def test_shear_fractional_flagged():
-    rng = np.random.default_rng(np.random.PCG64(1))
-    grid = TorusGrid(1, 8)
-    c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    f = TensorGridFunction(grid, 2, np.fft.ifftn(c) * 64)
-    chk = shear_norm_check([f], 2, 4.0, eta_cells=[0.5, 1.0])
-    assert not chk.aligned
-    assert np.isfinite(chk.lhs)
 
 
 def test_shear_input_validation():

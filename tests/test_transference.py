@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from lpmult.catalog import (beurling_matrix, beurling_real, identity_symbol,
-                            vector_perturbation)
+from lpmult.catalog import beurling_matrix, beurling_real, identity_symbol
 from lpmult.transference import (GaussianPairingConfig, gaussian_damped_pairing,
                                  multiplier_deviation)
 
@@ -49,11 +48,11 @@ def test_mr_pairing_converges_to_symbol_value():
 
 
 def test_non_scalar_symbol_pairing_is_refused():
-    # A C^m-valued symbol paired against b is the scalar symbol sum_i conj(b_i) M_i.
+    # A matrix symbol paired from a against b is the scalar symbol
+    # sum_ij conj(b_i) M_ij a_j.
     cfg = GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1)
-    for sym in (vector_perturbation(beurling_real(), 0.5), beurling_matrix()):
-        with pytest.raises(ValueError):
-            gaussian_damped_pairing(cfg, sym)
+    with pytest.raises(ValueError):
+        gaussian_damped_pairing(cfg, beurling_matrix())
 
 
 def test_mr_deviation_values():
