@@ -27,7 +27,7 @@ from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_r
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
-from .report import (CertReport, CrossCheckError, StoreError, lookup_store,
+from .report import (CertReport, CrossCheckError, StoreError, decode_json, lookup_store,
                      load_store, sequence_from_record, sequence_to_record,
                      update_store, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
@@ -95,7 +95,7 @@ def _martingale(args, exps):
     """(sequence, beta, source, search result or None) from the --martingale file,
     the store record at depth N (certify only), or a search warm-started from N - 1."""
     if args.martingale is not None:
-        rec = json.loads(Path(args.martingale).read_text())
+        rec = decode_json(Path(args.martingale).read_text())
         return *sequence_from_record(rec), "file", None
     if args.family != "martingale":
         rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n,

@@ -7,18 +7,19 @@ pairs the result with tau * F; the exact Lp -> Lp0 ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
 
 One realization serves the exact ratio and the search: `_realize` builds the
-values of B sequences on the hypercube by doubling, appending one sign
-coordinate per level (O(2^(N+1)) work), and the search gradient is reduced by
-the reverse halving.  The exact ratio realizes F and G together in blocks of
-at most `_BLOCK_POINTS` points: the leading sign coordinates are fixed once,
-each block continues from one of their values, and the per-block sums are
-added in the balanced tree of numpy's pairwise sum over the whole hypercube.
+values of F and G on the hypercube, its first levels gathered in one step and
+the rest by doubling, one sign coordinate a level (O(2^(N+1)) work); the
+search gradient is reduced by the reverse halving.  The exact ratio works in
+blocks of at most `_BLOCK_POINTS` points, each continuing from its slice of
+the head values, and adds the per-block sums in the balanced tree of numpy's
+pairwise sum over the whole hypercube.
 `search_extremal` ascends consecutive starts together, each with its own
 step, and re-verifies every start through `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -46,6 +47,11 @@ ENUMERATION_CAP = 20
 # points (a power of two, at least 256), so that every doubling pass stays in
 # cache; N <= 14 is one block.
 _BLOCK_POINTS = 2**16
+
+# A realization gathers its first h <= _HEAD_LEVELS levels in one step, h
+# lower where the 2^(h+1) values of every row and component would pass
+# _HEAD_POINTS: a gather makes h products a point, where doubling makes two.
+_HEAD_LEVELS, _HEAD_POINTS = 5, 512
 
 # The search ascends consecutive starts together while they hold at most this
 # many hypercube points; one unbounded batch costs memory for no further speed.
@@ -117,29 +123,50 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
-def _realize(tables, coef=None, start=None) -> np.ndarray:
-    """Values of B sequences on the full sign hypercube, shape (B, 2^(N+1), m).
+@functools.cache
+def _head_plan(h):
+    """(rows, signs) (h, 2^(h+1)): at point i, the flat row of d_k and the sign of r_k."""
+    i, k = np.arange(2 ** (h + 1)), np.arange(1, h + 1)[:, None]
+    return 2**k - 2 + (i >> (h + 1 - k)), 1.0 - 2.0 * (i >> (h - k) & 1)
 
-    tables[k-1] has shape (B, 2^k, m), its prefix axes flattened in C order.
-    Point index bits run from r_0 (slowest) to r_N (fastest), bit 0 for +1,
-    so each level appends r_k as the last coordinate: V <- (V + c, V - c).
-    With coef (shape (B, N)) given, the k-th term is flipped by coef[:, k-1],
-    and B is coef's: tables with one row then broadcast over the B rows.
-    With start (B, P0, m) given, the doubling continues from those values on
-    P0 points instead of from zero on the two values of r_0.
+
+def _realize(tables, coef=None, blocks=1):
+    """Values of sequences on the sign hypercube, yielded in `blocks` blocks.
+
+    tables[k-1] has shape (..., m, 2^k), its prefix axes flattened in C order;
+    coef (..., N) flips the k-th term by coef[..., k-1] (none when None), its
+    leading axes broadcasting with the tables'.  Point index bits run from r_0
+    (slowest) to r_N (fastest), bit 0 for +1; the blocks, a power of two of
+    them, each (..., m, 2^(N+1) / blocks), follow in point order.
+    The first h levels are gathered in one step: every point's terms, taken by
+    _head_plan(h) and flipped, added in level order.  Block b continues from
+    its slice of those values (with more blocks than values, of the values up
+    to the first level with one per block) by doubling, V <- (V + c, V - c),
+    through the slices of the later tables that it indexes.
     """
-    V = start
-    if V is None:
-        V = np.zeros((len(tables[0] if coef is None else coef), 2, tables[0].shape[-1]),
-                     dtype=complex)
-    B, _, m = V.shape
-    for k, table in enumerate(tables):
-        c = table if coef is None else table * coef[:, k, None, None]
-        new = np.empty((B, V.shape[1], 2, m), dtype=complex)
-        np.add(V, c, out=new[:, :, 0])
-        np.subtract(V, c, out=new[:, :, 1])
-        V = new.reshape(B, -1, m)
-    return V
+    N, m = len(tables), tables[0].shape[-2]
+    if coef is None:
+        coef = np.ones(tables[0].shape[:-2] + (N,))
+    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // (coef[..., 0].size * m)).bit_length() - 2))
+    k = max(h, blocks.bit_length() - 2)
+    if k > h:
+        [V] = _realize(tables[:k], coef[..., :k])
+    else:
+        rows, signs = _head_plan(h)
+        # The level axis is outside the contiguous point axis, so the levels add in order.
+        V = np.add.reduce(np.take(np.concatenate(tables[:h], axis=-1), rows, axis=-1)
+                          * (coef[..., None, :h, None] * signs), axis=-2)
+    step = V.shape[-1] // blocks
+    for b in range(blocks):
+        Vb = V[..., b * step:(b + 1) * step]
+        for lvl in range(k, N):
+            w = 2 ** (lvl + 1) // blocks
+            c = tables[lvl][..., b * w:(b + 1) * w] * coef[..., lvl, None, None]
+            new = np.empty(Vb.shape + (2,), dtype=complex)
+            np.add(Vb, c, out=new[..., 0])
+            np.subtract(Vb, c, out=new[..., 1])
+            Vb = new.reshape(Vb.shape[:-1] + (-1,))
+        yield Vb
 
 
 def _tree_sum(xs):
@@ -157,9 +184,8 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a ratio
     out of floating-point range raises FloatingPointError.
 
-    F and G are realized together, one block of the hypercube at a time: the
-    leading j sign coordinates are realized once, and block b continues from
-    their b-th value through the slices of levels j..N that it indexes.
+    F and G are realized together, one block of the hypercube at a time, each
+    continuing from its slice of the values of the leading sign coordinates.
     numpy sums a contiguous array pairwise, splitting it exactly at its halves
     down to 128 elements, so per-block sums (at least 128 points a row) added
     in a balanced tree give the whole-hypercube sums bit for bit.
@@ -169,25 +195,17 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"depth {N} exceeds enumeration cap {ENUMERATION_CAP}")
     if len(cfg.beta) != N:
         raise ValueError(f"beta must have length {N}")
-    tables = [t.reshape(1, -1, m) for t in F.tables]
+    tables = [t.reshape(-1, m).T for t in F.tables]
     # Complex flips spare a cast in every table product; a product by +-1 is exact.
     flips = np.array([(1,) * N, cfg.beta], dtype=complex)
-    blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
-    if blocks == 1:
-        parts = [_realize(tables, flips)]
-    else:
-        j = blocks.bit_length() - 1
-        heads = _realize(tables[:j - 1], flips, np.zeros((2, 2, m), dtype=complex))
-        parts = (_realize([t[:, b << (k - j):(b + 1) << (k - j)]
-                           for k, t in enumerate(tables[j - 1:], start=j)],
-                          flips[:, j - 1:], heads[:, b:b + 1]) for b in range(blocks))
+    parts = _realize(tables, flips, max(1, 2 ** (N + 2) // _BLOCK_POINTS))
     p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
     dens, nums = [], []
     # Overflowing squares become inf or NaN here and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         for V in parts:
             s = np.abs(V) ** 2
-            s = s.sum(-1) if m > 1 else s[..., 0]  # the sum of one square is that square
+            s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
             n2, g2 = s[0], s[1]
             dens.append((n2 ** p2).sum())
             nums.append(((g2 + tau2 * n2) ** p02).sum())
@@ -238,10 +256,10 @@ def _ratio_and_grad(x, coef, tau, p, p0):
     the weights on r_0..r_{k-1}, whose +/- difference is the level-k term.
     """
     B, _, m = x.shape
-    Fv = _realize(_levels(x))
-    Gv = _realize(_levels(x), coef)
-    n2 = np.sum(np.abs(Fv) ** 2, axis=-1)
-    g2 = np.sum(np.abs(Gv) ** 2, axis=-1)
+    flips = np.ones((2,) + coef.shape, dtype=complex)
+    flips[1] = coef
+    [V] = _realize([t.swapaxes(-1, -2) for t in _levels(x)], flips)
+    n2, g2 = np.sum(np.abs(V) ** 2, axis=-2)
     h = g2 + tau * tau * n2
     P = n2.shape[1]
 
@@ -256,18 +274,18 @@ def _ratio_and_grad(x, coef, tau, p, p0):
         npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
     coefF = (tau * tau * hpow / (2.0 * Up0[:, None]) - npow / (2.0 * Dp[:, None])) / P
     coefG = hpow / (2.0 * Up0[:, None] * P)
-    WF = coefF[..., None] * Fv
-    WG = coefG[..., None] * Gv
+    WF = coefF[:, None] * V[0]
+    WG = coefG[:, None] * V[1]
 
     grad = np.empty_like(x)
     for k, g in reversed(list(enumerate(_levels(grad), start=1))):
-        WF = WF.reshape(B, -1, 2, m)
-        WG = WG.reshape(B, -1, 2, m)
-        g[:] = 2.0 * (WF[:, :, 0] - WF[:, :, 1]
-                      + coef[:, k - 1, None, None] * (WG[:, :, 0] - WG[:, :, 1]))
+        WF = WF.reshape(B, m, -1, 2)
+        WG = WG.reshape(B, m, -1, 2)
+        g.swapaxes(-1, -2)[:] = 2.0 * (WF[..., 0] - WF[..., 1]
+                                       + coef[:, k - 1, None, None] * (WG[..., 0] - WG[..., 1]))
         if k > 1:
-            WF = WF[:, :, 0] + WF[:, :, 1]
-            WG = WG[:, :, 0] + WG[:, :, 1]
+            WF = WF[..., 0] + WF[..., 1]
+            WG = WG[..., 0] + WG[..., 1]
     return J, grad
 
 

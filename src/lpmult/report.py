@@ -14,6 +14,7 @@ ratio is strictly larger by 1e-12.
 from __future__ import annotations
 
 import fcntl
+import gc
 import json
 import os
 import tempfile
@@ -146,11 +147,22 @@ def _atomic_write_json(path: Path, payload) -> None:
         raise
 
 
+def decode_json(text: str):
+    """json.loads with the cyclic garbage collector paused, then left as it was:
+    a record's one small list per table entry sets off collections that free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_record(path: Path) -> dict | None:
     """The one record of a store file, under the key its name gives; None if absent."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = decode_json(path.read_text())
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:

@@ -142,10 +142,11 @@ def test_ratio_input_validation():
 
 def _two_pass_ratio(F, cfg, exps):
     """The exact ratio with F and G realized one after the other and np.mean."""
-    tables = [t.reshape(1, -1, F.m) for t in F.tables]
-    n2 = np.sum(np.abs(_realize(tables)) ** 2, axis=-1)
-    Gv = _realize(tables, np.array([cfg.beta], dtype=float))
-    pair2 = np.sum(np.abs(Gv) ** 2, axis=-1) + cfg.tau**2 * n2
+    tables = [t.reshape(-1, F.m).T for t in F.tables]
+    [Fv] = _realize(tables)
+    [Gv] = _realize(tables, np.array(cfg.beta, dtype=float))
+    n2 = np.sum(np.abs(Fv) ** 2, axis=-2)
+    pair2 = np.sum(np.abs(Gv) ** 2, axis=-2) + cfg.tau**2 * n2
     num = np.mean(pair2 ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
     den = np.mean(n2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
     return float(num / den)
@@ -162,10 +163,11 @@ def _pointwise_ratio(F, cfg, exps):
     return num / den
 
 
-@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("N", [*range(1, 13), 14])
 def test_fused_ratio_matches_two_pass_and_pointwise(N, monkeypatch):
     # The default block holds every N here; blocks of 2^8 points (128 a row)
     # split N >= 7 into 2^(N-6) blocks whose sums must add up bit for bit.
+    # At N = 14 there are 256 blocks, more than the 64 values of the head.
     for block_points in (martingale._BLOCK_POINTS, 2**8):
         monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
         rng = np.random.default_rng(np.random.PCG64(500 + N))
@@ -273,6 +275,30 @@ def _reference_realize(tables, beta=None):
         term = table.reshape((2,) * k + (1,) * (N + 1 - k) + (m,))
         out += term * rk.reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
     return out
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("m", [1, 2])
+def test_realize_equals_reference_exactly(N, m):
+    # The gathered head and the doubling add each point's terms in level
+    # order, as the reference does, so every value agrees bit for bit.
+    rng = np.random.default_rng(np.random.PCG64(700 + 10 * N + m))
+    P = 2 ** (N + 1)
+
+    def check(seqs, coef):
+        tables = [np.stack([s.tables[k].reshape(-1, m).T for s in seqs])
+                  for k in range(N)]
+        [V] = _realize(tables, coef)
+        rows = [None] * len(seqs) if coef is None else list(coef)
+        assert V.shape == (len(rows), m, P)
+        # One table row broadcasts over every flip row.
+        for v, seq, beta in zip(V, seqs * (len(rows) // len(seqs)), rows):
+            assert np.array_equal(v, _reference_realize(seq.tables, beta).reshape(P, m).T)
+
+    one = [_random_sequence(rng, N, m)]
+    check(one, rng.choice([-1.0, 1.0], size=(2, N)))
+    check([_random_sequence(rng, N, m) for _ in range(5)], rng.choice([-1.0, 1.0], size=(5, N)))
+    check(one, None)
 
 
 def _reference_ratio_and_grad(tables, beta, tau, p, p0):

@@ -1,5 +1,6 @@
 """Certification reports and the persisted extremizer store."""
 
+import gc
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ import lpmult
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact)
-from lpmult.report import (CertReport, StoreError, load_store, lookup_store,
+from lpmult.cli import main
+from lpmult.report import (CertReport, StoreError, decode_json, load_store, lookup_store,
                            sequence_from_record, sequence_to_record,
                            store_key, update_store, verify_record)
 
@@ -102,6 +104,34 @@ def test_corrupt_key_leaves_other_keys_working(tmp_path):
     assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["ratio"] == a["ratio"]
     with pytest.raises(StoreError):
         lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_store_reads_leave_gc_as_they_found_it(tmp_path, enabled):
+    # Store reads decode with the cyclic collector paused; a good read, a
+    # malformed file (still StoreError, and exit 4 from the CLI) and bad JSON
+    # each leave it as it was.
+    rec = _record()
+    assert update_store(tmp_path, rec)
+    _key_file(tmp_path, dict(rec, predicate="cor7")).write_text("{not json")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert decode_json('{"a": [[1.0, 2.0]]}') == {"a": [[1.0, 2.0]]}
+        assert gc.isenabled() is enabled
+        assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2") == rec
+        assert gc.isenabled() is enabled
+        with pytest.raises(StoreError):
+            lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            decode_json("{not json")
+        assert gc.isenabled() is enabled
+        assert main(["norms", "--family", "beurling", "--p", "4",
+                     "--store-dir", str(tmp_path)]) == 4
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_store_writes_one_file_per_key(tmp_path):
