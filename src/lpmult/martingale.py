@@ -130,36 +130,31 @@ def _head_plan(h):
     return 2**k - 2 + (i >> (h + 1 - k)), 1.0 - 2.0 * (i >> (h - k) & 1)
 
 
-def _realize(tables, coef=None, blocks=1):
+def _realize(tables, coef, blocks=1):
     """Values of sequences on the sign hypercube, yielded in `blocks` blocks.
 
     tables[k-1] has shape (..., m, 2^k), its prefix axes flattened in C order;
-    coef (..., N) flips the k-th term by coef[..., k-1] (none when None), its
-    leading axes broadcasting with the tables'.  Point index bits run from r_0
-    (slowest) to r_N (fastest), bit 0 for +1; the blocks, a power of two of
-    them, each (..., m, 2^(N+1) / blocks), follow in point order.
+    coef (..., N) flips the k-th term by coef[..., k-1], its leading axes
+    broadcasting with the tables'.  Point index bits run from r_0 (slowest)
+    to r_N (fastest), bit 0 for +1; the blocks, a power of two of them, each
+    (..., m, 2^(N+1) / blocks), follow in point order.
     The first h levels are gathered in one step: every point's terms, taken by
-    _head_plan(h) and flipped, added in level order.  Block b continues from
-    its slice of those values (with more blocks than values, of the values up
-    to the first level with one per block) by doubling, V <- (V + c, V - c),
-    through the slices of the later tables that it indexes.
+    _head_plan(h) and flipped, added in level order; h is raised to give at
+    least one value per block.  Block b continues from its slice of those
+    values by doubling, V <- (V + c, V - c), through the slices of the later
+    tables that it indexes.
     """
     N, m = len(tables), tables[0].shape[-2]
-    if coef is None:
-        coef = np.ones(tables[0].shape[:-2] + (N,))
-    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // (coef[..., 0].size * m)).bit_length() - 2))
-    k = max(h, blocks.bit_length() - 2)
-    if k > h:
-        [V] = _realize(tables[:k], coef[..., :k])
-    else:
-        rows, signs = _head_plan(h)
-        # The level axis is outside the contiguous point axis, so the levels add in order.
-        V = np.add.reduce(np.take(np.concatenate(tables[:h], axis=-1), rows, axis=-1)
-                          * (coef[..., None, :h, None] * signs), axis=-2)
+    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // (coef[..., 0].size * m)).bit_length() - 2),
+            blocks.bit_length() - 2)
+    rows, signs = _head_plan(h)
+    # The level axis is outside the contiguous point axis, so the levels add in order.
+    V = np.add.reduce(np.take(np.concatenate(tables[:h], axis=-1), rows, axis=-1)
+                      * (coef[..., None, :h, None] * signs), axis=-2)
     step = V.shape[-1] // blocks
     for b in range(blocks):
         Vb = V[..., b * step:(b + 1) * step]
-        for lvl in range(k, N):
+        for lvl in range(h, N):
             w = 2 ** (lvl + 1) // blocks
             c = tables[lvl][..., b * w:(b + 1) * w] * coef[..., lvl, None, None]
             new = np.empty(Vb.shape + (2,), dtype=complex)
@@ -332,10 +327,12 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
 def _beta_candidates(N, rng, restarts, warm_beta=None):
     """Systematic sweep for N <= 4, randomized (plus all-ones) otherwise.
 
-    The warm beta extended by all +1 and by all -1 is always a candidate,
-    so the zero-extended warm start is always ascended.
+    The sweep also serves any N with fewer than max(8, restarts) patterns,
+    where distinct random draws could never fill the quota.  The warm beta
+    extended by all +1 and by all -1 is always a candidate, so the
+    zero-extended warm start is always ascended.
     """
-    if N <= 4:
+    if N <= 4 or max(8, restarts) > 2**N:
         return [tuple(b) for b in _iterproduct((-1, 1), repeat=N)]
     cands = {(1,) * N, tuple([-1] + [1] * (N - 1))}
     if warm_beta is not None:

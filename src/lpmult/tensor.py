@@ -113,23 +113,13 @@ class ShearCheck:
     aligned: bool = True  # every shift is a whole number of grid cells
 
 
-def _shift_blocks(f: TensorGridFunction, cells: list[int]) -> np.ndarray:
-    """Shift block j by cells[j] grid cells along each of its axes (np.roll)."""
-    out = f.values
-    for j, c in enumerate(cells):
-        c %= f.grid.G
-        if c:
-            for ax in f.block_axes(j):
-                out = np.roll(out, -c, axis=ax)
-    return out
-
-
 def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
     """Both sides of the shear identity for f^k_eta(theta) = f_k(theta_j + N^j eta).
 
     eta runs over the G multiples 0..G-1 of the grid spacing, so every shift
     is a whole number of cells and permutes the sample points: the two
-    sides agree to rounding.
+    sides agree to rounding.  The shifts depend on the block, not on the
+    summand, so the shifted sum is the sum shifted, bit for bit.
     """
     if not summands:
         raise ValueError("need at least one summand")
@@ -140,13 +130,13 @@ def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
             raise ValueError("summands must share one product grid")
 
     total = sum(f.values for f in summands)
-    base = TensorGridFunction(grid, J, total)
-    rhs = base.lp_norm(p) ** p
+    rhs = TensorGridFunction(grid, J, total).lp_norm(p) ** p
 
     acc = 0.0
     for t in range(grid.G):
-        # Block j (0-based) is shifted by N^(j+1) * eta.
-        cells = [t * N ** (j + 1) for j in range(J)]
-        shifted = sum(_shift_blocks(f, cells) for f in summands)
+        # Block j (0-based) is shifted by N^(j+1) * eta along each of its d
+        # axes; a trailing component axis does not move.
+        cells = [-t * N ** (j + 1) % grid.G for j in range(J) for _ in range(grid.d)]
+        shifted = np.roll(total, cells, axis=tuple(range(grid.d * J)))
         acc += TensorGridFunction(grid, J, shifted).lp_norm(p) ** p
     return ShearCheck(lhs=acc / grid.G, rhs=rhs)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -182,6 +183,31 @@ def test_transference_shear(tmp_path):
     rows = _load_csv(out)
     assert rows[1][3] == "True"
     assert float(rows[1][2]) <= 1e-9 * max(1.0, float(rows[1][1]))
+
+
+def test_transference_shear_memory_does_not_grow_with_blocks(tmp_path):
+    # Every shift moves all summands alike, so the command keeps only their
+    # sum: its peak stays at a few arrays of 16 * 4^8 bytes (1 MiB) each, where
+    # holding and rolling the 8 summands apart took 14.
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code, _ = _run(["transference", "shear", "--grid", "4", "--blocks", "8"],
+                       tmp_path, "shear.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 16 * 4**8, peak
+
+
+def test_search_restarts_beyond_beta_patterns(tmp_path):
+    # 40 restarts at N = 5 ask for more betas than the 32 patterns there are.
+    code, out = _run(["search-martingale", "--p", "4", "--n", "5", "--restarts", "40",
+                      "--iters", "2", "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 0
+    assert len(json.loads(out.read_text())["notes"]["beta"]) == 5
 
 
 def test_norms_tables(tmp_path):

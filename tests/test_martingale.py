@@ -143,7 +143,7 @@ def test_ratio_input_validation():
 def _two_pass_ratio(F, cfg, exps):
     """The exact ratio with F and G realized one after the other and np.mean."""
     tables = [t.reshape(-1, F.m).T for t in F.tables]
-    [Fv] = _realize(tables)
+    [Fv] = _realize(tables, np.ones(F.N))
     [Gv] = _realize(tables, np.array(cfg.beta, dtype=float))
     n2 = np.sum(np.abs(Fv) ** 2, axis=-2)
     pair2 = np.sum(np.abs(Gv) ** 2, axis=-2) + cfg.tau**2 * n2
@@ -163,12 +163,13 @@ def _pointwise_ratio(F, cfg, exps):
     return num / den
 
 
-@pytest.mark.parametrize("N", [*range(1, 13), 14])
+@pytest.mark.parametrize("N", [*range(1, 13), 14, 15, 16])
 def test_fused_ratio_matches_two_pass_and_pointwise(N, monkeypatch):
-    # The default block holds every N here; blocks of 2^8 points (128 a row)
-    # split N >= 7 into 2^(N-6) blocks whose sums must add up bit for bit.
-    # At N = 14 there are 256 blocks, more than the 64 values of the head.
-    for block_points in (martingale._BLOCK_POINTS, 2**8):
+    # The default block holds N <= 14 and splits N = 15 and 16 into 2 and 4
+    # blocks; blocks of 2^8 points (128 a row) split N >= 7 into 2^(N-6)
+    # blocks whose sums must add up bit for bit.  At N = 14 there are 256
+    # blocks, more than the 64 values of the default head.
+    for block_points in [martingale._BLOCK_POINTS] + ([2**8] if N <= 14 else []):
         monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
         rng = np.random.default_rng(np.random.PCG64(500 + N))
         for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
@@ -264,6 +265,26 @@ def test_search_depth_validation():
         SearchBudget(restarts=0)
 
 
+def test_beta_candidates_sweep_when_quota_exceeds_patterns():
+    # 40 distinct betas cannot be drawn from the 32 patterns at N = 5; the
+    # sweep takes every pattern with no draw instead of looping forever.
+    def fresh():
+        return np.random.default_rng(np.random.PCG64(0))
+
+    rng = fresh()
+    assert sorted(martingale._beta_candidates(5, rng, 40)) == sorted(product((-1, 1), repeat=5))
+    assert rng.bit_generator.state == fresh().bit_generator.state
+    # At exactly 2^N distinct draws can still fill the quota, and still do.
+    rng = fresh()
+    assert len(martingale._beta_candidates(5, rng, 32)) == 32
+    assert rng.bit_generator.state != fresh().bit_generator.state
+
+
+def test_search_returns_when_restarts_exceed_patterns():
+    res = search_extremal(ExponentConfig(4.0), 0.0, 5, SearchBudget(restarts=40, iters=2, seed=1))
+    assert len(res.beta) == 5 and res.ratio >= 1.0
+
+
 def _reference_realize(tables, beta=None):
     """Per-k realization on the hypercube, shape (2,)*(N+1) + (m,)."""
     N = len(tables)
@@ -289,7 +310,7 @@ def test_realize_equals_reference_exactly(N, m):
         tables = [np.stack([s.tables[k].reshape(-1, m).T for s in seqs])
                   for k in range(N)]
         [V] = _realize(tables, coef)
-        rows = [None] * len(seqs) if coef is None else list(coef)
+        rows = list(coef)
         assert V.shape == (len(rows), m, P)
         # One table row broadcasts over every flip row.
         for v, seq, beta in zip(V, seqs * (len(rows) // len(seqs)), rows):
@@ -298,7 +319,7 @@ def test_realize_equals_reference_exactly(N, m):
     one = [_random_sequence(rng, N, m)]
     check(one, rng.choice([-1.0, 1.0], size=(2, N)))
     check([_random_sequence(rng, N, m) for _ in range(5)], rng.choice([-1.0, 1.0], size=(5, N)))
-    check(one, None)
+    check(one, np.ones((1, N)))
 
 
 def _reference_ratio_and_grad(tables, beta, tau, p, p0):

@@ -168,6 +168,46 @@ def test_shear_aligned_exact():
     assert chk.lhs == pytest.approx(chk.rhs, abs=1e-12 * max(1.0, chk.rhs))
 
 
+def _shear_per_summand(summands, N, p):
+    """(lhs, rhs) of the shear check with every summand shifted on its own."""
+    f0 = summands[0]
+    grid, J = f0.grid, f0.J
+
+    def shift(f, cells):
+        out = f.values
+        for j, c in enumerate(cells):
+            c %= grid.G
+            if c:
+                for ax in f.block_axes(j):
+                    out = np.roll(out, -c, axis=ax)
+        return out
+
+    rhs = TensorGridFunction(grid, J, sum(f.values for f in summands)).lp_norm(p) ** p
+    acc = 0.0
+    for t in range(grid.G):
+        cells = [t * N ** (j + 1) for j in range(J)]
+        acc += TensorGridFunction(grid, J, sum(shift(f, cells) for f in summands)).lp_norm(p) ** p
+    return acc / grid.G, rhs
+
+
+def test_shear_of_the_sum_equals_per_summand_shifts():
+    # A whole-cell shift permutes the samples and is the same for every
+    # summand, so shifting the sum adds the same numbers in the same order.
+    rng = np.random.default_rng(np.random.PCG64(15))
+    for _ in range(49):
+        d = int(rng.integers(1, 3))
+        J = int(rng.integers(1, 6 if d == 1 else 4))
+        G = int(rng.choice([g for g in (2, 4, 6) if g ** (d * J) <= 1024]))
+        m = int(rng.choice([0, 2, 3]))
+        shape = (G,) * (d * J) + ((m,) if m else ())
+        summands = [TensorGridFunction(TorusGrid(d, G), J, rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
+                    for _ in range(int(rng.integers(1, 4)))]
+        N, p = int(rng.choice([1, 2, 3, 5])), float(rng.choice([1.5, 3.0, 4.0]))
+        chk = shear_norm_check(summands, N, p)
+        assert (chk.lhs, chk.rhs) == _shear_per_summand(summands, N, p), (d, J, G, m, N, p)
+
+
 def test_shear_input_validation():
     with pytest.raises(ValueError):
         shear_norm_check([], 2, 4.0)
