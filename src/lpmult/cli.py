@@ -29,7 +29,7 @@ from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
 from .report import (CertReport, CrossCheckError, StoreError, decode_json, lookup_store,
                      load_store, sequence_from_record, sequence_to_record,
-                     update_store, TOOLKIT_VERSION)
+                     update_store, verify_record, with_array_tables, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
@@ -211,7 +211,8 @@ def cmd_transference(args) -> int:
         total = 0  # every shift moves all summands alike: only their sum is kept
         for _ in range(J):
             c = rng.standard_normal((grid.G,) * J) + 1j * rng.standard_normal((grid.G,) * J)
-            total += np.fft.ifftn(c) * grid.G**J
+            total += np.fft.ifftn(c, norm="forward")
+            del c  # not held while the next one is drawn
         chk = shear_norm_check([TensorGridFunction(grid, J, total)], args.n_shift, args.p)
         _write_csv(args.out, ["lhs", "rhs", "abs_diff", "aligned"],
                    [[chk.lhs, chk.rhs, abs(chk.lhs - chk.rhs), chk.aligned]])
@@ -237,26 +238,36 @@ def _norms_entries(args):
             yield exps, OperatorFamilyParam(args.family), ""
 
 
-def _best_certified(store: dict, p: float, tau: float, predicate: str) -> float | None:
-    best = None
-    for key, rec in store.items():
-        if rec["p"] == p and rec["p0"] == p and rec["tau"] == tau \
-                and rec["predicate"] == predicate:
-            if best is None or rec["ratio"] > best:
-                best = rec["ratio"]
+def _certified(store_dir: Path | None, cells: set) -> dict:
+    """The best stored ratio of each (p, tau, predicate) cell in cells, over the
+    records with p0 = p.  The store is read one record at a time, and a record
+    is verified when it becomes its cell's best, so every ratio returned holds."""
+    best = {}
+    if store_dir is None:
+        return best
+    for _, rec in load_store(store_dir):
+        cell = (rec["p"], rec["tau"], rec["predicate"])
+        if rec["p0"] == rec["p"] and cell in cells and \
+                (cell not in best or rec["ratio"] > best[cell]):
+            rec = with_array_tables(rec)  # the decoded lists go before the enumeration
+            verify_record(rec)
+            best[cell] = rec["ratio"]
+        del rec  # let it go before the next record is decoded
     return best
 
 
 def cmd_norms(args) -> int:
-    store = load_store(args.store_dir) if args.store_dir is not None else {}
+    entries = [(exps, param, pval, args.tau if param.family == "vector" else 0.0)
+               for exps, param, pval in _norms_entries(args)]
+    certified = _certified(args.store_dir, {(exps.p, tau, args.predicate)
+                                            for exps, _, _, tau in entries})
     rows = []
-    for exps, param, pval in _norms_entries(args):
-        tau = args.tau if param.family == "vector" else 0.0
+    for exps, param, pval, tau in entries:
         tgt = target_constant(param, exps, tau=tau, predicate=args.predicate)
-        certified = _best_certified(store, exps.p, tau, args.predicate)
-        gap = "" if certified is None else tgt.family_target - certified
+        best = certified.get((exps.p, tau, args.predicate))
         rows.append([param.family, pval, exps.p, tgt.family_target,
-                     "" if certified is None else certified, gap,
+                     "" if best is None else best,
+                     "" if best is None else tgt.family_target - best,
                      tgt.external_assumption])
     _write_csv(args.out, ["family", "parameter", "p", "target",
                           "certified_so_far", "gap", "external_assumption"], rows)

@@ -18,7 +18,7 @@ from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
 from lpmult.cli import main
 from lpmult.report import (CertReport, StoreError, decode_json, load_store, lookup_store,
                            sequence_from_record, sequence_to_record,
-                           store_key, update_store, verify_record)
+                           store_key, update_store, verify_record, with_array_tables)
 
 
 def _record(ratio=None, seed=0):
@@ -62,6 +62,7 @@ def test_sequence_record_round_trip():
     assert beta == (-1, 1)
     assert seq.N == 2
     assert verify_record(rec) == pytest.approx(rec["ratio"], abs=1e-12)
+    assert verify_record(with_array_tables(rec)) == verify_record(rec)
 
 
 def test_verify_record_catches_tampering():
@@ -90,7 +91,7 @@ def test_store_refuses_corrupt_file(tmp_path):
     rec = _record()
     _key_file(tmp_path, rec).write_text("{not json")
     with pytest.raises(StoreError):
-        load_store(tmp_path)
+        dict(load_store(tmp_path))
     with pytest.raises(StoreError):
         update_store(tmp_path, rec)
     with pytest.raises(StoreError):
@@ -153,7 +154,7 @@ def test_store_writes_one_file_per_key(tmp_path):
     assert (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns) == before
     assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
         [path2.name, _key_file(tmp_path, rec3).name])
-    assert load_store(tmp_path) == {key2: rec2, _key_file(tmp_path, rec3).stem: rec3}
+    assert dict(load_store(tmp_path)) == {key2: rec2, _key_file(tmp_path, rec3).stem: rec3}
 
 
 def test_store_refuses_file_not_holding_its_own_key(tmp_path):
@@ -163,7 +164,7 @@ def test_store_refuses_file_not_holding_its_own_key(tmp_path):
     # A record under a key other than the file's name.
     (tmp_path / f"{key}.json").write_text(json.dumps({other: rec}))
     with pytest.raises(StoreError):
-        load_store(tmp_path)
+        dict(load_store(tmp_path))
     with pytest.raises(StoreError):
         lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
     # Two records in one file, as the old single-file store held them.
@@ -172,7 +173,7 @@ def test_store_refuses_file_not_holding_its_own_key(tmp_path):
             path.unlink()
         (tmp_path / f"{name}.json").write_text(json.dumps({key: rec, other: rec}))
         with pytest.raises(StoreError):
-            load_store(tmp_path)
+            dict(load_store(tmp_path))
 
 
 def test_store_key_distinguishes_parameters():
@@ -224,4 +225,4 @@ def test_concurrent_writers_keep_every_record(tmp_path):
             if p.poll() is None:
                 p.kill()
                 p.wait()
-    assert len(load_store(store)) == 30
+    assert len(dict(load_store(store))) == 30
