@@ -14,6 +14,7 @@ generator, so identical flags reproduce identical numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -28,7 +29,7 @@ from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_r
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
 from .report import (CertReport, CrossCheckError, StoreError, decode_json, lookup_store,
-                     load_store, sequence_from_record, sequence_to_record,
+                     load_store, sequence_from_record, sequence_to_record, store_key,
                      update_store, verify_record, with_array_tables, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
@@ -91,26 +92,36 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
     return 1, 0.0
 
 
+@contextlib.contextmanager
+def _stored_record(store_dir, key):
+    """A ValueError while the store record under key becomes a martingale: exit 4, not 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise StoreError(f"extremizer store file {Path(store_dir) / key}.json does not "
+                         f"hold a valid martingale: {exc}") from exc
+
+
 def _martingale(args, exps):
     """(sequence, beta, source, search result or None) from the --martingale file,
     the store record at depth N (certify only), or a search warm-started from N - 1."""
     if args.martingale is not None:
         rec = decode_json(Path(args.martingale).read_text())
         return *sequence_from_record(rec), "file", None
-    if args.family != "martingale":
-        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n,
-                           args.predicate)
-        if rec is not None:
-            return *sequence_from_record(rec), "store", None
+
+    def stored(N):
+        """The store record at depth N as a SearchResult, or None."""
+        key = store_key(exps.p, exps.p0, args.tau, N, args.predicate)
+        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, N, args.predicate)
+        with _stored_record(args.store_dir, key):
+            return None if rec is None else SearchResult(*sequence_from_record(rec), rec["ratio"])
+
+    if args.family != "martingale" and (found := stored(args.n)) is not None:
+        return found.sequence, found.beta, "store", None
     budget = SearchBudget(restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap)
-    warm = None
-    if args.n > 1:
-        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, args.n - 1,
-                           args.predicate)
-        if rec is not None:
-            warm = SearchResult(*sequence_from_record(rec), rec["ratio"])
-    res = search_extremal(exps, args.tau, args.n, budget, warm_start=warm)
+    res = search_extremal(exps, args.tau, args.n, budget,
+                          warm_start=stored(args.n - 1) if args.n > 1 else None)
     return res.sequence, res.beta, "search", res
 
 
@@ -245,12 +256,13 @@ def _certified(store_dir: Path | None, cells: set) -> dict:
     best = {}
     if store_dir is None:
         return best
-    for _, rec in load_store(store_dir):
+    for key, rec in load_store(store_dir):
         cell = (rec["p"], rec["tau"], rec["predicate"])
         if rec["p0"] == rec["p"] and cell in cells and \
                 (cell not in best or rec["ratio"] > best[cell]):
-            rec = with_array_tables(rec)  # the decoded lists go before the enumeration
-            verify_record(rec)
+            with _stored_record(store_dir, key):
+                rec = with_array_tables(rec)  # the decoded lists go before the enumeration
+                verify_record(rec)
             best[cell] = rec["ratio"]
         del rec  # let it go before the next record is decoded
     return best

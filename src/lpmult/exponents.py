@@ -30,9 +30,5 @@ class ExponentConfig:
         return self.p / (self.p - 1.0)
 
     @property
-    def q0(self) -> float:
-        return self.p0 / (self.p0 - 1.0)
-
-    @property
     def pstar(self) -> float:
         return max(self.p, self.q)

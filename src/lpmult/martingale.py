@@ -6,13 +6,14 @@ The transform flips increment k by beta_k and the quadratic perturbation
 pairs the result with tau * F; the exact Lp -> Lp0 ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
 
-One realization serves the exact ratio and the search: `_realize` builds the
-values of F and G on the hypercube, its first levels gathered in one step and
-the rest by doubling, one sign coordinate a level (O(2^(N+1)) work); the
-search gradient is reduced by the reverse halving.  The exact ratio works in
-blocks of at most `_BLOCK_POINTS` points, each continuing from its slice of
-the head values, and adds the per-block sums in the balanced tree of numpy's
-pairwise sum over the whole hypercube.
+One realization serves the exact ratio and the search: from the tables of a
+sequence, one array level after level, `_realize` builds the values of F and
+G on the hypercube, its first levels gathered in one step and the rest by
+doubling, one sign coordinate a level (O(2^(N+1)) work); the search gradient
+is reduced by the reverse halving.  The exact ratio works in blocks of at
+most `_BLOCK_POINTS` points, each continuing from its slice of the head
+values, and adds the per-block sums in the balanced tree of numpy's pairwise
+sum over the whole hypercube.
 `search_extremal` ascends consecutive starts together, each with its own
 step, and re-verifies every start through `perturbed_ratio_exact`.
 """
@@ -58,18 +59,17 @@ _HEAD_LEVELS, _HEAD_POINTS = 5, 512
 _BATCH_POINTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MartingaleDifferenceSequence:
-    """Difference tables d_k: {+-1}^k -> C^m for k = 1..N.
+    """Difference tables d_k: {+-1}^k -> C^m, k = 1..N, held in one array flat
+    (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in the search and a
+    store record.  The constructor takes, and `tables` gives back as views of
+    flat, tables[k-1] (2,)*k + (m,), axis j indexing r_j with +1 -> 0, -1 -> 1."""
 
-    tables[k-1] has shape (2,)*k + (m,), axis j indexing r_j with the
-    convention +1 -> 0, -1 -> 1.
-    """
+    flat: np.ndarray
 
-    tables: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        tabs = tuple(np.asarray(t, dtype=complex) for t in self.tables)
+    def __init__(self, tables):
+        tabs = [np.asarray(t, dtype=complex) for t in tables]
         if not tabs:
             raise ValueError("need at least one difference table")
         m = tabs[0].shape[-1]
@@ -77,22 +77,24 @@ class MartingaleDifferenceSequence:
             if t.shape != (2,) * k + (m,):
                 raise ValueError(
                     f"table {k} has shape {t.shape}, expected {(2,) * k + (m,)}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"table {k} has non-finite entries")
-        object.__setattr__(self, "tables", tabs)
+        flat = _flat(tabs)
+        if not np.isfinite(flat).all():
+            row = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
+            raise ValueError(f"table {int(row + 2).bit_length() - 1} has non-finite entries")
+        object.__setattr__(self, "flat", flat)
 
     @property
     def N(self) -> int:
-        return len(self.tables)
+        return (len(self.flat) + 2).bit_length() - 2
 
     @property
     def m(self) -> int:
-        return self.tables[0].shape[-1]
+        return self.flat.shape[1]
 
-    @classmethod
-    def scalar(cls, tables) -> "MartingaleDifferenceSequence":
-        """Build from scalar tables of shape (2,)*k, adding the component axis."""
-        return cls(tuple(np.asarray(t, dtype=complex)[..., None] for t in tables))
+    @property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        return tuple(t.reshape((2,) * k + (self.m,))
+                     for k, t in enumerate(_levels(self.flat), start=1))
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,13 @@ def _head_plan(h):
     return 2**k - 2 + (i >> (h + 1 - k)), 1.0 - 2.0 * (i >> (h - k) & 1)
 
 
-def _realize(tables, coef, blocks=1):
+def _realize(flat, coef, blocks=1):
     """Values of sequences on the sign hypercube, yielded in `blocks` blocks.
 
-    tables[k-1] has shape (..., m, 2^k), its prefix axes flattened in C order;
-    coef (..., N) flips the k-th term by coef[..., k-1], its leading axes
-    broadcasting with the tables'.  Point index bits run from r_0 (slowest)
-    to r_N (fastest), bit 0 for +1; the blocks, a power of two of them, each
+    flat (..., m, 2^(N+1) - 2) holds d_k at 2^k - 2 ... 2^(k+1) - 3 of its last
+    axis; coef (..., N) flips the k-th term by coef[..., k-1], its leading axes
+    broadcasting with flat's.  Point index bits run from r_0 (slowest) to r_N
+    (fastest), bit 0 for +1; the blocks, a power of two of them, each
     (..., m, 2^(N+1) / blocks), follow in point order.
     The first h levels are gathered in one step: every point's terms, taken by
     _head_plan(h) and flipped, added in level order; h is raised to give at
@@ -144,19 +146,19 @@ def _realize(tables, coef, blocks=1):
     values by doubling, V <- (V + c, V - c), through the slices of the later
     tables that it indexes.
     """
-    N, m = len(tables), tables[0].shape[-2]
+    N, m = (flat.shape[-1] + 2).bit_length() - 2, flat.shape[-2]
     h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // (coef[..., 0].size * m)).bit_length() - 2),
             blocks.bit_length() - 2)
     rows, signs = _head_plan(h)
     # The level axis is outside the contiguous point axis, so the levels add in order.
-    V = np.add.reduce(np.take(np.concatenate(tables[:h], axis=-1), rows, axis=-1)
-                      * (coef[..., None, :h, None] * signs), axis=-2)
+    V = np.add.reduce(flat.take(rows, axis=-1) * (coef[..., None, :h, None] * signs), axis=-2)
     step = V.shape[-1] // blocks
     for b in range(blocks):
         Vb = V[..., b * step:(b + 1) * step]
         for lvl in range(h, N):
             w = 2 ** (lvl + 1) // blocks
-            c = tables[lvl][..., b * w:(b + 1) * w] * coef[..., lvl, None, None]
+            at = 2 ** (lvl + 1) - 2 + b * w
+            c = flat[..., at:at + w] * coef[..., lvl, None, None]
             new = np.empty(Vb.shape + (2,), dtype=complex)
             np.add(Vb, c, out=new[..., 0])
             np.subtract(Vb, c, out=new[..., 1])
@@ -190,10 +192,9 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"depth {N} exceeds enumeration cap {ENUMERATION_CAP}")
     if len(cfg.beta) != N:
         raise ValueError(f"beta must have length {N}")
-    tables = [t.reshape(-1, m).T for t in F.tables]
     # Complex flips spare a cast in every table product; a product by +-1 is exact.
     flips = np.array([(1,) * N, cfg.beta], dtype=complex)
-    parts = _realize(tables, flips, max(1, 2 ** (N + 2) // _BLOCK_POINTS))
+    parts = _realize(F.flat.T, flips, max(1, 2 ** (N + 2) // _BLOCK_POINTS))
     p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
     dens, nums = [], []
     # Overflowing squares become inf or NaN here and are refused below.
@@ -238,7 +239,7 @@ def _levels(x):
 
 
 def _flat(tables):
-    return np.concatenate([np.reshape(t, (-1, t.shape[-1])) for t in tables])
+    return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
 
 
 def _ratio_and_grad(x, coef, tau, p, p0):
@@ -253,7 +254,7 @@ def _ratio_and_grad(x, coef, tau, p, p0):
     B, _, m = x.shape
     flips = np.ones((2,) + coef.shape, dtype=complex)
     flips[1] = coef
-    [V] = _realize([t.swapaxes(-1, -2) for t in _levels(x)], flips)
+    [V] = _realize(x.swapaxes(-1, -2), flips)
     n2, g2 = np.sum(np.abs(V) ** 2, axis=-2)
     h = g2 + tau * tau * n2
     P = n2.shape[1]
@@ -391,7 +392,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
         for k in range(warm_start.sequence.N, N):
             noised[k] = 1e-6 * (rng.standard_normal(noised[k].shape)
                                 + 1j * rng.standard_normal(noised[k].shape))
-        warm = [_flat(seq.tables), _flat(noised)]
+        warm = [seq.flat, _flat(noised)]
         warm_beta_prefix = warm_start.beta
 
     def starts():

@@ -20,6 +20,12 @@ from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_r
                            sequence_to_record, store_key)
 
 
+def _scalar(tables):
+    """A sequence of scalar tables of shape (2,)*k, the component axis added."""
+    return MartingaleDifferenceSequence(tuple(np.asarray(t, dtype=complex)[..., None]
+                                              for t in tables))
+
+
 def _run(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -96,9 +102,8 @@ def test_certify_every_family_through_re_b(tmp_path):
     # Im B and rotated(theta) are rotations of +-Re B, so every family
     # certifies the same martingale at the same bound.
     rng = np.random.default_rng(np.random.PCG64(11))
-    seq = MartingaleDifferenceSequence.scalar(
-        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
-        for k in range(1, 4))
+    seq = _scalar(rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
+                  for k in range(1, 4))
     beta = (1, -1, 1)
     exps = ExponentConfig(4.0)
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
@@ -273,7 +278,7 @@ def test_nonfinite_input_is_refused(tmp_path, args, capsys):
 def test_certify_refuses_overflowing_tables(tmp_path, capsys):
     # |d|^2 overflows to inf, so the enumerated ratio is inf / inf = NaN,
     # refused without a numpy warning.
-    seq = MartingaleDifferenceSequence.scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
+    seq = _scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
                                                   0.0, 0, "def2")))
@@ -290,7 +295,7 @@ def test_certify_refuses_overflowing_tables(tmp_path, capsys):
 
 def test_certify_refuses_underflowing_tables(tmp_path, capsys):
     # |d|^2 underflows to 0, so ||F_N||_p is zero: refused before dividing.
-    seq = MartingaleDifferenceSequence.scalar([np.full(2, 1e-170), np.full((2, 2), 1e-170)])
+    seq = _scalar([np.full(2, 1e-170), np.full((2, 2), 1e-170)])
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
                                                   0.0, 0, "def2")))
@@ -433,7 +438,7 @@ def test_malformed_martingale_file_is_refused(tmp_path, payload):
     pytest.param(["norms", "--family", "beurling"], id="norms"),
 ])
 def test_store_record_missing_field_exits_store_error(tmp_path, command):
-    seq = MartingaleDifferenceSequence.scalar([np.ones(2), np.ones((2, 2))])
+    seq = _scalar([np.ones(2), np.ones((2, 2))])
     rec = sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0, "def2")
     del rec["ratio"]
     store = tmp_path / "store"
@@ -454,9 +459,8 @@ def _store_record(store, rec, **changes):
 
 def _random_record(rng, N, tau=0.0):
     """A store record of random scalar tables and beta at p = 4, with its ratio."""
-    seq = MartingaleDifferenceSequence.scalar(
-        rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
-        for k in range(1, N + 1))
+    seq = _scalar(rng.standard_normal((2,) * k) + 1j * rng.standard_normal((2,) * k)
+                  for k in range(1, N + 1))
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
     exps = ExponentConfig(4.0)
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
@@ -501,6 +505,59 @@ def test_store_record_of_wrong_type_is_refused(tmp_path, capsys, field, value):
     assert "Traceback" not in capsys.readouterr().err
     with pytest.raises(StoreError):
         lookup_store(store, 4.0, 4.0, 0.0, 3, "def2")
+
+
+def _cut_table(tables):
+    tables[2] = tables[2][:5]
+
+
+def _letter(tables):
+    tables[2][0][0] = "x"
+
+
+def _nan(tables):
+    tables[2][0][0] = math.nan
+
+
+_MALFORMED_TABLES = [pytest.param(f, id=f.__name__.strip("_"))
+                     for f in (_cut_table, _letter, _nan)]
+
+
+@pytest.mark.parametrize("malform", _MALFORMED_TABLES)
+@pytest.mark.parametrize("command", [
+    pytest.param(["norms", "--family", "beurling"], id="norms"),
+    pytest.param(["certify", "beurling-real", "--n", "3"], id="certify"),
+    pytest.param(["search-martingale", "--n", "4", "--iters", "30", "--restarts", "2"],
+                 id="warm-start"),
+])
+def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, capsys,
+                                                                   command, malform):
+    # An N = 3 record whose tables do not make a sequence is a bad store,
+    # refused with exit 4 and the record's file named, whichever flow reads it.
+    store = tmp_path / "store"
+    rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
+    malform(rec["tables"])
+    _store_record(store, rec)
+    code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(store / f"{store_key(4.0, 4.0, 0.0, 3, 'def2')}.json") in err
+    assert "Traceback" not in err
+    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
+
+
+@pytest.mark.parametrize("malform", _MALFORMED_TABLES)
+def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, malform):
+    rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
+    malform(rec["tables"])
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(rec))
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--n", "3",
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 2
+    assert not out.exists()
 
 
 def test_norms_holds_one_record_at_a_time(tmp_path):

@@ -28,7 +28,6 @@ def test_pstar_symmetric_under_duality():
 def test_separate_p0():
     e = ExponentConfig(4.0, 2.0)
     assert e.p0 == 2.0
-    assert e.q0 == 2.0
 
 
 def test_invalid_exponents():

@@ -11,7 +11,7 @@ import pytest
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
-                               TransformConfig, _ratio_and_grad, _realize,
+                               TransformConfig, _flat, _ratio_and_grad, _realize,
                                extend_with_zero, perturbed_ratio_exact,
                                search_extremal)
 
@@ -58,6 +58,35 @@ def test_table_shape_validation():
         MartingaleDifferenceSequence(())
     with pytest.raises(ValueError):
         MartingaleDifferenceSequence((np.array([[np.nan], [1.0]]),))
+
+
+@pytest.mark.parametrize("N, m", [(1, 1), (2, 2), (5, 1), (5, 2)])
+def test_sequence_holds_its_tables_in_one_flat_array(N, m):
+    # d_k at rows 2^k - 2 ... 2^(k+1) - 3, as the search lays out its starts.
+    rng = np.random.default_rng(np.random.PCG64(90 + 10 * N + m))
+    tables = [rng.standard_normal((2,) * k + (m,))
+              + 1j * rng.standard_normal((2,) * k + (m,)) for k in range(1, N + 1)]
+    tables[-1][(1,) * N] = complex(-0.0, 0.0)
+    seq = MartingaleDifferenceSequence(tables)
+    assert (seq.N, seq.m) == (N, m)
+    assert seq.flat.shape == (2 ** (N + 1) - 2, m)
+    assert np.array_equal(seq.flat, _flat(tables))
+    back = seq.tables
+    assert len(back) == N
+    for t, b in zip(tables, back):
+        assert b.shape == t.shape and b.tobytes() == t.tobytes()
+        assert np.shares_memory(b, seq.flat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "imag-nan"])
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("at", [0, 1], ids=["first-row", "last-row"])
+def test_non_finite_entry_names_its_table(bad, k, at):
+    tables = [np.ones((2,) * j + (2,), dtype=complex) for j in range(1, 5)]
+    tables[k - 1][(at,) * k + (1,)] = bad
+    with pytest.raises(ValueError, match=f"^table {k} has non-finite entries$"):
+        MartingaleDifferenceSequence(tables)
 
 
 def test_evaluate_sequence_explicit():
@@ -142,9 +171,8 @@ def test_ratio_input_validation():
 
 def _two_pass_ratio(F, cfg, exps):
     """The exact ratio with F and G realized one after the other and np.mean."""
-    tables = [t.reshape(-1, F.m).T for t in F.tables]
-    [Fv] = _realize(tables, np.ones(F.N))
-    [Gv] = _realize(tables, np.array(cfg.beta, dtype=float))
+    [Fv] = _realize(F.flat.T, np.ones(F.N))
+    [Gv] = _realize(F.flat.T, np.array(cfg.beta, dtype=float))
     n2 = np.sum(np.abs(Fv) ** 2, axis=-2)
     pair2 = np.sum(np.abs(Gv) ** 2, axis=-2) + cfg.tau**2 * n2
     num = np.mean(pair2 ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
@@ -307,9 +335,7 @@ def test_realize_equals_reference_exactly(N, m):
     P = 2 ** (N + 1)
 
     def check(seqs, coef):
-        tables = [np.stack([s.tables[k].reshape(-1, m).T for s in seqs])
-                  for k in range(N)]
-        [V] = _realize(tables, coef)
+        [V] = _realize(np.stack([s.flat.T for s in seqs]), coef)
         rows = list(coef)
         assert V.shape == (len(rows), m, P)
         # One table row broadcasts over every flip row.

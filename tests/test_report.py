@@ -65,6 +65,20 @@ def test_sequence_record_round_trip():
     assert verify_record(with_array_tables(rec)) == verify_record(rec)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_record_pairs_follow_the_flat_level_order(m):
+    # A record's [re, im] pairs, table after table, are the sequence's flat
+    # array read as float pairs: the level order of the search's layout.
+    rng = np.random.default_rng(np.random.PCG64(40 + m))
+    seq = MartingaleDifferenceSequence(tuple(
+        rng.standard_normal((2,) * k + (m,)) + 1j * rng.standard_normal((2,) * k + (m,))
+        for k in range(1, 5)))
+    rec = sequence_to_record(seq, (1, -1, 1, 1), 0.0, ExponentConfig(4.0), 1.0, 0, "def2")
+    pairs = np.concatenate([np.asarray(t, dtype=float) for t in rec["tables"]])
+    assert np.array_equal(pairs, seq.flat.view(float).reshape(-1, 2))
+    assert np.array_equal(sequence_from_record(rec)[0].flat, seq.flat)
+
+
 def test_verify_record_catches_tampering():
     for ratio in (2.0, float("nan"), float("inf")):
         with pytest.raises(StoreError):
