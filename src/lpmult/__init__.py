@@ -14,9 +14,8 @@ from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
                       beurling_imag, beurling_matrix, beurling_real,
                       family_symbol, identity_symbol, rotated,
                       target_constant, tau_admissible)
-from .martingale import (MartingaleDifferenceSequence, SearchBudget,
-                         SearchResult, TransformConfig, extend_with_zero,
-                         perturbed_ratio_exact, search_extremal)
+from .martingale import (MartingaleDifferenceSequence, SearchBudget, SearchResult,
+                         TransformConfig, perturbed_ratio_exact, search_extremal)
 from .tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
@@ -31,8 +30,7 @@ __all__ = [
     "family_symbol", "identity_symbol", "rotated",
     "target_constant", "tau_admissible",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
-    "TransformConfig", "extend_with_zero",
-    "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
+    "TransformConfig", "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
     "shear_norm_check", "tensor_lift_apply",
     "GaussianPairingConfig", "gaussian_damped_pairing",
     "multiplier_deviation", "WitnessSpec",

@@ -114,12 +114,11 @@ class OperatorFamilyParam:
     theta: float = 0.0
     c: float = 1.0
     z: complex = 0.0
-    tau: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for v in (self.theta, self.c, self.tau):
+        for v in (self.theta, self.c):
             if not math.isfinite(v):
                 raise ValueError("family parameters must be finite")
         if not (math.isfinite(self.z.real) and math.isfinite(self.z.imag)):

@@ -244,7 +244,7 @@ def _norms_entries(args):
             for v in (parse(s) for s in getattr(args, name).split(",")):
                 yield exps, OperatorFamilyParam(args.family, **{name: v}), v
         elif args.family == "vector":
-            yield exps, OperatorFamilyParam("vector", tau=args.tau), args.tau
+            yield exps, OperatorFamilyParam("vector"), args.tau
         else:
             yield exps, OperatorFamilyParam(args.family), ""
 
@@ -269,6 +269,8 @@ def _certified(store_dir: Path | None, cells: set) -> dict:
 
 
 def cmd_norms(args) -> int:
+    if not math.isfinite(args.tau):
+        raise ValueError(f"--tau must be finite, got {args.tau}")
     entries = [(exps, param, pval, args.tau if param.family == "vector" else 0.0)
                for exps, param, pval in _norms_entries(args)]
     certified = _certified(args.store_dir, {(exps.p, tau, args.predicate)

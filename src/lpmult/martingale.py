@@ -37,7 +37,6 @@ __all__ = [
     "SearchBudget",
     "SearchResult",
     "perturbed_ratio_exact",
-    "extend_with_zero",
     "search_extremal",
     "ENUMERATION_CAP",
 ]
@@ -215,12 +214,6 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     return ratio
 
 
-def extend_with_zero(F: MartingaleDifferenceSequence) -> MartingaleDifferenceSequence:
-    """Append d_{N+1} = 0; the perturbed ratio is unchanged for any extended beta."""
-    zero = np.zeros((2,) * (F.N + 1) + (F.m,), dtype=complex)
-    return MartingaleDifferenceSequence(F.tables + (zero,))
-
-
 # --- extremal search -------------------------------------------------------
 
 
@@ -348,7 +341,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     For each candidate beta the tables are ascended from random complex
-    Gaussian restarts (and from the zero-extended warm start when given).
+    Gaussian restarts, and from a warm start's flat array followed by zero
+    rows (the same ratio) and by rows of 1e-6 noise, for the warm beta's extensions.
     Consecutive starts are ascended together in batches of at most
     _BATCH_POINTS hypercube points; each start's result does not depend on
     its batch.  Every ascended start is re-verified through
@@ -377,23 +371,21 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     deadline = time.monotonic() + budget.wall_cap_s
     m = warm_start.sequence.m if warm_start is not None else 1
 
-    warm = []
-    warm_beta_prefix = None
+    warm, warm_beta_prefix = [], None
     if warm_start is not None:
-        seq = warm_start.sequence
-        while seq.N < N:
-            seq = extend_with_zero(seq)
-        if seq.N != N:
+        base, warm_beta_prefix = warm_start.sequence.flat, warm_start.beta
+        if warm_start.sequence.N > N:
             raise ValueError("warm start deeper than requested depth")
+        with np.errstate(over="ignore"):  # refused once here, not in every ascent step
+            if not math.isfinite(np.sum(np.abs(base) ** 2)):
+                raise FloatingPointError("warm start tables out of range: their squares overflow")
         # The zero-extended optimum sits on a saddle (the gradient in the
-        # appended tables vanishes identically); a noised copy escapes it
+        # appended levels vanishes identically); a noised copy escapes it
         # while the exact copy pins the ratio floor.
-        noised = list(seq.tables)
-        for k in range(warm_start.sequence.N, N):
-            noised[k] = 1e-6 * (rng.standard_normal(noised[k].shape)
-                                + 1j * rng.standard_normal(noised[k].shape))
-        warm = [seq.flat, _flat(noised)]
-        warm_beta_prefix = warm_start.beta
+        noise = [1e-6 * (rng.standard_normal((2**k, m)) + 1j * rng.standard_normal((2**k, m)))
+                 for k in range(warm_start.sequence.N + 1, N + 1)]
+        warm = [np.concatenate([base, np.zeros((2 ** (N + 1) - 2 - len(base), m), complex)]),
+                np.concatenate([base, *noise])]
 
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""

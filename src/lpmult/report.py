@@ -4,9 +4,9 @@ Reports and store records are plain JSON with complex numbers as [re, im]
 pairs.  The store is a directory with one file per key,
 <store>/<store_key(...)>.json holding {key: record}, so a write or a lookup
 touches one record; a file that does not hold exactly one record under the
-key its name gives (such as an old single-file extremizers.json), or whose
-record lacks a field the readers take or holds one of the wrong type, is
-refused.
+key that both its name and the record's own fields give (such as an old
+single-file extremizers.json), or whose record lacks a field the readers take
+or holds one of the wrong type, is refused.
 Store updates are atomic (write to a temp file, then rename) and serialized
 by a lock file, and a new record replaces an old one only if its re-verified
 ratio is strictly larger by 1e-12.
@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .exponents import ExponentConfig
-from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
+from .martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
+                         perturbed_ratio_exact)
 
 __all__ = ["CertReport", "CrossCheckError", "StoreError", "store_key", "load_store",
            "update_store", "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
@@ -100,8 +101,7 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
         "tau": tau,
         "N": seq.N,
         "m": seq.m,
-        "tables": [np.stack([t.real.ravel(), t.imag.ravel()], axis=1).tolist()
-                   for t in seq.tables],
+        "tables": [t.reshape(-1, 2).tolist() for t in _levels(seq.flat.view(float))],
         "beta": [int(b) for b in beta],
         "ratio": ratio,
         "seed": seed,
@@ -119,7 +119,10 @@ def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple
     for k, pairs in enumerate(rec["tables"], start=1):
         flat = np.asarray(pairs, dtype=float).view(complex)
         tables.append(flat.reshape((2,) * k + (m,)))
-    return MartingaleDifferenceSequence(tuple(tables)), tuple(int(b) for b in rec["beta"])
+    seq, beta = MartingaleDifferenceSequence(tuple(tables)), rec["beta"]
+    if len(beta) != seq.N or any(b not in (-1, 1) for b in beta) or rec.get("N", seq.N) != seq.N:
+        raise ValueError(f"{seq.N} tables need a beta of {seq.N} entries +-1 and N = {seq.N}")
+    return seq, tuple(int(b) for b in beta)
 
 
 def with_array_tables(rec: dict) -> dict:
@@ -180,10 +183,11 @@ def _read_record(path: Path) -> dict | None:
     if not (isinstance(data, dict) and list(data) == [path.stem]
             and isinstance(rec := data[path.stem], dict)
             and all(isinstance(rec.get(name), kind) and not isinstance(rec[name], bool)
-                    for name, kind in _RECORD_FIELDS.items())):
+                    for name, kind in _RECORD_FIELDS.items())
+            and store_key(*(rec[f] for f in ("p", "p0", "tau", "N", "predicate"))) == path.stem):
         raise StoreError(f"extremizer store file {path} does not hold exactly one "
                          f"record, with the fields {sorted(_RECORD_FIELDS)} each of "
-                         f"its type, under the key {path.stem!r}")
+                         f"its type, under the key {path.stem!r} that its fields give")
     return rec
 
 

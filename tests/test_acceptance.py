@@ -247,7 +247,7 @@ def test_criterion_10_target_tables():
     e4 = ExponentConfig(4.0)
     t = target_constant(OperatorFamilyParam(family="beurling"), e4)
     assert abs(t.family_target - 3.0) < 1e-12 and not t.external_assumption
-    t = target_constant(OperatorFamilyParam(family="vector", tau=1.0), e4, tau=1.0)
+    t = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
     assert abs(t.family_target - math.sqrt(10.0)) < 1e-12
     t = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
     assert abs(t.family_target - 3.0 * math.sqrt(2.0)) < 1e-12

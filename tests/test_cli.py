@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and determinism."""
 
+import copy
 import csv
 import json
 import math
@@ -259,6 +260,8 @@ def test_exit_code_invalid_config(tmp_path):
     pytest.param(["transference", "gaussian", "--p0", "nan"], id="gaussian-p0-nan"),
     pytest.param(["transference", "gaussian", "--eps-start", "1e-320"],
                  id="gaussian-eps-subnormal"),
+    pytest.param(["norms", "--family", "beurling", "--tau", "nan"], id="norms-tau-nan"),
+    pytest.param(["norms", "--family", "vector", "--tau", "inf"], id="norms-vector-tau-inf"),
     # 64^8 points, 2 PiB of summands: refused before the first draw.
     pytest.param(["transference", "shear", "--grid", "64", "--blocks", "8"],
                  id="shear-oversized"),
@@ -291,6 +294,25 @@ def test_certify_refuses_overflowing_tables(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "not finite" in err and "RuntimeWarning" not in err
+
+
+def test_warm_start_refuses_overflowing_tables(tmp_path, capsys):
+    # The same tables stored at N = 3 warm-start an N = 4 search: refused once,
+    # before any ascent step, without a numpy warning.
+    seq = _scalar([np.full((2,) * k, 1e200) for k in (1, 2, 3)])
+    store = tmp_path / "store"
+    _store_record(store, sequence_to_record(seq, (1, 1, 1), 0.0, ExponentConfig(4.0),
+                                            0.0, 0, "def2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
+                          "--restarts", "2", "--store-dir", str(store)], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "out of range" in err and "RuntimeWarning" not in err
+    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
 def test_certify_refuses_underflowing_tables(tmp_path, capsys):
@@ -507,23 +529,46 @@ def test_store_record_of_wrong_type_is_refused(tmp_path, capsys, field, value):
         lookup_store(store, 4.0, 4.0, 0.0, 3, "def2")
 
 
-def _cut_table(tables):
-    tables[2] = tables[2][:5]
+def _cut_table(rec):
+    rec["tables"][2] = rec["tables"][2][:5]
 
 
-def _letter(tables):
-    tables[2][0][0] = "x"
+def _letter(rec):
+    rec["tables"][2][0][0] = "x"
 
 
-def _nan(tables):
-    tables[2][0][0] = math.nan
+def _nan(rec):
+    rec["tables"][2][0][0] = math.nan
 
 
-_MALFORMED_TABLES = [pytest.param(f, id=f.__name__.strip("_"))
-                     for f in (_cut_table, _letter, _nan)]
+def _beta_cut(rec):
+    rec["beta"] = rec["beta"][:2]
 
 
-@pytest.mark.parametrize("malform", _MALFORMED_TABLES)
+def _beta_entry_2(rec):
+    rec["beta"][1] = 2
+
+
+def _fourth_table(rec):
+    rec["tables"].append([[0.0, 0.0]] * 16)
+
+
+def _N_5(rec):
+    rec["N"] = 5
+
+
+def _N_5_record(rec):
+    # A complete record, but of another key: only a store file can hold it.
+    rec.update(_random_record(np.random.default_rng(np.random.PCG64(7)), 5))
+
+
+# Each changes an N = 3 record in place so that it makes no martingale of its key.
+_MALFORMED_RECORDS = [pytest.param(f, id=f.__name__.strip("_"))
+                      for f in (_cut_table, _letter, _nan, _beta_cut, _beta_entry_2,
+                                _fourth_table, _N_5, _N_5_record)]
+
+
+@pytest.mark.parametrize("malform", _MALFORMED_RECORDS)
 @pytest.mark.parametrize("command", [
     pytest.param(["norms", "--family", "beurling"], id="norms"),
     pytest.param(["certify", "beurling-real", "--n", "3"], id="certify"),
@@ -532,12 +577,13 @@ _MALFORMED_TABLES = [pytest.param(f, id=f.__name__.strip("_"))
 ])
 def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, capsys,
                                                                    command, malform):
-    # An N = 3 record whose tables do not make a sequence is a bad store,
+    # An N = 3 record that makes no martingale of its key is a bad store,
     # refused with exit 4 and the record's file named, whichever flow reads it.
     store = tmp_path / "store"
     rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
-    malform(rec["tables"])
-    _store_record(store, rec)
+    bad = copy.deepcopy(rec)
+    malform(bad)
+    _store_record(store, rec, **bad)
     code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
     assert code == 4
     assert not out.exists()
@@ -547,10 +593,10 @@ def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, caps
     assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
-@pytest.mark.parametrize("malform", _MALFORMED_TABLES)
+@pytest.mark.parametrize("malform", _MALFORMED_RECORDS[:-1])  # N_5_record is valid here
 def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, malform):
     rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
-    malform(rec["tables"])
+    malform(rec)
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(rec))
     code, out = _run(["certify", "beurling-real", "--p", "4", "--n", "3",

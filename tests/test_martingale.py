@@ -12,8 +12,7 @@ from lpmult import martingale
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
                                TransformConfig, _flat, _ratio_and_grad, _realize,
-                               extend_with_zero, perturbed_ratio_exact,
-                               search_extremal)
+                               perturbed_ratio_exact, search_extremal)
 
 
 def _sign_index(r):
@@ -148,7 +147,7 @@ def test_extend_with_zero_preserves_ratio():
     seq = _random_sequence(rng, 3)
     beta = (1, -1, 1)
     base = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
-    ext = extend_with_zero(seq)
+    ext = MartingaleDifferenceSequence(seq.tables + (np.zeros((2, 2, 2, 2, 1)),))
     for b in (-1, 1):
         extended = perturbed_ratio_exact(ext, TransformConfig(beta + (b,), 0.5), exps)
         assert extended == pytest.approx(base, abs=1e-12)

@@ -97,7 +97,7 @@ def test_family_symbol_examples():
     fi = family_symbol(OperatorFamilyParam(family="F", z=1j))
     assert fi.evaluate(np.array([1.0, 1.0])) == pytest.approx(1j)
     with pytest.raises(ValueError):
-        family_symbol(OperatorFamilyParam(family="vector", tau=1.0))
+        family_symbol(OperatorFamilyParam(family="vector"))
 
     # Every scalar family against its printed quotient.
     rng = np.random.default_rng(np.random.PCG64(11))
@@ -183,7 +183,7 @@ def test_target_constants():
     e4 = ExponentConfig(4.0)
     assert target_constant(OperatorFamilyParam(family="beurling"), e4).family_target \
         == pytest.approx(3.0)
-    vec = target_constant(OperatorFamilyParam(family="vector", tau=1.0), e4, tau=1.0)
+    vec = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
     assert vec.family_target == pytest.approx(math.sqrt(10.0))
     fz = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
     assert fz.family_target == pytest.approx(3.0 * math.sqrt(2.0))
