@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import math
 import sys
@@ -346,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The process's entry (the lpmult script, python -m lpmult.cli): nothing the
+        # imports made is garbage, so freeze it, and no later full collection, the
+        # exit's included, walks it again.  main(argv) in process leaves GC alone.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -110,25 +110,34 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
     }
 
 
+def _float_table(k: int, pairs) -> np.ndarray:
+    try:
+        return np.asarray(pairs, dtype=float)
+    except TypeError as exc:  # an entry such as a JSON object
+        raise ValueError(f"table {k} holds an entry that is not a number") from exc
+
+
 def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple[int, ...]]:
-    if not (isinstance(rec, dict) and {"m", "tables", "beta"} <= rec.keys()):
+    if not (isinstance(rec, dict) and {"m", "tables", "beta"} <= rec.keys()
+            and type(rec["m"]) is int and isinstance(rec["tables"], list)
+            and isinstance(rec["beta"], list)):
         raise ValueError("a martingale record is a JSON object with the fields "
-                         "m, tables and beta")
-    m = int(rec["m"])
-    tables = []
+                         "m (an integer), tables and beta (lists)")
+    m, tables = rec["m"], []
     for k, pairs in enumerate(rec["tables"], start=1):
-        flat = np.asarray(pairs, dtype=float).view(complex)
-        tables.append(flat.reshape((2,) * k + (m,)))
+        tables.append(_float_table(k, pairs).view(complex).reshape((2,) * k + (m,)))
     seq, beta = MartingaleDifferenceSequence(tuple(tables)), rec["beta"]
-    if len(beta) != seq.N or any(b not in (-1, 1) for b in beta) or rec.get("N", seq.N) != seq.N:
+    # type(b) is int, as a JSON true is no sign although true == 1.
+    if len(beta) != seq.N or any(type(b) is not int or b not in (-1, 1) for b in beta) \
+            or rec.get("N", seq.N) != seq.N:
         raise ValueError(f"{seq.N} tables need a beta of {seq.N} entries +-1 and N = {seq.N}")
-    return seq, tuple(int(b) for b in beta)
+    return seq, tuple(beta)
 
 
 def with_array_tables(rec: dict) -> dict:
     """rec with each table as a float array of [re, im] rows: the same values to
     sequence_from_record, in about a seventh of the decoded lists' memory."""
-    return dict(rec, tables=[np.asarray(t, dtype=float) for t in rec["tables"]])
+    return dict(rec, tables=[_float_table(k, t) for k, t in enumerate(rec["tables"], start=1)])
 
 
 def verify_record(rec: dict, tol: float = 1e-12) -> float:

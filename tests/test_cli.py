@@ -2,16 +2,22 @@
 
 import copy
 import csv
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lpmult
 from lpmult.catalog import beurling_imag, beurling_real, rotated
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -557,6 +563,15 @@ def _N_5(rec):
     rec["N"] = 5
 
 
+def _beta_true(rec):
+    rec["beta"] = [True if b == 1 else b for b in rec["beta"]]
+    assert True in rec["beta"]
+
+
+def _table_object(rec):
+    rec["tables"][2][0][0] = {"re": 1.0}
+
+
 def _N_5_record(rec):
     # A complete record, but of another key: only a store file can hold it.
     rec.update(_random_record(np.random.default_rng(np.random.PCG64(7)), 5))
@@ -565,7 +580,8 @@ def _N_5_record(rec):
 # Each changes an N = 3 record in place so that it makes no martingale of its key.
 _MALFORMED_RECORDS = [pytest.param(f, id=f.__name__.strip("_"))
                       for f in (_cut_table, _letter, _nan, _beta_cut, _beta_entry_2,
-                                _fourth_table, _N_5, _N_5_record)]
+                                _fourth_table, _N_5, _beta_true, _table_object,
+                                _N_5_record)]
 
 
 @pytest.mark.parametrize("malform", _MALFORMED_RECORDS)
@@ -593,8 +609,21 @@ def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, caps
     assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
-@pytest.mark.parametrize("malform", _MALFORMED_RECORDS[:-1])  # N_5_record is valid here
-def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, malform):
+def _beta_int(rec):
+    rec["beta"] = 5
+
+
+def _tables_int(rec):
+    rec["tables"] = 7
+
+
+@pytest.mark.parametrize("malform", [
+    *_MALFORMED_RECORDS[:-1],  # N_5_record is valid here
+    # A store file of these fails its field types; a --martingale file has none.
+    *(pytest.param(f, id=f.__name__.strip("_")) for f in (_beta_int, _tables_int)),
+])
+def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, capsys,
+                                                                     malform):
     rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
     malform(rec)
     inst = tmp_path / "inst.json"
@@ -604,6 +633,7 @@ def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, m
                      tmp_path)
     assert code == 2
     assert not out.exists()
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_norms_holds_one_record_at_a_time(tmp_path):
@@ -714,3 +744,62 @@ def test_certify_depth_12_from_file(tmp_path):
     assert rep["achieved_ratio"] == rep["certified_lower_bound"] == ratio
     assert rep["notes"]["certificate"] == "factored"
     assert "stopped_by" not in rep["notes"]
+
+
+def _process(tmp_path, code):
+    """Run Python code in a fresh process that imports this lpmult; (exit code, stdout)."""
+    src = str(Path(lpmult.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, *code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path, enabled):
+    # Only the process entry (argv None) freezes; main(argv) changes no GC state,
+    # not even through the paused collector of the --martingale decode.
+    inst, _ = _scalar_record(tmp_path, 4, 19)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        code, _ = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "4",
+                        "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                       tmp_path)
+        assert code == 0
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_process_entry_freezes_the_imports(tmp_path):
+    # The console script calls main() with no argv; so does python -m lpmult.cli.
+    inst, _ = _scalar_record(tmp_path, 2, 19)
+    script = ("import gc, sys\n"
+              "from lpmult.cli import main\n"
+              "sys.argv = ['lpmult', 'certify', 'beurling-real', '--p', '4', '--tau', '1',\n"
+              f"            '--n', '2', '--martingale', {str(inst)!r}, '--out', 'rep.json']\n"
+              "print(main(), gc.get_freeze_count())\n")
+    code, stdout = _process(tmp_path, ["-c", script])
+    assert code == 0
+    exit_code, frozen = map(int, stdout.split())
+    assert exit_code == 0
+    assert frozen > 0
+    assert (tmp_path / "rep.json").exists()
+
+
+def test_module_entry_writes_the_in_process_report(tmp_path):
+    inst, ratio = _scalar_record(tmp_path, 4, 19)
+    args = ["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "4",
+            "--martingale", str(inst), "--store-dir", str(tmp_path / "store")]
+    code, _ = _process(tmp_path, ["-m", "lpmult.cli", *args, "--out", "process.json"])
+    assert code == 0
+    assert _run(args, tmp_path, "in_process.json")[0] == 0
+    reports = [json.loads((tmp_path / name).read_text())
+               for name in ("process.json", "in_process.json")]
+    for rep in reports:
+        rep.pop("timestamp"), rep.pop("wall_time_s")
+    assert reports[0] == reports[1]
+    assert reports[0]["certified_lower_bound"] == ratio
