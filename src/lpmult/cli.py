@@ -3,11 +3,11 @@
 `search-martingale` and `certify` run one pipeline: take a martingale (the
 --martingale file, else the store record at depth N, else a search
 warm-started from depth N - 1; `search-martingale` always searches), certify
-it by the factored certificate in `witness`, build the report, and only then
-store a searched martingale.  Exit codes: 0 success, 2 invalid configuration
-(a non-finite number included), 3 cross-check failure (a failed certificate
-premise, or a bound above the report's target), 4 store error.  All
-randomness flows from the single --seed flag through numpy's PCG64
+it by the factored certificate in `witness`, build the report, open --out, store
+a searched martingale, and only then write the report.  Exit codes: 0 success, 2
+invalid configuration (a non-finite number included), 3 cross-check failure (a
+failed certificate premise, or a bound above the report's target), 4 store
+error.  All randomness flows from the single --seed flag through numpy's PCG64
 generator, so identical flags reproduce identical numbers.
 """
 
@@ -29,12 +29,12 @@ from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_r
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
-from .report import (CertReport, CrossCheckError, StoreError, decode_json, lookup_store,
-                     load_store, sequence_from_record, sequence_to_record, store_key,
-                     update_store, verify_record, with_array_tables, TOOLKIT_VERSION)
+from .report import (CertReport, CrossCheckError, StoreError, _stored_record, decode_json,
+                     lookup_store, load_store, sequence_from_record, sequence_to_record,
+                     store_key, update_store, verify_record, with_array_tables, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
+from .witness import G, WitnessSpec, build_matrix_witness, build_witness, check_exponents
 from .grid import TorusGrid
 
 EXIT_OK = 0
@@ -56,24 +56,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wall-cap", type=float, default=60.0)
 
 
-def _write_json(path: Path | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def _output(path: Path | None):
+    """sys.stdout, looked up now as a caller may have redirected it, or path opened
+    with its parent directories made, and removed if the block raises."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        yield sys.stdout
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
-    fh = sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if path is not None:
-            fh.close()
+    with _output(path) as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 _CERTIFY_FAMILIES = ("beurling-real", "beurling-imag", "rotated", "vector",
@@ -91,16 +93,6 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
     if family == "rotated":
         return -1, -theta / 2
     return 1, 0.0
-
-
-@contextlib.contextmanager
-def _stored_record(store_dir, key):
-    """A ValueError while the store record under key becomes a martingale: exit 4, not 2."""
-    try:
-        yield
-    except ValueError as exc:
-        raise StoreError(f"extremizer store file {Path(store_dir) / key}.json does not "
-                         f"hold a valid martingale: {exc}") from exc
 
 
 def _martingale(args, exps):
@@ -145,7 +137,6 @@ def cmd_certify(args) -> int:
     notes = {
         "certificate": "factored",
         "martingale_source": source,
-        "martingale_ratio": ratio,
         "reduction": {"relation": "symbol(xi) = sign * ReB(R_angle xi)",
                       "sign": sign, "angle": angle},
         "beta": list(beta),
@@ -157,7 +148,7 @@ def cmd_certify(args) -> int:
     report = CertReport(
         family=args.family,
         params={"theta": args.theta} if args.family == "rotated" else {},
-        p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=ws.G,
+        p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=G,
         achieved_ratio=ratio,
         certified_lower_bound=ratio,
         target_constant=target_constant(OperatorFamilyParam("beurling"), exps,
@@ -168,10 +159,11 @@ def cmd_certify(args) -> int:
         wall_time_s=wall,
         notes=notes,
     )
-    if res is not None:
-        update_store(args.store_dir, sequence_to_record(
-            seq, beta, args.tau, exps, ratio, args.seed, args.predicate))
-    _write_json(args.out, report.to_dict())
+    with _output(args.out) as fh:  # opened first: a bad --out fails before the store write
+        if res is not None:
+            update_store(args.store_dir, sequence_to_record(
+                seq, beta, args.tau, exps, ratio, args.seed, args.predicate))
+        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

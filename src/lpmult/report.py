@@ -8,12 +8,13 @@ key that both its name and the record's own fields give (such as an old
 single-file extremizers.json), or whose record lacks a field the readers take
 or holds one of the wrong type, is refused.
 Store updates are atomic (write to a temp file, then rename) and serialized
-by a lock file, and a new record replaces an old one only if its re-verified
-ratio is strictly larger by 1e-12.
+by a lock file, and a new record replaces an old one (re-verified first) only
+if its re-verified ratio is strictly larger by 1e-12.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import gc
 import json
@@ -156,6 +157,16 @@ def store_key(p: float, p0: float, tau: float, N: int, predicate: str) -> str:
     return f"p={p!r},p0={p0!r},tau={tau!r},N={N},predicate={predicate}"
 
 
+@contextlib.contextmanager
+def _stored_record(store_dir: str | Path, key: str):
+    """The store record under key fails its check: a StoreError naming its file (exit 4)."""
+    try:
+        yield
+    except (ValueError, StoreError) as exc:
+        raise StoreError(f"extremizer store file {Path(store_dir) / key}.json does not "
+                         f"hold a valid martingale: {exc}") from exc
+
+
 def _atomic_write_json(path: Path, payload) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -219,8 +230,11 @@ def update_store(store_dir: str | Path, rec: dict) -> bool:
     with open(path.parent / "extremizers.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         old = _read_record(path)
-        if old is not None and rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
-            return False
+        if old is not None:
+            with _stored_record(store_dir, key):  # the ratio compared against must hold
+                verify_record(old)
+            if rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
+                return False
         verify_record(rec)
         _atomic_write_json(path, {key: rec})
         return True

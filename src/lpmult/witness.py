@@ -4,12 +4,12 @@ A depth-N martingale instance is realized on (T^2)^(N+1) as
 Phi = sum_k psi_k(theta_k) d_k(psi_0, ..., psi_{k-1}): block k carries the
 axis sign psi_k = sign(theta_k2) where beta_k = +1 and sign(theta_k1) where
 beta_k = -1, and block 0 seeds the d_k arguments with sign(theta_02).  The
-symbol must be +1 on the theta_2 axis and -1 on the theta_1 axis (Re B, or
-+-I for its matrix form).
+symbol must be exactly +1 on the theta_2 axis and -1 on the theta_1 axis (Re B,
+or +-I for its matrix form): `WitnessSpec` checks it at the axis frequencies.
 
 Every psi_k is one of two axis signs, {+1: sign(theta_2), -1: sign(theta_1)},
 so the certificate is factored instead of evaluated on the G^(2(N+1)) torus
-points.  It checks two premises on each axis sign, on one G x G grid:
+points.  It checks two premises on each axis sign, on the 2 x 2 grid:
 
 1. it is +-1-valued with an exact zero sum, so under the product measure
    (psi_0, ..., psi_N) is uniform on the sign hypercube {+-1}^(N+1);
@@ -43,33 +43,27 @@ _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 EIGEN_TOL = 1e-12
+G = 2  # points per axis of the premise grid, where each axis sign has one frequency
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """Everything needed to assemble a sign-function witness."""
+    """Everything a sign-function witness needs; the enumeration checks beta."""
 
     exps: ExponentConfig
     tau: float
     symbol: MultiplierSymbol
     sequence: MartingaleDifferenceSequence
     beta: tuple[int, ...]
-    G: int = 2
 
     def __post_init__(self):
-        sym = self.symbol
-        if sym.d != 2:
-            raise ValueError(f"witness symbols act on R^2, got d={sym.d}")
+        sym = self.symbol  # evaluate refuses a symbol not on R^2
         want = _AXIS_SIGNS
         if sym.shape != "scalar":
             want = want[:, None, None] * np.eye(sym.m)
         if not np.array_equal(sym.evaluate(_AXES), want):
-            raise ValueError(f"symbol {sym.name} is not exactly +1 on the theta_2 "
-                             "axis and -1 on the theta_1 axis")
-        beta = tuple(int(b) for b in self.beta)
-        if len(beta) != self.sequence.N or any(b not in (-1, 1) for b in beta):
-            raise ValueError("beta must be a +-1 vector of the martingale depth")
-        object.__setattr__(self, "beta", beta)
+            raise CrossCheckError(f"symbol {sym.name} is not exactly +1 on the theta_2 "
+                                  "axis and -1 on the theta_1 axis")
 
 
 def _axis_signs(grid: TorusGrid) -> dict[int, np.ndarray]:
@@ -78,20 +72,20 @@ def _axis_signs(grid: TorusGrid) -> dict[int, np.ndarray]:
     return {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
 
 
-def _check_axis_signs(ws: WitnessSpec) -> None:
+def _check_axis_signs(symbol: MultiplierSymbol) -> None:
     """Premises 1 and 2 for both axis signs; neither depends on the martingale."""
-    grid = TorusGrid(2, ws.G)
-    matrix = ws.symbol.shape == "matrix"
+    grid = TorusGrid(2, G)
+    matrix = symbol.shape == "matrix"
     for b, s in _axis_signs(grid).items():
         if not np.all(np.abs(s) == 1.0) or np.sum(s) != 0:
             raise CrossCheckError(f"axis sign {b:+d} is not a balanced +-1 function")
         # A matrix symbol must act as b on every component separately.
-        for vals in [s[..., None] * e for e in np.eye(ws.symbol.m)] if matrix else [s]:
-            out = tensor_lift_apply(TensorGridFunction(grid, 1, vals), ws.symbol, 0).values
+        for vals in [s[..., None] * e for e in np.eye(symbol.m)] if matrix else [s]:
+            out = tensor_lift_apply(TensorGridFunction(grid, 1, vals), symbol, 0).values
             err = np.max(np.abs(out - b * vals))
             if not err <= EIGEN_TOL:
                 raise CrossCheckError(f"axis sign {b:+d} is not an eigenfunction of "
-                                      f"{ws.symbol.name} with eigenvalue {b} "
+                                      f"{symbol.name} with eigenvalue {b} "
                                       f"(error {err:.3g})")
 
 
@@ -104,7 +98,7 @@ def check_exponents(exps: ExponentConfig) -> None:
 def _build(ws: WitnessSpec) -> float:
     """The factored certificate: the two axis signs, then the hypercube ratio."""
     check_exponents(ws.exps)
-    _check_axis_signs(ws)
+    _check_axis_signs(ws.symbol)
     return perturbed_ratio_exact(ws.sequence, TransformConfig(ws.beta, ws.tau), ws.exps)
 
 

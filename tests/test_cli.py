@@ -515,6 +515,48 @@ def test_norms_refuses_a_tampered_ratio(tmp_path, capsys):
     assert _load_csv(out)[1][4] == repr(best)
 
 
+@pytest.mark.parametrize("damage", ["ratio", "corrupt"])
+def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, damage):
+    # The N = 3 record the search would be compared with has its ratio set to
+    # 2.99, which its tables do not give, or its file is corrupt: exit 4 naming
+    # the file, which stays byte for byte, and no --out file.
+    store = tmp_path / "store"
+    _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(5)), 3),
+                  ratio=2.99)
+    [path] = store.glob("*.json")
+    if damage == "corrupt":
+        path.write_text("{corrupt")
+    before = path.read_bytes()
+    code, out = _run(["search-martingale", "--p", "4", "--n", "3", "--iters", "200",
+                      "--restarts", "8", "--seed", "5", "--store-dir", str(store)], tmp_path)
+    assert code == 4
+    assert str(path) in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert not out.exists()
+
+
+def test_unwritable_out_writes_no_store_record(tmp_path, capsys):
+    # --out is opened before the store write, so a directory there stores nothing.
+    store, out = tmp_path / "store", tmp_path / "out"
+    out.mkdir()
+    assert main(["certify", "beurling-real", "--p", "4", "--n", "3", "--iters", "20",
+                 "--restarts", "2", "--store-dir", str(store), "--out", str(out)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert not list(store.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", [
+    ["norms", "--family", "beurling", "--p", "4"],
+    ["transference", "gaussian", "--symbol", "identity", "--halvings", "2"],
+], ids=["norms", "transference-gaussian"])
+def test_out_gets_its_directories_made(tmp_path, capsys, command):
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "new" / "dir" / "x.csv"
+    assert main(command + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("field, value", [
     ("ratio", "x"), ("ratio", True), ("p", "4"), ("p0", None), ("tau", [0.0]),
     ("N", 3.0), ("N", True), ("m", "1"), ("predicate", 1), ("tables", {}),

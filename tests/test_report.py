@@ -97,6 +97,31 @@ def test_store_update_and_lookup(tmp_path):
     assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["seed"] == rec["seed"]
 
 
+def test_store_write_re_verifies_the_record_it_would_replace(tmp_path):
+    # An honest record is replaced by a better one and kept against a worse one.
+    exps, records = ExponentConfig(4.0), []
+    for scale in (1.0, 2.0, 3.0):
+        seq = MartingaleDifferenceSequence((np.ones((2, 1)), np.full((2, 2, 1), scale)))
+        ratio = perturbed_ratio_exact(seq, TransformConfig((-1, 1), 1.0), exps)
+        records.append(sequence_to_record(seq, (-1, 1), 1.0, exps, ratio, 0, "def2"))
+    worse, middle, better = sorted(records, key=lambda r: r["ratio"])
+    assert update_store(tmp_path, middle)
+    assert not update_store(tmp_path, worse)
+    assert update_store(tmp_path, better)
+    assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2") == better
+    # A stored ratio that its tables do not give refuses every write, and the
+    # file stays byte for byte.
+    path = _key_file(tmp_path, better)
+    data = json.loads(path.read_text())
+    data[path.stem]["ratio"] = 2.99
+    path.write_text(json.dumps(data))
+    before = path.read_bytes()
+    for rec in (worse, better):
+        with pytest.raises(StoreError, match="does not reproduce"):
+            update_store(tmp_path, rec)
+    assert path.read_bytes() == before
+
+
 def _key_file(store, rec):
     return store / f"{store_key(rec['p'], rec['p0'], rec['tau'], rec['N'], rec['predicate'])}.json"
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
+from lpmult import cli
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid
 from lpmult import witness
 from lpmult.martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
 from lpmult.report import CrossCheckError, sequence_to_record
+from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
 
@@ -25,53 +27,135 @@ def _explicit_instance(m=1):
     return MartingaleDifferenceSequence((d1, d2))
 
 
-def _spec(seq, tau, G, symbol=None):
+def _spec(seq, tau, symbol=None):
     return WitnessSpec(
         exps=ExponentConfig(4.0), tau=tau,
         symbol=beurling_real() if symbol is None else symbol,
-        sequence=seq, beta=(-1, 1), G=G)
+        sequence=seq, beta=(-1, 1))
 
 
 def test_explicit_witness_matches_enumeration():
     target = (52.0 / 21.0) ** 0.25
-    for G in (2, 4):
-        res = build_witness(_spec(_explicit_instance(), 1.0, G))
-        assert res == pytest.approx(target, abs=1e-10)
+    res = build_witness(_spec(_explicit_instance(), 1.0))
+    assert res == pytest.approx(target, abs=1e-10)
 
 
 def test_witness_tau_zero():
-    res = build_witness(_spec(_explicit_instance(), 0.0, 2))
+    res = build_witness(_spec(_explicit_instance(), 0.0))
     assert res == pytest.approx(1.0, abs=1e-10)
 
 
 def test_matrix_witness_matches_scalar():
     seq = _explicit_instance(m=2)
-    spec = _spec(seq, 1.0, 2, symbol=beurling_matrix())
+    spec = _spec(seq, 1.0, symbol=beurling_matrix())
     res = build_matrix_witness(spec)
     assert res == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
 
 
 def test_witness_shape_dispatch():
     with pytest.raises(ValueError):
-        build_witness(_spec(_explicit_instance(m=2), 1.0, 2, symbol=beurling_matrix()))
+        build_witness(_spec(_explicit_instance(m=2), 1.0, symbol=beurling_matrix()))
     with pytest.raises(ValueError):
-        build_matrix_witness(_spec(_explicit_instance(), 1.0, 2))
+        build_matrix_witness(_spec(_explicit_instance(), 1.0))
     # The 2x2 matrix symbol takes scalar or C^2 tables, never C^3.
     with pytest.raises(ValueError):
-        build_matrix_witness(_spec(_explicit_instance(m=3), 1.0, 2,
-                                   symbol=beurling_matrix()))
+        build_matrix_witness(_spec(_explicit_instance(m=3), 1.0, symbol=beurling_matrix()))
 
 
 def test_spec_validation():
     seq = _explicit_instance()
+    # A beta shorter than the martingale is refused by the enumeration.
     with pytest.raises(ValueError):
-        WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
-                    sequence=seq, beta=(-1,))
+        build_witness(WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
+                                  sequence=seq, beta=(-1,)))
     # Im B vanishes on both axes and rotated(0) = -Re B has them reversed;
     # both are certified through Re B by a rotation, never directly.
     for symbol in (beurling_imag(), rotated(0.0)):
-        with pytest.raises(ValueError):
-            _spec(seq, 0.0, 2, symbol=symbol)
+        with pytest.raises(CrossCheckError):
+            _spec(seq, 0.0, symbol=symbol)
+
+
+_AXIS_FREQUENCIES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
+
+
+def _changed_at_axes(symbol, changes):
+    """symbol with its value v at axis frequency i replaced by change(v), per (i, change)."""
+    def evaluator(xi):
+        out = symbol.evaluate(xi)
+        for i, change in changes:
+            at = np.all(xi == _AXIS_FREQUENCIES[i], axis=-1)
+            out[at] = change(out[at])
+        return out
+
+    return MultiplierSymbol(d=2, shape=symbol.shape, evaluator=evaluator, m=symbol.m,
+                            name=f"changed {symbol.name}")
+
+
+def _seeded_changes(rng, matrix):
+    """Changes at one to four axis frequencies: by 1e-13 or 1e-9, real or imaginary
+    (off the diagonal too for a matrix), or a sign flip."""
+    kinds = ["real", "imag", "flip"] + (["off-diagonal"] if matrix else [])
+    changes = []
+    for i in rng.choice(4, size=int(rng.integers(1, 5)), replace=False):
+        kind, eps = kinds[int(rng.integers(len(kinds)))], float(rng.choice([1e-13, 1e-9]))
+        if kind == "flip":
+            changes.append((int(i), lambda v: -v))
+            continue
+        step = (1j if kind == "imag" else 1.0) * eps
+        if matrix:
+            step = step * (np.array([[0.0, 1.0], [0.0, 0.0]]) if kind == "off-diagonal"
+                           else np.eye(2))
+        changes.append((int(i), lambda v, step=step: v + step))
+    return changes
+
+
+def _refuses(check):
+    try:
+        check()
+    except CrossCheckError:
+        return True
+    return False
+
+
+def test_exact_axis_check_refuses_all_the_lift_check_refuses():
+    # On the G = 2 premise grid each axis sign has one lattice frequency, so the
+    # FFT lift sees the symbol at (0, -1) and (-1, 0) only, and the exact check
+    # in WitnessSpec sees all four axis frequencies: whatever the lift refuses,
+    # building the spec has refused already.
+    rng = np.random.default_rng(np.random.PCG64(21))
+    seq = _explicit_instance()
+    symbols = [beurling_real(), beurling_matrix(), beurling_imag(),
+               *(rotated(t) for t in (0.0, 0.7, np.pi / 2, np.pi, 2.0))]
+    for base in (beurling_real(), beurling_matrix()):
+        symbols += [_changed_at_axes(base, _seeded_changes(rng, base.shape == "matrix"))
+                    for _ in range(40)]
+    lift_only_passes = lift_refuses = 0
+    for symbol in symbols:
+        lift = _refuses(lambda: witness._check_axis_signs(symbol))
+        exact = _refuses(lambda: _spec(seq, 1.0, symbol=symbol))
+        assert exact or not lift, symbol.name
+        lift_refuses += lift
+        lift_only_passes += exact and not lift
+    # Neither side of the implication is empty: the lift refuses some symbols,
+    # and misses some the exact check refuses (a change of 1e-13, or one at
+    # (0, 1) or (1, 0), which the lift never sees).
+    assert lift_refuses > 0 and lift_only_passes > 0
+    for symbol in (beurling_real(), beurling_matrix()):
+        witness._check_axis_signs(symbol)
+        _spec(seq, 1.0, symbol=symbol)
+
+
+def test_symbol_off_the_axis_values_exits_crosscheck(monkeypatch, tmp_path):
+    # Re B changed by 1e-13 at (0, 1) passes the lift and fails the exact check:
+    # a failed premise, exit 3, before anything is written.
+    changed = _changed_at_axes(beurling_real(), [(0, lambda v: v + 1e-13)])
+    witness._check_axis_signs(changed)
+    monkeypatch.setattr(cli, "beurling_real", lambda: changed)
+    store, out = tmp_path / "store", tmp_path / "out.json"
+    assert main(["certify", "beurling-real", "--p", "4", "--n", "2", "--iters", "30",
+                 "--restarts", "2", "--store-dir", str(store), "--out", str(out)]) == 3
+    assert not list(store.glob("*.json"))
+    assert not out.exists()
 
 
 def test_p0_above_p_rejected():
@@ -82,7 +166,7 @@ def test_p0_above_p_rejected():
         build_witness(spec)
 
 
-def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0, G=2):
+def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0):
     """Random complex tables and flips; m = 2 pairs them with the matrix symbol."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     seq = MartingaleDifferenceSequence(tuple(
@@ -91,7 +175,7 @@ def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0, G=2):
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
     return WitnessSpec(exps=ExponentConfig(p), tau=tau,
                        symbol=beurling_matrix() if m > 1 else beurling_real(),
-                       sequence=seq, beta=beta, G=G)
+                       sequence=seq, beta=beta)
 
 
 def test_oversize_witness_refused_before_allocation():
@@ -192,14 +276,14 @@ def test_non_eigenfunction_sign_block_refuses_search(monkeypatch, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def _torus_reference(ws):
+def _torus_reference(ws, G):
     """The witness ratio evaluated on all G^(2(N+1)) torus points.
 
     Phi_k and T^k Phi_k depend only on blocks 0..k, so each summand is built
     and lifted with J = k + 1 (block k last) and added into running sums
     that grow by one block per step.
     """
-    N, d, G = ws.sequence.N, 2, ws.G
+    N, d = ws.sequence.N, 2
     scalar = ws.symbol.shape != "matrix"
     grid = TorusGrid(2, G)
     theta = grid.mesh()
@@ -249,6 +333,6 @@ def _reference_cases():
 
 @pytest.mark.parametrize("N, m, tau, p, G", _reference_cases())
 def test_factored_matches_torus_reference(N, m, tau, p, G):
-    spec = _random_spec(N, seed=100 * N + 10 * m + G, m=m, tau=tau, p=p, G=G)
+    spec = _random_spec(N, seed=100 * N + 10 * m + G, m=m, tau=tau, p=p)
     build = build_matrix_witness if m > 1 else build_witness
-    assert abs(build(spec) - _torus_reference(spec)) <= 1e-10
+    assert abs(build(spec) - _torus_reference(spec, G)) <= 1e-10
