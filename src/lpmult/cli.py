@@ -29,9 +29,9 @@ from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_r
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
-from .report import (CertReport, CrossCheckError, StoreError, _stored_record, decode_json,
-                     lookup_store, load_store, sequence_from_record, sequence_to_record,
-                     store_key, update_store, verify_record, with_array_tables, TOOLKIT_VERSION)
+from .report import (CertReport, CrossCheckError, StoreError, _stored_record, lookup_store,
+                     load_store, read_martingale, sequence_from_record, sequence_to_record,
+                     store_key, update_store, verify_record, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import G, WitnessSpec, build_matrix_witness, build_witness, check_exponents
@@ -99,8 +99,7 @@ def _martingale(args, exps):
     """(sequence, beta, source, search result or None) from the --martingale file,
     the store record at depth N (certify only), or a search warm-started from N - 1."""
     if args.martingale is not None:
-        rec = decode_json(Path(args.martingale).read_text())
-        return *sequence_from_record(rec), "file", None
+        return *read_martingale(args.martingale), "file", None
 
     def stored(N):
         """The store record at depth N as a SearchResult, or None."""
@@ -254,7 +253,6 @@ def _certified(store_dir: Path | None, cells: set) -> dict:
         if rec["p0"] == rec["p"] and cell in cells and \
                 (cell not in best or rec["ratio"] > best[cell]):
             with _stored_record(store_dir, key):
-                rec = with_array_tables(rec)  # the decoded lists go before the enumeration
                 verify_record(rec)
             best[cell] = rec["ratio"]
         del rec  # let it go before the next record is decoded

@@ -60,8 +60,8 @@ _BATCH_POINTS = 4096
 
 @dataclass(frozen=True, init=False)
 class MartingaleDifferenceSequence:
-    """Difference tables d_k: {+-1}^k -> C^m, k = 1..N, held in one array flat
-    (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in the search and a
+    """Difference tables d_k: {+-1}^k -> C^m, k = 1..N, held in one read-only array
+    flat (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in the search and a
     store record.  The constructor takes, and `tables` gives back as views of
     flat, tables[k-1] (2,)*k + (m,), axis j indexing r_j with +1 -> 0, -1 -> 1."""
 
@@ -80,6 +80,7 @@ class MartingaleDifferenceSequence:
         if not np.isfinite(flat).all():
             row = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"table {int(row + 2).bit_length() - 1} has non-finite entries")
+        flat.flags.writeable = False  # store records and `tables` are views of it
         object.__setattr__(self, "flat", flat)
 
     @property

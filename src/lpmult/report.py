@@ -1,15 +1,15 @@
 """Certification reports and the best-known extremizer store.
 
 Reports and store records are plain JSON with complex numbers as [re, im]
-pairs.  The store is a directory with one file per key,
-<store>/<store_key(...)>.json holding {key: record}, so a write or a lookup
-touches one record; a file that does not hold exactly one record under the
-key that both its name and the record's own fields give (such as an old
-single-file extremizers.json), or whose record lacks a field the readers take
-or holds one of the wrong type, is refused.
-Store updates are atomic (write to a temp file, then rename) and serialized
-by a lock file, and a new record replaces an old one (re-verified first) only
-if its re-verified ratio is strictly larger by 1e-12.
+pairs, which a record in memory holds as one float array per table.  The store is
+a directory with one file per key, <store>/<store_key(...)>.json holding
+{key: record}, so a write or a lookup touches one record; a file that does not
+hold exactly one record under the key that both its name and the record's own
+fields give (such as an old single-file extremizers.json), or whose record lacks
+a field the readers take or holds one of the wrong type, is refused.
+Store updates are atomic (`write_json`) and serialized by a lock file, and a
+new record replaces an old one (re-verified first) only if its re-verified
+ratio is strictly larger by 1e-12.
 """
 
 from __future__ import annotations
@@ -95,14 +95,14 @@ class CertReport:
 def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
                        exps: ExponentConfig, ratio: float, seed: int,
                        predicate: str) -> dict:
-    """JSON-ready record of a martingale extremizer."""
+    """Record of a martingale extremizer, its tables (2^k m, 2) float views of seq.flat."""
     return {
         "p": exps.p,
         "p0": exps.p0,
         "tau": tau,
         "N": seq.N,
         "m": seq.m,
-        "tables": [t.reshape(-1, 2).tolist() for t in _levels(seq.flat.view(float))],
+        "tables": [t.reshape(-1, 2) for t in _levels(seq.flat.view(float))],
         "beta": [int(b) for b in beta],
         "ratio": ratio,
         "seed": seed,
@@ -135,12 +135,6 @@ def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple
     return seq, tuple(beta)
 
 
-def with_array_tables(rec: dict) -> dict:
-    """rec with each table as a float array of [re, im] rows: the same values to
-    sequence_from_record, in about a seventh of the decoded lists' memory."""
-    return dict(rec, tables=[_float_table(k, t) for k, t in enumerate(rec["tables"], start=1)])
-
-
 def verify_record(rec: dict, tol: float = 1e-12) -> float:
     """Re-evaluate a stored extremizer; raises if the stored ratio is off."""
     seq, beta = sequence_from_record(rec)
@@ -167,12 +161,27 @@ def _stored_record(store_dir: str | Path, key: str):
                          f"hold a valid martingale: {exc}") from exc
 
 
-def _atomic_write_json(path: Path, payload) -> None:
+@contextlib.contextmanager
+def _collector_paused():
+    """GC paused, then left as it was: a record's list per table entry is no garbage to collect."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
+def write_json(path: Path, payload) -> None:
+    """payload to path as the store writes it, atomically: sorted keys, each table array listed
+    on its own by the C encoder (json.dumps without indent; json.dump never), then a newline."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            # json.dumps without indent takes the C encoder; json.dump never does.
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, default=np.ndarray.tolist))
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,22 +189,17 @@ def _atomic_write_json(path: Path, payload) -> None:
         raise
 
 
-def decode_json(text: str):
-    """json.loads with the cyclic garbage collector paused, then left as it was:
-    a record's one small list per table entry sets off collections that free nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    finally:
-        if enabled:
-            gc.enable()
+@_collector_paused()
+def read_martingale(path: str | Path) -> tuple[MartingaleDifferenceSequence, tuple[int, ...]]:
+    """(sequence, beta) of a --martingale file: a JSON record with m, tables and beta."""
+    return sequence_from_record(json.loads(Path(path).read_text()))
 
 
+@_collector_paused()
 def _read_record(path: Path) -> dict | None:
-    """The one record of a store file, under the key its name gives; None if absent."""
+    """The one record of a store file, under its name's key, tables as arrays; None if absent."""
     try:
-        data = decode_json(path.read_text())
+        data = json.loads(path.read_text())
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
@@ -208,6 +212,8 @@ def _read_record(path: Path) -> dict | None:
         raise StoreError(f"extremizer store file {path} does not hold exactly one "
                          f"record, with the fields {sorted(_RECORD_FIELDS)} each of "
                          f"its type, under the key {path.stem!r} that its fields give")
+    with _stored_record(path.parent, path.stem):
+        rec["tables"] = [_float_table(k, t) for k, t in enumerate(rec["tables"], start=1)]
     return rec
 
 
@@ -236,7 +242,7 @@ def update_store(store_dir: str | Path, rec: dict) -> bool:
             if rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
                 return False
         verify_record(rec)
-        _atomic_write_json(path, {key: rec})
+        write_json(path, {key: rec})
         return True
 
 

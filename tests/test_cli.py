@@ -24,7 +24,8 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
-                           sequence_to_record, store_key)
+                           sequence_to_record, store_key, write_json)
+from test_report import listed
 
 
 def _scalar(tables):
@@ -73,7 +74,7 @@ def test_certify_explicit_instance(tmp_path):
     rec = sequence_to_record(seq, (-1, 1), 1.0, ExponentConfig(4.0),
                              (52.0 / 21.0) ** 0.25, 0, "def2")
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(rec))
+    write_json(inst, rec)
 
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1",
                       "--n", "2", "--martingale", str(inst),
@@ -115,7 +116,7 @@ def test_certify_every_family_through_re_b(tmp_path):
     exps = ExponentConfig(4.0)
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(sequence_to_record(seq, beta, 0.5, exps, ratio, 0, "def2")))
+    write_json(inst, sequence_to_record(seq, beta, 0.5, exps, ratio, 0, "def2"))
 
     # The recorded reduction symbol(xi) = s * Re B(R_a xi) must hold.
     xi = rng.standard_normal((100, 2))
@@ -289,8 +290,7 @@ def test_certify_refuses_overflowing_tables(tmp_path, capsys):
     # refused without a numpy warning.
     seq = _scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
-                                                  0.0, 0, "def2")))
+    write_json(inst, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 0.0, 0, "def2"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
@@ -325,8 +325,7 @@ def test_certify_refuses_underflowing_tables(tmp_path, capsys):
     # |d|^2 underflows to 0, so ||F_N||_p is zero: refused before dividing.
     seq = _scalar([np.full(2, 1e-170), np.full((2, 2), 1e-170)])
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0),
-                                                  0.0, 0, "def2")))
+    write_json(inst, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 0.0, 0, "def2"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
@@ -376,7 +375,7 @@ def test_old_single_file_store_is_refused(tmp_path):
     records = dict(load_store(store))
     for path in store.glob("*.json"):
         path.unlink()
-    (store / "extremizers.json").write_text(json.dumps(records, sort_keys=True))
+    write_json(store / "extremizers.json", records)
     code, out = _run(["norms", "--family", "beurling", "--p", "4",
                       "--store-dir", str(store)], tmp_path, "norms.csv")
     assert code == 4
@@ -472,7 +471,7 @@ def test_store_record_missing_field_exits_store_error(tmp_path, command):
     store = tmp_path / "store"
     store.mkdir()
     key = store_key(4.0, 4.0, 0.0, 2, "def2")
-    (store / f"{key}.json").write_text(json.dumps({key: rec}))
+    write_json(store / f"{key}.json", {key: rec})
     code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
     assert code == 4
     assert not out.exists()
@@ -482,7 +481,7 @@ def _store_record(store, rec, **changes):
     """Write rec with changes under rec's key, in update_store's layout, unchecked."""
     key = store_key(rec["p"], rec["p0"], rec["tau"], rec["N"], rec["predicate"])
     store.mkdir(exist_ok=True)
-    (store / f"{key}.json").write_text(json.dumps({key: dict(rec, **changes)}))
+    write_json(store / f"{key}.json", {key: dict(rec, **changes)})
 
 
 def _random_record(rng, N, tau=0.0):
@@ -639,7 +638,7 @@ def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, caps
     # refused with exit 4 and the record's file named, whichever flow reads it.
     store = tmp_path / "store"
     rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
-    bad = copy.deepcopy(rec)
+    bad = copy.deepcopy(listed(rec))
     malform(bad)
     _store_record(store, rec, **bad)
     code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
@@ -666,10 +665,10 @@ def _tables_int(rec):
 ])
 def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, capsys,
                                                                      malform):
-    rec = _random_record(np.random.default_rng(np.random.PCG64(6)), 3)
+    rec = listed(_random_record(np.random.default_rng(np.random.PCG64(6)), 3))
     malform(rec)
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(rec))
+    write_json(inst, rec)
     code, out = _run(["certify", "beurling-real", "--p", "4", "--n", "3",
                       "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
                      tmp_path)
@@ -680,8 +679,9 @@ def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, c
 
 def test_norms_holds_one_record_at_a_time(tmp_path):
     # N = 11..14 records of one cell, each better than the last, so norms
-    # verifies every one of them as it reads it.
-    store = tmp_path / "store"
+    # verifies every one of them as it reads it.  Its peak over them all is its
+    # peak over the N = 14 record alone: it holds no earlier record.
+    store, alone = tmp_path / "store", tmp_path / "alone"
     rng = np.random.default_rng(np.random.PCG64(5))
     best = 0.0
     for N in range(11, 15):
@@ -690,25 +690,27 @@ def test_norms_holds_one_record_at_a_time(tmp_path):
             rec = _random_record(rng, N)
         best = rec["ratio"]
         _store_record(store, rec)
+    _store_record(alone, rec)
+    earlier = sum(t.nbytes for _, r in load_store(store) if r["N"] < 14 for t in r["tables"])
 
-    def peak(call):
+    def peak(store_dir):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            result = call()
+            result = _run(["norms", "--family", "beurling", "--p", "4",
+                           "--store-dir", str(store_dir)], tmp_path, "norms.csv")
             return tracemalloc.get_traced_memory()[1] - base, result
         finally:
             tracemalloc.stop()
 
-    held, records = peak(lambda: dict(load_store(store)))
-    assert len(records) == 4
-    del records
-    used, (code, out) = peak(lambda: _run(["norms", "--family", "beurling", "--p", "4",
-                                           "--store-dir", str(store)], tmp_path, "norms.csv"))
+    peak(store)  # first-call caches are not the records' memory
+    used_alone, (code, _) = peak(alone)
+    assert code == 0
+    used, (code, out) = peak(store)
     assert code == 0
     assert _load_csv(out)[1][4] == repr(best)
-    assert used < 0.7 * held, (used, held)
+    assert used - used_alone < 0.5 * earlier, (used, used_alone, earlier)
 
 
 def test_certify_wall_time_covers_search(tmp_path, monkeypatch):
@@ -727,7 +729,7 @@ def _scalar_record(tmp_path, N, seed):
     """A random scalar martingale file and its enumerated ratio at p = 4, tau = 1."""
     rec = _random_record(np.random.default_rng(np.random.PCG64(seed)), N, tau=1.0)
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(rec))
+    write_json(inst, rec)
     return inst, rec["ratio"]
 
 

@@ -16,9 +16,15 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact)
 from lpmult.cli import main
-from lpmult.report import (CertReport, StoreError, decode_json, load_store, lookup_store,
+from lpmult.report import (CertReport, StoreError, load_store, lookup_store, read_martingale,
                            sequence_from_record, sequence_to_record,
-                           store_key, update_store, verify_record, with_array_tables)
+                           store_key, update_store, verify_record, write_json)
+
+
+def listed(rec):
+    """rec with its tables as the [re, im] lists a store file holds: a record to change
+    as lists, to pass to json.dumps or to compare with ==."""
+    return dict(rec, tables=[t.tolist() for t in rec["tables"]])
 
 
 def _record(ratio=None, seed=0):
@@ -62,7 +68,8 @@ def test_sequence_record_round_trip():
     assert beta == (-1, 1)
     assert seq.N == 2
     assert verify_record(rec) == pytest.approx(rec["ratio"], abs=1e-12)
-    assert verify_record(with_array_tables(rec)) == verify_record(rec)
+    # The tables as a store file holds them verify the same.
+    assert verify_record(listed(rec)) == verify_record(rec)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -90,11 +97,55 @@ def test_store_update_and_lookup(tmp_path):
     assert update_store(tmp_path, rec)
     got = lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
     assert got["ratio"] == pytest.approx(rec["ratio"])
-    # A non-improving record is rejected without touching the store.
-    worse = _record(ratio=rec["ratio"] - 0.1)
-    worse["tables"] = rec["tables"]
-    assert not update_store(tmp_path, dict(rec, ratio=rec["ratio"]))
+    # A worse record, of its own tables and a strictly lower verified ratio, and
+    # a record of an equal ratio are each rejected without touching the store.
+    exps = ExponentConfig(4.0)
+    seq = MartingaleDifferenceSequence((np.ones((2, 1)), np.full((2, 2, 1), 0.5)))
+    ratio = perturbed_ratio_exact(seq, TransformConfig((-1, 1), 1.0), exps)
+    worse = sequence_to_record(seq, (-1, 1), 1.0, exps, ratio, 1, "def2")
+    assert verify_record(worse) < verify_record(rec) - 1e-12
+    before = _key_file(tmp_path, rec).read_bytes()
+    for other in (worse, dict(rec, seed=1)):
+        assert not update_store(tmp_path, other)
+        assert _key_file(tmp_path, rec).read_bytes() == before
     assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["seed"] == rec["seed"]
+
+
+def test_record_tables_are_read_only_views_of_the_sequence():
+    rec = _record()
+    seq, _ = sequence_from_record(rec)
+    for table in (seq.flat, seq.tables[0], rec["tables"][1]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+def test_store_leaves_no_pair_lists_for_the_collector(tmp_path):
+    # An N = 12 record's 8190 [re, im] lists, encoded or decoded, are made and
+    # die while the collector is paused: writing and reading it set off no collection.
+    rng = np.random.default_rng(np.random.PCG64(12))
+    seq = MartingaleDifferenceSequence(tuple(
+        rng.standard_normal((2,) * k + (1,)) + 1j * rng.standard_normal((2,) * k + (1,))
+        for k in range(1, 13)))
+    exps, beta = ExponentConfig(4.0), (1, -1) * 6
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.0), exps)
+    rec = sequence_to_record(seq, beta, 0.0, exps, ratio, 0, "def2")
+    collections = []
+
+    def hook(phase, info):
+        collections.append((phase, info["generation"]))
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        assert update_store(tmp_path, rec)
+        read, _ = sequence_from_record(lookup_store(tmp_path, 4.0, 4.0, 0.0, 12, "def2"))
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert collections == []
+    assert np.array_equal(read.flat, seq.flat)
 
 
 def test_store_write_re_verifies_the_record_it_would_replace(tmp_path):
@@ -108,7 +159,7 @@ def test_store_write_re_verifies_the_record_it_would_replace(tmp_path):
     assert update_store(tmp_path, middle)
     assert not update_store(tmp_path, worse)
     assert update_store(tmp_path, better)
-    assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2") == better
+    assert listed(lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")) == listed(better)
     # A stored ratio that its tables do not give refuses every write, and the
     # file stays byte for byte.
     path = _key_file(tmp_path, better)
@@ -148,24 +199,28 @@ def test_corrupt_key_leaves_other_keys_working(tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_store_reads_leave_gc_as_they_found_it(tmp_path, enabled):
-    # Store reads decode with the cyclic collector paused; a good read, a
-    # malformed file (still StoreError, and exit 4 from the CLI) and bad JSON
-    # each leave it as it was.
+    # Store writes, store reads and --martingale reads run with the cyclic
+    # collector paused; a write, a good read, a malformed file (still
+    # StoreError, and exit 4 from the CLI) and bad JSON each leave it as it was.
     rec = _record()
     assert update_store(tmp_path, rec)
     _key_file(tmp_path, dict(rec, predicate="cor7")).write_text("{not json")
+    (tmp_path / "bad.txt").write_text("{not json")
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        assert decode_json('{"a": [[1.0, 2.0]]}') == {"a": [[1.0, 2.0]]}
+        write_json(tmp_path / "inst.txt", rec)
         assert gc.isenabled() is enabled
-        assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2") == rec
+        assert np.array_equal(read_martingale(tmp_path / "inst.txt")[0].flat,
+                              sequence_from_record(rec)[0].flat)
+        assert gc.isenabled() is enabled
+        assert listed(lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")) == listed(rec)
         assert gc.isenabled() is enabled
         with pytest.raises(StoreError):
             lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
         assert gc.isenabled() is enabled
         with pytest.raises(ValueError):
-            decode_json("{not json")
+            read_martingale(tmp_path / "bad.txt")
         assert gc.isenabled() is enabled
         assert main(["norms", "--family", "beurling", "--p", "4",
                      "--store-dir", str(tmp_path)]) == 4
@@ -186,14 +241,15 @@ def test_store_writes_one_file_per_key(tmp_path):
     path2 = _key_file(tmp_path, rec2)
     key2 = path2.stem
     # The file holds {key: record} in the C encoder's sort_keys form.
-    assert path2.read_text() == json.dumps({key2: rec2}, sort_keys=True) + "\n"
+    assert path2.read_text() == json.dumps({key2: listed(rec2)}, sort_keys=True) + "\n"
     before = (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns)
     time.sleep(0.01)
     assert update_store(tmp_path, rec3)
     assert (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns) == before
     assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
         [path2.name, _key_file(tmp_path, rec3).name])
-    assert dict(load_store(tmp_path)) == {key2: rec2, _key_file(tmp_path, rec3).stem: rec3}
+    assert {key: listed(rec) for key, rec in load_store(tmp_path)} == {
+        key2: listed(rec2), _key_file(tmp_path, rec3).stem: listed(rec3)}
 
 
 def test_store_refuses_file_not_holding_its_own_key(tmp_path):
@@ -201,7 +257,7 @@ def test_store_refuses_file_not_holding_its_own_key(tmp_path):
     key = store_key(4.0, 4.0, 1.0, 2, "def2")
     other = store_key(4.0, 4.0, 1.0, 3, "def2")
     # A record under a key other than the file's name.
-    (tmp_path / f"{key}.json").write_text(json.dumps({other: rec}))
+    (tmp_path / f"{key}.json").write_text(json.dumps({other: listed(rec)}))
     with pytest.raises(StoreError):
         dict(load_store(tmp_path))
     with pytest.raises(StoreError):
@@ -210,7 +266,7 @@ def test_store_refuses_file_not_holding_its_own_key(tmp_path):
     for name in (key, "extremizers"):
         for path in tmp_path.glob("*.json"):
             path.unlink()
-        (tmp_path / f"{name}.json").write_text(json.dumps({key: rec, other: rec}))
+        (tmp_path / f"{name}.json").write_text(json.dumps({key: listed(rec), other: listed(rec)}))
         with pytest.raises(StoreError):
             dict(load_store(tmp_path))
 

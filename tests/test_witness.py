@@ -1,6 +1,5 @@
 """Sign-function witnesses: the factored certificate against the torus evaluation."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid
 from lpmult import witness
 from lpmult.martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
-from lpmult.report import CrossCheckError, sequence_to_record
+from lpmult.report import CrossCheckError, sequence_to_record, write_json
 from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
@@ -251,8 +250,8 @@ def test_non_eigenfunction_sign_block_exits_crosscheck(monkeypatch, tmp_path):
     # Every family is certified through the same axis signs, so each must refuse.
     spec = _random_spec(3)
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps(sequence_to_record(
-        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2")))
+    write_json(inst, sequence_to_record(
+        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2"))
     args = ["--p", "4", "--tau", "1", "--n", "3",
             "--martingale", str(inst), "--store-dir", str(tmp_path / "store"),
             "--out", str(tmp_path / "out.json")]
