@@ -20,7 +20,7 @@ from .tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
 from .witness import WitnessSpec, build_matrix_witness, build_witness
-from .report import CertReport, StoreError, TOOLKIT_VERSION
+from .report import StoreError, TOOLKIT_VERSION
 
 __version__ = TOOLKIT_VERSION
 
@@ -35,5 +35,5 @@ __all__ = [
     "GaussianPairingConfig", "gaussian_damped_pairing",
     "multiplier_deviation", "WitnessSpec",
     "build_matrix_witness", "build_witness",
-    "CertReport", "StoreError", "TOOLKIT_VERSION",
+    "StoreError", "TOOLKIT_VERSION",
 ]

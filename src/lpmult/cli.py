@@ -29,12 +29,12 @@ from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_r
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
-from .report import (CertReport, CrossCheckError, StoreError, _stored_record, lookup_store,
-                     load_store, read_martingale, sequence_from_record, sequence_to_record,
+from .report import (CrossCheckError, StoreError, _stored_record, lookup_store, load_store,
+                     read_martingale, sequence_from_record, sequence_to_record,
                      store_key, update_store, verify_record, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import G, WitnessSpec, build_matrix_witness, build_witness, check_exponents
+from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
 from .grid import TorusGrid
 
 EXIT_OK = 0
@@ -144,25 +144,27 @@ def cmd_certify(args) -> int:
     if res is not None:
         notes["stopped_by"] = res.stopped_by
 
-    report = CertReport(
-        family=args.family,
-        params={"theta": args.theta} if args.family == "rotated" else {},
-        p=exps.p, p0=exps.p0, tau=args.tau, N=seq.N, G=G,
-        achieved_ratio=ratio,
-        certified_lower_bound=ratio,
-        target_constant=target_constant(OperatorFamilyParam("beurling"), exps,
-                                        args.tau, args.predicate).c_tau,
-        predicate=args.predicate, external_assumption=False, seed=args.seed,
-        budget={"restarts": args.restarts, "iters": args.iters,
-                "wall_cap_s": args.wall_cap},
-        wall_time_s=wall,
-        notes=notes,
-    )
+    target = target_constant(OperatorFamilyParam("beurling"), exps,
+                             args.tau, args.predicate).c_tau
+    if target is not None and ratio > target + 1e-9:
+        raise CrossCheckError(f"certified bound {ratio} exceeds target {target} beyond "
+                              "tolerance; implementation bug")
+    report = {
+        "family": args.family,
+        "params": {"theta": args.theta} if args.family == "rotated" else {},
+        "p": exps.p, "p0": exps.p0, "tau": args.tau, "N": seq.N,
+        "achieved_ratio": ratio, "certified_lower_bound": ratio,
+        "target_constant": target, "gap": None if target is None else target - ratio,
+        "predicate": args.predicate, "seed": args.seed,
+        "budget": {"restarts": args.restarts, "iters": args.iters, "wall_cap_s": args.wall_cap},
+        "wall_time_s": wall, "version": TOOLKIT_VERSION, "notes": notes,
+    }
     with _output(args.out) as fh:  # opened first: a bad --out fails before the store write
         if res is not None:
             update_store(args.store_dir, sequence_to_record(
                 seq, beta, args.tau, exps, ratio, args.seed, args.predicate))
-        fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(dict(report, timestamp=time.time()), indent=2,
+                            sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -173,6 +175,8 @@ def _symbol_by_name(name: str):
 
 
 def cmd_transference(args) -> int:
+    if args.halvings < 0 or args.doublings < 0:
+        raise ValueError("--halvings and --n-doubling must not be negative")
     if args.mode == "gaussian":
         sym = _symbol_by_name(args.symbol)
         j = tuple(int(v) for v in args.j.split(","))

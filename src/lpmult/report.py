@@ -1,8 +1,8 @@
-"""Certification reports and the best-known extremizer store.
+"""The best-known extremizer store, its record codec, and the toolkit's error types.
 
-Reports and store records are plain JSON with complex numbers as [re, im]
-pairs, which a record in memory holds as one float array per table.  The store is
-a directory with one file per key, <store>/<store_key(...)>.json holding
+Store records are plain JSON with complex numbers as [re, im] pairs, which a
+record in memory holds as one float array per table.  The store is a directory
+with one file per key, <store>/<store_key(...)>.json holding
 {key: record}, so a write or a lookup touches one record; a file that does not
 hold exactly one record under the key that both its name and the record's own
 fields give (such as an old single-file extremizers.json), or whose record lacks
@@ -22,7 +22,6 @@ import os
 import tempfile
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,8 @@ from .exponents import ExponentConfig
 from .martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
                          perturbed_ratio_exact)
 
-__all__ = ["CertReport", "CrossCheckError", "StoreError", "store_key", "load_store",
-           "update_store", "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
+__all__ = ["CrossCheckError", "StoreError", "store_key", "load_store", "update_store",
+           "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
 
 TOOLKIT_VERSION = "0.1.0"
 
@@ -51,45 +50,6 @@ class StoreError(RuntimeError):
 
 class CrossCheckError(ValueError):
     """Raised when two computations of one certified quantity disagree."""
-
-
-@dataclass(frozen=True)
-class CertReport:
-    """Machine-readable certification record for one witness or search run."""
-
-    family: str
-    params: dict
-    p: float
-    p0: float
-    tau: float
-    N: int
-    G: int
-    achieved_ratio: float
-    certified_lower_bound: float
-    target_constant: float | None
-    predicate: str
-    external_assumption: bool
-    seed: int
-    budget: dict
-    wall_time_s: float
-    version: str = TOOLKIT_VERSION
-    notes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.target_constant is not None:
-            if self.certified_lower_bound > self.target_constant + 1e-9:
-                raise CrossCheckError(
-                    f"certified bound {self.certified_lower_bound} exceeds target "
-                    f"{self.target_constant} beyond tolerance; implementation bug")
-
-    @property
-    def gap(self) -> float | None:
-        if self.target_constant is None:
-            return None
-        return self.target_constant - self.certified_lower_bound
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), gap=self.gap, timestamp=time.time())
 
 
 def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,

@@ -24,7 +24,7 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
-                           sequence_to_record, store_key, write_json)
+                           sequence_to_record, store_key, verify_record, write_json)
 from test_report import listed
 
 
@@ -239,6 +239,27 @@ def test_norms_tables(tmp_path):
     assert float(rows[2][3]) == pytest.approx(6.0)
     assert rows[1][6] == "True" and rows[2][6] == "True"
 
+    # The paper's family over a p = 4, tau = 1 store: certified_so_far is the best
+    # stored ratio, re-verified, at p = 4 and empty at p = 1.5.
+    store = tmp_path / "store"
+    for n in ("2", "3"):
+        assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", n,
+                     "--iters", "30", "--restarts", "2", "--store-dir", str(store)]) == 0
+    best = max(verify_record(lookup_store(store, 4.0, 4.0, 1.0, N, "def2")) for N in (2, 3))
+    code, out = _run(["norms", "--family", "vector", "--p", "4,1.5", "--tau", "1",
+                      "--store-dir", str(store)], tmp_path, "vector.csv")
+    assert code == 0
+    rows = _load_csv(out)
+    assert [float(r[3]) for r in rows[1:]] == [math.sqrt(10.0), math.sqrt(5.0)]
+    assert float(rows[1][4]) == best
+    assert float(rows[1][5]) == float(rows[1][3]) - best
+    assert rows[2][4] == rows[2][5] == ""
+    # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5: no vector target.
+    code, out = _run(["norms", "--family", "vector", "--p", "1.5", "--tau", "1.5"],
+                     tmp_path, "refused.csv")
+    assert code == 2
+    assert not out.exists()
+
 
 def test_exit_code_invalid_config(tmp_path):
     code = main(["search-martingale", "--p", "0.5", "--n", "2",
@@ -269,6 +290,10 @@ def test_exit_code_invalid_config(tmp_path):
                  id="gaussian-eps-subnormal"),
     pytest.param(["norms", "--family", "beurling", "--tau", "nan"], id="norms-tau-nan"),
     pytest.param(["norms", "--family", "vector", "--tau", "inf"], id="norms-vector-tau-inf"),
+    pytest.param(["transference", "gaussian", "--halvings", "-1"],
+                 id="gaussian-halvings-negative"),
+    pytest.param(["transference", "deviation", "--n-doubling", "-3"],
+                 id="deviation-doublings-negative"),
     # 64^8 points, 2 PiB of summands: refused before the first draw.
     pytest.param(["transference", "shear", "--grid", "64", "--blocks", "8"],
                  id="shear-oversized"),
@@ -398,8 +423,8 @@ def test_certify_warm_start_from_store(tmp_path):
 
 
 def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
-    # A target below the certified bound trips the CertReport invariant,
-    # which is a cross-check failure, not a configuration error.
+    # A target below the certified bound is refused before the report is written
+    # or the store touched: a cross-check failure, not a configuration error.
     monkeypatch.setattr("lpmult.cli.target_constant",
                         lambda *args: SimpleNamespace(c_tau=1.0))
     store = tmp_path / "store"
@@ -743,6 +768,52 @@ def test_certify_matrix_family_from_scalar_record(tmp_path):
                          tmp_path)
         assert code == 0
         assert json.loads(out.read_text())["achieved_ratio"] == ratio
+
+
+def _vector_instance(tmp_path):
+    """A C^2-valued N = 2 martingale file and its enumerated ratio at p = 4, tau = 1."""
+    rng = np.random.default_rng(np.random.PCG64(5))
+    seq = MartingaleDifferenceSequence(tuple(
+        rng.standard_normal((2,) * k + (2,)) + 1j * rng.standard_normal((2,) * k + (2,))
+        for k in (1, 2)))
+    exps = ExponentConfig(4.0)
+    ratio = perturbed_ratio_exact(seq, TransformConfig((1, -1), 1.0), exps)
+    inst = tmp_path / "inst.json"
+    write_json(inst, sequence_to_record(seq, (1, -1), 1.0, exps, ratio, 0, "def2"))
+    return inst, ratio
+
+
+@pytest.mark.parametrize("family", ["beurling-real", "beurling-imag", "rotated", "vector"])
+def test_scalar_family_refuses_vector_tables(tmp_path, capsys, family):
+    inst, _ = _vector_instance(tmp_path)
+    store = tmp_path / "store"
+    code, out = _run(["certify", family, "--p", "4", "--tau", "1", "--martingale", str(inst),
+                      "--store-dir", str(store)], tmp_path)
+    assert code == 2
+    assert "scalar witnesses need scalar (m = 1) martingale tables" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(store.glob("*.json"))
+
+
+def test_matrix_family_certifies_vector_tables(tmp_path):
+    inst, ratio = _vector_instance(tmp_path)
+    code, out = _run(["certify", "beurling-matrix", "--p", "4", "--tau", "1",
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["achieved_ratio"] == ratio
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
+    # No search runs, so the refusal is the transform's own check of tau.
+    inst, _ = _scalar_record(tmp_path, 2, 3)
+    code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", tau,
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 2
+    assert "tau must be finite with a finite square" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_records_what_stopped_it(tmp_path):

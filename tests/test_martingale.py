@@ -259,6 +259,14 @@ def test_search_warm_start_monotone():
     assert nxt.ratio >= prev.ratio - 1e-12
 
 
+def test_search_refuses_a_warm_start_deeper_than_n():
+    exps = ExponentConfig(4.0)
+    budget = SearchBudget(restarts=2, iters=20, seed=5)
+    deep = search_extremal(exps, 0.0, 3, budget)
+    with pytest.raises(ValueError, match="warm start deeper than requested depth"):
+        search_extremal(exps, 0.0, 2, budget, warm_start=deep)
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_search_chain_keeps_warm_start(seed):
     # From N = 5 on the beta candidates are random; the warm beta extended

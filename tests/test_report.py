@@ -1,4 +1,4 @@
-"""Certification reports and the persisted extremizer store."""
+"""The reports certify writes and the persisted extremizer store."""
 
 import gc
 import json
@@ -16,7 +16,7 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact)
 from lpmult.cli import main
-from lpmult.report import (CertReport, StoreError, load_store, lookup_store, read_martingale,
+from lpmult.report import (StoreError, load_store, lookup_store, read_martingale,
                            sequence_from_record, sequence_to_record,
                            store_key, update_store, verify_record, write_json)
 
@@ -38,28 +38,30 @@ def _record(ratio=None, seed=0):
                               seed, "def2")
 
 
-def _report(**kw):
-    base = dict(family="beurling-real", params={}, p=4.0, p0=4.0, tau=1.0,
-                N=2, G=2, achieved_ratio=1.2544, certified_lower_bound=1.2544,
-                target_constant=10.0**0.5, predicate="def2",
-                external_assumption=False, seed=0, budget={}, wall_time_s=0.1)
-    base.update(kw)
-    return CertReport(**base)
+def _certify(tmp_path, *flags):
+    """The report certify beurling-real writes for the explicit N = 2 instance _record()."""
+    inst, out = tmp_path / "inst.json", tmp_path / "report.json"
+    write_json(inst, _record())
+    assert main(["certify", "beurling-real", *flags, "--martingale", str(inst),
+                 "--store-dir", str(tmp_path / "store"), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
-def test_report_gap_and_invariant():
-    rep = _report()
-    assert rep.gap == pytest.approx(10.0**0.5 - 1.2544)
-    with pytest.raises(ValueError):
-        _report(certified_lower_bound=4.0)
+def test_certify_report_keys_gap_and_version(tmp_path):
+    rep = _certify(tmp_path, "--p", "4", "--tau", "1")
+    assert set(rep) == {"N", "achieved_ratio", "budget", "certified_lower_bound", "family",
+                        "gap", "notes", "p", "p0", "params", "predicate", "seed",
+                        "target_constant", "tau", "timestamp", "version", "wall_time_s"}
+    assert rep["gap"] == rep["target_constant"] - rep["certified_lower_bound"]
+    assert rep["version"] == lpmult.TOOLKIT_VERSION
 
 
-def test_report_serialization():
-    rep = _report()
-    data = json.loads(json.dumps(rep.to_dict()))
-    assert data["family"] == "beurling-real"
-    assert data["gap"] == pytest.approx(rep.gap)
-    assert data["version"] == rep.version
+@pytest.mark.parametrize("flags", [["--p", "4", "--p0", "2"], ["--p", "1.5", "--tau", "1.5"]],
+                         ids=["p0-below-p", "tau-not-admitted"])
+def test_certify_report_without_target_has_no_gap(tmp_path, flags):
+    rep = _certify(tmp_path, *flags)
+    assert rep["target_constant"] is None
+    assert rep["gap"] is None
 
 
 def test_sequence_record_round_trip():
