@@ -10,10 +10,9 @@ checks connecting the discrete model to the continuous operators.
 from .exponents import ExponentConfig
 from .grid import TorusGrid
 from .symbols import MultiplierSymbol
-from .catalog import (OperatorFamilyParam, TargetConstants, beurling,
-                      beurling_imag, beurling_matrix, beurling_real,
-                      family_symbol, identity_symbol, rotated,
-                      target_constant, tau_admissible)
+from .catalog import (OperatorFamilyParam, beurling, beurling_imag,
+                      beurling_matrix, beurling_real, c_tau, family_symbol,
+                      identity_symbol, rotated, target_constant, tau_admissible)
 from .martingale import (MartingaleDifferenceSequence, SearchBudget, SearchResult,
                          TransformConfig, perturbed_ratio_exact, search_extremal)
 from .tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
@@ -26,9 +25,9 @@ __version__ = TOOLKIT_VERSION
 
 __all__ = [
     "ExponentConfig", "TorusGrid", "MultiplierSymbol", "OperatorFamilyParam",
-    "TargetConstants", "beurling", "beurling_imag", "beurling_matrix", "beurling_real",
+    "beurling", "beurling_imag", "beurling_matrix", "beurling_real",
     "family_symbol", "identity_symbol", "rotated",
-    "target_constant", "tau_admissible",
+    "c_tau", "target_constant", "tau_admissible",
     "MartingaleDifferenceSequence", "SearchBudget", "SearchResult",
     "TransformConfig", "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
     "shear_norm_check", "tensor_lift_apply",

@@ -24,7 +24,7 @@ __all__ = [
     "FAMILIES",
     "family_symbol",
     "OperatorFamilyParam",
-    "TargetConstants",
+    "c_tau",
     "target_constant",
     "tau_admissible",
     "identity_symbol",
@@ -160,49 +160,35 @@ def tau_admissible(exps: ExponentConfig, tau: float, predicate: str = "def2") ->
     return abs(tau) <= 0.5
 
 
-@dataclass(frozen=True)
-class TargetConstants:
-    """Target constants attached to a certification run."""
-
-    c_tau: float | None          # sqrt((p*-1)^2 + tau^2) when p = p0 and tau admissible
-    external_assumption: bool    # True when the target leans on the conjectured ceiling
-    family_target: float
+def c_tau(exps: ExponentConfig, tau: float, predicate: str = "def2") -> float | None:
+    """C^tau = sqrt((p* - 1)^2 + tau^2) when p = p0 and tau is admissible, else None."""
+    if tau_admissible(exps, tau, predicate) and exps.p == exps.p0:
+        return math.hypot(exps.pstar - 1.0, tau)
+    return None
 
 
 def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
-                    tau: float = 0.0, predicate: str = "def2") -> TargetConstants:
-    """Published target lower bound for the family at the given exponents."""
+                    tau: float = 0.0, predicate: str = "def2") -> tuple[float, bool]:
+    """(published target lower bound for the family at the given exponents, whether
+    that target leans on the conjectured ceiling)."""
+    vector_target = c_tau(exps, tau, predicate)  # first: an unknown predicate raises
     pstar1 = exps.pstar - 1.0
-    admissible = tau_admissible(exps, tau, predicate)
-    c_tau = None
-    if exps.p == exps.p0 and admissible:
-        c_tau = math.hypot(pstar1, tau)
-
     fam = param.family
-    external = False
     if fam == "vector":
-        if c_tau is None:
+        if vector_target is None:
             raise ValueError("vector family target needs p = p0 and admissible tau")
-        target = c_tau
-    elif fam == "scaled":
+        return vector_target, False
+    if fam == "scaled":
         c = param.c
         if c == 0.0:
             raise ValueError("scaled family needs c != 0")
-        target = pstar1 if abs(c) < 1.0 else abs(c) * pstar1
-        external = True
-    elif fam == "F":
+        return (pstar1 if abs(c) < 1.0 else abs(c) * pstar1), True
+    if fam == "F":
         z = complex(param.z)
         if z.imag == 0.0:
-            target = math.sqrt(1.0 + z.real**2) * pstar1
             # Real z reduces to the rotated family; no conjectured ceiling needed.
-        elif z.real == 0.0:
-            target = pstar1 if abs(z) < 1.0 else abs(z) * pstar1
-            external = True
-        else:
-            raise ValueError("F(z) targets cover real z and purely imaginary z only")
-    else:  # B, its parts, its matrix form and the rotated family
-        target = pstar1
-
-    return TargetConstants(c_tau=c_tau, external_assumption=external,
-                           family_target=target)
-
+            return math.sqrt(1.0 + z.real**2) * pstar1, False
+        if z.real == 0.0:
+            return (pstar1 if abs(z) < 1.0 else abs(z) * pstar1), True
+        raise ValueError("F(z) targets cover real z and purely imaginary z only")
+    return pstar1, False  # B, its parts, its matrix form and the rotated family

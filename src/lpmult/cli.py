@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_real,
+from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_real, c_tau,
                       family_symbol, identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
@@ -144,8 +144,7 @@ def cmd_certify(args) -> int:
     if res is not None:
         notes["stopped_by"] = res.stopped_by
 
-    target = target_constant(OperatorFamilyParam("beurling"), exps,
-                             args.tau, args.predicate).c_tau
+    target = c_tau(exps, args.tau, args.predicate)
     if target is not None and ratio > target + 1e-9:
         raise CrossCheckError(f"certified bound {ratio} exceeds target {target} beyond "
                               "tolerance; implementation bug")
@@ -210,22 +209,20 @@ def cmd_transference(args) -> int:
         _write_csv(args.out, ["N", "deviation", "ratio_to_previous"], rows)
         return EXIT_OK
 
-    if args.mode == "shear":
-        rng = np.random.default_rng(np.random.PCG64(args.seed))
-        grid = TorusGrid(1, args.grid)
-        J = args.blocks
-        check_grid_size(grid, J)  # refuse an oversized product before any draw
-        total = 0  # every shift moves all summands alike: only their sum is kept
-        for _ in range(J):
-            c = rng.standard_normal((grid.G,) * J) + 1j * rng.standard_normal((grid.G,) * J)
-            total += np.fft.ifftn(c, norm="forward")
-            del c  # not held while the next one is drawn
-        chk = shear_norm_check([TensorGridFunction(grid, J, total)], args.n_shift, args.p)
-        _write_csv(args.out, ["lhs", "rhs", "abs_diff", "aligned"],
-                   [[chk.lhs, chk.rhs, abs(chk.lhs - chk.rhs), chk.aligned]])
-        return EXIT_OK
-
-    raise ValueError(f"unknown transference mode {args.mode!r}")
+    # shear: argparse admits no other mode
+    rng = np.random.default_rng(np.random.PCG64(args.seed))
+    grid = TorusGrid(1, args.grid)
+    J = args.blocks
+    check_grid_size(grid, J)  # refuse an oversized product before any draw
+    total = 0  # every shift moves all summands alike: only their sum is kept
+    for _ in range(J):
+        c = rng.standard_normal((grid.G,) * J) + 1j * rng.standard_normal((grid.G,) * J)
+        total += np.fft.ifftn(c, norm="forward")
+        del c  # not held while the next one is drawn
+    chk = shear_norm_check([TensorGridFunction(grid, J, total)], args.n_shift, args.p)
+    _write_csv(args.out, ["lhs", "rhs", "abs_diff", "aligned"],
+               [[chk.lhs, chk.rhs, abs(chk.lhs - chk.rhs), chk.aligned]])
+    return EXIT_OK
 
 
 # The parameter a norms table sweeps, per family: (flag, parser).
@@ -272,12 +269,10 @@ def cmd_norms(args) -> int:
                                             for exps, _, _, tau in entries})
     rows = []
     for exps, param, pval, tau in entries:
-        tgt = target_constant(param, exps, tau=tau, predicate=args.predicate)
+        target, external = target_constant(param, exps, tau=tau, predicate=args.predicate)
         best = certified.get((exps.p, tau, args.predicate))
-        rows.append([param.family, pval, exps.p, tgt.family_target,
-                     "" if best is None else best,
-                     "" if best is None else tgt.family_target - best,
-                     tgt.external_assumption])
+        rows.append([param.family, pval, exps.p, target, "" if best is None else best,
+                     "" if best is None else target - best, external])
     _write_csv(args.out, ["family", "parameter", "p", "target",
                           "certified_so_far", "gap", "external_assumption"], rows)
     return EXIT_OK

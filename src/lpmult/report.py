@@ -95,13 +95,13 @@ def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple
     return seq, tuple(beta)
 
 
-def verify_record(rec: dict, tol: float = 1e-12) -> float:
+def verify_record(rec: dict) -> float:
     """Re-evaluate a stored extremizer; raises if the stored ratio is off."""
     seq, beta = sequence_from_record(rec)
     exps = ExponentConfig(rec["p"], rec["p0"])
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, rec["tau"]), exps)
     # Written so that a NaN or infinite stored ratio fails.
-    if not abs(ratio - rec["ratio"]) <= tol * max(1.0, ratio):
+    if not abs(ratio - rec["ratio"]) <= 1e-12 * max(1.0, ratio):
         raise StoreError(
             f"stored ratio {rec['ratio']} does not reproduce (got {ratio})")
     return ratio

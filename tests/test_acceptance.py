@@ -244,18 +244,18 @@ def test_criterion_10_target_tables():
     """Printed target constants and external-assumption flags."""
     e4 = ExponentConfig(4.0)
     t = target_constant(OperatorFamilyParam(family="beurling"), e4)
-    assert abs(t.family_target - 3.0) < 1e-12 and not t.external_assumption
+    assert abs(t[0] - 3.0) < 1e-12 and not t[1]
     t = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
-    assert abs(t.family_target - math.sqrt(10.0)) < 1e-12
+    assert abs(t[0] - math.sqrt(10.0)) < 1e-12
     t = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
-    assert abs(t.family_target - 3.0 * math.sqrt(2.0)) < 1e-12
-    assert not t.external_assumption
+    assert abs(t[0] - 3.0 * math.sqrt(2.0)) < 1e-12
+    assert not t[1]
     t = target_constant(OperatorFamilyParam(family="scaled", c=0.5), e4)
-    assert abs(t.family_target - 3.0) < 1e-12 and t.external_assumption
+    assert abs(t[0] - 3.0) < 1e-12 and t[1]
     t = target_constant(OperatorFamilyParam(family="scaled", c=2.0), e4)
-    assert abs(t.family_target - 6.0) < 1e-12 and t.external_assumption
+    assert abs(t[0] - 6.0) < 1e-12 and t[1]
     t = target_constant(OperatorFamilyParam(family="F", z=2j), e4)
-    assert abs(t.family_target - 6.0) < 1e-12 and t.external_assumption
+    assert abs(t[0] - 6.0) < 1e-12 and t[1]
     print("PASS criterion 10: target tables match printed formulas")
 
 

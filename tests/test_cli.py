@@ -12,7 +12,6 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -425,8 +424,7 @@ def test_certify_warm_start_from_store(tmp_path):
 def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
     # A target below the certified bound is refused before the report is written
     # or the store touched: a cross-check failure, not a configuration error.
-    monkeypatch.setattr("lpmult.cli.target_constant",
-                        lambda *args: SimpleNamespace(c_tau=1.0))
+    monkeypatch.setattr("lpmult.cli.c_tau", lambda *a: 1.0)
     store = tmp_path / "store"
     code, _ = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "2",
                     "--store-dir", str(store)], tmp_path)

@@ -199,6 +199,14 @@ def test_corrupt_key_leaves_other_keys_working(tmp_path):
         lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
 
 
+def test_write_json_leaves_nothing_when_encoding_fails(tmp_path):
+    # A payload the encoder refuses raises, and neither the target nor its
+    # temporary file is left behind.
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", {"a": {1}})
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_store_reads_leave_gc_as_they_found_it(tmp_path, enabled):
     # Store writes, store reads and --martingale reads run with the cyclic

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpmult.catalog import (OperatorFamilyParam, beurling, beurling_imag,
-                            beurling_matrix, beurling_real, family_symbol,
+                            beurling_matrix, beurling_real, c_tau, family_symbol,
                             identity_symbol, rotated, target_constant,
                             tau_admissible)
 from lpmult.exponents import ExponentConfig
@@ -181,21 +181,30 @@ def test_tau_admissibility():
 
 def test_target_constants():
     e4 = ExponentConfig(4.0)
-    assert target_constant(OperatorFamilyParam(family="beurling"), e4).family_target \
+    assert target_constant(OperatorFamilyParam(family="beurling"), e4)[0] \
         == pytest.approx(3.0)
     vec = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
-    assert vec.family_target == pytest.approx(math.sqrt(10.0))
+    assert vec[0] == pytest.approx(math.sqrt(10.0))
     fz = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
-    assert fz.family_target == pytest.approx(3.0 * math.sqrt(2.0))
-    assert not fz.external_assumption
+    assert fz[0] == pytest.approx(3.0 * math.sqrt(2.0))
+    assert not fz[1]
     small = target_constant(OperatorFamilyParam(family="scaled", c=0.5), e4)
     big = target_constant(OperatorFamilyParam(family="scaled", c=2.0), e4)
-    assert small.family_target == pytest.approx(3.0)
-    assert big.family_target == pytest.approx(6.0)
-    assert small.external_assumption and big.external_assumption
+    assert small[0] == pytest.approx(3.0)
+    assert big[0] == pytest.approx(6.0)
+    assert small[1] and big[1]
     fi = target_constant(OperatorFamilyParam(family="F", z=2j), e4)
-    assert fi.family_target == pytest.approx(6.0)
-    assert fi.external_assumption
+    assert fi[0] == pytest.approx(6.0)
+    assert fi[1]
+    # C^tau itself: p = p0 and tau admissible, else no target.
+    assert c_tau(ExponentConfig(4.0), 1.0) == math.hypot(3.0, 1.0)
+    assert c_tau(ExponentConfig(4.0, 2.0), 1.0) is None
+    e15 = ExponentConfig(1.5)
+    assert c_tau(e15, 1.5) is None
+    assert c_tau(e15, 0.6, "cor7") is None
+    assert c_tau(e15, 0.6, "def2") == math.hypot(2.0, 0.6)
+    with pytest.raises(ValueError):
+        target_constant(OperatorFamilyParam(family="beurling"), e4, predicate="other")
 
 
 def test_target_duality_symmetry():
@@ -204,8 +213,8 @@ def test_target_duality_symmetry():
             e = ExponentConfig(p)
             dual = ExponentConfig(e.q)
             param = OperatorFamilyParam(family=fam, theta=0.4, c=1.5, z=1.0)
-            a = target_constant(param, e).family_target
-            b = target_constant(param, dual).family_target
+            a = target_constant(param, e)[0]
+            b = target_constant(param, dual)[0]
             assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lpmult.catalog import beurling_matrix, beurling_real, identity_symbol
+from lpmult.catalog import beurling, beurling_matrix, beurling_real, identity_symbol
 from lpmult.transference import (GaussianPairingConfig, gaussian_damped_pairing,
                                  multiplier_deviation)
 
@@ -70,6 +70,16 @@ def test_deviation_quarter_ratio():
     d40 = multiplier_deviation(sym, support, 40)
     assert 3.8 <= d10 / d20 <= 4.2
     assert 3.8 <= d20 / d40 <= 4.2
+
+
+def test_matrix_deviation_matches_scalar_beurling():
+    # [[a, b], [-b, a]] has both singular values |a + ib|, so the matrix form's
+    # spectral-norm deviation is the scalar B's modulus deviation.
+    support = [((1, 0), (0, 1)), ((2, 1), (1, -1)), ((0, 1), (1, 0), (-1, 2))]
+    for N in (1, 3, 10, 80):
+        mat = multiplier_deviation(beurling_matrix(), support, N)
+        sca = multiplier_deviation(beurling(), support, N)
+        assert mat == pytest.approx(sca, rel=1e-14, abs=0)
 
 
 def test_deviation_validation():
