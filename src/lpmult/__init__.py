@@ -2,9 +2,9 @@
 
 Certified bounds come from explicit test functions: extremal perturbed
 martingale transforms found by exact enumeration and gradient search, lifted
-to sign-function witnesses on product tori and verified through FFT-based
-multiplier application, with Gaussian transference and shear-invariance
-checks connecting the discrete model to the continuous operators.
+to sign-function witnesses on product tori, whose one premise is the symbol's
+exact value on the coordinate axes, with Gaussian transference and
+shear-invariance checks connecting the discrete model to the continuous operators.
 """
 
 from .exponents import ExponentConfig

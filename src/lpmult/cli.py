@@ -1,10 +1,10 @@
 """Command-line front end: searches, certifications, sweeps, and reports.
 
-`search-martingale` and `certify` run one pipeline: take a martingale (the
---martingale file, else the store record at depth N, else a search
-warm-started from depth N - 1; `search-martingale` always searches), certify
-it by the factored certificate in `witness`, build the report, open --out, store
-a searched martingale, and only then write the report.  Exit codes: 0 success, 2
+`search-martingale` and `certify` run one pipeline: check the symbol's axis
+values, take a martingale (the --martingale file, else the store record at depth
+N, else a search warm-started from depth N - 1; `search-martingale` always
+searches), certify it, build the report, open --out, store a searched
+martingale, and only then write the report.  Exit codes: 0 success, 2
 invalid configuration (a non-finite number included), 3 cross-check failure (a
 failed certificate premise, or a bound above the report's target), 4 store
 error.  All randomness flows from the single --seed flag through numpy's PCG64
@@ -34,7 +34,8 @@ from .report import (CrossCheckError, StoreError, _stored_record, lookup_store, 
                      store_key, update_store, verify_record, TOOLKIT_VERSION)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import WitnessSpec, build_matrix_witness, build_witness, check_exponents
+from .witness import (WitnessSpec, build_matrix_witness, build_witness, check_axis_values,
+                      check_exponents)
 from .grid import TorusGrid
 
 EXIT_OK = 0
@@ -121,9 +122,10 @@ def cmd_certify(args) -> int:
     """Martingale, factored certificate, report; then store a searched martingale."""
     exps = ExponentConfig(args.p, args.p0)
     check_exponents(exps)
+    symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
+    check_axis_values(symbol)  # the one premise, before any file is read or search run
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
-    symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
     sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()

@@ -43,11 +43,6 @@ class TorusGrid:
         """Centered integer frequencies -G/2 .. G/2 - 1 in ascending order."""
         return np.arange(-self.G // 2, self.G // 2)
 
-    def mesh(self) -> np.ndarray:
-        """Sample points as an array of shape (G,)*d + (d,)."""
-        axes = np.meshgrid(*([self.points_1d] * self.d), indexing="ij")
-        return np.stack(axes, axis=-1)
-
     def frequency_mesh(self) -> np.ndarray:
         """Centered lattice frequencies as an array of shape (G,)*d + (d,)."""
         axes = np.meshgrid(*([self.frequencies_1d] * self.d), indexing="ij")

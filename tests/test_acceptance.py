@@ -26,6 +26,7 @@ from lpmult.transference import (GaussianPairingConfig,
 from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_witness
 from test_multiplier import complex_vs_matrix_path
+from torus import mesh
 
 # Exhaustive search oracle at depth 3, p = 4, tau = 0 (48 restarts over all
 # eight flip patterns converge to sqrt(2) to machine precision).
@@ -135,7 +136,7 @@ def test_criterion_05_eigenrelation_exactness():
     start = time.monotonic()
     for G in (2, 4, 8):
         grid = TorusGrid(2, G)
-        theta = grid.mesh()
+        theta = mesh(grid)
         for axis, sym, lam in ((0, beurling_real(), -1.0),
                                (1, beurling_real(), 1.0),
                                (0, beurling_imag(), 0.0),

@@ -6,10 +6,12 @@ import pytest
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
 from lpmult.tensor import TensorGridFunction
 
+from torus import mesh
+
 
 def _monomial(grid, j):
     """The character exp(i (j, theta)) sampled on the grid."""
-    return TensorGridFunction(grid, 1, np.exp(1j * (grid.mesh() @ np.asarray(j, dtype=float))))
+    return TensorGridFunction(grid, 1, np.exp(1j * (mesh(grid) @ np.asarray(j, dtype=float))))
 
 
 def test_points_avoid_zero_and_minus_pi():

@@ -9,6 +9,8 @@ from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import (TensorGridFunction, check_grid_size, shear_norm_check,
                            tensor_lift_apply)
 
+from torus import mesh
+
 _P2_TOL = 1e-10
 
 
@@ -81,7 +83,7 @@ def test_lift_acts_on_single_block():
     # exp(i(j, theta_0)) * exp(i(k, theta_1)) lifted in block 1 picks up
     # the eigenvalue at k only.
     grid = TorusGrid(2, 4)
-    theta = grid.mesh()
+    theta = mesh(grid)
     j, k = np.array([1.0, 0.0]), np.array([1.0, -2.0])
     f0 = np.exp(1j * theta @ j)
     f1 = np.exp(1j * theta @ k)

@@ -1,5 +1,6 @@
 """Sign-function witnesses: the factored certificate against the torus evaluation."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,15 @@ from lpmult import cli
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid
-from lpmult import witness
-from lpmult.martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
+from lpmult import tensor, witness
+from lpmult.martingale import (ENUMERATION_CAP, MartingaleDifferenceSequence, TransformConfig,
+                               perturbed_ratio_exact)
 from lpmult.report import CrossCheckError, sequence_to_record, write_json
 from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
+
+from torus import mesh
 
 
 def _explicit_instance(m=1):
@@ -108,53 +112,70 @@ def _seeded_changes(rng, matrix):
     return changes
 
 
-def _refuses(check):
-    try:
-        check()
-    except CrossCheckError:
-        return True
-    return False
-
-
-def test_exact_axis_check_refuses_all_the_lift_check_refuses():
-    # On the G = 2 premise grid each axis sign has one lattice frequency, so the
-    # FFT lift sees the symbol at (0, -1) and (-1, 0) only, and the exact check
-    # in WitnessSpec sees all four axis frequencies: whatever the lift refuses,
-    # building the spec has refused already.
+def test_exact_axis_check_refuses_every_changed_symbol():
+    # Every change at an axis frequency, however small, is refused when the spec
+    # is built; Re B and its matrix form pass.
     rng = np.random.default_rng(np.random.PCG64(21))
     seq = _explicit_instance()
-    symbols = [beurling_real(), beurling_matrix(), beurling_imag(),
-               *(rotated(t) for t in (0.0, 0.7, np.pi / 2, np.pi, 2.0))]
     for base in (beurling_real(), beurling_matrix()):
-        symbols += [_changed_at_axes(base, _seeded_changes(rng, base.shape == "matrix"))
-                    for _ in range(40)]
-    lift_only_passes = lift_refuses = 0
-    for symbol in symbols:
-        lift = _refuses(lambda: witness._check_axis_signs(symbol))
-        exact = _refuses(lambda: _spec(seq, 1.0, symbol=symbol))
-        assert exact or not lift, symbol.name
-        lift_refuses += lift
-        lift_only_passes += exact and not lift
-    # Neither side of the implication is empty: the lift refuses some symbols,
-    # and misses some the exact check refuses (a change of 1e-13, or one at
-    # (0, 1) or (1, 0), which the lift never sees).
-    assert lift_refuses > 0 and lift_only_passes > 0
-    for symbol in (beurling_real(), beurling_matrix()):
-        witness._check_axis_signs(symbol)
-        _spec(seq, 1.0, symbol=symbol)
+        _spec(seq, 1.0, symbol=base)
+        for _ in range(40):
+            changed = _changed_at_axes(base, _seeded_changes(rng, base.shape == "matrix"))
+            with pytest.raises(CrossCheckError):
+                _spec(seq, 1.0, symbol=changed)
 
 
 def test_symbol_off_the_axis_values_exits_crosscheck(monkeypatch, tmp_path):
-    # Re B changed by 1e-13 at (0, 1) passes the lift and fails the exact check:
+    # Re B changed by 1e-13 at (0, 1) fails the exact check:
     # a failed premise, exit 3, before anything is written.
     changed = _changed_at_axes(beurling_real(), [(0, lambda v: v + 1e-13)])
-    witness._check_axis_signs(changed)
     monkeypatch.setattr(cli, "beurling_real", lambda: changed)
     store, out = tmp_path / "store", tmp_path / "out.json"
     assert main(["certify", "beurling-real", "--p", "4", "--n", "2", "--iters", "30",
                  "--restarts", "2", "--store-dir", str(store), "--out", str(out)]) == 3
     assert not list(store.glob("*.json"))
     assert not out.exists()
+
+
+def test_symbol_checked_before_any_martingale_is_sought(monkeypatch, tmp_path):
+    # A symbol off its axis values exits 3 before a search runs or a --martingale
+    # file is read: this one does not exist, and reading it would exit 2.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a martingale was sought before the symbol was checked")
+
+    changed = _changed_at_axes(beurling_real(), [(0, lambda v: v + 1e-13)])
+    monkeypatch.setattr(cli, "beurling_real", lambda: changed)
+    monkeypatch.setattr(cli, "search_extremal", no_search)
+    store, out = tmp_path / "store", tmp_path / "out.json"
+    common = ["--p", "4", "--n", "2", "--store-dir", str(store), "--out", str(out)]
+    for argv in (["certify", "beurling-real"], ["search-martingale"],
+                 ["certify", "beurling-real", "--martingale", str(tmp_path / "none.json")]):
+        assert main([*argv, *common]) == 3, argv
+        assert not list(store.glob("*.json"))
+        assert not out.exists()
+
+
+def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
+    # Every family is certified at the axis values alone: with the multiplier
+    # lift unusable each still gives the enumerated ratio, and a search certifies.
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a certificate ran a multiplier lift")
+
+    spec = _random_spec(3)
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_json(inst, sequence_to_record(
+        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2"))
+    bound = perturbed_ratio_exact(spec.sequence, TransformConfig(spec.beta, spec.tau), spec.exps)
+    monkeypatch.setattr(witness, "tensor_lift_apply", no_lift)
+    monkeypatch.setattr(tensor, "tensor_lift_apply", no_lift)
+    args = ["--p", "4", "--tau", "1", "--n", "3", "--martingale", str(inst),
+            "--store-dir", str(tmp_path / "store"), "--out", str(out)]
+    for family in (["beurling-real"], ["beurling-imag"], ["rotated", "--theta", "0.7"],
+                   ["vector"], ["beurling-matrix"]):
+        assert main(["certify", *family, *args]) == 0, family
+        assert json.loads(out.read_text())["certified_lower_bound"] == bound, family
+    assert main(["search-martingale", "--p", "4", "--n", "2", "--iters", "30",
+                 "--restarts", "2", "--store-dir", str(tmp_path / "store")]) == 0
 
 
 def test_p0_above_p_rejected():
@@ -208,73 +229,6 @@ def test_factored_witness_allocates_no_torus_array():
     assert peak < full
 
 
-def test_biased_sign_block_refused(monkeypatch):
-    # A sign block psi_k with nonzero sum gives Phi_k a block-k mean, which
-    # the transference to the multiplier does not allow, and for any k it
-    # breaks the uniform law of the signs on the hypercube.
-    axis_signs = witness._axis_signs
-    for b in (1, -1):
-        def biased(grid):
-            signs = axis_signs(grid)
-            signs[b] = signs[b].copy()
-            signs[b][0, 0] *= -1
-            return signs
-
-        monkeypatch.setattr(witness, "_axis_signs", biased)
-        with pytest.raises(CrossCheckError):
-            build_witness(_random_spec(3))
-
-
-def _checkerboard_sign(monkeypatch):
-    """Make the +1 axis sign sign(theta_1) sign(theta_2): balanced, +-1, but T psi = 0."""
-    axis_signs = witness._axis_signs
-
-    def checkerboard(grid):
-        signs = axis_signs(grid)
-        theta = grid.mesh()
-        signs[1] = np.sign(theta[..., 0]) * np.sign(theta[..., 1])
-        return signs
-
-    monkeypatch.setattr(witness, "_axis_signs", checkerboard)
-
-
-def test_non_eigenfunction_sign_block_refused(monkeypatch):
-    _checkerboard_sign(monkeypatch)
-    for spec in (_random_spec(3), _random_spec(3, m=2)):
-        build = build_matrix_witness if spec.symbol.shape == "matrix" else build_witness
-        with pytest.raises(CrossCheckError):
-            build(spec)
-
-
-def test_non_eigenfunction_sign_block_exits_crosscheck(monkeypatch, tmp_path):
-    # Every family is certified through the same axis signs, so each must refuse.
-    spec = _random_spec(3)
-    inst = tmp_path / "inst.json"
-    write_json(inst, sequence_to_record(
-        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2"))
-    args = ["--p", "4", "--tau", "1", "--n", "3",
-            "--martingale", str(inst), "--store-dir", str(tmp_path / "store"),
-            "--out", str(tmp_path / "out.json")]
-    families = (["beurling-real"], ["beurling-imag"], ["rotated", "--theta", "0.7"],
-                ["vector"], ["beurling-matrix"])
-    for family in families:
-        assert main(["certify", *family, *args]) == 0
-    _checkerboard_sign(monkeypatch)
-    for family in families:
-        assert main(["certify", *family, *args]) == 3
-
-
-def test_non_eigenfunction_sign_block_refuses_search(monkeypatch, tmp_path):
-    # search-martingale is certified through Re B by the same axis signs.
-    _checkerboard_sign(monkeypatch)
-    store = tmp_path / "store"
-    assert main(["search-martingale", "--p", "4", "--n", "2", "--iters", "30",
-                 "--restarts", "2", "--store-dir", str(store),
-                 "--out", str(tmp_path / "out.json")]) == 3
-    assert not list(store.glob("*.json"))
-    assert not (tmp_path / "out.json").exists()
-
-
 def _torus_reference(ws, G):
     """The witness ratio evaluated on all G^(2(N+1)) torus points.
 
@@ -285,7 +239,7 @@ def _torus_reference(ws, G):
     N, d = ws.sequence.N, 2
     scalar = ws.symbol.shape != "matrix"
     grid = TorusGrid(2, G)
-    theta = grid.mesh()
+    theta = mesh(grid)
     axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
     signs = [axis_sign[b] for b in (1,) + ws.beta]
     idx = [((1 - s) / 2).astype(int) for s in signs]
