@@ -8,12 +8,13 @@ enumerating all 2^(N+1) sign patterns with uniform weight.
 
 One realization serves the exact ratio and the search: from the tables of a
 sequence, one array level after level, `_realize` builds the values of F and
-G on the hypercube, its first levels gathered in one step and the rest by
-doubling, one sign coordinate a level (O(2^(N+1)) work); the search gradient
-is reduced by the reverse halving.  The exact ratio works in blocks of at
-most `_BLOCK_POINTS` points, each continuing from its slice of the head
-values, and adds the per-block sums in the balanced tree of numpy's pairwise
-sum over the whole hypercube.
+G on the hypercube, its first h <= 5 levels gathered in one step and the rest
+by doubling, V <- (V + c, V - c), one sign coordinate a level (O(2^(N+1))
+work); the search gradient is reduced by the reverse halving.  The exact
+ratio takes its head coefficients from a cache keyed by beta's first h signs
+(at most 62 keys), works in blocks of at most `_BLOCK_POINTS` points, forms
+its power sums in place and adds the per-block sums in the balanced tree of
+numpy's pairwise sum over the whole hypercube.
 `search_extremal` ascends consecutive starts together, each with its own
 step, and re-verifies every start through `perturbed_ratio_exact`.
 """
@@ -105,12 +106,11 @@ class TransformConfig:
     tau: float
 
     def __post_init__(self):
-        beta = tuple(int(b) for b in self.beta)
-        if any(b not in (-1, 1) for b in beta):
+        if any(b not in (-1, 1) for b in self.beta):  # before int(), which truncates 1.5
             raise ValueError("beta entries must be +-1")
         if not math.isfinite(self.tau * self.tau):
             raise ValueError(f"tau must be finite with a finite square, got {self.tau}")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,21 @@ def _head_plan(h):
     return 2**k - 2 + (i >> (h + 1 - k)), 1.0 - 2.0 * (i >> (h - k) & 1)
 
 
-def _realize(flat, coef, blocks=1):
+def _head_levels(N, values, blocks):
+    """Head levels h for `values` rows times components, raised to one value a block."""
+    return max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // values).bit_length() - 2),
+               blocks.bit_length() - 2)
+
+
+@functools.cache
+def _head_flips(beta):
+    """(1, beta) times the signs: the exact ratio's head coefficients (2, 1, h, 2^(h+1))."""
+    coef = np.array([(1,) * len(beta), beta], complex)[:, None, :, None] * _head_plan(len(beta))[1]
+    coef.flags.writeable = False  # shared by every call whose beta starts with these h signs
+    return coef
+
+
+def _realize(flat, coef, blocks=1, head=None):
     """Values of sequences on the sign hypercube, yielded in `blocks` blocks.
 
     flat (..., m, 2^(N+1) - 2) holds d_k at 2^k - 2 ... 2^(k+1) - 3 of its last
@@ -140,25 +154,25 @@ def _realize(flat, coef, blocks=1):
     broadcasting with flat's.  Point index bits run from r_0 (slowest) to r_N
     (fastest), bit 0 for +1; the blocks, a power of two of them, each
     (..., m, 2^(N+1) / blocks), follow in point order.
-    The first h levels are gathered in one step: every point's terms, taken by
-    _head_plan(h) and flipped, added in level order; h is raised to give at
-    least one value per block.  Block b continues from its slice of those
-    values by doubling, V <- (V + c, V - c), through the slices of the later
-    tables that it indexes.
+    The first h levels are gathered in one step, each point's terms (taken by
+    _head_plan(h)) times head = coef[..., None, :h, None] * signs added in level
+    order; a caller may pass head, and coef, read from its end, then need hold
+    only the later levels.  Block b then doubles its slice a level at a time.
     """
     N, m = (flat.shape[-1] + 2).bit_length() - 2, flat.shape[-2]
-    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // (coef[..., 0].size * m)).bit_length() - 2),
-            blocks.bit_length() - 2)
-    rows, signs = _head_plan(h)
+    if head is None:
+        h = _head_levels(N, coef[..., 0].size * m, blocks)
+        head = coef[..., None, :h, None] * _head_plan(h)[1]
+    h = head.shape[-2]
     # The level axis is outside the contiguous point axis, so the levels add in order.
-    V = np.add.reduce(flat.take(rows, axis=-1) * (coef[..., None, :h, None] * signs), axis=-2)
+    V = np.add.reduce(flat.take(_head_plan(h)[0], axis=-1) * head, axis=-2)
     step = V.shape[-1] // blocks
     for b in range(blocks):
         Vb = V[..., b * step:(b + 1) * step]
         for lvl in range(h, N):
             w = 2 ** (lvl + 1) // blocks
             at = 2 ** (lvl + 1) - 2 + b * w
-            c = flat[..., at:at + w] * coef[..., lvl, None, None]
+            c = flat[..., at:at + w] * coef[..., lvl - N, None, None]
             new = np.empty(Vb.shape + (2,), dtype=complex)
             np.add(Vb, c, out=new[..., 0])
             np.subtract(Vb, c, out=new[..., 1])
@@ -168,9 +182,7 @@ def _realize(flat, coef, blocks=1):
 
 def _tree_sum(xs):
     """Sum of 2^j numbers, added pairwise in a balanced tree."""
-    while len(xs) > 1:
-        xs = [a + b for a, b in zip(xs[0::2], xs[1::2])]
-    return xs[0]
+    return xs[0] if len(xs) == 1 else _tree_sum([a + b for a, b in zip(xs[0::2], xs[1::2])])
 
 
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
@@ -181,9 +193,8 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a ratio
     out of floating-point range raises FloatingPointError.
 
-    F and G are realized together, one block of the hypercube at a time, each
-    continuing from its slice of the values of the leading sign coordinates.
-    numpy sums a contiguous array pairwise, splitting it exactly at its halves
+    F and G are realized together, one block of the hypercube at a time.
+    numpy sums a contiguous row pairwise, splitting it exactly at its halves
     down to 128 elements, so per-block sums (at least 128 points a row) added
     in a balanced tree give the whole-hypercube sums bit for bit.
     """
@@ -192,24 +203,28 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"depth {N} exceeds enumeration cap {ENUMERATION_CAP}")
     if len(cfg.beta) != N:
         raise ValueError(f"beta must have length {N}")
+    blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
+    h = _head_levels(N, 2 * m, blocks)
     # Complex flips spare a cast in every table product; a product by +-1 is exact.
-    flips = np.array([(1,) * N, cfg.beta], dtype=complex)
-    parts = _realize(F.flat.T, flips, max(1, 2 ** (N + 2) // _BLOCK_POINTS))
+    tail = np.array([(1,) * (N - h), cfg.beta[h:]], dtype=complex) if N > h else None
     p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
-    dens, nums = [], []
+    sums = []  # [den, num] a block
     # Overflowing squares become inf or NaN here and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for V in parts:
-            s = np.abs(V) ** 2
+        for V in _realize(F.flat.T, tail, blocks, _head_flips(cfg.beta[:h])):
+            s = np.abs(V)
+            np.square(s, out=s)
             s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
-            n2, g2 = s[0], s[1]
-            dens.append((n2 ** p2).sum())
-            nums.append(((g2 + tau2 * n2) ** p02).sum())
+            n2, g2 = s  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p0/2)
+            g2 += tau2 * n2
+            n2 **= p2
+            g2 **= p02
+            sums.append(np.add.reduce(s, axis=-1).tolist())  # each row summed as by .sum()
             del V, s, n2, g2  # one block at a time in memory
-        den = _tree_sum(dens) / P
+        den, num = (_tree_sum(x) / P for x in zip(*sums))
         if not den > 0.0:
             raise ZeroDivisionError("F_N has zero L^p norm")
-        ratio = float((_tree_sum(nums) / P) ** (1.0 / exps.p0) / den ** (1.0 / exps.p))
+        ratio = num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)
     if not math.isfinite(ratio):
         raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
     return ratio

@@ -413,3 +413,58 @@ def test_search_independent_of_batch(monkeypatch):
     assert abs(one.ratio - whole.ratio) <= 1e-12
     # The exact ratio does not depend on the search's batch size.
     assert ratios[0] == ratios[1]
+
+
+def test_transform_config_refuses_entries_off_plus_minus_one():
+    # int() would truncate 1.5 to 1 and -1.9 to -1; the check comes first.
+    for beta in [(1.5, -1.9), (1, 0.5), (-1.0000001,), (2,), (0,)]:
+        with pytest.raises(ValueError):
+            TransformConfig(beta, 0.0)
+    cfg = TransformConfig([1, 1.0, np.int64(-1), np.float64(-1.0)], 0.0)
+    assert cfg.beta == (1, 1, -1, -1) and all(type(b) is int for b in cfg.beta)
+
+
+def _reference_exact_ratio(F, beta, tau, exps):
+    """The exact ratio from `_reference_realize`, with the reductions of one block:
+    components added in order, then each row summed by numpy's pairwise sum."""
+    P, m = 2 ** (F.N + 1), F.m
+    n2 = (np.abs(_reference_realize(F.tables).reshape(P, m).T) ** 2).sum(0)
+    g2 = (np.abs(_reference_realize(F.tables, beta).reshape(P, m).T) ** 2).sum(0)
+    den = float((n2 ** (exps.p / 2.0)).sum()) / P
+    num = float(((g2 + tau**2 * n2) ** (exps.p0 / 2.0)).sum()) / P
+    return num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_exact_ratio_equals_reference_bit_for_bit(N):
+    # Sequences whose betas share their first five signs (the head of N <= 8)
+    # but not the tail are evaluated in alternating order: the head
+    # coefficients shared through the cache carry nothing from call to call.
+    rng = np.random.default_rng(np.random.PCG64(900 + N))
+    for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
+        beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
+        betas = [beta, beta[:5] + tuple(-b for b in beta[5:])] if N > 5 else [beta]
+        cases = [(_random_sequence(rng, N, m), TransformConfig(b, tau)) for b in betas]
+        for p0 in sorted({p, 1.2}):
+            exps = ExponentConfig(p, p0)
+            for seq, cfg in cases * 2:
+                assert perturbed_ratio_exact(seq, cfg, exps) == _reference_exact_ratio(
+                    seq, cfg.beta, tau, exps), (N, m, p, p0, tau, cfg.beta)
+
+
+def test_exact_ratio_head_cache_is_bounded_and_read_only():
+    # The cache keys are beta's first h <= 5 signs: 2 + 4 + ... + 32 = 62 of them,
+    # all filled by the sweep below, and no deeper call adds one.
+    martingale._head_flips.cache_clear()
+    rng = np.random.default_rng(np.random.PCG64(62))
+    exps = ExponentConfig(4.0)
+    for N, m in product(range(1, 9), (1, 2, 3)):
+        seq = _random_sequence(rng, N, m)
+        for beta in product((-1, 1), repeat=N):
+            perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
+    perturbed_ratio_exact(_random_sequence(rng, 20), TransformConfig((1, -1) * 10, 0.5), exps)
+    assert martingale._head_flips.cache_info().currsize == 62
+    head = martingale._head_flips((1, -1, 1))
+    assert head.shape == (2, 1, 3, 16)
+    with pytest.raises(ValueError):
+        head[0, 0, 0, 0] = 0.0
