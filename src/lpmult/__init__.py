@@ -2,9 +2,10 @@
 
 Certified bounds come from explicit test functions: extremal perturbed
 martingale transforms found by exact enumeration and gradient search, lifted
-to sign-function witnesses on product tori, whose one premise is the symbol's
-exact value on the coordinate axes, with Gaussian transference and
-shear-invariance checks connecting the discrete model to the continuous operators.
+to sign-function witnesses on product tori by one checked call,
+`build_witness`, whose premise is p0 <= p and the symbol's exact value on the
+coordinate axes, with Gaussian transference and shear-invariance checks
+connecting the discrete model to the continuous operators.
 """
 
 from .exponents import ExponentConfig
@@ -18,7 +19,7 @@ from .martingale import (MartingaleDifferenceSequence, SearchBudget, SearchResul
 from .tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
 from .transference import (GaussianPairingConfig, gaussian_damped_pairing,
                            multiplier_deviation)
-from .witness import WitnessSpec, build_matrix_witness, build_witness
+from .witness import build_witness
 from .report import StoreError, TOOLKIT_VERSION
 
 __version__ = TOOLKIT_VERSION
@@ -32,7 +33,6 @@ __all__ = [
     "TransformConfig", "perturbed_ratio_exact", "search_extremal", "TensorGridFunction",
     "shear_norm_check", "tensor_lift_apply",
     "GaussianPairingConfig", "gaussian_damped_pairing",
-    "multiplier_deviation", "WitnessSpec",
-    "build_matrix_witness", "build_witness",
+    "multiplier_deviation", "build_witness",
     "StoreError", "TOOLKIT_VERSION",
 ]

@@ -190,8 +190,8 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     """||(G_N, tau F_N)||_{p0} / ||F_N||_p by full enumeration.
 
     The pointwise magnitude of the pair is (||G||^2 + tau^2 ||F||^2)^(1/2).
-    A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a ratio
-    out of floating-point range raises FloatingPointError.
+    A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a moment
+    or ratio out of floating-point range raises FloatingPointError.
 
     F and G are realized together, one block of the hypercube at a time.
     numpy sums a contiguous row pairwise, splitting it exactly at its halves
@@ -222,6 +222,9 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
             sums.append(np.add.reduce(s, axis=-1).tolist())  # each row summed as by .sum()
             del V, s, n2, g2  # one block at a time in memory
         den, num = (_tree_sum(x) / P for x in zip(*sums))
+        if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
+            raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p0 = {num} "
+                                     "is not finite: the input is out of range")
         if not den > 0.0:
             raise ZeroDivisionError("F_N has zero L^p norm")
         ratio = num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)

@@ -24,7 +24,7 @@ from lpmult.transference import (GaussianPairingConfig,
                                  gaussian_damped_pairing,
                                  multiplier_deviation)
 from lpmult.tensor import TensorGridFunction, shear_norm_check, tensor_lift_apply
-from lpmult.witness import WitnessSpec, build_witness
+from lpmult.witness import build_witness
 from test_multiplier import complex_vs_matrix_path
 from torus import mesh
 
@@ -96,9 +96,7 @@ def test_criterion_03_explicit_instance_regression():
     ratio = perturbed_ratio_exact(seq, TransformConfig((-1, 1), 1.0),
                                   ExponentConfig(4.0))
     assert abs(ratio - ORACLE_EXPLICIT) < 1e-12
-    spec = WitnessSpec(exps=ExponentConfig(4.0), tau=1.0,
-                       symbol=beurling_real(), sequence=seq, beta=(-1, 1))
-    res = build_witness(spec)
+    res = build_witness(beurling_real(), seq, (-1, 1), 1.0, ExponentConfig(4.0))
     assert abs(res - ORACLE_EXPLICIT) < 1e-10
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

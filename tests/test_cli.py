@@ -309,18 +309,25 @@ def test_nonfinite_input_is_refused(tmp_path, args, capsys):
         assert "tau" in capsys.readouterr().err
 
 
-def test_certify_refuses_overflowing_tables(tmp_path, capsys):
-    # |d|^2 overflows to inf, so the enumerated ratio is inf / inf = NaN,
-    # refused without a numpy warning.
-    seq = _scalar([np.full(2, 1e200), np.full((2, 2), 1e200)])
-    inst = tmp_path / "inst.json"
-    write_json(inst, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 0.0, 0, "def2"))
+@pytest.mark.parametrize("scale, beta, p0", [
+    # |d|^2 overflows to inf, so both moments are infinite.
+    pytest.param(1e200, (1, 1), 4.0, id="1e200"),
+    # Only ||F_N||_p^p overflows: the finite numerator over it would read 0.0.
+    pytest.param(1e100, (1, -1), 1.2, id="1e100-p0-1.2"),
+])
+def test_certify_refuses_overflowing_tables(tmp_path, capsys, scale, beta, p0):
+    # A moment out of floating-point range is refused without a numpy warning.
+    seq = _scalar([np.full(2, scale), np.full((2, 2), scale)])
+    inst, store = tmp_path / "inst.json", tmp_path / "store"
+    write_json(inst, sequence_to_record(seq, beta, 0.0, ExponentConfig(4.0, p0), 0.0, 0,
+                                        "def2"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = _run(["certify", "beurling-real", "--p", "4", "--martingale", str(inst),
-                          "--store-dir", str(tmp_path / "store")], tmp_path)
+        code, out = _run(["certify", "beurling-real", "--p", "4", "--p0", str(p0),
+                          "--martingale", str(inst), "--store-dir", str(store)], tmp_path)
     assert code == 2
     assert not out.exists()
+    assert not list(store.glob("*.json"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "not finite" in err and "RuntimeWarning" not in err

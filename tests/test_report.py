@@ -94,6 +94,16 @@ def test_verify_record_catches_tampering():
             verify_record(_record(ratio=ratio))
 
 
+def test_verify_record_refuses_an_overflowing_denominator():
+    # At p0 < p only ||F_N||_p^p overflows; the ratio read 0.0, and a record
+    # storing 0.0 verified.
+    seq = MartingaleDifferenceSequence((np.full((2, 1), 1e100, dtype=complex),
+                                        np.full((2, 2, 1), 1e100, dtype=complex)))
+    rec = sequence_to_record(seq, (1, -1), 0.0, ExponentConfig(4.0, 1.2), 0.0, 0, "def2")
+    with pytest.raises(FloatingPointError, match="not finite"):
+        verify_record(rec)
+
+
 def test_store_update_and_lookup(tmp_path):
     rec = _record()
     assert update_store(tmp_path, rec)

@@ -17,7 +17,7 @@ from lpmult.martingale import (ENUMERATION_CAP, MartingaleDifferenceSequence, Tr
 from lpmult.report import CrossCheckError, sequence_to_record, write_json
 from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
-from lpmult.witness import WitnessSpec, build_matrix_witness, build_witness
+from lpmult.witness import build_witness
 
 from torus import mesh
 
@@ -31,51 +31,47 @@ def _explicit_instance(m=1):
 
 
 def _spec(seq, tau, symbol=None):
-    return WitnessSpec(
-        exps=ExponentConfig(4.0), tau=tau,
-        symbol=beurling_real() if symbol is None else symbol,
-        sequence=seq, beta=(-1, 1))
+    """build_witness's (symbol, sequence, beta, tau, exps) at beta = (-1, 1), p = 4."""
+    return (beurling_real() if symbol is None else symbol, seq, (-1, 1), tau,
+            ExponentConfig(4.0))
 
 
 def test_explicit_witness_matches_enumeration():
     target = (52.0 / 21.0) ** 0.25
-    res = build_witness(_spec(_explicit_instance(), 1.0))
+    res = build_witness(*_spec(_explicit_instance(), 1.0))
     assert res == pytest.approx(target, abs=1e-10)
 
 
 def test_witness_tau_zero():
-    res = build_witness(_spec(_explicit_instance(), 0.0))
+    res = build_witness(*_spec(_explicit_instance(), 0.0))
     assert res == pytest.approx(1.0, abs=1e-10)
 
 
 def test_matrix_witness_matches_scalar():
     seq = _explicit_instance(m=2)
-    spec = _spec(seq, 1.0, symbol=beurling_matrix())
-    res = build_matrix_witness(spec)
+    res = build_witness(*_spec(seq, 1.0, symbol=beurling_matrix()))
     assert res == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
 
 
 def test_witness_shape_dispatch():
-    with pytest.raises(ValueError):
-        build_witness(_spec(_explicit_instance(m=2), 1.0, symbol=beurling_matrix()))
-    with pytest.raises(ValueError):
-        build_matrix_witness(_spec(_explicit_instance(), 1.0))
+    # A scalar symbol takes scalar tables only.
+    with pytest.raises(ValueError, match="scalar witnesses need scalar"):
+        build_witness(*_spec(_explicit_instance(m=2), 1.0))
     # The 2x2 matrix symbol takes scalar or C^2 tables, never C^3.
-    with pytest.raises(ValueError):
-        build_matrix_witness(_spec(_explicit_instance(m=3), 1.0, symbol=beurling_matrix()))
+    with pytest.raises(ValueError, match="1 or the matrix size"):
+        build_witness(*_spec(_explicit_instance(m=3), 1.0, symbol=beurling_matrix()))
 
 
 def test_spec_validation():
     seq = _explicit_instance()
     # A beta shorter than the martingale is refused by the enumeration.
     with pytest.raises(ValueError):
-        build_witness(WitnessSpec(exps=ExponentConfig(4.0), tau=0.0, symbol=beurling_real(),
-                                  sequence=seq, beta=(-1,)))
+        build_witness(beurling_real(), seq, (-1,), 0.0, ExponentConfig(4.0))
     # Im B vanishes on both axes and rotated(0) = -Re B has them reversed;
     # both are certified through Re B by a rotation, never directly.
     for symbol in (beurling_imag(), rotated(0.0)):
         with pytest.raises(CrossCheckError):
-            _spec(seq, 0.0, symbol=symbol)
+            build_witness(*_spec(seq, 0.0, symbol=symbol))
 
 
 _AXIS_FREQUENCIES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
@@ -113,16 +109,16 @@ def _seeded_changes(rng, matrix):
 
 
 def test_exact_axis_check_refuses_every_changed_symbol():
-    # Every change at an axis frequency, however small, is refused when the spec
-    # is built; Re B and its matrix form pass.
+    # Every change at an axis frequency, however small, is refused by the
+    # certificate; Re B and its matrix form pass.
     rng = np.random.default_rng(np.random.PCG64(21))
     seq = _explicit_instance()
     for base in (beurling_real(), beurling_matrix()):
-        _spec(seq, 1.0, symbol=base)
+        build_witness(*_spec(seq, 1.0, symbol=base))
         for _ in range(40):
             changed = _changed_at_axes(base, _seeded_changes(rng, base.shape == "matrix"))
             with pytest.raises(CrossCheckError):
-                _spec(seq, 1.0, symbol=changed)
+                build_witness(*_spec(seq, 1.0, symbol=changed))
 
 
 def test_symbol_off_the_axis_values_exits_crosscheck(monkeypatch, tmp_path):
@@ -155,17 +151,30 @@ def test_symbol_checked_before_any_martingale_is_sought(monkeypatch, tmp_path):
         assert not out.exists()
 
 
+def test_exponents_checked_before_the_axis_values(monkeypatch, tmp_path):
+    # With p0 > p and a symbol off its axis values, the premise refuses p0 first:
+    # exit 2, not 3, before anything is written.
+    changed = _changed_at_axes(beurling_real(), [(0, lambda v: v + 1e-13)])
+    monkeypatch.setattr(cli, "beurling_real", lambda: changed)
+    store, out = tmp_path / "store", tmp_path / "out.json"
+    common = ["--p", "4", "--p0", "8", "--n", "2", "--iters", "30", "--restarts", "2",
+              "--store-dir", str(store), "--out", str(out)]
+    for argv in (["certify", "beurling-real"], ["search-martingale"]):
+        assert main([*argv, *common]) == 2, argv
+        assert not list(store.glob("*.json"))
+        assert not out.exists()
+
+
 def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
     # Every family is certified at the axis values alone: with the multiplier
     # lift unusable each still gives the enumerated ratio, and a search certifies.
     def no_lift(*args, **kwargs):
         raise AssertionError("a certificate ran a multiplier lift")
 
-    spec = _random_spec(3)
+    _, seq, beta, tau, exps = _random_spec(3)
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
-    write_json(inst, sequence_to_record(
-        spec.sequence, spec.beta, spec.tau, spec.exps, 1.0, 0, "def2"))
-    bound = perturbed_ratio_exact(spec.sequence, TransformConfig(spec.beta, spec.tau), spec.exps)
+    write_json(inst, sequence_to_record(seq, beta, tau, exps, 1.0, 0, "def2"))
+    bound = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
     monkeypatch.setattr(witness, "tensor_lift_apply", no_lift)
     monkeypatch.setattr(tensor, "tensor_lift_apply", no_lift)
     args = ["--p", "4", "--tau", "1", "--n", "3", "--martingale", str(inst),
@@ -179,23 +188,21 @@ def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
 
 
 def test_p0_above_p_rejected():
-    spec = WitnessSpec(exps=ExponentConfig(2.0, 4.0), tau=0.0,
-                       symbol=beurling_real(), sequence=_explicit_instance(),
-                       beta=(-1, 1))
     with pytest.raises(ValueError):
-        build_witness(spec)
+        build_witness(beurling_real(), _explicit_instance(), (-1, 1), 0.0,
+                      ExponentConfig(2.0, 4.0))
 
 
 def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0):
-    """Random complex tables and flips; m = 2 pairs them with the matrix symbol."""
+    """build_witness's arguments for random complex tables and flips; m = 2 pairs
+    them with the matrix symbol."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     seq = MartingaleDifferenceSequence(tuple(
         rng.standard_normal((2,) * k + (m,)) + 1j * rng.standard_normal((2,) * k + (m,))
         for k in range(1, N + 1)))
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
-    return WitnessSpec(exps=ExponentConfig(p), tau=tau,
-                       symbol=beurling_matrix() if m > 1 else beurling_real(),
-                       sequence=seq, beta=beta)
+    return (beurling_matrix() if m > 1 else beurling_real(), seq, beta, tau,
+            ExponentConfig(p))
 
 
 def test_oversize_witness_refused_before_allocation():
@@ -204,12 +211,10 @@ def test_oversize_witness_refused_before_allocation():
     N = ENUMERATION_CAP + 1
     seq = MartingaleDifferenceSequence(tuple(
         np.broadcast_to(np.complex128(1.0), (2,) * k + (1,)) for k in range(1, N + 1)))
-    spec = WitnessSpec(exps=ExponentConfig(4.0), tau=1.0, symbol=beurling_real(),
-                       sequence=seq, beta=(1,) * N)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            build_witness(spec)
+            build_witness(beurling_real(), seq, (1,) * N, 1.0, ExponentConfig(4.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,26 +227,26 @@ def test_factored_witness_allocates_no_torus_array():
     full = 4**9 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        build_witness(spec)
+        build_witness(*spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < full
 
 
-def _torus_reference(ws, G):
+def _torus_reference(symbol, sequence, beta, tau, exps, G):
     """The witness ratio evaluated on all G^(2(N+1)) torus points.
 
     Phi_k and T^k Phi_k depend only on blocks 0..k, so each summand is built
     and lifted with J = k + 1 (block k last) and added into running sums
     that grow by one block per step.
     """
-    N, d = ws.sequence.N, 2
-    scalar = ws.symbol.shape != "matrix"
+    N, d = sequence.N, 2
+    scalar = symbol.shape != "matrix"
     grid = TorusGrid(2, G)
     theta = mesh(grid)
     axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
-    signs = [axis_sign[b] for b in (1,) + ws.beta]
+    signs = [axis_sign[b] for b in (1,) + beta]
     idx = [((1 - s) / 2).astype(int) for s in signs]
 
     def on_block(arr, j, J):
@@ -256,21 +261,21 @@ def _torus_reference(ws, G):
     phi_sum = pair_sum = None
     for k in range(1, N + 1):
         J = k + 1
-        table = ws.sequence.tables[k - 1]
+        table = sequence.tables[k - 1]
         gathered = table[tuple(on_block(idx[j], j, J) for j in range(k))]
         vals = on_block(signs[k], k, J)[..., None] * gathered
         if scalar:
             vals = vals[..., 0]
-        top = tensor_lift_apply(TensorGridFunction(grid, J, vals), ws.symbol, k).values
+        top = tensor_lift_apply(TensorGridFunction(grid, J, vals), symbol, k).values
         with_axis = (G,) * (d * J) + (-1,)
-        pair = np.concatenate([top.reshape(with_axis), ws.tau * vals.reshape(with_axis)],
+        pair = np.concatenate([top.reshape(with_axis), tau * vals.reshape(with_axis)],
                               axis=-1)
         if k > 1:
             vals = vals + grow(phi_sum, k)
             pair = pair + grow(pair_sum, k)
         phi_sum, pair_sum = vals, pair
-    den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(ws.exps.p)
-    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(ws.exps.p0)
+    den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(exps.p)
+    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(exps.p0)
     return num / den
 
 
@@ -287,5 +292,4 @@ def _reference_cases():
 @pytest.mark.parametrize("N, m, tau, p, G", _reference_cases())
 def test_factored_matches_torus_reference(N, m, tau, p, G):
     spec = _random_spec(N, seed=100 * N + 10 * m + G, m=m, tau=tau, p=p)
-    build = build_matrix_witness if m > 1 else build_witness
-    assert abs(build(spec) - _torus_reference(spec, G)) <= 1e-10
+    assert abs(build_witness(*spec) - _torus_reference(*spec, G)) <= 1e-10
