@@ -1,5 +1,9 @@
 """Concrete symbols and target constants for the certified operator families.
 
+A family is its name and one value, read by rotated (theta), scaled (c), F (z) and
+vector (tau, of (Re B, tau I)^T) only; `family_symbol` and `target_constant` refuse
+an unknown name or a non-finite value.
+
 Every scalar family is one formula, a Re B + b Im B, with (a, b) = (1, i)
 for B, (1, 0) for Re B, (0, 1) for Im B, (-cos theta, sin theta) for
 rotated(theta), (-c, i) for scaled(c) and (-1, z) for F(z).
@@ -12,8 +16,8 @@ every report records the convention.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .symbols import MultiplierSymbol
 __all__ = [
     "FAMILIES",
     "family_symbol",
-    "OperatorFamilyParam",
     "c_tau",
     "target_constant",
     "tau_admissible",
@@ -106,41 +109,29 @@ def rotated(theta: float) -> MultiplierSymbol:
     return _scalar_family(-math.cos(theta), math.sin(theta), f"rotated({theta})")
 
 
-@dataclass(frozen=True)
-class OperatorFamilyParam:
-    """Tagged parameters for the operator families in the catalog."""
-
-    family: str
-    theta: float = 0.0
-    c: float = 1.0
-    z: complex = 0.0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        for v in (self.theta, self.c):
-            if not math.isfinite(v):
-                raise ValueError("family parameters must be finite")
-        if not (math.isfinite(self.z.real) and math.isfinite(self.z.imag)):
-            raise ValueError("family parameters must be finite")
+def _check(family: str, value: complex) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if not cmath.isfinite(value):
+        raise ValueError("family parameters must be finite")
 
 
-def family_symbol(param: OperatorFamilyParam) -> MultiplierSymbol:
-    """Symbol of the given family tag; the scalar families pass their (a, b)."""
-    fam = param.family
-    if fam == "beurling-matrix":
+def family_symbol(family: str, value: complex = 0.0) -> MultiplierSymbol:
+    """Symbol of the family at its value; the scalar families pass their (a, b)."""
+    _check(family, value)
+    if family == "beurling-matrix":
         return beurling_matrix()
-    if fam == "vector":
+    if family == "vector":
         raise ValueError("the vector family has no symbol; it is certified through Re B")
-    if fam == "rotated":
-        return rotated(param.theta)
-    if fam == "scaled":
-        return _scalar_family(-param.c, 1j, f"scaled({param.c})")
-    if fam == "F":
-        z = complex(param.z)
+    if family == "rotated":
+        return rotated(value)
+    if family == "scaled":
+        return _scalar_family(-value, 1j, f"scaled({value})")
+    if family == "F":
+        z = complex(value)
         return _scalar_family(-1.0, z, f"F({z})")
     return {"beurling": beurling, "beurling-real": beurling_real,
-            "beurling-imag": beurling_imag}[fam]()
+            "beurling-imag": beurling_imag}[family]()
 
 
 # --- target constants ----------------------------------------------------
@@ -167,24 +158,23 @@ def c_tau(exps: ExponentConfig, tau: float, predicate: str = "def2") -> float | 
     return None
 
 
-def target_constant(param: OperatorFamilyParam, exps: ExponentConfig,
-                    tau: float = 0.0, predicate: str = "def2") -> tuple[float, bool]:
-    """(published target lower bound for the family at the given exponents, whether
-    that target leans on the conjectured ceiling)."""
-    vector_target = c_tau(exps, tau, predicate)  # first: an unknown predicate raises
+def target_constant(family: str, exps: ExponentConfig, value: complex = 0.0,
+                    predicate: str = "def2") -> tuple[float, bool]:
+    """(published target lower bound for the family at its value and the given
+    exponents, whether that target leans on the conjectured ceiling)."""
+    _check(family, value)  # then c_tau for every family: an unknown predicate raises
+    vector_target = c_tau(exps, value if family == "vector" else 0.0, predicate)
     pstar1 = exps.pstar - 1.0
-    fam = param.family
-    if fam == "vector":
+    if family == "vector":
         if vector_target is None:
             raise ValueError("vector family target needs p = p0 and admissible tau")
         return vector_target, False
-    if fam == "scaled":
-        c = param.c
-        if c == 0.0:
+    if family == "scaled":
+        if value == 0.0:
             raise ValueError("scaled family needs c != 0")
-        return (pstar1 if abs(c) < 1.0 else abs(c) * pstar1), True
-    if fam == "F":
-        z = complex(param.z)
+        return (pstar1 if abs(value) < 1.0 else abs(value) * pstar1), True
+    if family == "F":
+        z = complex(value)
         if z.imag == 0.0:
             # Real z reduces to the rotated family; no conjectured ceiling needed.
             return math.sqrt(1.0 + z.real**2) * pstar1, False

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (FAMILIES, OperatorFamilyParam, beurling_matrix, beurling_real, c_tau,
-                      family_symbol, identity_symbol, target_constant)
+from .catalog import (FAMILIES, beurling_matrix, beurling_real, c_tau, family_symbol,
+                      identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
 from .report import (CrossCheckError, StoreError, _stored_record, lookup_store, load_store,
@@ -170,9 +170,7 @@ def cmd_certify(args) -> int:
 
 
 def _symbol_by_name(name: str):
-    if name == "identity":
-        return identity_symbol(2)
-    return family_symbol(OperatorFamilyParam(name))
+    return identity_symbol(2) if name == "identity" else family_symbol(name)
 
 
 def cmd_transference(args) -> int:
@@ -231,19 +229,6 @@ def cmd_transference(args) -> int:
 _SWEPT = {"rotated": ("theta", float), "scaled": ("c", float), "F": ("z", complex)}
 
 
-def _norms_entries(args):
-    for p in (float(v) for v in args.p.split(",")):
-        exps = ExponentConfig(p)
-        if args.family in _SWEPT:
-            name, parse = _SWEPT[args.family]
-            for v in (parse(s) for s in getattr(args, name).split(",")):
-                yield exps, OperatorFamilyParam(args.family, **{name: v}), v
-        elif args.family == "vector":
-            yield exps, OperatorFamilyParam("vector"), args.tau
-        else:
-            yield exps, OperatorFamilyParam(args.family), ""
-
-
 def _certified(store_dir: Path | None, cells: set) -> dict:
     """The best stored ratio of each (p, tau, predicate) cell in cells, over the
     records with p0 = p.  The store is read one record at a time, and a record
@@ -265,15 +250,23 @@ def _certified(store_dir: Path | None, cells: set) -> dict:
 def cmd_norms(args) -> int:
     if not math.isfinite(args.tau):
         raise ValueError(f"--tau must be finite, got {args.tau}")
-    entries = [(exps, param, pval, args.tau if param.family == "vector" else 0.0)
-               for exps, param, pval in _norms_entries(args)]
-    certified = _certified(args.store_dir, {(exps.p, tau, args.predicate)
-                                            for exps, _, _, tau in entries})
+    fam, cells = args.family, []
+    for p in (float(v) for v in args.p.split(",")):
+        exps = ExponentConfig(p)
+        if fam in _SWEPT:
+            flag, parse = _SWEPT[fam]
+            values = [parse(s) for s in getattr(args, flag).split(",")]
+        else:
+            values = [args.tau if fam == "vector" else ""]
+        for v in values:  # every target before the store is read: a refusal exits 2 first
+            target = target_constant(fam, exps, 0.0 if v == "" else v, args.predicate)
+            cells.append((v, exps.p, args.tau if fam == "vector" else 0.0, *target))
+    certified = _certified(args.store_dir, {(p, tau, args.predicate)
+                                            for _, p, tau, _, _ in cells})
     rows = []
-    for exps, param, pval, tau in entries:
-        target, external = target_constant(param, exps, tau=tau, predicate=args.predicate)
-        best = certified.get((exps.p, tau, args.predicate))
-        rows.append([param.family, pval, exps.p, target, "" if best is None else best,
+    for v, p, tau, target, external in cells:
+        best = certified.get((p, tau, args.predicate))
+        rows.append([fam, v, p, target, "" if best is None else best,
                      "" if best is None else target - best, external])
     _write_csv(args.out, ["family", "parameter", "p", "target",
                           "certified_so_far", "gap", "external_assumption"], rows)

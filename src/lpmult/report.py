@@ -116,7 +116,7 @@ def _stored_record(store_dir: str | Path, key: str):
     """The store record under key fails its check: a StoreError naming its file (exit 4)."""
     try:
         yield
-    except (ValueError, StoreError) as exc:
+    except (ValueError, ArithmeticError, StoreError) as exc:
         raise StoreError(f"extremizer store file {Path(store_dir) / key}.json does not "
                          f"hold a valid martingale: {exc}") from exc
 

@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from lpmult.catalog import (OperatorFamilyParam, beurling_imag,
-                            beurling_matrix, beurling_real, identity_symbol,
-                            target_constant)
+from lpmult.catalog import (beurling_imag, beurling_matrix, beurling_real,
+                            identity_symbol, target_constant)
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
@@ -242,18 +241,18 @@ def test_criterion_09_isomorphism_cross_path():
 def test_criterion_10_target_tables():
     """Printed target constants and external-assumption flags."""
     e4 = ExponentConfig(4.0)
-    t = target_constant(OperatorFamilyParam(family="beurling"), e4)
+    t = target_constant("beurling", e4)
     assert abs(t[0] - 3.0) < 1e-12 and not t[1]
-    t = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
+    t = target_constant("vector", e4, 1.0)
     assert abs(t[0] - math.sqrt(10.0)) < 1e-12
-    t = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
+    t = target_constant("F", e4, 1.0)
     assert abs(t[0] - 3.0 * math.sqrt(2.0)) < 1e-12
     assert not t[1]
-    t = target_constant(OperatorFamilyParam(family="scaled", c=0.5), e4)
+    t = target_constant("scaled", e4, 0.5)
     assert abs(t[0] - 3.0) < 1e-12 and t[1]
-    t = target_constant(OperatorFamilyParam(family="scaled", c=2.0), e4)
+    t = target_constant("scaled", e4, 2.0)
     assert abs(t[0] - 6.0) < 1e-12 and t[1]
-    t = target_constant(OperatorFamilyParam(family="F", z=2j), e4)
+    t = target_constant("F", e4, 2j)
     assert abs(t[0] - 6.0) < 1e-12 and t[1]
     print("PASS criterion 10: target tables match printed formulas")
 

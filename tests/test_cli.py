@@ -260,6 +260,56 @@ def test_norms_tables(tmp_path):
     assert not out.exists()
 
 
+_NORMS_HEADER = ["family", "parameter", "p", "target", "certified_so_far", "gap",
+                 "external_assumption"]
+
+
+@pytest.mark.parametrize("family, flags, values, at_4, at_1_5, external", [
+    *(pytest.param(fam, [], [""], [3.0], [2.0], ["False"], id=fam)
+      for fam in ("beurling", "beurling-real", "beurling-imag", "beurling-matrix")),
+    pytest.param("rotated", ["--theta", "0,0.4,-2"], ["0.0", "0.4", "-2.0"],
+                 [3.0] * 3, [2.0] * 3, ["False"] * 3, id="rotated"),
+    pytest.param("scaled", ["--c", "0.5,2"], ["0.5", "2.0"], [3.0, 6.0], [2.0, 4.0],
+                 ["True"] * 2, id="scaled"),
+    pytest.param("F", ["--z", "1,2j"], ["(1+0j)", "2j"], [3.0 * math.sqrt(2.0), 6.0],
+                 [2.0 * math.sqrt(2.0), 4.0], ["False", "True"], id="F"),
+    pytest.param("vector", ["--tau", "1"], ["1.0"], [math.sqrt(10.0)], [math.sqrt(5.0)],
+                 ["False"], id="vector"),
+])
+def test_norms_row_per_family_value_and_p(tmp_path, family, flags, values, at_4, at_1_5,
+                                          external):
+    # p* - 1 is 3 at p = 4 and 2 at p = 1.5; the rows go p by p, value by value,
+    # and with no store nothing is certified.
+    code, out = _run(["norms", "--family", family, "--p", "4,1.5", *flags],
+                     tmp_path, "norms.csv")
+    assert code == 0
+    header, *rows = _load_csv(out)
+    assert header == _NORMS_HEADER
+    assert [r[:3] for r in rows] == [[family, v, p] for p in ("4.0", "1.5") for v in values]
+    assert [float(r[3]) for r in rows] == pytest.approx(at_4 + at_1_5, abs=1e-12)
+    assert [r[4:6] for r in rows] == [["", ""]] * len(rows)
+    assert [r[6] for r in rows] == external * 2
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--family", "scaled", "--c", "0"], id="scaled-c-0"),
+    pytest.param(["--family", "F", "--z", "1+1j"], id="F-z-1+1j"),
+    # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5.
+    pytest.param(["--family", "vector", "--p", "1.5", "--tau", "1.5"], id="vector-tau-1.5"),
+])
+def test_norms_refuses_a_parameter_before_reading_the_store(tmp_path, capsys, args):
+    # A store file that is not JSON would exit 4 when read: a refused parameter
+    # exits 2 first.
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{not json")
+    code, out = _run(["norms", *args, "--store-dir", str(store)], tmp_path, "norms.csv")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and "store" not in err
+
+
 def test_exit_code_invalid_config(tmp_path):
     code = main(["search-martingale", "--p", "0.5", "--n", "2",
                  "--store-dir", str(tmp_path)])
@@ -560,6 +610,31 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
                       "--restarts", "8", "--seed", "5", "--store-dir", str(store)], tmp_path)
     assert code == 4
     assert str(path) in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [pytest.param(1e200, id="1e200"),
+                                   pytest.param(0.0, id="zero")])
+@pytest.mark.parametrize("command", [
+    pytest.param(["norms", "--family", "beurling"], id="norms"),
+    pytest.param(["search-martingale", "--n", "2", "--iters", "30", "--restarts", "2"],
+                 id="store-write"),
+])
+def test_stored_record_out_of_range_exits_store_error(tmp_path, capsys, command, entry):
+    # An N = 2 record whose moments overflow (1e200) or vanish (zeros) makes no
+    # ratio: norms and the store write that re-verifies it exit 4 naming its
+    # file, which stays byte for byte, and leave no --out file.
+    store = tmp_path / "store"
+    seq = _scalar([np.full(2, entry), np.full((2, 2), entry)])
+    _store_record(store, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0,
+                                            "def2"))
+    [path] = store.glob("*.json")
+    before = path.read_bytes()
+    code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
     assert path.read_bytes() == before
     assert not out.exists()
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lpmult.catalog import (OperatorFamilyParam, beurling, beurling_imag,
-                            beurling_matrix, beurling_real, c_tau, family_symbol,
-                            identity_symbol, rotated, target_constant,
-                            tau_admissible)
+from lpmult.catalog import (beurling, beurling_imag, beurling_matrix, beurling_real,
+                            c_tau, family_symbol, identity_symbol, rotated,
+                            target_constant, tau_admissible)
 from lpmult.exponents import ExponentConfig
 from lpmult.symbols import MultiplierSymbol
 
@@ -90,14 +89,14 @@ def test_rotation_reduction_to_beurling_real():
 
 
 def test_family_symbol_examples():
-    f0 = family_symbol(OperatorFamilyParam(family="F", z=0.0))
+    f0 = family_symbol("F", 0.0)
     assert f0.evaluate(np.array([1.0, 0.0])) == pytest.approx(1.0)
-    scaled = family_symbol(OperatorFamilyParam(family="scaled", c=2.0))
+    scaled = family_symbol("scaled", 2.0)
     assert scaled.evaluate(np.array([1.0, 0.0])) == pytest.approx(2.0)
-    fi = family_symbol(OperatorFamilyParam(family="F", z=1j))
+    fi = family_symbol("F", 1j)
     assert fi.evaluate(np.array([1.0, 1.0])) == pytest.approx(1j)
     with pytest.raises(ValueError):
-        family_symbol(OperatorFamilyParam(family="vector"))
+        family_symbol("vector")
 
     # Every scalar family against its printed quotient.
     rng = np.random.default_rng(np.random.PCG64(11))
@@ -110,14 +109,14 @@ def test_family_symbol_examples():
         (beurling_imag(), 2.0 * x1 * x2 / r2),
     ]
     for theta in (0.0, 0.3, 0.7, -2.0, math.pi / 2):
-        printed.append((family_symbol(OperatorFamilyParam(family="rotated", theta=theta)),
+        printed.append((family_symbol("rotated", theta),
                         ((x1 * x1 - x2 * x2) * math.cos(theta)
                          + 2.0 * x1 * x2 * math.sin(theta)) / r2))
     for c in (0.5, 2.0):
-        printed.append((family_symbol(OperatorFamilyParam(family="scaled", c=c)),
+        printed.append((family_symbol("scaled", c),
                         (c * (x1 * x1 - x2 * x2) + 2j * x1 * x2) / r2))
     for z in (0.0, 1.0, 2j):
-        printed.append((family_symbol(OperatorFamilyParam(family="F", z=z)),
+        printed.append((family_symbol("F", z),
                         ((x1 * x1 - x2 * x2) + 2.0 * z * x1 * x2) / r2))
     for sym, want in printed:
         assert np.max(np.abs(sym.evaluate(xi) - want)) <= 1e-14, sym.name
@@ -128,10 +127,16 @@ def test_family_symbol_examples():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        OperatorFamilyParam(family="hilbert")
-    with pytest.raises(ValueError):
-        OperatorFamilyParam(family="rotated", theta=float("nan"))
+    # Both lookups refuse an unknown family and a non-finite value.
+    e4 = ExponentConfig(4.0)
+    with pytest.raises(ValueError, match="unknown family 'hilbert'"):
+        family_symbol("hilbert")
+    with pytest.raises(ValueError, match="unknown family 'hilbert'"):
+        target_constant("hilbert", e4)
+    with pytest.raises(ValueError, match="family parameters must be finite"):
+        family_symbol("rotated", float("nan"))
+    with pytest.raises(ValueError, match="family parameters must be finite"):
+        target_constant("rotated", e4, float("nan"))
 
 
 def test_zero_frequency_masked():
@@ -181,19 +186,18 @@ def test_tau_admissibility():
 
 def test_target_constants():
     e4 = ExponentConfig(4.0)
-    assert target_constant(OperatorFamilyParam(family="beurling"), e4)[0] \
-        == pytest.approx(3.0)
-    vec = target_constant(OperatorFamilyParam(family="vector"), e4, tau=1.0)
+    assert target_constant("beurling", e4)[0] == pytest.approx(3.0)
+    vec = target_constant("vector", e4, 1.0)
     assert vec[0] == pytest.approx(math.sqrt(10.0))
-    fz = target_constant(OperatorFamilyParam(family="F", z=1.0), e4)
+    fz = target_constant("F", e4, 1.0)
     assert fz[0] == pytest.approx(3.0 * math.sqrt(2.0))
     assert not fz[1]
-    small = target_constant(OperatorFamilyParam(family="scaled", c=0.5), e4)
-    big = target_constant(OperatorFamilyParam(family="scaled", c=2.0), e4)
+    small = target_constant("scaled", e4, 0.5)
+    big = target_constant("scaled", e4, 2.0)
     assert small[0] == pytest.approx(3.0)
     assert big[0] == pytest.approx(6.0)
     assert small[1] and big[1]
-    fi = target_constant(OperatorFamilyParam(family="F", z=2j), e4)
+    fi = target_constant("F", e4, 2j)
     assert fi[0] == pytest.approx(6.0)
     assert fi[1]
     # C^tau itself: p = p0 and tau admissible, else no target.
@@ -204,27 +208,26 @@ def test_target_constants():
     assert c_tau(e15, 0.6, "cor7") is None
     assert c_tau(e15, 0.6, "def2") == math.hypot(2.0, 0.6)
     with pytest.raises(ValueError):
-        target_constant(OperatorFamilyParam(family="beurling"), e4, predicate="other")
+        target_constant("beurling", e4, predicate="other")
 
 
 def test_target_duality_symmetry():
-    for fam in ("beurling", "rotated", "scaled", "F"):
+    for fam, value in (("beurling", 0.0), ("rotated", 0.4), ("scaled", 1.5), ("F", 1.0)):
         for p in (1.5, 3.0, 4.0):
             e = ExponentConfig(p)
             dual = ExponentConfig(e.q)
-            param = OperatorFamilyParam(family=fam, theta=0.4, c=1.5, z=1.0)
-            a = target_constant(param, e)[0]
-            b = target_constant(param, dual)[0]
+            a = target_constant(fam, e, value)[0]
+            b = target_constant(fam, dual, value)[0]
             assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_target_errors():
     e4 = ExponentConfig(4.0)
     with pytest.raises(ValueError):
-        target_constant(OperatorFamilyParam(family="scaled", c=0.0), e4)
+        target_constant("scaled", e4, 0.0)
     with pytest.raises(ValueError):
-        target_constant(OperatorFamilyParam(family="F", z=1.0 + 1.0j), e4)
+        target_constant("F", e4, 1.0 + 1.0j)
     with pytest.raises(ValueError):
-        target_constant(OperatorFamilyParam(family="riesz"), e4)
+        target_constant("riesz", e4)
     with pytest.raises(ValueError):
-        target_constant(OperatorFamilyParam(family="vector"), ExponentConfig(4.0, 2.0))
+        target_constant("vector", ExponentConfig(4.0, 2.0))
