@@ -3,9 +3,10 @@
 `search-martingale` and `certify` run one pipeline: check the certificate's
 premise (p0 <= p, then the symbol's axis values), take a martingale (the
 --martingale file, else the store record at depth N, else a search
-warm-started from depth N - 1; `search-martingale` always searches), certify
-it with the one `build_witness`, build the report, open --out, store a
-searched martingale, and only then write the report.  Exit codes: 0 success,
+warm-started from depth N - 1, each store record re-verified as it is read;
+`search-martingale` always searches), certify it with the one
+`build_witness`, build the report, open --out, store a searched martingale,
+and only then write the report.  Exit codes: 0 success,
 2 invalid configuration (a non-finite number, p0 > p included), 3 cross-check
 failure (a symbol off its axis values, or a bound above the report's target),
 4 store error.  All randomness flows from the single --seed flag through
@@ -106,11 +107,14 @@ def _martingale(args, exps):
         return *read_martingale(args.martingale), "file", None
 
     def stored(N):
-        """The store record at depth N as a SearchResult, or None."""
+        """The store record at depth N, re-verified, as a SearchResult, or None."""
         key = store_key(exps.p, exps.p0, args.tau, N, args.predicate)
         rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, N, args.predicate)
-        with _stored_record(args.store_dir, key):
-            return None if rec is None else SearchResult(*sequence_from_record(rec), rec["ratio"])
+        if rec is None:
+            return None
+        with _stored_record(args.store_dir, key):  # tables that make no ratio name the file
+            verify_record(rec)
+            return SearchResult(*sequence_from_record(rec), rec["ratio"])
 
     if args.family != "martingale" and (found := stored(args.n)) is not None:
         return found.sequence, found.beta, "store", None

@@ -384,8 +384,9 @@ def test_certify_refuses_overflowing_tables(tmp_path, capsys, scale, beta, p0):
 
 
 def test_warm_start_refuses_overflowing_tables(tmp_path, capsys):
-    # The same tables stored at N = 3 warm-start an N = 4 search: refused once,
-    # before any ascent step, without a numpy warning.
+    # The same tables stored at N = 3 warm-start an N = 4 search: the stored
+    # record is re-verified before any ascent step and refused as a bad store
+    # naming its file, without a numpy warning.
     seq = _scalar([np.full((2,) * k, 1e200) for k in (1, 2, 3)])
     store = tmp_path / "store"
     _store_record(store, sequence_to_record(seq, (1, 1, 1), 0.0, ExponentConfig(4.0),
@@ -394,11 +395,12 @@ def test_warm_start_refuses_overflowing_tables(tmp_path, capsys):
         warnings.simplefilter("always")
         code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
                           "--restarts", "2", "--store-dir", str(store)], tmp_path)
-    assert code == 2
+    assert code == 4
     assert not out.exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "out of range" in err and "RuntimeWarning" not in err
+    assert str(store / f"{store_key(4.0, 4.0, 0.0, 3, 'def2')}.json") in err
     assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
@@ -620,11 +622,15 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
     pytest.param(["norms", "--family", "beurling"], id="norms"),
     pytest.param(["search-martingale", "--n", "2", "--iters", "30", "--restarts", "2"],
                  id="store-write"),
+    pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
+    pytest.param(["search-martingale", "--n", "3", "--iters", "30", "--restarts", "2"],
+                 id="warm-start"),
 ])
 def test_stored_record_out_of_range_exits_store_error(tmp_path, capsys, command, entry):
     # An N = 2 record whose moments overflow (1e200) or vanish (zeros) makes no
-    # ratio: norms and the store write that re-verifies it exit 4 naming its
-    # file, which stays byte for byte, and leave no --out file.
+    # ratio: norms, the store write that re-verifies it, certify from the store
+    # and the warm start from it exit 4 naming its file, which stays byte for
+    # byte, and leave no --out file.
     store = tmp_path / "store"
     seq = _scalar([np.full(2, entry), np.full((2, 2), entry)])
     _store_record(store, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0,
@@ -637,6 +643,29 @@ def test_stored_record_out_of_range_exits_store_error(tmp_path, capsys, command,
     assert str(path) in err and "Traceback" not in err
     assert path.read_bytes() == before
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["certify", "beurling-real", "--n", "3"], id="certify"),
+    pytest.param(["search-martingale", "--n", "4", "--iters", "30", "--restarts", "2"],
+                 id="warm-start"),
+])
+def test_stored_ratio_that_does_not_reproduce_exits_store_error(tmp_path, capsys, command):
+    # certify from the store and the warm start re-verify the N = 3 record they
+    # read: a ratio of 2.99, which its tables do not give, exits 4 naming the
+    # file, which stays byte for byte, and leaves no --out file.
+    store = tmp_path / "store"
+    _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(5)), 3),
+                  ratio=2.99)
+    [path] = store.glob("*.json")
+    before = path.read_bytes()
+    code, out = _run([*command, "--p", "4", "--store-dir", str(store)], tmp_path)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "does not reproduce" in err
+    assert path.read_bytes() == before
+    assert not out.exists()
+    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
 def test_unwritable_out_writes_no_store_record(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -86,6 +87,53 @@ def test_record_pairs_follow_the_flat_level_order(m):
     pairs = np.concatenate([np.asarray(t, dtype=float) for t in rec["tables"]])
     assert np.array_equal(pairs, seq.flat.view(float).reshape(-1, 2))
     assert np.array_equal(sequence_from_record(rec)[0].flat, seq.flat)
+
+
+# Float entries whose text the codec must carry exactly: a negative zero, the
+# least subnormal, the least normal, the largest float, and two plain values.
+_EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_store_codec_keeps_bytes_and_values(tmp_path, m):
+    # A store file is byte for byte what the encoder writes with its cycle check,
+    # and every table a store read decodes is bit for bit the array written.
+    values = np.resize(np.array(_EDGE_FLOATS + tuple(-v for v in _EDGE_FLOATS)), 2 * 14 * m)
+    flat = values.view(complex)
+    seq = MartingaleDifferenceSequence(tuple(
+        t.reshape((2,) * k + (m,)) for k, t in enumerate(np.split(flat, [2 * m, 6 * m]), 1)))
+    rec = sequence_to_record(seq, (1, -1, 1), 0.0, ExponentConfig(4.0), 1.0, 0, "def2")
+    key = store_key(4.0, 4.0, 0.0, 3, "def2")
+    path = tmp_path / f"{key}.json"
+    write_json(path, {key: rec})
+    assert path.read_text() == json.dumps({key: rec}, sort_keys=True,
+                                          default=np.ndarray.tolist) + "\n"
+    got = lookup_store(tmp_path, 4.0, 4.0, 0.0, 3, "def2")
+    assert [t.tobytes() for t in got["tables"]] == [t.tobytes() for t in rec["tables"]]
+    write_json(tmp_path / "inst.json", rec)
+    assert read_martingale(tmp_path / "inst.json")[0].flat.tobytes() == seq.flat.tobytes()
+
+
+@pytest.mark.parametrize("row", [
+    [1.0], [1.0, 2.0, 3.0], 7, [[1.0, 2.0], [3.0, 4.0]], None, "x", {"re": 1.0},
+    # Of length 2 but no [re, im] list: iterated, each would give two floats.
+    "12", {"1": 0.0, "2": 0.0},
+], ids=["one", "three", "number", "nested", "null", "letter", "object", "string-12",
+        "object-12"])
+def test_malformed_table_row_is_refused(tmp_path, capsys, row):
+    # One row of table 2 changed: a store read refuses it naming the file, and a
+    # --martingale file of it exits 2.
+    rec = listed(_record())
+    rec["tables"][1][0] = row
+    key = store_key(4.0, 4.0, 1.0, 2, "def2")
+    write_json(tmp_path / f"{key}.json", {key: rec})
+    with pytest.raises(StoreError, match=re.escape(f"store file {tmp_path / key}.json")):
+        lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
+    write_json(tmp_path / "inst.json", rec)
+    assert main(["certify", "beurling-real", "--p", "4", "--tau", "1",
+                 "--martingale", str(tmp_path / "inst.json"),
+                 "--store-dir", str(tmp_path / "store")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_verify_record_catches_tampering():
