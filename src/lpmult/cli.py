@@ -3,7 +3,7 @@
 `search-martingale` and `certify` run one pipeline: check the certificate's
 premise (p0 <= p, then the symbol's axis values), take a martingale (the
 --martingale file, else the store record at depth N, else a search
-warm-started from depth N - 1, each store record re-verified as it is read;
+warm-started from depth N - 1, each store record re-verified by the store's reader;
 `search-martingale` always searches), certify it with the one
 `build_witness`, build the report, open --out, store a searched martingale,
 and only then write the report.  Exit codes: 0 success,
@@ -27,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import TOOLKIT_VERSION
 from .catalog import (FAMILIES, beurling_matrix, beurling_real, c_tau, family_symbol,
                       identity_symbol, target_constant)
 from .exponents import ExponentConfig
 from .martingale import SearchBudget, SearchResult, search_extremal
-from .report import (CrossCheckError, StoreError, _stored_record, lookup_store, load_store,
-                     read_martingale, sequence_from_record, sequence_to_record,
-                     store_key, update_store, verify_record, TOOLKIT_VERSION)
+from .report import (CrossCheckError, StoreError, lookup_store, load_store, read_martingale,
+                     sequence_from_record, sequence_to_record, update_store)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import build_witness, check_premise
@@ -107,14 +107,9 @@ def _martingale(args, exps):
         return *read_martingale(args.martingale), "file", None
 
     def stored(N):
-        """The store record at depth N, re-verified, as a SearchResult, or None."""
-        key = store_key(exps.p, exps.p0, args.tau, N, args.predicate)
+        """The store record at depth N, re-verified by the lookup, as a SearchResult, or None."""
         rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, N, args.predicate)
-        if rec is None:
-            return None
-        with _stored_record(args.store_dir, key):  # tables that make no ratio name the file
-            verify_record(rec)
-            return SearchResult(*sequence_from_record(rec), rec["ratio"])
+        return None if rec is None else SearchResult(*sequence_from_record(rec), rec["ratio"])
 
     if args.family != "martingale" and (found := stored(args.n)) is not None:
         return found.sequence, found.beta, "store", None
@@ -235,17 +230,15 @@ _SWEPT = {"rotated": ("theta", float), "scaled": ("c", float), "F": ("z", comple
 
 def _certified(store_dir: Path | None, cells: set) -> dict:
     """The best stored ratio of each (p, tau, predicate) cell in cells, over the
-    records with p0 = p.  The store is read one record at a time, and a record
-    is verified when it becomes its cell's best, so every ratio returned holds."""
+    records with p0 = p.  The store is read one record at a time, and its reader
+    re-verifies every record, so every ratio returned holds."""
     best = {}
     if store_dir is None:
         return best
-    for key, rec in load_store(store_dir):
+    for _, rec in load_store(store_dir):
         cell = (rec["p"], rec["tau"], rec["predicate"])
         if rec["p0"] == rec["p"] and cell in cells and \
                 (cell not in best or rec["ratio"] > best[cell]):
-            with _stored_record(store_dir, key):
-                verify_record(rec)
             best[cell] = rec["ratio"]
         del rec  # let it go before the next record is decoded
     return best

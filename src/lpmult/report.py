@@ -6,10 +6,12 @@ with one file per key, <store>/<store_key(...)>.json holding
 {key: record}, so a write or a lookup touches one record; a file that does not
 hold exactly one record under the key that both its name and the record's own
 fields give (such as an old single-file extremizers.json), or whose record lacks
-a field the readers take or holds one of the wrong type, is refused.
+a field the readers take or holds one of the wrong type, is refused.  Every
+record a store read returns has been re-verified (`verify_record`): a ratio its
+tables do not give is a StoreError naming the file, like a corrupt file.
 Store updates are atomic (`write_json`) and serialized by a lock file, and a
-new record replaces an old one (re-verified first) only if its re-verified
-ratio is strictly larger by 1e-12.
+new record replaces the old one only if its re-verified ratio is strictly
+larger by 1e-12.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .exponents import ExponentConfig
-from .martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
-                         perturbed_ratio_exact)
+from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
 
 __all__ = ["CrossCheckError", "StoreError", "store_key", "load_store", "update_store",
-           "sequence_to_record", "sequence_from_record", "TOOLKIT_VERSION"]
-
-TOOLKIT_VERSION = "0.1.0"
+           "sequence_to_record", "sequence_from_record"]
 
 IMPROVEMENT_MARGIN = 1e-12
 
@@ -63,7 +62,7 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
         "tau": tau,
         "N": seq.N,
         "m": seq.m,
-        "tables": [t.reshape(-1, 2) for t in _levels(seq.flat.view(float))],
+        "tables": [t.view(float).reshape(-1, 2) for t in seq.tables],
         "beta": [int(b) for b in beta],
         "ratio": ratio,
         "seed": seed,
@@ -120,16 +119,6 @@ def store_key(p: float, p0: float, tau: float, N: int, predicate: str) -> str:
 
 
 @contextlib.contextmanager
-def _stored_record(store_dir: str | Path, key: str):
-    """The store record under key fails its check: a StoreError naming its file (exit 4)."""
-    try:
-        yield
-    except (ValueError, ArithmeticError, StoreError) as exc:
-        raise StoreError(f"extremizer store file {Path(store_dir) / key}.json does not "
-                         f"hold a valid martingale: {exc}") from exc
-
-
-@contextlib.contextmanager
 def _collector_paused():
     """GC paused, then left as it was: a record's list per table entry is no garbage to collect."""
     enabled = gc.isenabled()
@@ -170,7 +159,8 @@ def read_martingale(path: str | Path) -> tuple[MartingaleDifferenceSequence, tup
 
 @_collector_paused()
 def _read_record(path: Path) -> dict | None:
-    """The one record of a store file, under its name's key, tables as arrays; None if absent."""
+    """The one record of a store file, under its name's key, tables as arrays, re-verified;
+    None if absent."""
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
@@ -185,13 +175,18 @@ def _read_record(path: Path) -> dict | None:
         raise StoreError(f"extremizer store file {path} does not hold exactly one "
                          f"record, with the fields {sorted(_RECORD_FIELDS)} each of "
                          f"its type, under the key {path.stem!r} that its fields give")
-    with _stored_record(path.parent, path.stem):
+    try:  # a record that fails its check is a StoreError naming its file (exit 4)
         rec["tables"] = [_float_table(k, t) for k, t in enumerate(rec["tables"], start=1)]
+        verify_record(rec)
+    except (ValueError, ArithmeticError, StoreError) as exc:
+        raise StoreError(f"extremizer store file {path} does not hold a valid "
+                         f"martingale: {exc}") from exc
     return rec
 
 
 def load_store(store_dir: str | Path) -> Iterator[tuple[str, dict]]:
-    """(key, record) for every record in the store, in key order, one file read at a time."""
+    """(key, record) for every record in the store, in key order, one file read and
+    re-verified at a time."""
     for path in sorted(Path(store_dir).glob("*.json")):
         yield path.stem, _read_record(path)
 
@@ -208,12 +203,9 @@ def update_store(store_dir: str | Path, rec: dict) -> bool:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path.parent / "extremizers.lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        old = _read_record(path)
-        if old is not None:
-            with _stored_record(store_dir, key):  # the ratio compared against must hold
-                verify_record(old)
-            if rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
-                return False
+        old = _read_record(path)  # re-verified: the ratio compared against holds
+        if old is not None and rec["ratio"] <= old["ratio"] + IMPROVEMENT_MARGIN:
+            return False
         verify_record(rec)
         write_json(path, {key: rec})
         return True
@@ -221,4 +213,5 @@ def update_store(store_dir: str | Path, rec: dict) -> bool:
 
 def lookup_store(store_dir: str | Path, p: float, p0: float, tau: float, N: int,
                  predicate: str) -> dict | None:
+    """The re-verified record under the key of these fields, or None if there is none."""
     return _read_record(Path(store_dir) / f"{store_key(p, p0, tau, N, predicate)}.json")

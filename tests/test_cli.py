@@ -594,6 +594,18 @@ def test_norms_refuses_a_tampered_ratio(tmp_path, capsys):
     assert code == 0
     best = max(good["ratio"], tampered["ratio"])
     assert _load_csv(out)[1][4] == repr(best)
+    # A tampered ratio below the good record's, so never its cell's best, fails
+    # as well: every record norms reads is re-verified.
+    out.unlink()
+    capsys.readouterr()
+    _store_record(store, tampered, ratio=min(good["ratio"], tampered["ratio"]) / 2)
+    [path] = store.glob("*,N=3,*.json")
+    code, out = _run(["norms", "--family", "beurling", "--p", "4",
+                      "--store-dir", str(store)], tmp_path, "norms.csv")
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(path) in err and "does not reproduce" in err
 
 
 @pytest.mark.parametrize("damage", ["ratio", "corrupt"])

@@ -97,7 +97,8 @@ _EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0
 @pytest.mark.parametrize("m", [1, 2])
 def test_store_codec_keeps_bytes_and_values(tmp_path, m):
     # A store file is byte for byte what the encoder writes with its cycle check,
-    # and every table a store read decodes is bit for bit the array written.
+    # and every table a --martingale read decodes is bit for bit the array written.
+    # A store read refuses the file: 1.0 is no ratio these tables give.
     values = np.resize(np.array(_EDGE_FLOATS + tuple(-v for v in _EDGE_FLOATS)), 2 * 14 * m)
     flat = values.view(complex)
     seq = MartingaleDifferenceSequence(tuple(
@@ -108,8 +109,8 @@ def test_store_codec_keeps_bytes_and_values(tmp_path, m):
     write_json(path, {key: rec})
     assert path.read_text() == json.dumps({key: rec}, sort_keys=True,
                                           default=np.ndarray.tolist) + "\n"
-    got = lookup_store(tmp_path, 4.0, 4.0, 0.0, 3, "def2")
-    assert [t.tobytes() for t in got["tables"]] == [t.tobytes() for t in rec["tables"]]
+    with pytest.raises(StoreError, match=re.escape(f"store file {path}")):
+        lookup_store(tmp_path, 4.0, 4.0, 0.0, 3, "def2")
     write_json(tmp_path / "inst.json", rec)
     assert read_martingale(tmp_path / "inst.json")[0].flat.tobytes() == seq.flat.tobytes()
 
@@ -169,6 +170,29 @@ def test_store_update_and_lookup(tmp_path):
         assert not update_store(tmp_path, other)
         assert _key_file(tmp_path, rec).read_bytes() == before
     assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["seed"] == rec["seed"]
+    # Every table a store read decodes is bit for bit the array written.
+    rng = np.random.default_rng(np.random.PCG64(31))
+    seq = MartingaleDifferenceSequence(tuple(
+        rng.standard_normal((2,) * k + (2,)) + 1j * rng.standard_normal((2,) * k + (2,))
+        for k in range(1, 6)))
+    beta = (1, -1, -1, 1, -1)
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
+    rec = sequence_to_record(seq, beta, 0.5, exps, ratio, 0, "def2")
+    assert update_store(tmp_path, rec)
+    got = lookup_store(tmp_path, 4.0, 4.0, 0.5, 5, "def2")
+    assert [t.tobytes() for t in got["tables"]] == [t.tobytes() for t in rec["tables"]]
+
+
+def test_store_read_refuses_a_ratio_its_tables_do_not_give(tmp_path):
+    # A lookup re-verifies the record it returns: a stored ratio off by 1e-9 is a
+    # StoreError naming the file, which stays byte for byte.
+    rec = _record()
+    path = _key_file(tmp_path, rec)
+    write_json(path, {path.stem: dict(rec, ratio=rec["ratio"] + 1e-9)})
+    before = path.read_bytes()
+    with pytest.raises(StoreError, match=re.escape(f"store file {path} ") + ".*does not reproduce"):
+        lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")
+    assert path.read_bytes() == before
 
 
 def test_record_tables_are_read_only_views_of_the_sequence():
