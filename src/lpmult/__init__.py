@@ -7,8 +7,7 @@ and the symbol's exact value on the coordinate axes, with Gaussian transference 
 shear-invariance checks connecting the discrete model to the continuous operators.
 An operator family is its name and one value (`family_symbol`, `target_constant`).
 Every name is imported from its own module (`lpmult.witness`, `lpmult.catalog`, ...);
-the package holds only the version, so importing it loads neither a module nor numpy.
+the package holds only `__version__`, so importing it loads neither a module nor numpy.
 """
 
-TOOLKIT_VERSION = "0.1.0"
-__version__ = TOOLKIT_VERSION
+__version__ = "0.1.0"

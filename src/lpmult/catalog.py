@@ -1,8 +1,8 @@
 """Concrete symbols and target constants for the certified operator families.
 
 A family is its name and one value, read by rotated (theta), scaled (c), F (z) and
-vector (tau, of (Re B, tau I)^T) only; `family_symbol` and `target_constant` refuse
-an unknown name or a non-finite value.
+vector (tau, of (Re B, tau I)^T) only; `family_symbol`, the one lookup of a symbol
+by name, and `target_constant` refuse an unknown name or a non-finite value.
 
 Every scalar family is one formula, a Re B + b Im B, with (a, b) = (1, i)
 for B, (1, 0) for Re B, (0, 1) for Im B, (-cos theta, sin theta) for
@@ -23,20 +23,6 @@ import numpy as np
 
 from .exponents import ExponentConfig
 from .symbols import MultiplierSymbol
-
-__all__ = [
-    "FAMILIES",
-    "family_symbol",
-    "c_tau",
-    "target_constant",
-    "tau_admissible",
-    "identity_symbol",
-    "beurling",
-    "beurling_real",
-    "beurling_imag",
-    "beurling_matrix",
-    "rotated",
-]
 
 FAMILIES = ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
             "rotated", "scaled", "F", "vector")
@@ -64,7 +50,7 @@ def _scalar_family(a: complex, b: complex, name: str) -> MultiplierSymbol:
     def evaluator(xi: np.ndarray) -> np.ndarray:
         return a * _beurling_real(xi) + b * _beurling_imag(xi)
 
-    return MultiplierSymbol(d=2, shape="scalar", evaluator=evaluator, name=name)
+    return MultiplierSymbol(d=2, evaluator=evaluator, name=name)
 
 
 def _beurling_matrix_symbol(xi: np.ndarray) -> np.ndarray:
@@ -83,30 +69,16 @@ def _beurling_matrix_symbol(xi: np.ndarray) -> np.ndarray:
 
 def identity_symbol(d: int = 2) -> MultiplierSymbol:
     return MultiplierSymbol(
-        d=d, shape="scalar", evaluator=lambda xi: np.ones(xi.shape[:-1], dtype=complex),
+        d=d, evaluator=lambda xi: np.ones(xi.shape[:-1], dtype=complex),
         total=True, name="identity")
 
 
-def beurling() -> MultiplierSymbol:
-    return _scalar_family(1.0, 1j, "beurling")
-
-
 def beurling_real() -> MultiplierSymbol:
-    return _scalar_family(1.0, 0.0, "beurling-real")
-
-
-def beurling_imag() -> MultiplierSymbol:
-    return _scalar_family(0.0, 1.0, "beurling-imag")
+    return family_symbol("beurling-real")
 
 
 def beurling_matrix() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, shape="matrix", evaluator=_beurling_matrix_symbol,
-                            m=2, name="beurling-matrix")
-
-
-def rotated(theta: float) -> MultiplierSymbol:
-    """((xi1^2 - xi2^2) cos(theta) + 2 xi1 xi2 sin(theta)) / |xi|^2."""
-    return _scalar_family(-math.cos(theta), math.sin(theta), f"rotated({theta})")
+    return MultiplierSymbol(d=2, evaluator=_beurling_matrix_symbol, m=2, name="beurling-matrix")
 
 
 def _check(family: str, value: complex) -> None:
@@ -116,22 +88,25 @@ def _check(family: str, value: complex) -> None:
         raise ValueError("family parameters must be finite")
 
 
+# (a, b) of the scalar families that take no value.
+_PARTS = {"beurling": (1.0, 1j), "beurling-real": (1.0, 0.0), "beurling-imag": (0.0, 1.0)}
+
+
 def family_symbol(family: str, value: complex = 0.0) -> MultiplierSymbol:
-    """Symbol of the family at its value; the scalar families pass their (a, b)."""
+    """Symbol of the family at its value; each scalar family is a Re B + b Im B."""
     _check(family, value)
     if family == "beurling-matrix":
         return beurling_matrix()
     if family == "vector":
         raise ValueError("the vector family has no symbol; it is certified through Re B")
+    if family in _PARTS:
+        return _scalar_family(*_PARTS[family], family)
     if family == "rotated":
-        return rotated(value)
+        return _scalar_family(-math.cos(value), math.sin(value), f"rotated({value})")
     if family == "scaled":
         return _scalar_family(-value, 1j, f"scaled({value})")
-    if family == "F":
-        z = complex(value)
-        return _scalar_family(-1.0, z, f"F({z})")
-    return {"beurling": beurling, "beurling-real": beurling_real,
-            "beurling-imag": beurling_imag}[family]()
+    z = complex(value)  # F
+    return _scalar_family(-1.0, z, f"F({z})")
 
 
 # --- target constants ----------------------------------------------------
@@ -159,15 +134,14 @@ def c_tau(exps: ExponentConfig, tau: float, predicate: str = "def2") -> float | 
 
 
 def target_constant(family: str, exps: ExponentConfig, value: complex = 0.0,
-                    predicate: str = "def2") -> tuple[float, bool]:
+                    predicate: str = "def2") -> tuple[float | None, bool]:
     """(published target lower bound for the family at its value and the given
-    exponents, whether that target leans on the conjectured ceiling)."""
+    exponents, whether that target leans on the conjectured ceiling).  The vector
+    family has no target, None, where C^tau is not defined (`c_tau`)."""
     _check(family, value)  # then c_tau for every family: an unknown predicate raises
     vector_target = c_tau(exps, value if family == "vector" else 0.0, predicate)
     pstar1 = exps.pstar - 1.0
     if family == "vector":
-        if vector_target is None:
-            raise ValueError("vector family target needs p = p0 and admissible tau")
         return vector_target, False
     if family == "scaled":
         if value == 0.0:

@@ -27,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import TOOLKIT_VERSION
+import lpmult
 from .catalog import (FAMILIES, beurling_matrix, beurling_real, c_tau, family_symbol,
                       identity_symbol, target_constant)
 from .exponents import ExponentConfig
-from .martingale import SearchBudget, SearchResult, search_extremal
+from .martingale import SearchResult, search_extremal
 from .report import (CrossCheckError, StoreError, lookup_store, load_store, read_martingale,
                      sequence_from_record, sequence_to_record, update_store)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
@@ -113,9 +113,8 @@ def _martingale(args, exps):
 
     if args.family != "martingale" and (found := stored(args.n)) is not None:
         return found.sequence, found.beta, "store", None
-    budget = SearchBudget(restarts=args.restarts, iters=args.iters,
-                          seed=args.seed, wall_cap_s=args.wall_cap)
-    res = search_extremal(exps, args.tau, args.n, budget,
+    res = search_extremal(exps, args.tau, args.n, restarts=args.restarts, iters=args.iters,
+                          seed=args.seed, wall_cap_s=args.wall_cap,
                           warm_start=stored(args.n - 1) if args.n > 1 else None)
     return res.sequence, res.beta, "search", res
 
@@ -157,7 +156,7 @@ def cmd_certify(args) -> int:
         "target_constant": target, "gap": None if target is None else target - ratio,
         "predicate": args.predicate, "seed": args.seed,
         "budget": {"restarts": args.restarts, "iters": args.iters, "wall_cap_s": args.wall_cap},
-        "wall_time_s": wall, "version": TOOLKIT_VERSION, "notes": notes,
+        "wall_time_s": wall, "version": lpmult.__version__, "notes": notes,
     }
     with _output(args.out) as fh:  # opened first: a bad --out fails before the store write
         if res is not None:
@@ -261,10 +260,10 @@ def cmd_norms(args) -> int:
     certified = _certified(args.store_dir, {(p, tau, args.predicate)
                                             for _, p, tau, _, _ in cells})
     rows = []
-    for v, p, tau, target, external in cells:
+    for v, p, tau, target, external in cells:  # no target (vector outside C^tau): empty cells
         best = certified.get((p, tau, args.predicate))
-        rows.append([fam, v, p, target, "" if best is None else best,
-                     "" if best is None else target - best, external])
+        rows.append([fam, v, p, "" if target is None else target, "" if best is None else best,
+                     "" if None in (best, target) else target - best, external])
     _write_csv(args.out, ["family", "parameter", "p", "target",
                           "certified_so_far", "gap", "external_assumption"], rows)
     return EXIT_OK
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpmult",
         description="Lower-bound certification for Lp Fourier multiplier norms.")
-    parser.add_argument("--version", action="version", version=TOOLKIT_VERSION)
+    parser.add_argument("--version", action="version", version=lpmult.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sm = sub.add_parser("search-martingale",

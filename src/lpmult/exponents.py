@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExponentConfig"]
-
 
 @dataclass(frozen=True)
 class ExponentConfig:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TorusGrid", "coefficients", "from_coefficients"]
-
 
 @dataclass(frozen=True)
 class TorusGrid:

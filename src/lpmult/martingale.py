@@ -32,16 +32,6 @@ import numpy as np
 
 from .exponents import ExponentConfig
 
-__all__ = [
-    "MartingaleDifferenceSequence",
-    "TransformConfig",
-    "SearchBudget",
-    "SearchResult",
-    "perturbed_ratio_exact",
-    "search_extremal",
-    "ENUMERATION_CAP",
-]
-
 ENUMERATION_CAP = 20
 
 # The exact ratio realizes F and G together in blocks of this many hypercube
@@ -111,18 +101,6 @@ class TransformConfig:
         if not math.isfinite(self.tau * self.tau):
             raise ValueError(f"tau must be finite with a finite square, got {self.tau}")
         object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    restarts: int = 16
-    iters: int = 200
-    seed: int = 0
-    wall_cap_s: float = 60.0
-
-    def __post_init__(self):
-        if not (self.restarts >= 1 and self.iters >= 1 and self.wall_cap_s > 0):
-            raise ValueError("budget fields must be positive")
 
 
 @functools.cache
@@ -355,9 +333,14 @@ def _beta_candidates(N, rng, restarts, warm_beta=None):
     return sorted(cands)
 
 
-def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudget,
+def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, iters: int,
+                    seed: int, wall_cap_s: float,
                     warm_start: SearchResult | None = None) -> SearchResult:
     """Best (F, beta) found by alternating maximization, deterministic per seed.
+
+    The budget is `restarts` random starts per candidate beta, `iters` ascent
+    steps per start and a wall cap of `wall_cap_s` seconds; a value that is not
+    positive (NaN included) is refused before any work.
 
     For each candidate beta the tables are ascended from random complex
     Gaussian restarts, and from a warm start's flat array followed by zero
@@ -370,6 +353,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     wall cap is a guard, and when it fires no further batch starts and the
     result records stopped_by = "wall".
     """
+    if not (restarts >= 1 and iters >= 1 and wall_cap_s > 0):
+        raise ValueError("budget fields must be positive")
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
     if not math.isfinite(tau * tau):
@@ -386,8 +371,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
         return SearchResult(seq, beta, ratio)
 
-    rng = np.random.default_rng(np.random.PCG64(budget.seed))
-    deadline = time.monotonic() + budget.wall_cap_s
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    deadline = time.monotonic() + wall_cap_s
     m = warm_start.sequence.m if warm_start is not None else 1
 
     warm, warm_beta_prefix = [], None
@@ -408,10 +393,10 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
 
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""
-        for beta in _beta_candidates(N, rng, budget.restarts, warm_beta_prefix):
+        for beta in _beta_candidates(N, rng, restarts, warm_beta_prefix):
             if warm and beta[: len(warm_beta_prefix)] == warm_beta_prefix:
                 yield from ((beta, x) for x in warm)
-            for _ in range(budget.restarts):
+            for _ in range(restarts):
                 yield beta, _flat([rng.standard_normal((2**k, m))
                                    + 1j * rng.standard_normal((2**k, m))
                                    for k in range(1, N + 1)])
@@ -423,7 +408,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, budget: SearchBudg
     while not fired and (batch := list(islice(pending, rows))):
         betas = [beta for beta, _ in batch]
         x, fired = _ascend(np.stack([x for _, x in batch]), np.array(betas, dtype=float),
-                           tau, p, p0, budget.iters, deadline)
+                           tau, p, p0, iters, deadline)
         for beta, row in zip(betas, x):
             seq = MartingaleDifferenceSequence(tuple(
                 t.reshape((2,) * k + (m,)) for k, t in enumerate(_levels(row), start=1)))

@@ -32,9 +32,6 @@ import numpy as np
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
 
-__all__ = ["CrossCheckError", "StoreError", "store_key", "load_store", "update_store",
-           "sequence_to_record", "sequence_from_record"]
-
 IMPROVEMENT_MARGIN = 1e-12
 
 # The fields the store's readers take from every record, with the JSON types
@@ -159,8 +156,8 @@ def read_martingale(path: str | Path) -> tuple[MartingaleDifferenceSequence, tup
 
 @_collector_paused()
 def _read_record(path: Path) -> dict | None:
-    """The one record of a store file, under its name's key, tables as arrays, re-verified;
-    None if absent."""
+    """The one record of a store file, under its name's key, tables as arrays, re-verified,
+    its ratio the one its tables give; None if absent."""
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
@@ -177,7 +174,7 @@ def _read_record(path: Path) -> dict | None:
                          f"its type, under the key {path.stem!r} that its fields give")
     try:  # a record that fails its check is a StoreError naming its file (exit 4)
         rec["tables"] = [_float_table(k, t) for k, t in enumerate(rec["tables"], start=1)]
-        verify_record(rec)
+        rec["ratio"] = verify_record(rec)
     except (ValueError, ArithmeticError, StoreError) as exc:
         raise StoreError(f"extremizer store file {path} does not hold a valid "
                          f"martingale: {exc}") from exc

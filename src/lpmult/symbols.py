@@ -7,32 +7,25 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MultiplierSymbol"]
-
-_SHAPES = ("scalar", "matrix")
-
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """A symbol xi -> scalar or m x m matrix on R^d minus the origin.
+    """A symbol xi -> scalar (m = 1) or m x m matrix (m > 1) on R^d minus the origin.
 
     ``evaluator`` must accept an array of shape (..., d) of nonzero
-    frequencies and return values of shape (...) or (..., m, m) according
-    to ``shape``.  Homogeneous symbols take the zero value of their shape
+    frequencies and return values of shape (...) when m = 1 and (..., m, m)
+    otherwise.  Homogeneous symbols take the zero value of their shape
     at xi = 0; symbols declared ``total`` (e.g. constants) are evaluated
     there as well.
     """
 
     d: int
-    shape: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     m: int = 1
     total: bool = False
     name: str = "symbol"
 
     def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         if self.d < 1 or self.m < 1:
             raise ValueError("d and m must be positive")
 

@@ -15,14 +15,6 @@ import numpy as np
 from .grid import TorusGrid, coefficients, from_coefficients
 from .symbols import MultiplierSymbol
 
-__all__ = [
-    "TensorGridFunction",
-    "tensor_lift_apply",
-    "shear_norm_check",
-    "check_grid_size",
-    "POINT_CAP",
-]
-
 POINT_CAP = 2**24
 
 
@@ -84,15 +76,15 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
                       k: int) -> TensorGridFunction:
     """Multiply each joint Fourier coefficient by M(j_k); other blocks untouched.
 
-    Frequencies are taken in [-G/2, G/2)^d.  A scalar symbol acts on a
-    scalar function and an m x m matrix symbol on a C^m-valued one; both
+    Frequencies are taken in [-G/2, G/2)^d.  A scalar symbol (m = 1) acts on
+    a scalar function and an m x m matrix symbol on a C^m-valued one; both
     keep the value shape.  The FFT runs over the axes of block k only.
     """
     if M.d != phi.grid.d:
         raise ValueError(f"block dimension {phi.grid.d} != symbol dimension {M.d}")
-    if M.shape == "scalar" and phi.m != 0:
+    if M.m == 1 and phi.m != 0:
         raise ValueError(f"scalar symbols act on scalar functions, got m={phi.m}")
-    if M.shape == "matrix" and phi.m != M.m:
+    if M.m > 1 and phi.m != M.m:
         raise ValueError(f"matrix symbol needs C^{M.m}-valued input, got m={phi.m}")
     axes = phi.block_axes(k)  # refuses k out of range
 
@@ -103,7 +95,7 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
     on_block = (1,) * (d * k) + (grid.G,) * d + (1,) * (d * (J - k - 1))
     sym = M.evaluate(grid.frequency_mesh()).reshape(on_block + (m, m))
     out = from_coefficients(np.einsum("...ij,...j->...i", sym, c), grid, axes)
-    return TensorGridFunction(grid, J, out[..., 0] if M.shape == "scalar" else out)
+    return TensorGridFunction(grid, J, out[..., 0] if M.m == 1 else out)
 
 
 @dataclass(frozen=True)

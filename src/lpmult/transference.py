@@ -17,8 +17,6 @@ import numpy as np
 
 from .symbols import MultiplierSymbol
 
-__all__ = ["GaussianPairingConfig", "gaussian_damped_pairing", "multiplier_deviation"]
-
 # The quadrature radius R solves pi (p0 + q0) R^2 / eps = ln 1e14, and the
 # step is R / _HALF_NODES.
 _TAIL_LOG = math.log(1e14)
@@ -71,8 +69,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
     """
     if M.d != cfg.d:
         raise ValueError(f"symbol dimension {M.d} != config dimension {cfg.d}")
-    if M.shape != "scalar":
-        raise ValueError(f"the pairing takes a scalar symbol, got a {M.shape} one")
+    if M.m != 1:
+        raise ValueError(f"the pairing takes a scalar symbol, got a {M.m} x {M.m} one")
 
     p0, q0, eps, d = cfg.p0, cfg.q0, cfg.eps, cfg.d
     s = p0 + q0
@@ -131,7 +129,7 @@ def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
         a = M.evaluate(xi)
         bval = M.evaluate(ls[-1])
         diff = a - bval
-        if M.shape == "scalar":
+        if M.m == 1:
             dev = abs(complex(diff))
         else:
             dev = float(np.linalg.norm(diff, ord=2))

@@ -28,8 +28,6 @@ from .symbols import MultiplierSymbol
 # Unused: perfbench/tracing.py resolves this site, and CI's "tracer sites resolve" step checks it.
 from .tensor import tensor_lift_apply  # noqa: F401
 
-__all__ = ["build_witness", "check_premise"]
-
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -41,7 +39,7 @@ def check_premise(symbol: MultiplierSymbol, exps: ExponentConfig) -> None:
     if exps.p0 > exps.p:
         raise ValueError("the witness transference requires p0 <= p")
     want = _AXIS_SIGNS
-    if symbol.shape != "scalar":
+    if symbol.m > 1:
         want = want[:, None, None] * np.eye(symbol.m)
     if not np.array_equal(symbol.evaluate(_AXES), want):  # refuses a symbol not on R^2
         raise CrossCheckError(f"symbol {symbol.name} is not exactly +1 on the theta_2 "
@@ -59,7 +57,7 @@ def build_witness(symbol: MultiplierSymbol, sequence: MartingaleDifferenceSequen
     for their zero-padded C^m embedding, whose ratio is the same.
     """
     check_premise(symbol, exps)
-    if symbol.shape == "scalar" and sequence.m != 1:
+    if symbol.m == 1 and sequence.m != 1:
         raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
     if sequence.m not in (1, symbol.m):
         raise ValueError("martingale value dimension must be 1 or the matrix size")

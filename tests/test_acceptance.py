@@ -11,14 +11,13 @@ import time
 
 import numpy as np
 
-from lpmult.catalog import (beurling_imag, beurling_matrix, beurling_real,
+from lpmult.catalog import (beurling_matrix, beurling_real, family_symbol,
                             identity_symbol, target_constant)
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
-from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
-                               TransformConfig, perturbed_ratio_exact,
-                               search_extremal)
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
+                               perturbed_ratio_exact, search_extremal)
 from lpmult.transference import (GaussianPairingConfig,
                                  gaussian_damped_pairing,
                                  multiplier_deviation)
@@ -114,8 +113,8 @@ def test_criterion_04_search_progress():
     ratios = []
     prev = None
     for N in range(2, 9):
-        budget = SearchBudget(restarts=8, iters=1000, seed=42, wall_cap_s=60.0)
-        res = search_extremal(exps, 0.0, N, budget, warm_start=prev)
+        res = search_extremal(exps, 0.0, N, restarts=8, iters=1000, seed=42, wall_cap_s=60.0,
+                              warm_start=prev)
         ratios.append(res.ratio)
         prev = res
     for a, b in zip(ratios, ratios[1:]):
@@ -136,8 +135,8 @@ def test_criterion_05_eigenrelation_exactness():
         theta = mesh(grid)
         for axis, sym, lam in ((0, beurling_real(), -1.0),
                                (1, beurling_real(), 1.0),
-                               (0, beurling_imag(), 0.0),
-                               (1, beurling_imag(), 0.0)):
+                               (0, family_symbol("beurling-imag"), 0.0),
+                               (1, family_symbol("beurling-imag"), 0.0)):
             f = TensorGridFunction(grid, 1, np.sign(theta[..., axis]) + 0j)
             g = tensor_lift_apply(f, sym, 0)
             assert np.max(np.abs(g.values - lam * f.values)) <= 1e-12

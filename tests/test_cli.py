@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lpmult
-from lpmult.catalog import beurling_imag, beurling_real, rotated
+from lpmult.catalog import beurling_real, family_symbol
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
@@ -121,10 +121,10 @@ def test_certify_every_family_through_re_b(tmp_path):
     xi = rng.standard_normal((100, 2))
     bounds = {}
     for family, symbol in ((["beurling-real"], beurling_real()),
-                           (["beurling-imag"], beurling_imag()),
+                           (["beurling-imag"], family_symbol("beurling-imag")),
                            (["vector"], beurling_real()),
-                           (["rotated", "--theta", "0"], rotated(0.0)),
-                           (["rotated", "--theta", "0.7"], rotated(0.7))):
+                           (["rotated", "--theta", "0"], family_symbol("rotated", 0.0)),
+                           (["rotated", "--theta", "0.7"], family_symbol("rotated", 0.7))):
         code, out = _run(["certify", *family, "--p", "4", "--tau", "0.5", "--n", "3",
                           "--martingale", str(inst),
                           "--store-dir", str(tmp_path / "store")], tmp_path)
@@ -253,11 +253,15 @@ def test_norms_tables(tmp_path):
     assert float(rows[1][4]) == best
     assert float(rows[1][5]) == float(rows[1][3]) - best
     assert rows[2][4] == rows[2][5] == ""
-    # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5: no vector target.
+
+
+def test_norms_prints_an_empty_target_outside_def2(tmp_path):
+    # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5: no vector target, so empty
+    # target and gap cells, as certify reports a null target_constant there.
     code, out = _run(["norms", "--family", "vector", "--p", "1.5", "--tau", "1.5"],
-                     tmp_path, "refused.csv")
-    assert code == 2
-    assert not out.exists()
+                     tmp_path, "no-target.csv")
+    assert code == 0
+    assert _load_csv(out)[1:] == [["vector", "1.5", "1.5", "", "", "", "False"]]
 
 
 _NORMS_HEADER = ["family", "parameter", "p", "target", "certified_so_far", "gap",
@@ -294,8 +298,6 @@ def test_norms_row_per_family_value_and_p(tmp_path, family, flags, values, at_4,
 @pytest.mark.parametrize("args", [
     pytest.param(["--family", "scaled", "--c", "0"], id="scaled-c-0"),
     pytest.param(["--family", "F", "--z", "1+1j"], id="F-z-1+1j"),
-    # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5.
-    pytest.param(["--family", "vector", "--p", "1.5", "--tau", "1.5"], id="vector-tau-1.5"),
 ])
 def test_norms_refuses_a_parameter_before_reading_the_store(tmp_path, capsys, args):
     # A store file that is not JSON would exit 4 when read: a refused parameter

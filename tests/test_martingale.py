@@ -10,9 +10,9 @@ import pytest
 
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, SearchBudget,
-                               TransformConfig, _flat, _ratio_and_grad, _realize,
-                               perturbed_ratio_exact, search_extremal)
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _flat,
+                               _ratio_and_grad, _realize, perturbed_ratio_exact,
+                               search_extremal)
 
 
 def _sign_index(r):
@@ -229,15 +229,16 @@ def test_blocked_ratio_memory_stays_in_blocks():
 
 
 def test_search_p2_identity():
-    res = search_extremal(ExponentConfig(2.0), 0.5, 4, SearchBudget(seed=1))
+    res = search_extremal(ExponentConfig(2.0), 0.5, 4, restarts=16, iters=200, seed=1,
+                          wall_cap_s=60.0)
     assert res.ratio == pytest.approx(math.sqrt(1.25), abs=1e-12)
 
 
 def test_search_n2_tau1_reaches_sqrt2():
     # The symmetric +-1 flip achieves sqrt(2) at tau = 1, exceeding the
     # explicit (52/21)^(1/4) instance.
-    budget = SearchBudget(restarts=8, iters=400, seed=0)
-    res = search_extremal(ExponentConfig(4.0), 1.0, 2, budget)
+    budget = dict(restarts=8, iters=400, seed=0, wall_cap_s=60.0)
+    res = search_extremal(ExponentConfig(4.0), 1.0, 2, **budget)
     assert res.ratio >= (52.0 / 21.0) ** 0.25 - 1e-9
     check = perturbed_ratio_exact(res.sequence, TransformConfig(res.beta, 1.0),
                                   ExponentConfig(4.0))
@@ -245,26 +246,26 @@ def test_search_n2_tau1_reaches_sqrt2():
 
 
 def test_search_respects_ceiling_below_two():
-    budget = SearchBudget(restarts=6, iters=300, seed=3)
+    budget = dict(restarts=6, iters=300, seed=3, wall_cap_s=60.0)
     exps = ExponentConfig(4.0 / 3.0)
-    res = search_extremal(exps, 0.5, 3, budget)
+    res = search_extremal(exps, 0.5, 3, **budget)
     assert res.ratio <= math.hypot(3.0, 0.5) + 1e-9
 
 
 def test_search_warm_start_monotone():
     exps = ExponentConfig(4.0)
-    budget = SearchBudget(restarts=4, iters=200, seed=5)
-    prev = search_extremal(exps, 0.0, 2, budget)
-    nxt = search_extremal(exps, 0.0, 3, budget, warm_start=prev)
+    budget = dict(restarts=4, iters=200, seed=5, wall_cap_s=60.0)
+    prev = search_extremal(exps, 0.0, 2, **budget)
+    nxt = search_extremal(exps, 0.0, 3, **budget, warm_start=prev)
     assert nxt.ratio >= prev.ratio - 1e-12
 
 
 def test_search_refuses_a_warm_start_deeper_than_n():
     exps = ExponentConfig(4.0)
-    budget = SearchBudget(restarts=2, iters=20, seed=5)
-    deep = search_extremal(exps, 0.0, 3, budget)
+    budget = dict(restarts=2, iters=20, seed=5, wall_cap_s=60.0)
+    deep = search_extremal(exps, 0.0, 3, **budget)
     with pytest.raises(ValueError, match="warm start deeper than requested depth"):
-        search_extremal(exps, 0.0, 2, budget, warm_start=deep)
+        search_extremal(exps, 0.0, 2, **budget, warm_start=deep)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -273,31 +274,43 @@ def test_search_chain_keeps_warm_start(seed):
     # by +1 and by -1 is still among them, so the zero-extended warm optimum
     # is always a start and a small budget cannot make the chain go down.
     exps = ExponentConfig(4.0)
-    budget = SearchBudget(restarts=4, iters=40, seed=seed, wall_cap_s=600.0)
+    budget = dict(restarts=4, iters=40, seed=seed, wall_cap_s=600.0)
     prev = None
     for N in range(2, 12):
-        res = search_extremal(exps, 0.0, N, budget, warm_start=prev)
+        res = search_extremal(exps, 0.0, N, **budget, warm_start=prev)
         if prev is not None:
             assert res.ratio >= prev.ratio - 1e-12, N
         prev = res
 
 
 def test_search_determinism():
-    budget = SearchBudget(restarts=4, iters=150, seed=11)
-    a = search_extremal(ExponentConfig(4.0), 0.5, 2, budget)
-    b = search_extremal(ExponentConfig(4.0), 0.5, 2, budget)
+    budget = dict(restarts=4, iters=150, seed=11, wall_cap_s=60.0)
+    a = search_extremal(ExponentConfig(4.0), 0.5, 2, **budget)
+    b = search_extremal(ExponentConfig(4.0), 0.5, 2, **budget)
     assert a.ratio == b.ratio
     assert a.beta == b.beta
     assert all(np.array_equal(x, y) for x, y in zip(a.sequence.tables, b.sequence.tables))
 
 
+_BUDGET = dict(restarts=16, iters=200, seed=0, wall_cap_s=60.0)
+
+
 def test_search_depth_validation():
     with pytest.raises(ValueError):
-        search_extremal(ExponentConfig(4.0), 0.0, 0, SearchBudget())
+        search_extremal(ExponentConfig(4.0), 0.0, 0, **_BUDGET)
     with pytest.raises(ValueError):
-        search_extremal(ExponentConfig(4.0), 0.0, 21, SearchBudget())
-    with pytest.raises(ValueError):
-        SearchBudget(restarts=0)
+        search_extremal(ExponentConfig(4.0), 0.0, 21, **_BUDGET)
+
+
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("iters", 0), ("wall_cap_s", 0.0),
+                                          ("wall_cap_s", math.nan)])
+def test_search_refuses_a_bad_budget_before_any_work(monkeypatch, field, value):
+    def reached(*args):
+        raise AssertionError("the search ascended with a bad budget")
+
+    monkeypatch.setattr(martingale, "_ascend", reached)
+    with pytest.raises(ValueError, match="budget fields must be positive"):
+        search_extremal(ExponentConfig(4.0), 0.0, 3, **dict(_BUDGET, **{field: value}))
 
 
 def test_beta_candidates_sweep_when_quota_exceeds_patterns():
@@ -316,7 +329,8 @@ def test_beta_candidates_sweep_when_quota_exceeds_patterns():
 
 
 def test_search_returns_when_restarts_exceed_patterns():
-    res = search_extremal(ExponentConfig(4.0), 0.0, 5, SearchBudget(restarts=40, iters=2, seed=1))
+    res = search_extremal(ExponentConfig(4.0), 0.0, 5, restarts=40, iters=2, seed=1,
+                          wall_cap_s=60.0)
     assert len(res.beta) == 5 and res.ratio >= 1.0
 
 
@@ -400,12 +414,12 @@ def test_batched_gradient_matches_reference(N, m, tau, p):
 
 
 def test_search_independent_of_batch(monkeypatch):
-    budget = SearchBudget(restarts=4, iters=60, seed=13)
+    budget = dict(restarts=4, iters=60, seed=13, wall_cap_s=60.0)
     exps = ExponentConfig(4.0)
     results, ratios = [], []
     for points in (1, 2**20):
         monkeypatch.setattr(martingale, "_BATCH_POINTS", points)
-        results.append(search_extremal(exps, 0.5, 5, budget))
+        results.append(search_extremal(exps, 0.5, 5, **budget))
         ratios.append(perturbed_ratio_exact(
             results[0].sequence, TransformConfig(results[0].beta, 0.5), exps))
     one, whole = results

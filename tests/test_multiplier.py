@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import (beurling, beurling_imag, beurling_matrix, beurling_real,
-                            identity_symbol)
+from lpmult.catalog import beurling_matrix, beurling_real, family_symbol, identity_symbol
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
 from lpmult.symbols import MultiplierSymbol
@@ -25,7 +24,7 @@ def l2_operator_norm(M, G):
     """Exact L2 -> L2 norm of a scalar or matrix symbol: the largest |value|
     or singular value over the lattice [-G/2, G/2)^d."""
     vals = M.evaluate(TorusGrid(M.d, G).frequency_mesh())
-    if M.shape == "scalar":
+    if M.m == 1:
         return float(np.max(np.abs(vals)))
     return float(np.max(np.linalg.norm(vals, ord=2, axis=(-2, -1))))
 
@@ -33,12 +32,11 @@ def l2_operator_norm(M, G):
 def _beurling_cm(xi):
     """[[mR, -mI], [mI, mR]](xi): B in the complex-multiplication representation."""
     mr = beurling_real().evaluator(xi)
-    mi = beurling_imag().evaluator(xi)
+    mi = family_symbol("beurling-imag").evaluator(xi)
     return np.stack([np.stack([mr, -mi], axis=-1), np.stack([mi, mr], axis=-1)], axis=-2)
 
 
-_BEURLING_CM = MultiplierSymbol(d=2, shape="matrix", evaluator=_beurling_cm, m=2,
-                                name="beurling-matrix-cm")
+_BEURLING_CM = MultiplierSymbol(d=2, evaluator=_beurling_cm, m=2, name="beurling-matrix-cm")
 
 
 def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
@@ -55,7 +53,7 @@ def complex_vs_matrix_path(f, p: float = 2.0) -> tuple[float, float]:
     """
     if f.m != 0:
         raise ValueError("complex_vs_matrix_path takes a scalar function")
-    scalar = tensor_lift_apply(f, beurling(), 0)
+    scalar = tensor_lift_apply(f, family_symbol("beurling"), 0)
     pair = TensorGridFunction(f.grid, 1, np.stack([f.values.real, f.values.imag], axis=-1))
     return scalar.lp_norm(p), tensor_lift_apply(pair, _BEURLING_CM, 0).lp_norm(p)
 
@@ -78,7 +76,7 @@ def _band_limited_random(grid: TorusGrid, rng) -> TensorGridFunction:
 
 def test_monomials_are_eigenfunctions():
     grid = TorusGrid(2, 8)
-    sym = beurling()
+    sym = family_symbol("beurling")
     for j in ((1, 0), (0, 1), (2, 3), (-1, 2)):
         f = _monomial(grid, j)
         g = tensor_lift_apply(f, sym, 0)
@@ -100,7 +98,7 @@ def test_shape_mismatches_rejected():
     f = TensorGridFunction(grid, 1, np.ones((4, 4)))
     pair = TensorGridFunction(grid, 1, np.ones((4, 4, 2)))
     with pytest.raises(ValueError):
-        tensor_lift_apply(pair, beurling(), 0)
+        tensor_lift_apply(pair, family_symbol("beurling"), 0)
     with pytest.raises(ValueError):
         tensor_lift_apply(f, beurling_matrix(), 0)
 
@@ -108,14 +106,15 @@ def test_shape_mismatches_rejected():
 def test_operator_ratio_monomial():
     grid = TorusGrid(2, 8)
     f = _monomial(grid, (0, 1))
-    assert operator_ratio(f, beurling(), ExponentConfig(4.0)) == pytest.approx(1.0)
+    assert operator_ratio(f, family_symbol("beurling"),
+                          ExponentConfig(4.0)) == pytest.approx(1.0)
     zero = TensorGridFunction(grid, 1, np.zeros((8, 8)))
     with pytest.raises(ZeroDivisionError):
-        operator_ratio(zero, beurling(), ExponentConfig(4.0))
+        operator_ratio(zero, family_symbol("beurling"), ExponentConfig(4.0))
 
 
 def test_l2_operator_norm_unimodular():
-    assert l2_operator_norm(beurling(), 8) == pytest.approx(1.0)
+    assert l2_operator_norm(family_symbol("beurling"), 8) == pytest.approx(1.0)
     assert l2_operator_norm(beurling_matrix(), 8) == pytest.approx(1.0)
 
 
@@ -123,10 +122,10 @@ def test_l2_ratio_never_exceeds_norm():
     rng = np.random.default_rng(np.random.PCG64(1))
     grid = TorusGrid(2, 8)
     exps = ExponentConfig(2.0)
-    norm = l2_operator_norm(beurling(), grid.G)
+    norm = l2_operator_norm(family_symbol("beurling"), grid.G)
     for _ in range(20):
         f = _band_limited_random(grid, rng)
-        assert operator_ratio(f, beurling(), exps) <= norm + 1e-10
+        assert operator_ratio(f, family_symbol("beurling"), exps) <= norm + 1e-10
 
 
 def test_complex_vs_matrix_path_monomial():

@@ -54,7 +54,7 @@ def test_certify_report_keys_gap_and_version(tmp_path):
                         "gap", "notes", "p", "p0", "params", "predicate", "seed",
                         "target_constant", "tau", "timestamp", "version", "wall_time_s"}
     assert rep["gap"] == rep["target_constant"] - rep["certified_lower_bound"]
-    assert rep["version"] == lpmult.TOOLKIT_VERSION
+    assert rep["version"] == lpmult.__version__
 
 
 @pytest.mark.parametrize("flags", [["--p", "4", "--p0", "2"], ["--p", "1.5", "--tau", "1.5"]],
@@ -195,6 +195,21 @@ def test_store_read_refuses_a_ratio_its_tables_do_not_give(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_store_reads_give_the_ratio_the_tables_give(tmp_path, capsys):
+    # A stored ratio 8e-13 above the 1.0 its tables give is within verify_record's
+    # tolerance: lookup_store and norms give 1.0, and the file stays byte for byte.
+    seq = MartingaleDifferenceSequence((np.ones((2, 1)), np.full((2, 2, 1), 0.5)))
+    rec = sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0, "def2")
+    assert verify_record(rec) == 1.0
+    path = _key_file(tmp_path, rec)
+    write_json(path, {path.stem: dict(rec, ratio=1.0000000000008)})
+    before = path.read_bytes()
+    assert lookup_store(tmp_path, 4.0, 4.0, 0.0, 2, "def2")["ratio"] == 1.0
+    assert main(["norms", "--family", "beurling", "--p", "4", "--store-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4:6] == ["1.0", "2.0"]
+    assert path.read_bytes() == before
+
+
 def test_record_tables_are_read_only_views_of_the_sequence():
     rec = _record()
     seq, _ = sequence_from_record(rec)
@@ -276,7 +291,7 @@ def test_corrupt_key_leaves_other_keys_working(tmp_path):
     a, b = _record(), dict(_record(), predicate="cor7")
     _key_file(tmp_path, b).write_text("{not json")
     assert update_store(tmp_path, a)
-    assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["ratio"] == a["ratio"]
+    assert lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")["ratio"] == verify_record(a)
     with pytest.raises(StoreError):
         lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
 
@@ -306,7 +321,8 @@ def test_store_reads_leave_gc_as_they_found_it(tmp_path, enabled):
         assert np.array_equal(read_martingale(tmp_path / "inst.txt")[0].flat,
                               sequence_from_record(rec)[0].flat)
         assert gc.isenabled() is enabled
-        assert listed(lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")) == listed(rec)
+        assert listed(lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "def2")) == \
+            listed(dict(rec, ratio=verify_record(rec)))
         assert gc.isenabled() is enabled
         with pytest.raises(StoreError):
             lookup_store(tmp_path, 4.0, 4.0, 1.0, 2, "cor7")
@@ -340,8 +356,10 @@ def test_store_writes_one_file_per_key(tmp_path):
     assert (path2.read_bytes(), path2.stat().st_ino, path2.stat().st_mtime_ns) == before
     assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
         [path2.name, _key_file(tmp_path, rec3).name])
+    # A read gives the ratio the tables give; rec2's is the closed form, 1 ulp off.
     assert {key: listed(rec) for key, rec in load_store(tmp_path)} == {
-        key2: listed(rec2), _key_file(tmp_path, rec3).stem: listed(rec3)}
+        key2: listed(dict(rec2, ratio=verify_record(rec2))),
+        _key_file(tmp_path, rec3).stem: listed(rec3)}
 
 
 def test_store_refuses_file_not_holding_its_own_key(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling, beurling_matrix, beurling_real, identity_symbol
+from lpmult.catalog import beurling_matrix, beurling_real, family_symbol, identity_symbol
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
 from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import (TensorGridFunction, check_grid_size, shear_norm_check,
@@ -89,8 +89,8 @@ def test_lift_acts_on_single_block():
     f1 = np.exp(1j * theta @ k)
     vals = f0[:, :, None, None] * f1[None, None, :, :]
     phi = TensorGridFunction(grid, 2, vals)
-    out = tensor_lift_apply(phi, beurling(), 1)
-    lam = beurling().evaluate(k)
+    out = tensor_lift_apply(phi, family_symbol("beurling"), 1)
+    lam = family_symbol("beurling").evaluate(k)
     assert np.max(np.abs(out.values - lam * vals)) < 1e-12
 
 
@@ -102,7 +102,7 @@ def _fft_lift_reference(phi, M, k):
     lead = [1] * (phi.grid.d * phi.J)
     for ax in axes:
         lead[ax] = phi.grid.G
-    if M.shape == "scalar":
+    if M.m == 1:
         out_c = sym.reshape(lead) * c
     else:
         out_c = np.einsum("...ij,...j->...i", sym.reshape(lead + [M.m, M.m]), c)
@@ -119,11 +119,11 @@ def _vector_as_matrix(tau):
         out[..., 1, 0] = tau
         return out
 
-    return MultiplierSymbol(d=2, shape="matrix", evaluator=evaluator, m=2,
+    return MultiplierSymbol(d=2, evaluator=evaluator, m=2,
                             name=f"(beurling-real, {tau})")
 
 
-_LIFT_SYMBOLS = {"scalar": beurling(), "vector": _vector_as_matrix(0.5),
+_LIFT_SYMBOLS = {"scalar": family_symbol("beurling"), "vector": _vector_as_matrix(0.5),
                  "matrix": beurling_matrix(), "identity": identity_symbol(2)}
 
 
@@ -146,7 +146,7 @@ def _lift_cases():
 def test_lift_matches_fft_reference(M, J, k, G, keep_mean):
     rng = np.random.default_rng(np.random.PCG64(10 * k + G))
     grid = TorusGrid(2, G)
-    comp = (M.m,) if M.shape == "matrix" else ()
+    comp = (M.m,) if M.m > 1 else ()
     shape = (G,) * (2 * J) + comp
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if not keep_mean:
@@ -225,5 +225,5 @@ def test_p2_lift_inequality():
     rng = np.random.default_rng(np.random.PCG64(2))
     grid = TorusGrid(2, 4)
     phis = [_random_mean_zero(grid, 2, rng, block) for block in (0, 1)]
-    lhs, rhs = p2_lift_bound_check(phis, beurling())
+    lhs, rhs = p2_lift_bound_check(phis, family_symbol("beurling"))
     assert lhs <= rhs + 1e-10

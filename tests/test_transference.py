@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lpmult.catalog import beurling, beurling_matrix, beurling_real, identity_symbol
+from lpmult.catalog import beurling_matrix, beurling_real, family_symbol, identity_symbol
 from lpmult.transference import (GaussianPairingConfig, gaussian_damped_pairing,
                                  multiplier_deviation)
 
@@ -78,7 +78,7 @@ def test_matrix_deviation_matches_scalar_beurling():
     support = [((1, 0), (0, 1)), ((2, 1), (1, -1)), ((0, 1), (1, 0), (-1, 2))]
     for N in (1, 3, 10, 80):
         mat = multiplier_deviation(beurling_matrix(), support, N)
-        sca = multiplier_deviation(beurling(), support, N)
+        sca = multiplier_deviation(family_symbol("beurling"), support, N)
         assert mat == pytest.approx(sca, rel=1e-14, abs=0)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling_imag, beurling_matrix, beurling_real, rotated
+from lpmult.catalog import beurling_matrix, beurling_real, family_symbol
 from lpmult import cli
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -69,7 +69,7 @@ def test_spec_validation():
         build_witness(beurling_real(), seq, (-1,), 0.0, ExponentConfig(4.0))
     # Im B vanishes on both axes and rotated(0) = -Re B has them reversed;
     # both are certified through Re B by a rotation, never directly.
-    for symbol in (beurling_imag(), rotated(0.0)):
+    for symbol in (family_symbol("beurling-imag"), family_symbol("rotated", 0.0)):
         with pytest.raises(CrossCheckError):
             build_witness(*_spec(seq, 0.0, symbol=symbol))
 
@@ -86,7 +86,7 @@ def _changed_at_axes(symbol, changes):
             out[at] = change(out[at])
         return out
 
-    return MultiplierSymbol(d=2, shape=symbol.shape, evaluator=evaluator, m=symbol.m,
+    return MultiplierSymbol(d=2, evaluator=evaluator, m=symbol.m,
                             name=f"changed {symbol.name}")
 
 
@@ -116,7 +116,7 @@ def test_exact_axis_check_refuses_every_changed_symbol():
     for base in (beurling_real(), beurling_matrix()):
         build_witness(*_spec(seq, 1.0, symbol=base))
         for _ in range(40):
-            changed = _changed_at_axes(base, _seeded_changes(rng, base.shape == "matrix"))
+            changed = _changed_at_axes(base, _seeded_changes(rng, base.m > 1))
             with pytest.raises(CrossCheckError):
                 build_witness(*_spec(seq, 1.0, symbol=changed))
 
@@ -242,7 +242,7 @@ def _torus_reference(symbol, sequence, beta, tau, exps, G):
     that grow by one block per step.
     """
     N, d = sequence.N, 2
-    scalar = symbol.shape != "matrix"
+    scalar = symbol.m == 1
     grid = TorusGrid(2, G)
     theta = mesh(grid)
     axis_sign = {1: np.sign(theta[..., 1]), -1: np.sign(theta[..., 0])}
