@@ -2,7 +2,8 @@
 
 A family is its name and one value, read by rotated (theta), scaled (c), F (z) and
 vector (tau, of (Re B, tau I)^T) only; `family_symbol`, the one lookup of a symbol
-by name, and `target_constant` refuse an unknown name or a non-finite value.
+by name (the 2 x 2 matrix form of B included), and `target_constant` refuse an
+unknown name or a non-finite value.
 
 Every scalar family is one formula, a Re B + b Im B, with (a, b) = (1, i)
 for B, (1, 0) for Re B, (0, 1) for Im B, (-cos theta, sin theta) for
@@ -77,10 +78,6 @@ def beurling_real() -> MultiplierSymbol:
     return family_symbol("beurling-real")
 
 
-def beurling_matrix() -> MultiplierSymbol:
-    return MultiplierSymbol(d=2, evaluator=_beurling_matrix_symbol, m=2, name="beurling-matrix")
-
-
 def _check(family: str, value: complex) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -96,7 +93,7 @@ def family_symbol(family: str, value: complex = 0.0) -> MultiplierSymbol:
     """Symbol of the family at its value; each scalar family is a Re B + b Im B."""
     _check(family, value)
     if family == "beurling-matrix":
-        return beurling_matrix()
+        return MultiplierSymbol(d=2, evaluator=_beurling_matrix_symbol, m=2, name=family)
     if family == "vector":
         raise ValueError("the vector family has no symbol; it is certified through Re B")
     if family in _PARTS:

@@ -2,11 +2,11 @@
 
 `search-martingale` and `certify` run one pipeline: check the certificate's
 premise (p0 <= p, then the symbol's axis values), take a martingale (the
---martingale file, else the store record at depth N, else a search
-warm-started from depth N - 1, each store record re-verified by the store's reader;
-`search-martingale` always searches), certify it with the one
-`build_witness`, build the report, open --out, store a searched martingale,
-and only then write the report.  Exit codes: 0 success,
+--martingale file, else the store record at depth N, else a search whose budget
+is checked before its warm start, the record at depth N - 1, is read, each record
+re-verified; `search-martingale` always searches), certify it with `build_witness`,
+build the report, open --out, store a searched martingale, and only then write
+the report.  `norms` reads a family's one value from --value.  Exit codes: 0 success,
 2 invalid configuration (a non-finite number, p0 > p included), 3 cross-check
 failure (a symbol off its axis values, or a bound above the report's target),
 4 store error.  All randomness flows from the single --seed flag through
@@ -28,15 +28,15 @@ from pathlib import Path
 import numpy as np
 
 import lpmult
-from .catalog import (FAMILIES, beurling_matrix, beurling_real, c_tau, family_symbol,
-                      identity_symbol, target_constant)
+from .catalog import (FAMILIES, beurling_real, c_tau, family_symbol, identity_symbol,
+                      target_constant)
 from .exponents import ExponentConfig
-from .martingale import SearchResult, search_extremal
-from .report import (CrossCheckError, StoreError, lookup_store, load_store, read_martingale,
+from .martingale import SearchResult, check_budget, search_extremal
+from .report import (StoreError, lookup_store, load_store, read_martingale,
                      sequence_from_record, sequence_to_record, update_store)
 from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
-from .witness import build_witness, check_premise
+from .witness import CrossCheckError, build_witness, check_premise
 from .grid import TorusGrid
 
 # Unused: perfbench/tracing.py pins this site, and CI's "tracer sites resolve" step checks it.
@@ -113,6 +113,7 @@ def _martingale(args, exps):
 
     if args.family != "martingale" and (found := stored(args.n)) is not None:
         return found.sequence, found.beta, "store", None
+    check_budget(args.restarts, args.iters, args.wall_cap)  # before the N - 1 record is read
     res = search_extremal(exps, args.tau, args.n, restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap,
                           warm_start=stored(args.n - 1) if args.n > 1 else None)
@@ -122,7 +123,7 @@ def _martingale(args, exps):
 def cmd_certify(args) -> int:
     """Martingale, factored certificate, report; then store a searched martingale."""
     exps = ExponentConfig(args.p, args.p0)
-    symbol = beurling_matrix() if args.family == "beurling-matrix" else beurling_real()
+    symbol = family_symbol(args.family) if args.family == "beurling-matrix" else beurling_real()
     check_premise(symbol, exps)  # before any file is read or search run
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
@@ -223,8 +224,8 @@ def cmd_transference(args) -> int:
     return EXIT_OK
 
 
-# The parameter a norms table sweeps, per family: (flag, parser).
-_SWEPT = {"rotated": ("theta", float), "scaled": ("c", float), "F": ("z", complex)}
+# The families whose one value norms reads from --value, each with the parser of its text.
+_VALUE_PARSERS = {"rotated": float, "scaled": float, "F": complex, "vector": float}
 
 
 def _certified(store_dir: Path | None, cells: set) -> dict:
@@ -244,19 +245,17 @@ def _certified(store_dir: Path | None, cells: set) -> dict:
 
 
 def cmd_norms(args) -> int:
-    if not math.isfinite(args.tau):
-        raise ValueError(f"--tau must be finite, got {args.tau}")
     fam, cells = args.family, []
+    parse = _VALUE_PARSERS.get(fam)
+    if parse is None and args.value is not None:
+        raise ValueError(f"family {fam} takes no value")
+    text = "0" if args.value is None else args.value  # the library's default value
+    values = [""] if parse is None else [parse(s) for s in text.split(",")]
     for p in (float(v) for v in args.p.split(",")):
         exps = ExponentConfig(p)
-        if fam in _SWEPT:
-            flag, parse = _SWEPT[fam]
-            values = [parse(s) for s in getattr(args, flag).split(",")]
-        else:
-            values = [args.tau if fam == "vector" else ""]
         for v in values:  # every target before the store is read: a refusal exits 2 first
             target = target_constant(fam, exps, 0.0 if v == "" else v, args.predicate)
-            cells.append((v, exps.p, args.tau if fam == "vector" else 0.0, *target))
+            cells.append((v, exps.p, v if fam == "vector" else 0.0, *target))
     certified = _certified(args.store_dir, {(p, tau, args.predicate)
                                             for _, p, tau, _, _ in cells})
     rows = []
@@ -314,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     nm = sub.add_parser("norms", help="tabulate target constants per family")
     nm.add_argument("--family", required=True, choices=FAMILIES)
     nm.add_argument("--p", default="4")
-    nm.add_argument("--theta", default="0")
-    nm.add_argument("--c", default="1")
-    nm.add_argument("--z", default="0")
-    nm.add_argument("--tau", type=float, default=0.0)
+    nm.add_argument("--value", help="comma list: rotated theta, scaled c, F z or vector tau")
     nm.add_argument("--predicate", choices=["def2", "cor7"], default="def2")
     nm.add_argument("--store-dir", type=Path, default=None)
     nm.add_argument("--out", type=Path, default=None)

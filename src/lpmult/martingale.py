@@ -333,14 +333,20 @@ def _beta_candidates(N, rng, restarts, warm_beta=None):
     return sorted(cands)
 
 
+def check_budget(restarts: int, iters: int, wall_cap_s: float) -> None:
+    """Refuse a search budget with a value that is not positive (NaN included)."""
+    if not (restarts >= 1 and iters >= 1 and wall_cap_s > 0):
+        raise ValueError("budget fields must be positive")
+
+
 def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, iters: int,
                     seed: int, wall_cap_s: float,
                     warm_start: SearchResult | None = None) -> SearchResult:
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     The budget is `restarts` random starts per candidate beta, `iters` ascent
-    steps per start and a wall cap of `wall_cap_s` seconds; a value that is not
-    positive (NaN included) is refused before any work.
+    steps per start and a wall cap of `wall_cap_s` seconds, refused by
+    `check_budget` before any work.
 
     For each candidate beta the tables are ascended from random complex
     Gaussian restarts, and from a warm start's flat array followed by zero
@@ -353,8 +359,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     wall cap is a guard, and when it fires no further batch starts and the
     result records stopped_by = "wall".
     """
-    if not (restarts >= 1 and iters >= 1 and wall_cap_s > 0):
-        raise ValueError("budget fields must be positive")
+    check_budget(restarts, iters, wall_cap_s)
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
     if not math.isfinite(tau * tau):

@@ -1,4 +1,4 @@
-"""The best-known extremizer store, its record codec, and the toolkit's error types.
+"""The best-known extremizer store, its record codec, and its error type, StoreError.
 
 Store records are plain JSON with complex numbers as [re, im] pairs, which a
 record in memory holds as one float array per table.  The store is a directory
@@ -43,10 +43,6 @@ _RECORD_FIELDS = {"p": _NUMBER, "p0": _NUMBER, "tau": _NUMBER, "ratio": _NUMBER,
 
 class StoreError(RuntimeError):
     """Raised when the extremizer store is unreadable or would be clobbered."""
-
-
-class CrossCheckError(ValueError):
-    """Raised when two computations of one certified quantity disagree."""
 
 
 def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,

@@ -103,7 +103,8 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
         integrand = integrand * w.reshape(shape)
 
     quad = np.sum(integrand) * h**d
-    value = complex((p0 * q0 / eps) ** (d / 2.0) * quad)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+        value = complex((p0 * q0 / eps) ** (d / 2.0) * quad)
     if not cmath.isfinite(value):
         raise FloatingPointError(f"pairing {value} is not finite at eps={eps}")
     return value

@@ -23,7 +23,6 @@ import numpy as np
 
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
-from .report import CrossCheckError
 from .symbols import MultiplierSymbol
 # Unused: perfbench/tracing.py resolves this site, and CI's "tracer sites resolve" step checks it.
 from .tensor import tensor_lift_apply  # noqa: F401
@@ -31,6 +30,10 @@ from .tensor import tensor_lift_apply  # noqa: F401
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+class CrossCheckError(ValueError):
+    """Raised when two computations of one certified quantity disagree."""
 
 
 def check_premise(symbol: MultiplierSymbol, exps: ExponentConfig) -> None:

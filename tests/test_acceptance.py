@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from lpmult.catalog import (beurling_matrix, beurling_real, family_symbol,
+from lpmult.catalog import (beurling_real, family_symbol,
                             identity_symbol, target_constant)
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -146,7 +146,7 @@ def test_criterion_05_eigenrelation_exactness():
             vals[..., 0] = np.sign(theta[..., axis])
             vals[..., 1] = 0.5 * np.sign(theta[..., axis])
             f = TensorGridFunction(grid, 1, vals)
-            g = tensor_lift_apply(f, beurling_matrix(), 0)
+            g = tensor_lift_apply(f, family_symbol("beurling-matrix"), 0)
             assert np.max(np.abs(g.values - lam * f.values)) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

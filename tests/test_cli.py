@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import lpmult
+from lpmult import martingale, report
 from lpmult.catalog import beurling_real, family_symbol
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -224,14 +225,14 @@ def test_search_restarts_beyond_beta_patterns(tmp_path):
 
 
 def test_norms_tables(tmp_path):
-    code, out = _run(["norms", "--family", "F", "--p", "4", "--z", "0,1"],
+    code, out = _run(["norms", "--family", "F", "--p", "4", "--value", "0,1"],
                      tmp_path, "norms.csv")
     assert code == 0
     rows = _load_csv(out)
     assert float(rows[1][3]) == pytest.approx(3.0)
     assert float(rows[2][3]) == pytest.approx(3.0 * math.sqrt(2.0))
 
-    code, out = _run(["norms", "--family", "scaled", "--p", "4", "--c", "0.5,2"],
+    code, out = _run(["norms", "--family", "scaled", "--p", "4", "--value", "0.5,2"],
                      tmp_path, "scaled.csv")
     rows = _load_csv(out)
     assert float(rows[1][3]) == pytest.approx(3.0)
@@ -245,7 +246,7 @@ def test_norms_tables(tmp_path):
         assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", n,
                      "--iters", "30", "--restarts", "2", "--store-dir", str(store)]) == 0
     best = max(verify_record(lookup_store(store, 4.0, 4.0, 1.0, N, "def2")) for N in (2, 3))
-    code, out = _run(["norms", "--family", "vector", "--p", "4,1.5", "--tau", "1",
+    code, out = _run(["norms", "--family", "vector", "--p", "4,1.5", "--value", "1",
                       "--store-dir", str(store)], tmp_path, "vector.csv")
     assert code == 0
     rows = _load_csv(out)
@@ -258,7 +259,7 @@ def test_norms_tables(tmp_path):
 def test_norms_prints_an_empty_target_outside_def2(tmp_path):
     # tau^2 = 2.25 is above p* - 1 = 2 at p = 1.5: no vector target, so empty
     # target and gap cells, as certify reports a null target_constant there.
-    code, out = _run(["norms", "--family", "vector", "--p", "1.5", "--tau", "1.5"],
+    code, out = _run(["norms", "--family", "vector", "--p", "1.5", "--value", "1.5"],
                      tmp_path, "no-target.csv")
     assert code == 0
     assert _load_csv(out)[1:] == [["vector", "1.5", "1.5", "", "", "", "False"]]
@@ -271,13 +272,13 @@ _NORMS_HEADER = ["family", "parameter", "p", "target", "certified_so_far", "gap"
 @pytest.mark.parametrize("family, flags, values, at_4, at_1_5, external", [
     *(pytest.param(fam, [], [""], [3.0], [2.0], ["False"], id=fam)
       for fam in ("beurling", "beurling-real", "beurling-imag", "beurling-matrix")),
-    pytest.param("rotated", ["--theta", "0,0.4,-2"], ["0.0", "0.4", "-2.0"],
+    pytest.param("rotated", ["--value", "0,0.4,-2"], ["0.0", "0.4", "-2.0"],
                  [3.0] * 3, [2.0] * 3, ["False"] * 3, id="rotated"),
-    pytest.param("scaled", ["--c", "0.5,2"], ["0.5", "2.0"], [3.0, 6.0], [2.0, 4.0],
+    pytest.param("scaled", ["--value", "0.5,2"], ["0.5", "2.0"], [3.0, 6.0], [2.0, 4.0],
                  ["True"] * 2, id="scaled"),
-    pytest.param("F", ["--z", "1,2j"], ["(1+0j)", "2j"], [3.0 * math.sqrt(2.0), 6.0],
+    pytest.param("F", ["--value", "1,2j"], ["(1+0j)", "2j"], [3.0 * math.sqrt(2.0), 6.0],
                  [2.0 * math.sqrt(2.0), 4.0], ["False", "True"], id="F"),
-    pytest.param("vector", ["--tau", "1"], ["1.0"], [math.sqrt(10.0)], [math.sqrt(5.0)],
+    pytest.param("vector", ["--value", "1"], ["1.0"], [math.sqrt(10.0)], [math.sqrt(5.0)],
                  ["False"], id="vector"),
 ])
 def test_norms_row_per_family_value_and_p(tmp_path, family, flags, values, at_4, at_1_5,
@@ -295,11 +296,22 @@ def test_norms_row_per_family_value_and_p(tmp_path, family, flags, values, at_4,
     assert [r[6] for r in rows] == external * 2
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(["--family", "scaled", "--c", "0"], id="scaled-c-0"),
-    pytest.param(["--family", "F", "--z", "1+1j"], id="F-z-1+1j"),
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--family", "scaled", "--value", "0"], "scaled family needs c != 0",
+                 id="scaled-c-0"),
+    pytest.param(["--family", "F", "--value", "1+1j"], "F(z) targets cover", id="F-z-1+1j"),
+    # An absent value is 0, the library's default: c = 0 for scaled.
+    pytest.param(["--family", "scaled"], "scaled family needs c != 0", id="scaled-no-value"),
+    pytest.param(["--family", "beurling", "--value", "1"], "family beurling takes no value",
+                 id="beurling-value"),
+    pytest.param(["--family", "beurling-matrix", "--value", "0"],
+                 "family beurling-matrix takes no value", id="matrix-value-0"),
+    pytest.param(["--family", "rotated", "--value", ""], "could not convert", id="empty"),
+    pytest.param(["--family", "vector", "--value", "0,x"], "could not convert",
+                 id="unparsable"),
+    pytest.param(["--family", "F", "--value", "1,j1"], "malformed string", id="F-unparsable"),
 ])
-def test_norms_refuses_a_parameter_before_reading_the_store(tmp_path, capsys, args):
+def test_norms_refuses_a_parameter_before_reading_the_store(tmp_path, capsys, args, message):
     # A store file that is not JSON would exit 4 when read: a refused parameter
     # exits 2 first.
     store = tmp_path / "store"
@@ -309,7 +321,26 @@ def test_norms_refuses_a_parameter_before_reading_the_store(tmp_path, capsys, ar
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("invalid configuration") and "store" not in err
+    assert err.startswith("invalid configuration") and message in err and "store" not in err
+
+
+def test_norms_vector_grid_over_p_and_tau(tmp_path):
+    # The paper's C^tau surface in one call: a row per p and tau, p by p, with
+    # certified_so_far only in the one cell the store holds, p = 4 and tau = 1.
+    store = tmp_path / "store"
+    assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2", "--iters", "30",
+                 "--restarts", "2", "--store-dir", str(store)]) == 0
+    best = lookup_store(store, 4.0, 4.0, 1.0, 2, "def2")["ratio"]
+    code, out = _run(["norms", "--family", "vector", "--p", "1.5,4", "--value", "0,0.5,1",
+                      "--store-dir", str(store)], tmp_path, "grid.csv")
+    assert code == 0
+    rows = _load_csv(out)[1:]
+    taus = (0.0, 0.5, 1.0)
+    assert [r[1:3] for r in rows] == [[repr(t), p] for p in ("1.5", "4.0") for t in taus]
+    assert [float(r[3]) for r in rows] == pytest.approx(
+        [math.hypot(pstar1, t) for pstar1 in (2.0, 3.0) for t in taus], abs=1e-12)
+    assert [r[4] for r in rows] == [""] * 5 + [repr(best)]
+    assert float(rows[-1][5]) == float(rows[-1][3]) - best
 
 
 def test_exit_code_invalid_config(tmp_path):
@@ -339,8 +370,11 @@ def test_exit_code_invalid_config(tmp_path):
     pytest.param(["transference", "gaussian", "--p0", "nan"], id="gaussian-p0-nan"),
     pytest.param(["transference", "gaussian", "--eps-start", "1e-320"],
                  id="gaussian-eps-subnormal"),
-    pytest.param(["norms", "--family", "beurling", "--tau", "nan"], id="norms-tau-nan"),
-    pytest.param(["norms", "--family", "vector", "--tau", "inf"], id="norms-vector-tau-inf"),
+    pytest.param(["norms", "--family", "vector", "--value", "nan"], id="norms-tau-nan"),
+    pytest.param(["norms", "--family", "vector", "--value", "inf"], id="norms-vector-tau-inf"),
+    # The pairing's prefactor overflows and its product turns NaN: refused with no warning.
+    pytest.param(["transference", "gaussian", "--symbol", "identity", "--j", "0,0", "--k", "0,0",
+                  "--eps-start", "1e-308", "--halvings", "0"], id="gaussian-pairing-overflow"),
     pytest.param(["transference", "gaussian", "--halvings", "-1"],
                  id="gaussian-halvings-negative"),
     pytest.param(["transference", "deviation", "--n-doubling", "-3"],
@@ -937,6 +971,31 @@ def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
     assert code == 2
     assert "tau must be finite with a finite square" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("record", ["corrupt", "valid"])
+def test_bad_budget_is_refused_before_the_warm_start_is_read(tmp_path, capsys, monkeypatch,
+                                                              record):
+    # The N = 2 record an N = 3 search warm-starts from: a corrupt one exits 4
+    # when read, and a valid one costs its re-verifying enumeration.  A refused
+    # budget exits 2 first, with no enumeration.
+    store = tmp_path / "store"
+    if record == "corrupt":
+        store.mkdir()
+        (store / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{not json")
+    else:
+        _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(3)), 2))
+
+    def enumerated(*args):
+        raise AssertionError("an enumeration ran with a bad budget")
+
+    monkeypatch.setattr(report, "perturbed_ratio_exact", enumerated)
+    monkeypatch.setattr(martingale, "perturbed_ratio_exact", enumerated)
+    code, out = _run(["search-martingale", "--p", "4", "--n", "3", "--restarts", "0",
+                      "--store-dir", str(store)], tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert "budget fields must be positive" in capsys.readouterr().err
 
 
 def test_search_records_what_stopped_it(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _flat,
+from lpmult.martingale import (MartingaleDifferenceSequence, SearchResult, TransformConfig, _flat,
                                _ratio_and_grad, _realize, perturbed_ratio_exact,
                                search_extremal)
 
@@ -258,6 +258,21 @@ def test_search_warm_start_monotone():
     prev = search_extremal(exps, 0.0, 2, **budget)
     nxt = search_extremal(exps, 0.0, 3, **budget, warm_start=prev)
     assert nxt.ratio >= prev.ratio - 1e-12
+
+
+@pytest.mark.parametrize("entry, error, match", [
+    pytest.param(1e200, FloatingPointError, "warm start tables out of range", id="1e200"),
+    pytest.param(0.0, ZeroDivisionError, "zero tables", id="zero"),
+])
+def test_search_refuses_a_warm_start_it_cannot_ascend(entry, error, match):
+    # Tables whose squares overflow are refused before the first start; the
+    # zero-extended copy of all-zero tables has no direction to normalize.
+    seq = MartingaleDifferenceSequence(tuple(np.full((2,) * k + (1,), entry, dtype=complex)
+                                             for k in (1, 2)))
+    warm = SearchResult(seq, (1, 1), 0.0)
+    with pytest.raises(error, match=match):
+        search_extremal(ExponentConfig(4.0), 0.0, 3, restarts=2, iters=20, seed=5,
+                        wall_cap_s=60.0, warm_start=warm)
 
 
 def test_search_refuses_a_warm_start_deeper_than_n():

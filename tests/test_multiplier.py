@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling_matrix, beurling_real, family_symbol, identity_symbol
+from lpmult.catalog import beurling_real, family_symbol, identity_symbol
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
 from lpmult.symbols import MultiplierSymbol
@@ -100,7 +100,10 @@ def test_shape_mismatches_rejected():
     with pytest.raises(ValueError):
         tensor_lift_apply(pair, family_symbol("beurling"), 0)
     with pytest.raises(ValueError):
-        tensor_lift_apply(f, beurling_matrix(), 0)
+        tensor_lift_apply(f, family_symbol("beurling-matrix"), 0)
+    line = TensorGridFunction(TorusGrid(1, 4), 2, np.ones((4, 4)))
+    with pytest.raises(ValueError, match="block dimension 1 != symbol dimension 2"):
+        tensor_lift_apply(line, family_symbol("beurling"), 0)
 
 
 def test_operator_ratio_monomial():
@@ -115,7 +118,7 @@ def test_operator_ratio_monomial():
 
 def test_l2_operator_norm_unimodular():
     assert l2_operator_norm(family_symbol("beurling"), 8) == pytest.approx(1.0)
-    assert l2_operator_norm(beurling_matrix(), 8) == pytest.approx(1.0)
+    assert l2_operator_norm(family_symbol("beurling-matrix"), 8) == pytest.approx(1.0)
 
 
 def test_l2_ratio_never_exceeds_norm():

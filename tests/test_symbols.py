@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpmult.catalog import (beurling_matrix, beurling_real, c_tau, family_symbol,
+from lpmult.catalog import (beurling_real, c_tau, family_symbol,
                             identity_symbol, target_constant, tau_admissible)
 from lpmult.exponents import ExponentConfig
 from lpmult.symbols import MultiplierSymbol
@@ -44,16 +44,17 @@ def test_beurling_unimodular_and_even():
 
 
 def test_beurling_matrix_examples():
-    assert np.allclose(beurling_matrix().evaluate((0.0, 1.0)), np.eye(2), atol=1e-14)
-    assert np.allclose(beurling_matrix().evaluate((1.0, 0.0)), -np.eye(2), atol=1e-14)
-    assert np.allclose(beurling_matrix().evaluate((1.0, 1.0)),
+    M = family_symbol("beurling-matrix")
+    assert np.allclose(M.evaluate((0.0, 1.0)), np.eye(2), atol=1e-14)
+    assert np.allclose(M.evaluate((1.0, 0.0)), -np.eye(2), atol=1e-14)
+    assert np.allclose(M.evaluate((1.0, 1.0)),
                        np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-14)
 
 
 def test_beurling_matrix_is_rotation():
     rng = np.random.default_rng(np.random.PCG64(1))
     xi = rng.standard_normal((128, 2))
-    M = beurling_matrix().evaluate(xi)
+    M = family_symbol("beurling-matrix").evaluate(xi)
     eye = np.broadcast_to(np.eye(2), M.shape)
     assert np.max(np.abs(M @ np.conj(np.swapaxes(M, -1, -2)) - eye)) < 1e-12
     assert np.max(np.abs(np.linalg.det(M) - 1.0)) < 1e-12
@@ -141,6 +142,15 @@ def test_unknown_family_rejected():
         target_constant("rotated", e4, float("nan"))
 
 
+def test_symbol_shape_validation():
+    with pytest.raises(ValueError, match="d and m must be positive"):
+        MultiplierSymbol(d=0, evaluator=np.ones_like)
+    with pytest.raises(ValueError, match="d and m must be positive"):
+        MultiplierSymbol(d=2, evaluator=np.ones_like, m=0)
+    with pytest.raises(ValueError, match="must end in a length-2 axis"):
+        family_symbol("beurling").evaluate(np.ones((4, 3)))
+
+
 def test_zero_frequency_masked():
     sym = family_symbol("beurling")
     xi = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -165,7 +175,8 @@ def test_pointwise_operator_norm_shapes():
     rng = np.random.default_rng(np.random.PCG64(3))
     xi = rng.standard_normal((16, 2))
     assert np.allclose(pointwise_operator_norm(family_symbol("beurling"), xi), 1.0)
-    assert np.allclose(pointwise_operator_norm(beurling_matrix(), xi), 1.0, atol=1e-12)
+    assert np.allclose(pointwise_operator_norm(family_symbol("beurling-matrix"), xi), 1.0,
+                       atol=1e-12)
 
 
 def test_tau_admissibility():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lpmult.catalog import beurling_matrix, beurling_real, family_symbol, identity_symbol
+from lpmult.catalog import beurling_real, family_symbol, identity_symbol
 from lpmult.transference import (GaussianPairingConfig, gaussian_damped_pairing,
                                  multiplier_deviation)
 
@@ -47,12 +47,18 @@ def test_mr_pairing_converges_to_symbol_value():
     assert all(a >= b for a, b in zip(errors[3:], errors[4:]))
 
 
+def test_pairing_refuses_a_symbol_of_another_dimension():
+    cfg = GaussianPairingConfig(d=1, j=(0,), k=(0,), eps=0.1)
+    with pytest.raises(ValueError, match="symbol dimension 2 != config dimension 1"):
+        gaussian_damped_pairing(cfg, identity_symbol(2))
+
+
 def test_non_scalar_symbol_pairing_is_refused():
     # A matrix symbol paired from a against b is the scalar symbol
     # sum_ij conj(b_i) M_ij a_j.
     cfg = GaussianPairingConfig(d=2, j=(0, 1), k=(0, 1), eps=0.1)
     with pytest.raises(ValueError):
-        gaussian_damped_pairing(cfg, beurling_matrix())
+        gaussian_damped_pairing(cfg, family_symbol("beurling-matrix"))
 
 
 def test_mr_deviation_values():
@@ -77,7 +83,7 @@ def test_matrix_deviation_matches_scalar_beurling():
     # spectral-norm deviation is the scalar B's modulus deviation.
     support = [((1, 0), (0, 1)), ((2, 1), (1, -1)), ((0, 1), (1, 0), (-1, 2))]
     for N in (1, 3, 10, 80):
-        mat = multiplier_deviation(beurling_matrix(), support, N)
+        mat = multiplier_deviation(family_symbol("beurling-matrix"), support, N)
         sca = multiplier_deviation(family_symbol("beurling"), support, N)
         assert mat == pytest.approx(sca, rel=1e-14, abs=0)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmult.catalog import beurling_matrix, beurling_real, family_symbol
+from lpmult.catalog import beurling_real, family_symbol
 from lpmult import cli
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -14,10 +14,10 @@ from lpmult.grid import TorusGrid
 from lpmult import tensor, witness
 from lpmult.martingale import (ENUMERATION_CAP, MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact)
-from lpmult.report import CrossCheckError, sequence_to_record, write_json
+from lpmult.report import sequence_to_record, write_json
 from lpmult.symbols import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
-from lpmult.witness import build_witness
+from lpmult.witness import CrossCheckError, build_witness
 
 from torus import mesh
 
@@ -49,7 +49,7 @@ def test_witness_tau_zero():
 
 def test_matrix_witness_matches_scalar():
     seq = _explicit_instance(m=2)
-    res = build_witness(*_spec(seq, 1.0, symbol=beurling_matrix()))
+    res = build_witness(*_spec(seq, 1.0, symbol=family_symbol("beurling-matrix")))
     assert res == pytest.approx((52.0 / 21.0) ** 0.25, abs=1e-10)
 
 
@@ -59,7 +59,8 @@ def test_witness_shape_dispatch():
         build_witness(*_spec(_explicit_instance(m=2), 1.0))
     # The 2x2 matrix symbol takes scalar or C^2 tables, never C^3.
     with pytest.raises(ValueError, match="1 or the matrix size"):
-        build_witness(*_spec(_explicit_instance(m=3), 1.0, symbol=beurling_matrix()))
+        build_witness(*_spec(_explicit_instance(m=3), 1.0,
+                             symbol=family_symbol("beurling-matrix")))
 
 
 def test_spec_validation():
@@ -113,7 +114,7 @@ def test_exact_axis_check_refuses_every_changed_symbol():
     # certificate; Re B and its matrix form pass.
     rng = np.random.default_rng(np.random.PCG64(21))
     seq = _explicit_instance()
-    for base in (beurling_real(), beurling_matrix()):
+    for base in (beurling_real(), family_symbol("beurling-matrix")):
         build_witness(*_spec(seq, 1.0, symbol=base))
         for _ in range(40):
             changed = _changed_at_axes(base, _seeded_changes(rng, base.m > 1))
@@ -201,7 +202,7 @@ def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0):
         rng.standard_normal((2,) * k + (m,)) + 1j * rng.standard_normal((2,) * k + (m,))
         for k in range(1, N + 1)))
     beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
-    return (beurling_matrix() if m > 1 else beurling_real(), seq, beta, tau,
+    return (family_symbol("beurling-matrix") if m > 1 else beurling_real(), seq, beta, tau,
             ExponentConfig(p))
 
 
