@@ -1,16 +1,16 @@
 """Command-line front end: searches, certifications, sweeps, and reports.
 
 `search-martingale` and `certify` run one pipeline: check the certificate's
-premise (p0 <= p, then the symbol's axis values), take a martingale (the
---martingale file, else the store record at depth N, else a search whose budget
-is checked before its warm start, the record at depth N - 1, is read, each record
-re-verified; `search-martingale` always searches), certify it with `build_witness`,
-build the report, open --out, store a searched martingale, and only then write
-the report.  `norms` reads a family's one value from --value.  Exit codes: 0 success,
-2 invalid configuration (a non-finite number, p0 > p included), 3 cross-check
-failure (a symbol off its axis values, or a bound above the report's target),
-4 store error.  All randomness flows from the single --seed flag through
-numpy's PCG64 generator, so identical flags reproduce identical numbers.
+premise (p0 <= p, then the symbol's axis values) and every search flag, searched
+or not, before any file is read; take a martingale (the --martingale file, else
+the store record at depth N, else a search warm-started from the N - 1 record,
+each re-verified; `search-martingale` always searches), certify it with
+`build_witness`, build the report, open --out, store a searched martingale, and
+only then write the report.  `norms` reads a family's one value from --value.
+Exit codes: 0 success, 2 invalid configuration (a non-finite number, p0 > p
+included), 3 cross-check failure (a symbol off its axis values, or a bound above
+the report's target), 4 store error.  All randomness flows from the single --seed
+flag through numpy's PCG64 generator, so identical flags give identical numbers.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import lpmult
 from .catalog import (FAMILIES, beurling_real, c_tau, family_symbol, identity_symbol,
                       target_constant)
 from .exponents import ExponentConfig
-from .martingale import SearchResult, check_budget, search_extremal
+from .martingale import SearchResult, check_search, search_extremal
 from .report import (StoreError, lookup_store, load_store, read_martingale,
                      sequence_from_record, sequence_to_record, update_store)
-from .tensor import TensorGridFunction, check_grid_size, shear_norm_check
+from .tensor import TensorGridFunction, check_grid_size, check_norm_exponent, shear_norm_check
 from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import CrossCheckError, build_witness, check_premise
 from .grid import TorusGrid
@@ -101,8 +101,8 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
 
 
 def _martingale(args, exps):
-    """(sequence, beta, source, search result or None) from the --martingale file,
-    the store record at depth N (certify only), or a search warm-started from N - 1."""
+    """(sequence, beta, source, search result or None), its flags checked already: from the
+    --martingale file, the store record at depth N (certify only), or a search from N - 1."""
     if args.martingale is not None:
         return *read_martingale(args.martingale), "file", None
 
@@ -113,7 +113,6 @@ def _martingale(args, exps):
 
     if args.family != "martingale" and (found := stored(args.n)) is not None:
         return found.sequence, found.beta, "store", None
-    check_budget(args.restarts, args.iters, args.wall_cap)  # before the N - 1 record is read
     res = search_extremal(exps, args.tau, args.n, restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap,
                           warm_start=stored(args.n - 1) if args.n > 1 else None)
@@ -125,6 +124,8 @@ def cmd_certify(args) -> int:
     exps = ExponentConfig(args.p, args.p0)
     symbol = family_symbol(args.family) if args.family == "beurling-matrix" else beurling_real()
     check_premise(symbol, exps)  # before any file is read or search run
+    check_search(args.n, args.tau, restarts=args.restarts, iters=args.iters,  # searched or not
+                 wall_cap_s=args.wall_cap, seed=args.seed)
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     sign, angle = _reduction(args.family, args.theta)
@@ -212,7 +213,8 @@ def cmd_transference(args) -> int:
     rng = np.random.default_rng(np.random.PCG64(args.seed))
     grid = TorusGrid(1, args.grid)
     J = args.blocks
-    check_grid_size(grid, J)  # refuse an oversized product before any draw
+    check_grid_size(grid, J)  # refuse an oversized product or a bad p before any draw
+    check_norm_exponent(args.p)
     total = 0  # every shift moves all summands alike: only their sum is kept
     for _ in range(J):
         c = rng.standard_normal((grid.G,) * J) + 1j * rng.standard_normal((grid.G,) * J)

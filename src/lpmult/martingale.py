@@ -333,10 +333,17 @@ def _beta_candidates(N, rng, restarts, warm_beta=None):
     return sorted(cands)
 
 
-def check_budget(restarts: int, iters: int, wall_cap_s: float) -> None:
-    """Refuse a search budget with a value that is not positive (NaN included)."""
+def check_search(N: int, tau: float, *, restarts: int, iters: int, wall_cap_s: float,
+                 seed: int) -> None:
+    """Refuse a depth outside 1..ENUMERATION_CAP, a tau TransformConfig refuses, a budget
+    field that is not positive (NaN included) and a negative seed."""
+    if N < 1 or N > ENUMERATION_CAP:
+        raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
+    TransformConfig((), tau)
     if not (restarts >= 1 and iters >= 1 and wall_cap_s > 0):
         raise ValueError("budget fields must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
 
 
 def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, iters: int,
@@ -345,8 +352,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     The budget is `restarts` random starts per candidate beta, `iters` ascent
-    steps per start and a wall cap of `wall_cap_s` seconds, refused by
-    `check_budget` before any work.
+    steps per start and a wall cap of `wall_cap_s` seconds.  `check_search`
+    refuses a bad depth, tau, budget or seed before any work.
 
     For each candidate beta the tables are ascended from random complex
     Gaussian restarts, and from a warm start's flat array followed by zero
@@ -359,11 +366,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     wall cap is a guard, and when it fires no further batch starts and the
     result records stopped_by = "wall".
     """
-    check_budget(restarts, iters, wall_cap_s)
-    if N < 1 or N > ENUMERATION_CAP:
-        raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
-    if not math.isfinite(tau * tau):
-        raise ValueError(f"tau must be finite with a finite square, got {tau}")
+    check_search(N, tau, restarts=restarts, iters=iters, wall_cap_s=wall_cap_s, seed=seed)
     p, p0 = exps.p, exps.p0
 
     if abs(p - 2.0) < 1e-12 and abs(p0 - 2.0) < 1e-12:

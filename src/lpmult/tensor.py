@@ -27,6 +27,12 @@ def check_grid_size(grid: TorusGrid, J: int) -> None:
         raise ValueError(f"total point count {points} exceeds cap {POINT_CAP}")
 
 
+def check_norm_exponent(p: float) -> None:
+    """Refuse an L^p exponent below 1 (NaN included)."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+
+
 @dataclass(frozen=True)
 class TensorGridFunction:
     """Complex samples on a product (T^d)^J of identical offset grids.
@@ -62,8 +68,7 @@ class TensorGridFunction:
 
     def lp_norm(self, p: float) -> float:
         """(mean over grid points of ||f(theta)||^p)^(1/p), normalized measure."""
-        if not p >= 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        check_norm_exponent(p)
         v = self.values
         n2 = v.real**2
         n2 += v.imag**2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lpmult
-from lpmult import martingale, report
+from lpmult import cli, martingale, report, witness
 from lpmult.catalog import beurling_real, family_symbol
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
@@ -973,29 +973,59 @@ def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("record", ["corrupt", "valid"])
-def test_bad_budget_is_refused_before_the_warm_start_is_read(tmp_path, capsys, monkeypatch,
-                                                              record):
-    # The N = 2 record an N = 3 search warm-starts from: a corrupt one exits 4
-    # when read, and a valid one costs its re-verifying enumeration.  A refused
-    # budget exits 2 first, with no enumeration.
+@pytest.mark.parametrize("store_n, record, flags, message", [
+    (2, "corrupt", ["search-martingale", "--n", "3", "--restarts", "0"],
+     "budget fields must be positive"),
+    (2, "valid", ["search-martingale", "--n", "3", "--restarts", "0"],
+     "budget fields must be positive"),
+    (2, "valid", ["search-martingale", "--n", "3", "--seed", "-1"],
+     "seed must not be negative, got -1"),
+    (20, "corrupt", ["search-martingale", "--n", "21", "--restarts", "1"],
+     "depth must be in 1..20, got 21"),
+    (3, "valid", ["certify", "beurling-real", "--n", "3", "--restarts", "0"],
+     "budget fields must be positive"),
+    (2, "file", ["certify", "beurling-real", "--wall-cap", "nan"],
+     "budget fields must be positive"),
+], ids=["search-budget-corrupt", "search-budget-valid", "search-seed", "search-depth-corrupt",
+        "certify-budget-store", "certify-wall-cap-file"])
+def test_a_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, store_n,
+                                                       record, flags, message):
+    # Every search flag is checked before the store or the --martingale file is
+    # read, whether or not the run searches: a corrupt record would exit 4 when
+    # read, and a valid record or file costs its re-verifying enumeration.
     store = tmp_path / "store"
     if record == "corrupt":
         store.mkdir()
-        (store / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{not json")
+        (store / f"{store_key(4.0, 4.0, 0.0, store_n, 'def2')}.json").write_text("{not json")
+    elif record == "valid":
+        _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(3)), store_n))
     else:
-        _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(3)), 2))
+        flags = flags + ["--martingale", str(_scalar_record(tmp_path, store_n, 3)[0])]
 
-    def enumerated(*args):
-        raise AssertionError("an enumeration ran with a bad budget")
+    def reached(*args):
+        raise AssertionError("a file was read or an enumeration ran with a bad flag")
 
-    monkeypatch.setattr(report, "perturbed_ratio_exact", enumerated)
-    monkeypatch.setattr(martingale, "perturbed_ratio_exact", enumerated)
-    code, out = _run(["search-martingale", "--p", "4", "--n", "3", "--restarts", "0",
-                      "--store-dir", str(store)], tmp_path)
+    for module, name in [(report, "perturbed_ratio_exact"), (martingale, "perturbed_ratio_exact"),
+                         (witness, "perturbed_ratio_exact"), (cli, "read_martingale"),
+                         (cli, "lookup_store")]:
+        monkeypatch.setattr(module, name, reached)
+    code, out = _run(flags + ["--p", "4", "--store-dir", str(store)], tmp_path)
     assert code == 2
     assert not out.exists()
-    assert "budget fields must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_shear_refuses_p_before_any_draw(tmp_path, capsys, monkeypatch):
+    # At the point cap the draws peak near 1 GiB; p < 1 exits 2 before the first.
+    def reached(*args, **kwargs):
+        raise AssertionError("a summand was drawn with a bad p")
+
+    monkeypatch.setattr(np.fft, "ifftn", reached)
+    code, out = _run(["transference", "shear", "--grid", "8", "--blocks", "8", "--p", "0.5"],
+                     tmp_path, "shear.csv")
+    assert code == 2
+    assert not out.exists()
+    assert "p must be >= 1" in capsys.readouterr().err
 
 
 def test_search_records_what_stopped_it(tmp_path):

@@ -310,22 +310,28 @@ def test_search_determinism():
 _BUDGET = dict(restarts=16, iters=200, seed=0, wall_cap_s=60.0)
 
 
-def test_search_depth_validation():
-    with pytest.raises(ValueError):
-        search_extremal(ExponentConfig(4.0), 0.0, 0, **_BUDGET)
-    with pytest.raises(ValueError):
-        search_extremal(ExponentConfig(4.0), 0.0, 21, **_BUDGET)
+_BAD_BUDGET = "budget fields must be positive"
+_REFUSALS = {"N": "depth must be in 1..20, got", "tau": "tau must be finite with a finite square",
+             "restarts": _BAD_BUDGET, "iters": _BAD_BUDGET, "wall_cap_s": _BAD_BUDGET,
+             "seed": "seed must not be negative, got"}
 
 
-@pytest.mark.parametrize("field, value", [("restarts", 0), ("iters", 0), ("wall_cap_s", 0.0),
-                                          ("wall_cap_s", math.nan)])
-def test_search_refuses_a_bad_budget_before_any_work(monkeypatch, field, value):
+@pytest.mark.parametrize("p", [4.0, 2.0])
+@pytest.mark.parametrize("field, value", [
+    ("N", 0), ("N", 21), ("tau", math.nan), ("tau", math.inf), ("tau", 1e200), ("restarts", 0),
+    ("iters", 0), ("wall_cap_s", 0.0), ("wall_cap_s", math.nan), ("seed", -1)])
+def test_search_refuses_a_bad_input_before_any_work(monkeypatch, p, field, value):
+    # One table of check_search's rules, at p = 4 and on the p = 2 path, which
+    # makes no rng and ascends nothing.
     def reached(*args):
-        raise AssertionError("the search ascended with a bad budget")
+        raise AssertionError("the search worked on a bad input")
 
     monkeypatch.setattr(martingale, "_ascend", reached)
-    with pytest.raises(ValueError, match="budget fields must be positive"):
-        search_extremal(ExponentConfig(4.0), 0.0, 3, **dict(_BUDGET, **{field: value}))
+    monkeypatch.setattr(martingale, "perturbed_ratio_exact", reached)
+    inputs = dict(dict(_BUDGET, N=3, tau=0.0), **{field: value})
+    N, tau = inputs.pop("N"), inputs.pop("tau")
+    with pytest.raises(ValueError, match=_REFUSALS[field]):
+        search_extremal(ExponentConfig(p), tau, N, **inputs)
 
 
 def test_beta_candidates_sweep_when_quota_exceeds_patterns():
