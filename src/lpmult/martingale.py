@@ -251,7 +251,7 @@ def _ratio_and_grad(x, coef, tau, p, p0):
 
     Dp = np.sum(n2 ** (p / 2.0), axis=1) / P
     Up0 = np.sum(h ** (p0 / 2.0), axis=1) / P
-    if np.any(Dp <= 0.0) or np.any(Up0 < 0.0):
+    if np.any(Dp <= 0.0):
         raise ZeroDivisionError("degenerate tables in search")
     J = np.log(Up0) / p0 - np.log(Dp) / p
 

@@ -1,17 +1,17 @@
 """The best-known extremizer store, its record codec, and its error type, StoreError.
 
-Store records are plain JSON with complex numbers as [re, im] pairs, which a
-record in memory holds as one float array per table.  The store is a directory
-with one file per key, <store>/<store_key(...)>.json holding
-{key: record}, so a write or a lookup touches one record; a file that does not
+Store records are plain JSON with complex numbers as [re, im] pairs of JSON numbers
+(no bool, no string), which a record in memory holds as one float array per table.
+The store is a directory with one file per key, <store>/<store_key(...)>.json
+holding {key: record}, so a write or a lookup touches one record; a file that does not
 hold exactly one record under the key that both its name and the record's own
 fields give (such as an old single-file extremizers.json), or whose record lacks
 a field the readers take or holds one of the wrong type, is refused.  Every
 record a store read returns has been re-verified (`verify_record`): a ratio its
 tables do not give is a StoreError naming the file, like a corrupt file.
-Store updates are atomic (`write_json`) and serialized by a lock file, and a
-new record replaces the old one only if its re-verified ratio is strictly
-larger by 1e-12.
+Store updates are atomic (`write_json`, mode 0o666 less the umask) and serialized
+by a lock file, and a new record replaces the old one only if its re-verified ratio
+is strictly larger by 1e-12.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import gc
 import itertools
 import json
 import os
-import tempfile
 import time
 from collections.abc import Iterator
 from pathlib import Path
@@ -52,7 +51,7 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
     return {
         "p": exps.p,
         "p0": exps.p0,
-        "tau": tau,
+        "tau": float(tau),
         "N": seq.N,
         "m": seq.m,
         "tables": [t.view(float).reshape(-1, 2) for t in seq.tables],
@@ -65,17 +64,15 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
 
 
 def _float_table(k: int, pairs) -> np.ndarray:
-    """Table k as a float array: a decoded table of [re, im] lists (rows, 2) by one
-    fromiter, without np.asarray's nested-sequence discovery; anything else (a record's
-    own array, a malformed table) by np.asarray, whose refusal it is."""
-    if type(pairs) is list and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-        with contextlib.suppress(TypeError, ValueError):  # an entry such as a nested list
-            return np.fromiter(itertools.chain.from_iterable(pairs), float,
-                               2 * len(pairs)).reshape(-1, 2)
-    try:
+    """Table k as a float array: a record's own array by np.asarray, a decoded table only as
+    a list of [re, im] lists of JSON numbers (int or float; no bool, no str), by one fromiter."""
+    if isinstance(pairs, np.ndarray):
         return np.asarray(pairs, dtype=float)
-    except TypeError as exc:  # an entry such as a JSON object
-        raise ValueError(f"table {k} holds an entry that is not a number") from exc
+    entries = itertools.chain.from_iterable
+    if not (type(pairs) is list and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+            and set(map(type, entries(pairs))) <= {int, float}):
+        raise ValueError(f"table {k} is not a list of [re, im] lists of numbers")
+    return np.fromiter(entries(pairs), float, 2 * len(pairs)).reshape(-1, 2)
 
 
 def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple[int, ...]]:
@@ -131,9 +128,10 @@ def write_json(path: Path, payload) -> None:
     The encoder's cycle check is off: a payload is a fresh tree of dicts, lists and arrays,
     which holds no cycle, and the check costs an id-dict insert and delete per [re, im]
     row.  The bytes are the same as with it."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")  # mode 0o666 less the umask, which a shared store's readers need
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(json.dumps(payload, sort_keys=True, default=np.ndarray.tolist,
                                check_circular=False))
             fh.write("\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid, coefficients, from_coefficients
-from .symbols import MultiplierSymbol
+from .catalog import MultiplierSymbol
 
 POINT_CAP = 2**24
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import MultiplierSymbol
+from .catalog import MultiplierSymbol
 
 # The quadrature radius R solves pi (p0 + q0) R^2 / eps = ln 1e14, and the
 # step is R / _HALF_NODES.

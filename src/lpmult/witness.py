@@ -23,7 +23,7 @@ import numpy as np
 
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
-from .symbols import MultiplierSymbol
+from .catalog import MultiplierSymbol
 # Unused: perfbench/tracing.py resolves this site, and CI's "tracer sites resolve" step checks it.
 from .tensor import tensor_lift_apply  # noqa: F401
 

@@ -6,7 +6,7 @@ import pytest
 from lpmult.catalog import beurling_real, family_symbol, identity_symbol
 from lpmult.exponents import ExponentConfig
 from lpmult.grid import TorusGrid, from_coefficients
-from lpmult.symbols import MultiplierSymbol
+from lpmult.catalog import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 
 from torus import mesh

@@ -119,8 +119,10 @@ def test_store_codec_keeps_bytes_and_values(tmp_path, m):
     [1.0], [1.0, 2.0, 3.0], 7, [[1.0, 2.0], [3.0, 4.0]], None, "x", {"re": 1.0},
     # Of length 2 but no [re, im] list: iterated, each would give two floats.
     "12", {"1": 0.0, "2": 0.0},
+    # Of [re, im] shape, but an entry that is no JSON number.
+    ["1.0", 0.0], [True, 0.0],
 ], ids=["one", "three", "number", "nested", "null", "letter", "object", "string-12",
-        "object-12"])
+        "object-12", "string-entry", "bool-entry"])
 def test_malformed_table_row_is_refused(tmp_path, capsys, row):
     # One row of table 2 changed: a store read refuses it naming the file, and a
     # --martingale file of it exits 2.
@@ -181,6 +183,29 @@ def test_store_update_and_lookup(tmp_path):
     assert update_store(tmp_path, rec)
     got = lookup_store(tmp_path, 4.0, 4.0, 0.5, 5, "def2")
     assert [t.tobytes() for t in got["tables"]] == [t.tobytes() for t in rec["tables"]]
+
+
+def test_record_of_a_numpy_tau_is_found_by_its_float_tau(tmp_path):
+    # The store key formats tau with !r: a record keeps tau as a Python float, so a
+    # record made with np.float64(0.5) is filed under tau=0.5, where a lookup looks.
+    exps = ExponentConfig(4.0)
+    seq, beta = sequence_from_record(_record())
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), exps)
+    assert update_store(tmp_path, sequence_to_record(seq, beta, np.float64(0.5), exps,
+                                                     ratio, 0, "def2"))
+    assert lookup_store(tmp_path, 4.0, 4.0, 0.5, 2, "def2")["ratio"] == ratio
+    assert [key for key, _ in load_store(tmp_path)] == [store_key(4.0, 4.0, 0.5, 2, "def2")]
+
+
+def test_store_records_follow_the_umask(tmp_path):
+    # A record file is created with mode 0o666 less the umask, as the lock file is,
+    # so the users a shared store's umask admits can read it.
+    old = os.umask(0o022)
+    try:
+        assert update_store(tmp_path, _record())
+    finally:
+        os.umask(old)
+    assert _key_file(tmp_path, _record()).stat().st_mode & 0o777 == 0o644
 
 
 def test_store_read_refuses_a_ratio_its_tables_do_not_give(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from lpmult.catalog import (beurling_real, c_tau, family_symbol,
                             identity_symbol, target_constant, tau_admissible)
 from lpmult.exponents import ExponentConfig
-from lpmult.symbols import MultiplierSymbol
+from lpmult.catalog import MultiplierSymbol
 
 
 def pointwise_operator_norm(M, xi):

@@ -5,7 +5,7 @@ import pytest
 
 from lpmult.catalog import beurling_real, family_symbol, identity_symbol
 from lpmult.grid import TorusGrid, coefficients, from_coefficients
-from lpmult.symbols import MultiplierSymbol
+from lpmult.catalog import MultiplierSymbol
 from lpmult.tensor import (TensorGridFunction, check_grid_size, shear_norm_check,
                            tensor_lift_apply)
 

@@ -15,7 +15,7 @@ from lpmult import tensor, witness
 from lpmult.martingale import (ENUMERATION_CAP, MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact)
 from lpmult.report import sequence_to_record, write_json
-from lpmult.symbols import MultiplierSymbol
+from lpmult.catalog import MultiplierSymbol
 from lpmult.tensor import TensorGridFunction, tensor_lift_apply
 from lpmult.witness import CrossCheckError, build_witness
 
