@@ -31,6 +31,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .exponents import ExponentConfig
+from .policy import policy_flat
 
 ENUMERATION_CAP = 20
 
@@ -245,7 +246,7 @@ def _ratio_and_grad(x, coef, tau, p, p0):
     flips = np.ones((2,) + coef.shape, dtype=complex)
     flips[1] = coef
     [V] = _realize(x.swapaxes(-1, -2), flips)
-    n2, g2 = np.sum(np.abs(V) ** 2, axis=-2)
+    n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
     h = g2 + tau * tau * n2
     P = n2.shape[1]
 
@@ -355,12 +356,13 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     steps per start and a wall cap of `wall_cap_s` seconds.  `check_search`
     refuses a bad depth, tau, budget or seed before any work.
 
-    For each candidate beta the tables are ascended from random complex
-    Gaussian restarts, and from a warm start's flat array followed by zero
-    rows (the same ratio) and by rows of 1e-6 noise, for the warm beta's extensions.
-    Consecutive starts are ascended together in batches of at most
-    _BATCH_POINTS hypercube points; each start's result does not depend on
-    its batch.  Every ascended start is re-verified through
+    Where p0 = p two Bellman policies (`policy_flat`) come first, on top of the
+    first batch; they draw nothing from the rng.  For each candidate beta the
+    tables are then ascended from random complex Gaussian restarts, and from a
+    warm start's flat array followed by zero rows (the same ratio) and by rows of
+    1e-6 noise, for the warm beta's extensions.  Consecutive starts are ascended
+    together in batches of at most _BATCH_POINTS hypercube points; each start's
+    result does not depend on its batch.  Every ascended start is re-verified through
     perturbed_ratio_exact, in start order.  Ties in the ratio break toward
     the lexicographically smallest beta.  `iters` bounds every ascent; the
     wall cap is a guard, and when it fires no further batch starts and the
@@ -399,6 +401,10 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
         warm = [np.concatenate([base, np.zeros((2 ** (N + 1) - 2 - len(base), m), complex)]),
                 np.concatenate([base, *noise])]
 
+    alt = tuple((-1) ** k for k in range(N))  # policies of it and of it with beta_N = beta_(N-1)
+    policies = [(beta, np.pad(policy_flat(p, tau, beta, N)[0], [(0, 0), (0, m - 1)]) + 0j)
+                for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]] if p0 == p else []
+
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""
         for beta in _beta_candidates(N, rng, restarts, warm_beta_prefix):
@@ -413,7 +419,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     pending = starts()
     best = None  # (ratio, beta, sequence)
     fired = False
-    while not fired and (batch := list(islice(pending, rows))):
+    while not fired and (batch := policies + list(islice(pending, rows))):
+        policies = []
         betas = [beta for beta, _ in batch]
         x, fired = _ascend(np.stack([x for _, x in batch]), np.array(betas, dtype=float),
                            tau, p, p0, iters, deadline)
