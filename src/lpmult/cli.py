@@ -3,8 +3,8 @@
 `search-martingale` and `certify` run one pipeline: check the certificate's
 premise (p0 <= p, then the symbol's axis values) and every search flag, searched
 or not, before any file is read; take a martingale (the --martingale file, else
-the store record at depth N, else a search warm-started from the N - 1 record,
-each re-verified; `search-martingale` always searches), certify it with
+the store record at depth N, re-verified, else a search that reads no store
+record; `search-martingale` always searches), certify it with
 `build_witness`, build the report, open --out, store a searched martingale, and
 only then write the report.  `norms` reads a family's one value from --value.
 Exit codes: 0 success, 2 invalid configuration (a non-finite number, p0 > p
@@ -31,7 +31,7 @@ import lpmult
 from .catalog import (FAMILIES, beurling_real, c_tau, family_symbol, identity_symbol,
                       target_constant)
 from .exponents import ExponentConfig
-from .martingale import SearchResult, check_search, search_extremal
+from .martingale import check_search, search_extremal
 from .report import (StoreError, lookup_store, load_store, read_martingale,
                      sequence_from_record, sequence_to_record, update_store)
 from .tensor import TensorGridFunction, check_grid_size, check_norm_exponent, shear_norm_check
@@ -102,20 +102,14 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
 
 def _martingale(args, exps):
     """(sequence, beta, source, search result or None), its flags checked already: from the
-    --martingale file, the store record at depth N (certify only), or a search from N - 1."""
+    --martingale file, the store record at depth N (certify only), or a search."""
     if args.martingale is not None:
         return *read_martingale(args.martingale), "file", None
-
-    def stored(N):
-        """The store record at depth N, re-verified by the lookup, as a SearchResult, or None."""
-        rec = lookup_store(args.store_dir, exps.p, exps.p0, args.tau, N, args.predicate)
-        return None if rec is None else SearchResult(*sequence_from_record(rec), rec["ratio"])
-
-    if args.family != "martingale" and (found := stored(args.n)) is not None:
-        return found.sequence, found.beta, "store", None
+    if args.family != "martingale" and (rec := lookup_store(
+            args.store_dir, exps.p, exps.p0, args.tau, args.n, args.predicate)) is not None:
+        return *sequence_from_record(rec), "store", None
     res = search_extremal(exps, args.tau, args.n, restarts=args.restarts, iters=args.iters,
-                          seed=args.seed, wall_cap_s=args.wall_cap,
-                          warm_start=stored(args.n - 1) if args.n > 1 else None)
+                          seed=args.seed, wall_cap_s=args.wall_cap)
     return res.sequence, res.beta, "search", res
 
 

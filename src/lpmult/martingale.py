@@ -316,19 +316,15 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
     return out, False
 
 
-def _beta_candidates(N, rng, restarts, warm_beta=None):
+def _beta_candidates(N, rng, restarts):
     """Systematic sweep for N <= 4, randomized (plus all-ones) otherwise.
 
     The sweep also serves any N with fewer than max(8, restarts) patterns,
-    where distinct random draws could never fill the quota.  The warm beta
-    extended by all +1 and by all -1 is always a candidate, so the
-    zero-extended warm start is always ascended.
+    where distinct random draws could never fill the quota.
     """
     if N <= 4 or max(8, restarts) > 2**N:
         return [tuple(b) for b in _iterproduct((-1, 1), repeat=N)]
     cands = {(1,) * N, tuple([-1] + [1] * (N - 1))}
-    if warm_beta is not None:
-        cands |= {warm_beta + (s,) * (N - len(warm_beta)) for s in (1, -1)}
     while len(cands) < max(8, restarts):
         cands.add(tuple(int(b) for b in rng.choice([-1, 1], size=N)))
     return sorted(cands)
@@ -348,8 +344,7 @@ def check_search(N: int, tau: float, *, restarts: int, iters: int, wall_cap_s: f
 
 
 def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, iters: int,
-                    seed: int, wall_cap_s: float,
-                    warm_start: SearchResult | None = None) -> SearchResult:
+                    seed: int, wall_cap_s: float) -> SearchResult:
     """Best (F, beta) found by alternating maximization, deterministic per seed.
 
     The budget is `restarts` random starts per candidate beta, `iters` ascent
@@ -358,15 +353,14 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
 
     Where p0 = p two Bellman policies (`policy_flat`) come first, on top of the
     first batch; they draw nothing from the rng.  For each candidate beta the
-    tables are then ascended from random complex Gaussian restarts, and from a
-    warm start's flat array followed by zero rows (the same ratio) and by rows of
-    1e-6 noise, for the warm beta's extensions.  Consecutive starts are ascended
-    together in batches of at most _BATCH_POINTS hypercube points; each start's
-    result does not depend on its batch.  Every ascended start is re-verified through
-    perturbed_ratio_exact, in start order.  Ties in the ratio break toward
-    the lexicographically smallest beta.  `iters` bounds every ascent; the
-    wall cap is a guard, and when it fires no further batch starts and the
-    result records stopped_by = "wall".
+    tables are then ascended from random complex Gaussian restarts; every start,
+    so the result too, has m = 1.  Consecutive starts are ascended together in
+    batches of at most _BATCH_POINTS hypercube points; each start's result does
+    not depend on its batch.  Every ascended start is re-verified through
+    perturbed_ratio_exact, in start order.  Ties in the ratio break toward the
+    lexicographically smallest beta.  `iters` bounds every ascent; the wall cap
+    is a guard, and when it fires no further batch starts and the result
+    records stopped_by = "wall".
     """
     check_search(N, tau, restarts=restarts, iters=iters, wall_cap_s=wall_cap_s, seed=seed)
     p, p0 = exps.p, exps.p0
@@ -383,36 +377,16 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
 
     rng = np.random.default_rng(np.random.PCG64(seed))
     deadline = time.monotonic() + wall_cap_s
-    m = warm_start.sequence.m if warm_start is not None else 1
-
-    warm, warm_beta_prefix = [], None
-    if warm_start is not None:
-        base, warm_beta_prefix = warm_start.sequence.flat, warm_start.beta
-        if warm_start.sequence.N > N:
-            raise ValueError("warm start deeper than requested depth")
-        with np.errstate(over="ignore"):  # refused once here, not in every ascent step
-            if not math.isfinite(np.sum(np.abs(base) ** 2)):
-                raise FloatingPointError("warm start tables out of range: their squares overflow")
-        # The zero-extended optimum sits on a saddle (the gradient in the
-        # appended levels vanishes identically); a noised copy escapes it
-        # while the exact copy pins the ratio floor.
-        noise = [1e-6 * (rng.standard_normal((2**k, m)) + 1j * rng.standard_normal((2**k, m)))
-                 for k in range(warm_start.sequence.N + 1, N + 1)]
-        warm = [np.concatenate([base, np.zeros((2 ** (N + 1) - 2 - len(base), m), complex)]),
-                np.concatenate([base, *noise])]
-
     alt = tuple((-1) ** k for k in range(N))  # policies of it and of it with beta_N = beta_(N-1)
-    policies = [(beta, np.pad(policy_flat(p, tau, beta, N)[0], [(0, 0), (0, m - 1)]) + 0j)
+    policies = [(beta, policy_flat(p, tau, beta, N)[0] + 0j)
                 for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]] if p0 == p else []
 
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""
-        for beta in _beta_candidates(N, rng, restarts, warm_beta_prefix):
-            if warm and beta[: len(warm_beta_prefix)] == warm_beta_prefix:
-                yield from ((beta, x) for x in warm)
+        for beta in _beta_candidates(N, rng, restarts):
             for _ in range(restarts):
-                yield beta, _flat([rng.standard_normal((2**k, m))
-                                   + 1j * rng.standard_normal((2**k, m))
+                yield beta, _flat([rng.standard_normal((2**k, 1))
+                                   + 1j * rng.standard_normal((2**k, 1))
                                    for k in range(1, N + 1)])
 
     rows = max(1, _BATCH_POINTS // 2 ** (N + 1))
@@ -426,7 +400,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
                            tau, p, p0, iters, deadline)
         for beta, row in zip(betas, x):
             seq = MartingaleDifferenceSequence(tuple(
-                t.reshape((2,) * k + (m,)) for k, t in enumerate(_levels(row), start=1)))
+                t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(row), start=1)))
             ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
             if best is None or ratio > best[0] + 1e-13 or (
                     abs(ratio - best[0]) <= 1e-13 and beta < best[1]):

@@ -147,8 +147,8 @@ def _tables(R, beta, actions):
 def policy_flat(p: float, tau: float, beta, N: int, R: int = RESOLUTION):
     """(flat, ratio): the real m = 1 tables (2^(N+1) - 2, 1) of the Bellman policy
     for p0 = p, tau and the flips beta on the band of resolution R, and its ratio."""
-    if not 1 <= R <= 127:  # actions 0..2R are stored as uint8
-        raise ValueError(f"resolution must be in 1..127, got {R}")
+    if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
+        raise ValueError(f"resolution must be in 1..32, got {R}")
     beta = tuple(beta)
     if len(beta) != N or N < 1:
         raise ValueError(f"beta must have length N >= 1, got {len(beta)} for N = {N}")

@@ -107,16 +107,13 @@ def test_criterion_04_search_progress():
     The depth-2 supremum is exactly 1 (any flip of a depth-2 sequence is a
     sign re-labeling of the hypercube at tau = 0), so the oracle floor
     applies from depth 3 on; depth 2 is still checked for the ceiling and
-    feeds the monotone warm-start chain.
+    the monotone chain.
     """
     exps = ExponentConfig(4.0)
     ratios = []
-    prev = None
     for N in range(2, 9):
-        res = search_extremal(exps, 0.0, N, restarts=8, iters=1000, seed=42, wall_cap_s=60.0,
-                              warm_start=prev)
+        res = search_extremal(exps, 0.0, N, restarts=8, iters=1000, seed=42, wall_cap_s=60.0)
         ratios.append(res.ratio)
-        prev = res
     for a, b in zip(ratios, ratios[1:]):
         assert b >= a - 1e-12
     for r in ratios:

@@ -419,27 +419,6 @@ def test_certify_refuses_overflowing_tables(tmp_path, capsys, scale, beta, p0):
     assert "not finite" in err and "RuntimeWarning" not in err
 
 
-def test_warm_start_refuses_overflowing_tables(tmp_path, capsys):
-    # The same tables stored at N = 3 warm-start an N = 4 search: the stored
-    # record is re-verified before any ascent step and refused as a bad store
-    # naming its file, without a numpy warning.
-    seq = _scalar([np.full((2,) * k, 1e200) for k in (1, 2, 3)])
-    store = tmp_path / "store"
-    _store_record(store, sequence_to_record(seq, (1, 1, 1), 0.0, ExponentConfig(4.0),
-                                            0.0, 0, "def2"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
-                          "--restarts", "2", "--store-dir", str(store)], tmp_path)
-    assert code == 4
-    assert not out.exists()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
-    assert "out of range" in err and "RuntimeWarning" not in err
-    assert str(store / f"{store_key(4.0, 4.0, 0.0, 3, 'def2')}.json") in err
-    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
-
-
 def test_certify_refuses_underflowing_tables(tmp_path, capsys):
     # |d|^2 underflows to 0, so ||F_N||_p is zero: refused before dividing.
     seq = _scalar([np.full(2, 1e-170), np.full((2, 2), 1e-170)])
@@ -454,20 +433,18 @@ def test_certify_refuses_underflowing_tables(tmp_path, capsys):
     assert "zero L^p norm" in capsys.readouterr().err
 
 
-def _corrupt_search_n2(store, corrupt_n):
-    (store / f"{store_key(4.0, 4.0, 0.0, corrupt_n, 'def2')}.json").write_text("{corrupt")
-    return main(["search-martingale", "--p", "4", "--n", "2",
-                 "--iters", "50", "--restarts", "2", "--store-dir", str(store)])
-
-
 def test_exit_code_store_error(tmp_path):
-    # An N = 2 search first reads the N = 1 record for its warm start.
-    assert _corrupt_search_n2(tmp_path, 1) == 4
+    # certify reads the N = 2 record before it would search.
+    (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
+    assert main(["certify", "beurling-real", "--p", "4", "--n", "2",
+                 "--iters", "50", "--restarts", "2", "--store-dir", str(tmp_path)]) == 4
 
 
 def test_exit_code_store_error_on_write(tmp_path):
-    # It reads the N = 2 record to compare before it writes.
-    assert _corrupt_search_n2(tmp_path, 2) == 4
+    # An N = 2 search reads the N = 2 record to compare before it writes.
+    (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
+    assert main(["search-martingale", "--p", "4", "--n", "2",
+                 "--iters", "50", "--restarts", "2", "--store-dir", str(tmp_path)]) == 4
 
 
 def test_corrupt_key_fails_only_what_reads_it(tmp_path):
@@ -543,7 +520,7 @@ def test_p0_above_p_is_refused(tmp_path, monkeypatch, command):
     assert not list(store.glob("*.json"))
 
 
-def test_certify_search_warm_starts_and_stores(tmp_path):
+def test_certify_search_stores_what_a_second_certify_reads(tmp_path):
     store = tmp_path / "store"
     flags = ["--p", "4", "--tau", "0.5", "--iters", "40", "--restarts", "2",
              "--store-dir", str(store)]
@@ -577,8 +554,6 @@ def test_malformed_martingale_file_is_refused(tmp_path, payload):
 
 
 @pytest.mark.parametrize("command", [
-    pytest.param(["search-martingale", "--n", "3", "--iters", "30", "--restarts", "2"],
-                 id="warm-start"),
     pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
     pytest.param(["norms", "--family", "beurling"], id="norms"),
 ])
@@ -671,14 +646,12 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
     pytest.param(["search-martingale", "--n", "2", "--iters", "30", "--restarts", "2"],
                  id="store-write"),
     pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
-    pytest.param(["search-martingale", "--n", "3", "--iters", "30", "--restarts", "2"],
-                 id="warm-start"),
 ])
 def test_stored_record_out_of_range_exits_store_error(tmp_path, capsys, command, entry):
     # An N = 2 record whose moments overflow (1e200) or vanish (zeros) makes no
-    # ratio: norms, the store write that re-verifies it, certify from the store
-    # and the warm start from it exit 4 naming its file, which stays byte for
-    # byte, and leave no --out file.
+    # ratio: norms, the store write that re-verifies it and certify from the
+    # store exit 4 naming its file, which stays byte for byte, and leave no
+    # --out file.
     store = tmp_path / "store"
     seq = _scalar([np.full(2, entry), np.full((2, 2), entry)])
     _store_record(store, sequence_to_record(seq, (1, 1), 0.0, ExponentConfig(4.0), 1.0, 0,
@@ -695,13 +668,11 @@ def test_stored_record_out_of_range_exits_store_error(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command", [
     pytest.param(["certify", "beurling-real", "--n", "3"], id="certify"),
-    pytest.param(["search-martingale", "--n", "4", "--iters", "30", "--restarts", "2"],
-                 id="warm-start"),
 ])
 def test_stored_ratio_that_does_not_reproduce_exits_store_error(tmp_path, capsys, command):
-    # certify from the store and the warm start re-verify the N = 3 record they
-    # read: a ratio of 2.99, which its tables do not give, exits 4 naming the
-    # file, which stays byte for byte, and leaves no --out file.
+    # certify from the store re-verifies the N = 3 record it reads: a ratio of
+    # 2.99, which its tables do not give, exits 4 naming the file, which stays
+    # byte for byte, and leaves no --out file.
     store = tmp_path / "store"
     _store_record(store, _random_record(np.random.default_rng(np.random.PCG64(5)), 3),
                   ratio=2.99)
@@ -713,7 +684,6 @@ def test_stored_ratio_that_does_not_reproduce_exits_store_error(tmp_path, capsys
     assert str(path) in err and "does not reproduce" in err
     assert path.read_bytes() == before
     assert not out.exists()
-    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
 
 
 def test_unwritable_out_writes_no_store_record(tmp_path, capsys):
@@ -811,8 +781,6 @@ _MALFORMED_RECORDS = [pytest.param(f, id=f.__name__.strip("_"))
 @pytest.mark.parametrize("command", [
     pytest.param(["norms", "--family", "beurling"], id="norms"),
     pytest.param(["certify", "beurling-real", "--n", "3"], id="certify"),
-    pytest.param(["search-martingale", "--n", "4", "--iters", "30", "--restarts", "2"],
-                 id="warm-start"),
 ])
 def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, capsys,
                                                                    command, malform):
@@ -829,7 +797,67 @@ def test_stored_record_that_makes_no_martingale_exits_store_error(tmp_path, caps
     err = capsys.readouterr().err
     assert str(store / f"{store_key(4.0, 4.0, 0.0, 3, 'def2')}.json") in err
     assert "Traceback" not in err
-    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is None
+
+
+def _overflow(rec):
+    rec["tables"] = [[[1e200, 1e200] for _ in t] for t in rec["tables"]]
+
+
+def _zero(rec):
+    rec["tables"] = [[[0.0, 0.0] for _ in t] for t in rec["tables"]]
+
+
+def _no_ratio(rec):
+    del rec["ratio"]
+
+
+def _ratio_2_99(rec):
+    rec["ratio"] = 2.99
+
+
+def _corrupt(rec):
+    return "{corrupt"  # the whole file's text, in place of the record
+
+
+@pytest.mark.parametrize("malform", [
+    *_MALFORMED_RECORDS,
+    *(pytest.param(f, id=f.__name__.strip("_"))
+      for f in (_overflow, _zero, _no_ratio, _ratio_2_99, _corrupt)),
+])
+def test_search_beside_a_bad_record_below_never_reads_it(tmp_path, capsys, malform):
+    # A search starts from no store record, so an N = 4 search beside an N = 3
+    # record that is corrupt, out of range or makes no martingale of its key
+    # exits 0, stores its own record and leaves that file byte for byte.
+    store = tmp_path / "store"
+    bad = copy.deepcopy(listed(_random_record(np.random.default_rng(np.random.PCG64(6)), 3)))
+    text = malform(bad)
+    key = store_key(4.0, 4.0, 0.0, 3, "def2")
+    path = store / f"{key}.json"
+    store.mkdir()
+    if text is None:
+        write_json(path, {key: bad})
+    else:
+        path.write_text(text)
+    before = path.read_bytes()
+    code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
+                      "--restarts", "2", "--store-dir", str(store)], tmp_path)
+    assert code == 0, capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert json.loads(out.read_text())["N"] == 4
+    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is not None
+
+
+def test_search_martingale_looks_up_no_store_record(tmp_path, monkeypatch):
+    def reached(*args):
+        raise AssertionError("search-martingale looked up a store record")
+
+    monkeypatch.setattr("lpmult.cli.lookup_store", reached)
+    store = tmp_path / "store"
+    for n in ("2", "3"):  # the N = 2 record is in the store when N = 3 searches
+        code, _ = _run(["search-martingale", "--p", "4", "--n", n, "--iters", "30",
+                        "--restarts", "2", "--store-dir", str(store)], tmp_path)
+        assert code == 0
+    assert len(list(store.glob("*.json"))) == 2
 
 
 def _beta_int(rec):

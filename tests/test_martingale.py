@@ -10,7 +10,7 @@ import pytest
 
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, SearchResult, TransformConfig, _flat,
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _flat,
                                _ratio_and_grad, _realize, perturbed_ratio_exact,
                                search_extremal)
 
@@ -252,47 +252,15 @@ def test_search_respects_ceiling_below_two():
     assert res.ratio <= math.hypot(3.0, 0.5) + 1e-9
 
 
-def test_search_warm_start_monotone():
-    exps = ExponentConfig(4.0)
-    budget = dict(restarts=4, iters=200, seed=5, wall_cap_s=60.0)
-    prev = search_extremal(exps, 0.0, 2, **budget)
-    nxt = search_extremal(exps, 0.0, 3, **budget, warm_start=prev)
-    assert nxt.ratio >= prev.ratio - 1e-12
-
-
-@pytest.mark.parametrize("entry, error, match", [
-    pytest.param(1e200, FloatingPointError, "warm start tables out of range", id="1e200"),
-    pytest.param(0.0, ZeroDivisionError, "zero tables", id="zero"),
-])
-def test_search_refuses_a_warm_start_it_cannot_ascend(entry, error, match):
-    # Tables whose squares overflow are refused before the first start; the
-    # zero-extended copy of all-zero tables has no direction to normalize.
-    seq = MartingaleDifferenceSequence(tuple(np.full((2,) * k + (1,), entry, dtype=complex)
-                                             for k in (1, 2)))
-    warm = SearchResult(seq, (1, 1), 0.0)
-    with pytest.raises(error, match=match):
-        search_extremal(ExponentConfig(4.0), 0.0, 3, restarts=2, iters=20, seed=5,
-                        wall_cap_s=60.0, warm_start=warm)
-
-
-def test_search_refuses_a_warm_start_deeper_than_n():
-    exps = ExponentConfig(4.0)
-    budget = dict(restarts=2, iters=20, seed=5, wall_cap_s=60.0)
-    deep = search_extremal(exps, 0.0, 3, **budget)
-    with pytest.raises(ValueError, match="warm start deeper than requested depth"):
-        search_extremal(exps, 0.0, 2, **budget, warm_start=deep)
-
-
 @pytest.mark.parametrize("seed", [42, 7])
-def test_search_chain_keeps_warm_start(seed):
-    # From N = 5 on the beta candidates are random; the warm beta extended
-    # by +1 and by -1 is still among them, so the zero-extended warm optimum
-    # is always a start and a small budget cannot make the chain go down.
+def test_search_chain_is_monotone(seed):
+    # No depth starts from the one below it; the policy starts keep a small
+    # budget's chain from going down.
     exps = ExponentConfig(4.0)
     budget = dict(restarts=4, iters=40, seed=seed, wall_cap_s=600.0)
     prev = None
     for N in range(2, 12):
-        res = search_extremal(exps, 0.0, N, **budget, warm_start=prev)
+        res = search_extremal(exps, 0.0, N, **budget)
         if prev is not None:
             assert res.ratio >= prev.ratio - 1e-12, N
         prev = res
