@@ -847,6 +847,28 @@ def test_search_beside_a_bad_record_below_never_reads_it(tmp_path, capsys, malfo
     assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is not None
 
 
+def test_search_beside_overflowing_tables_below_warns_nothing(tmp_path, capsys):
+    # The same 1e200 tables that certify refuses, stored at N = 3, sit beside an
+    # N = 4 search: it never reads them, so it exits 0 without a numpy warning
+    # and leaves their file byte for byte.
+    seq = _scalar([np.full((2,) * k, 1e200) for k in (1, 2, 3)])
+    store = tmp_path / "store"
+    _store_record(store, sequence_to_record(seq, (1, 1, 1), 0.0, ExponentConfig(4.0),
+                                            0.0, 0, "def2"))
+    [path] = store.glob("*.json")
+    before = path.read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
+                          "--restarts", "2", "--store-dir", str(store)], tmp_path)
+    assert code == 0, capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert json.loads(out.read_text())["N"] == 4
+    assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is not None
+
+
 def test_search_martingale_looks_up_no_store_record(tmp_path, monkeypatch):
     def reached(*args):
         raise AssertionError("search-martingale looked up a store record")
