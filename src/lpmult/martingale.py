@@ -7,14 +7,14 @@ pairs the result with tau * F; the exact Lp -> Lp0 ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
 
 One realization serves the exact ratio and the search: from the tables of a
-sequence, one array level after level, `_realize` builds the values of F and
-G on the hypercube, its first h <= 5 levels gathered in one step and the rest
-by doubling, V <- (V + c, V - c), one sign coordinate a level (O(2^(N+1))
-work); the search gradient is reduced by the reverse halving.  The exact
-ratio takes its head coefficients from a cache keyed by beta's first h signs
-(at most 62 keys), works in blocks of at most `_BLOCK_POINTS` points, forms
-its power sums in place and adds the per-block sums in the balanced tree of
-numpy's pairwise sum over the whole hypercube.
+sequence, one array level after level, `_head_values` gathers the values of F
+and G at the first h <= 5 levels in one step, and `_double` takes them through
+the rest, V <- (V + c, V - c), one sign coordinate a level (O(2^(N+1)) work);
+the search gradient is reduced by the reverse halving.  The exact ratio takes
+its head coefficients from a cache keyed by beta's first h signs (at most 62
+keys), doubles each block of at most `_BLOCK_POINTS` points on its own (no
+doubling where N <= h), forms its power sums in place and adds the per-block
+sums in the balanced tree of numpy's pairwise sum over the whole hypercube.
 `search_extremal` ascends consecutive starts together, each with its own
 step, and re-verifies every start through `perturbed_ratio_exact`.
 """
@@ -117,6 +117,13 @@ def _head_levels(N, values, blocks):
                blocks.bit_length() - 2)
 
 
+# A doubling level's flips (1, beta_k) in the exact ratio, for beta_k = +1 and -1.
+# Complex flips spare a cast in every table product; a product by +-1 is exact.
+_LEVEL_FLIPS = {b: np.array([1, b], complex).reshape(2, 1, 1) for b in (1, -1)}
+for _f in _LEVEL_FLIPS.values():
+    _f.flags.writeable = False
+
+
 @functools.cache
 def _head_flips(beta):
     """(1, beta) times the signs: the exact ratio's head coefficients (2, 1, h, 2^(h+1))."""
@@ -125,43 +132,38 @@ def _head_flips(beta):
     return coef
 
 
-def _realize(flat, coef, blocks=1, head=None):
-    """Values of sequences on the sign hypercube, yielded in `blocks` blocks.
+def _head_values(flat, head):
+    """Values of sequences at their first h sign levels, gathered in one step.
 
     flat (..., m, 2^(N+1) - 2) holds d_k at 2^k - 2 ... 2^(k+1) - 3 of its last
-    axis; coef (..., N) flips the k-th term by coef[..., k-1], its leading axes
-    broadcasting with flat's.  Point index bits run from r_0 (slowest) to r_N
-    (fastest), bit 0 for +1; the blocks, a power of two of them, each
-    (..., m, 2^(N+1) / blocks), follow in point order.
-    The first h levels are gathered in one step, each point's terms (taken by
-    _head_plan(h)) times head = coef[..., None, :h, None] * signs added in level
-    order; a caller may pass head, and coef, read from its end, then need hold
-    only the later levels.  Block b then doubles its slice a level at a time.
+    axis, and head (..., h, 2^(h+1)) level k's flip times the sign of r_k at
+    each point: coef[..., None, :h, None] * _head_plan(h)[1] for flips coef
+    (..., N).  Each point adds its terms in level order; point index bits run
+    from r_0 (slowest) to r_h, bit 0 for +1.  Returns (..., m, 2^(h+1)).
     """
-    N, m = (flat.shape[-1] + 2).bit_length() - 2, flat.shape[-2]
-    if head is None:
-        h = _head_levels(N, coef[..., 0].size * m, blocks)
-        head = coef[..., None, :h, None] * _head_plan(h)[1]
-    h = head.shape[-2]
     # The level axis is outside the contiguous point axis, so the levels add in order.
-    V = np.add.reduce(flat.take(_head_plan(h)[0], axis=-1) * head, axis=-2)
-    step = V.shape[-1] // blocks
-    for b in range(blocks):
-        Vb = V[..., b * step:(b + 1) * step]
-        for lvl in range(h, N):
-            w = 2 ** (lvl + 1) // blocks
-            at = 2 ** (lvl + 1) - 2 + b * w
-            c = flat[..., at:at + w] * coef[..., lvl - N, None, None]
-            new = np.empty(Vb.shape + (2,), dtype=complex)
-            np.add(Vb, c, out=new[..., 0])
-            np.subtract(Vb, c, out=new[..., 1])
-            Vb = new.reshape(Vb.shape[:-1] + (-1,))
-        yield Vb
+    return np.add.reduce(flat.take(_head_plan(head.shape[-2])[0], axis=-1) * head, axis=-2)
 
 
-def _tree_sum(xs):
-    """Sum of 2^j numbers, added pairwise in a balanced tree."""
-    return xs[0] if len(xs) == 1 else _tree_sum([a + b for a, b in zip(xs[0::2], xs[1::2])])
+def _double(V, flat, flips, b=0):
+    """Block b of the values V (..., m, w) doubled through the last len(flips) levels.
+
+    Each level appends its sign as the fastest bit, V <- (V + c, V - c): c is the
+    level's table on the block's prefixes times the level's entry of flips,
+    which broadcasts with (..., m, w).  Block b of a hypercube cut into equal
+    blocks in point order holds prefixes b * w ... (b + 1) * w - 1 of a level,
+    w the block's width there.
+    """
+    N = (flat.shape[-1] + 2).bit_length() - 2
+    for lvl, f in enumerate(flips, start=N - len(flips)):
+        w = V.shape[-1]
+        at = 2 ** (lvl + 1) - 2 + b * w
+        c = flat[..., at:at + w] * f
+        new = np.empty(V.shape + (2,), dtype=complex)
+        np.add(V, c, out=new[..., 0])
+        np.subtract(V, c, out=new[..., 1])
+        V = new.reshape(V.shape[:-1] + (-1,))
+    return V
 
 
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
@@ -184,23 +186,29 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"beta must have length {N}")
     blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
     h = _head_levels(N, 2 * m, blocks)
-    # Complex flips spare a cast in every table product; a product by +-1 is exact.
-    tail = np.array([(1,) * (N - h), cfg.beta[h:]], dtype=complex) if N > h else None
+    flat, tail = F.flat.T, [_LEVEL_FLIPS[b] for b in cfg.beta[h:]]
     p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
-    # Overflowing squares become inf or NaN here and are refused below.
+    # Overflowing values and squares become inf or NaN here and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for V in _realize(F.flat.T, tail, blocks, _head_flips(cfg.beta[:h])):
-            s = np.abs(V)
+        V = _head_values(flat, _head_flips(cfg.beta[:h]))
+        step = V.shape[-1] // blocks
+        for b in range(blocks):
+            Vb = V[..., b * step:(b + 1) * step] if blocks > 1 else V
+            s = np.abs(_double(Vb, flat, tail, b) if tail else Vb)
             np.square(s, out=s)
             s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
-            n2, g2 = s  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p0/2)
-            g2 += tau2 * n2
+            n2, g2 = s[0], s[1]  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p0/2)
+            if tau2:  # g2 + 0 n2 is g2 for a finite n2, and a non-finite n2 fails den below
+                g2 += tau2 * n2
             n2 **= p2
             g2 **= p02
-            sums.append(np.add.reduce(s, axis=-1).tolist())  # each row summed as by .sum()
-            del V, s, n2, g2  # one block at a time in memory
-        den, num = (_tree_sum(x) / P for x in zip(*sums))
+            sums.append(np.add.reduce(s, -1).tolist())  # each row summed as by .sum()
+            del s, n2, g2  # one block at a time in memory
+        while len(sums) > 1:  # the balanced tree of numpy's pairwise sum over the hypercube
+            sums = [[d0 + d1, n0 + n1] for (d0, n0), (d1, n1) in zip(sums[0::2], sums[1::2])]
+        [(den, num)] = sums
+        den, num = den / P, num / P
         if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
             raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p0 = {num} "
                                      "is not finite: the input is out of range")
@@ -242,10 +250,13 @@ def _ratio_and_grad(x, coef, tau, p, p0):
     reduced by repeated halving: summing out the last coordinate r_k leaves
     the weights on r_0..r_{k-1}, whose +/- difference is the level-k term.
     """
-    B, _, m = x.shape
+    B, N, m = x.shape[0], coef.shape[1], x.shape[2]
     flips = np.ones((2,) + coef.shape, dtype=complex)
     flips[1] = coef
-    [V] = _realize(x.swapaxes(-1, -2), flips)
+    hl = _head_levels(N, 2 * B * m, 1)
+    flat = x.swapaxes(-1, -2)
+    V = _double(_head_values(flat, flips[..., None, :hl, None] * _head_plan(hl)[1]), flat,
+                np.moveaxis(flips[..., None, None, hl:], -1, 0))
     n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
     h = g2 + tau * tau * n2
     P = n2.shape[1]
@@ -317,7 +328,7 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
 
 
 def _beta_candidates(N, rng, restarts):
-    """Systematic sweep for N <= 4, randomized (plus all-ones) otherwise.
+    """Systematic sweep for N <= 4, else all-ones, (-1, 1, ..., 1) and random draws.
 
     The sweep also serves any N with fewer than max(8, restarts) patterns,
     where distinct random draws could never fill the quota.

@@ -10,9 +10,9 @@ import pytest
 
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _flat,
-                               _ratio_and_grad, _realize, perturbed_ratio_exact,
-                               search_extremal)
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double, _flat,
+                               _head_levels, _head_plan, _head_values, _ratio_and_grad,
+                               perturbed_ratio_exact, search_extremal)
 
 
 def _sign_index(r):
@@ -168,10 +168,21 @@ def test_ratio_input_validation():
         TransformConfig((2,), 0.0)
 
 
+def _realize(flat, coef, blocks=1):
+    """Values (..., m, 2^(N+1)) of flat tables (..., m, 2^(N+1) - 2) under flips coef
+    (..., N): `_head_values` and then `_double` on each of `blocks` blocks, joined."""
+    N, m = coef.shape[-1], flat.shape[-2]
+    h = _head_levels(N, coef[..., 0].size * m, blocks)
+    V = _head_values(flat, coef[..., None, :h, None] * _head_plan(h)[1])
+    w, tail = V.shape[-1] // blocks, np.moveaxis(coef[..., None, None, h:], -1, 0)
+    return np.concatenate([_double(V[..., b * w:(b + 1) * w], flat, tail, b)
+                           for b in range(blocks)], axis=-1)
+
+
 def _two_pass_ratio(F, cfg, exps):
     """The exact ratio with F and G realized one after the other and np.mean."""
-    [Fv] = _realize(F.flat.T, np.ones(F.N))
-    [Gv] = _realize(F.flat.T, np.array(cfg.beta, dtype=float))
+    Fv = _realize(F.flat.T, np.ones(F.N))
+    Gv = _realize(F.flat.T, np.array(cfg.beta, dtype=float))
     n2 = np.sum(np.abs(Fv) ** 2, axis=-2)
     pair2 = np.sum(np.abs(Gv) ** 2, axis=-2) + cfg.tau**2 * n2
     num = np.mean(pair2 ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
@@ -340,17 +351,19 @@ def _reference_realize(tables, beta=None):
 @pytest.mark.parametrize("m", [1, 2])
 def test_realize_equals_reference_exactly(N, m):
     # The gathered head and the doubling add each point's terms in level
-    # order, as the reference does, so every value agrees bit for bit.
+    # order, as the reference does, so every value agrees bit for bit, also
+    # where each block of the head's values is doubled on its own.
     rng = np.random.default_rng(np.random.PCG64(700 + 10 * N + m))
     P = 2 ** (N + 1)
 
     def check(seqs, coef):
-        [V] = _realize(np.stack([s.flat.T for s in seqs]), coef)
         rows = list(coef)
-        assert V.shape == (len(rows), m, P)
-        # One table row broadcasts over every flip row.
-        for v, seq, beta in zip(V, seqs * (len(rows) // len(seqs)), rows):
-            assert np.array_equal(v, _reference_realize(seq.tables, beta).reshape(P, m).T)
+        for blocks in {1, 2, 2 ** min(N, 4)}:
+            V = _realize(np.stack([s.flat.T for s in seqs]), coef, blocks)
+            assert V.shape == (len(rows), m, P)
+            # One table row broadcasts over every flip row.
+            for v, seq, beta in zip(V, seqs * (len(rows) // len(seqs)), rows):
+                assert np.array_equal(v, _reference_realize(seq.tables, beta).reshape(P, m).T)
 
     one = [_random_sequence(rng, N, m)]
     check(one, rng.choice([-1.0, 1.0], size=(2, N)))
@@ -438,11 +451,13 @@ def _reference_exact_ratio(F, beta, tau, exps):
     return num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)
 
 
-@pytest.mark.parametrize("N", range(1, 9))
-def test_exact_ratio_equals_reference_bit_for_bit(N):
-    # Sequences whose betas share their first five signs (the head of N <= 8)
+@pytest.mark.parametrize("N", range(1, 13))
+def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
+    # Sequences whose betas share their first five signs (the head of N <= 12)
     # but not the tail are evaluated in alternating order: the head
     # coefficients shared through the cache carry nothing from call to call.
+    # Blocks of 2^8 points split N >= 7 into 2^(N-6) blocks, each doubled and
+    # summed on its own, against the same one-block reference.
     rng = np.random.default_rng(np.random.PCG64(900 + N))
     for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
         beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
@@ -450,9 +465,13 @@ def test_exact_ratio_equals_reference_bit_for_bit(N):
         cases = [(_random_sequence(rng, N, m), TransformConfig(b, tau)) for b in betas]
         for p0 in sorted({p, 1.2}):
             exps = ExponentConfig(p, p0)
-            for seq, cfg in cases * 2:
-                assert perturbed_ratio_exact(seq, cfg, exps) == _reference_exact_ratio(
-                    seq, cfg.beta, tau, exps), (N, m, p, p0, tau, cfg.beta)
+            refs = [_reference_exact_ratio(seq, cfg.beta, tau, exps) for seq, cfg in cases]
+            for block_points in (martingale._BLOCK_POINTS, 2**8):
+                monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
+                for (seq, cfg), ref in zip(cases * 2, refs * 2):
+                    assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
+                        N, m, p, p0, tau, cfg.beta, block_points)
+                monkeypatch.undo()
 
 
 def test_exact_ratio_head_cache_is_bounded_and_read_only():
@@ -471,3 +490,5 @@ def test_exact_ratio_head_cache_is_bounded_and_read_only():
     assert head.shape == (2, 1, 3, 16)
     with pytest.raises(ValueError):
         head[0, 0, 0, 0] = 0.0
+    # The flips of the doubling levels are two fixed arrays, read-only too.
+    assert not any(f.flags.writeable for f in martingale._LEVEL_FLIPS.values())
