@@ -162,8 +162,8 @@ def tau_admissible(exps: ExponentConfig, tau: float, predicate: str = "def2") ->
 
 
 def c_tau(exps: ExponentConfig, tau: float, predicate: str = "def2") -> float | None:
-    """C^tau = sqrt((p* - 1)^2 + tau^2) when p = p0 and tau is admissible, else None."""
-    if tau_admissible(exps, tau, predicate) and exps.p == exps.p0:
+    """C^tau = sqrt((p* - 1)^2 + tau^2) when tau is admissible, else None."""
+    if tau_admissible(exps, tau, predicate):
         return math.hypot(exps.pstar - 1.0, tau)
     return None
 

@@ -1,16 +1,16 @@
 """Command-line front end: searches, certifications, sweeps, and reports.
 
 `search-martingale` and `certify` run one pipeline: check the certificate's
-premise (p0 <= p, then the symbol's axis values) and every search flag, searched
-or not, before any file is read; take a martingale (the --martingale file, else
-the store record at depth N, re-verified, else a search that reads no store
-record; `search-martingale` always searches), certify it with
-`build_witness`, build the report, open --out, store a searched martingale, and
-only then write the report.  `norms` reads a family's one value from --value.
-Exit codes: 0 success, 2 invalid configuration (a non-finite number, p0 > p
-included), 3 cross-check failure (a symbol off its axis values, or a bound above
-the report's target), 4 store error.  All randomness flows from the single --seed
-flag through numpy's PCG64 generator, so identical flags give identical numbers.
+premise (the symbol's axis values) and every search flag, searched or not, before
+any file is read; take a martingale (the --martingale file, else the store record
+at depth N, re-verified, else a search that reads no store record;
+`search-martingale` always searches), certify it with `build_witness`, build the
+report, open --out, store a searched martingale, and only then write the report.
+`norms` reads a family's one value from --value.  Exit codes: 0 success, 2 invalid
+configuration (a non-finite number included), 3 cross-check failure (a symbol off
+its axis values, or a bound above the report's target), 4 store error.  All
+randomness flows from the single --seed flag through numpy's PCG64 generator, so
+identical flags give identical numbers.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ EXIT_STORE = 4
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--p0", type=float, default=None)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
@@ -106,7 +105,7 @@ def _martingale(args, exps):
     if args.martingale is not None:
         return *read_martingale(args.martingale), "file", None
     if args.family != "martingale" and (rec := lookup_store(
-            args.store_dir, exps.p, exps.p0, args.tau, args.n, args.predicate)) is not None:
+            args.store_dir, exps.p, exps.p, args.tau, args.n, args.predicate)) is not None:
         return *sequence_from_record(rec), "store", None
     res = search_extremal(exps, args.tau, args.n, restarts=args.restarts, iters=args.iters,
                           seed=args.seed, wall_cap_s=args.wall_cap)
@@ -115,9 +114,9 @@ def _martingale(args, exps):
 
 def cmd_certify(args) -> int:
     """Martingale, factored certificate, report; then store a searched martingale."""
-    exps = ExponentConfig(args.p, args.p0)
+    exps = ExponentConfig(args.p)
     symbol = family_symbol(args.family) if args.family == "beurling-matrix" else beurling_real()
-    check_premise(symbol, exps)  # before any file is read or search run
+    check_premise(symbol)  # before any file is read or search run
     check_search(args.n, args.tau, restarts=args.restarts, iters=args.iters,  # searched or not
                  wall_cap_s=args.wall_cap, seed=args.seed)
     if not math.isfinite(args.theta):
@@ -147,7 +146,7 @@ def cmd_certify(args) -> int:
     report = {
         "family": args.family,
         "params": {"theta": args.theta} if args.family == "rotated" else {},
-        "p": exps.p, "p0": exps.p0, "tau": args.tau, "N": seq.N,
+        "p": exps.p, "tau": args.tau, "N": seq.N,
         "achieved_ratio": ratio, "certified_lower_bound": ratio,
         "target_constant": target, "gap": None if target is None else target - ratio,
         "predicate": args.predicate, "seed": args.seed,
@@ -225,16 +224,15 @@ _VALUE_PARSERS = {"rotated": float, "scaled": float, "F": complex, "vector": flo
 
 
 def _certified(store_dir: Path | None, cells: set) -> dict:
-    """The best stored ratio of each (p, tau, predicate) cell in cells, over the
-    records with p0 = p.  The store is read one record at a time, and its reader
-    re-verifies every record, so every ratio returned holds."""
+    """The best stored ratio of each (p, tau, predicate) cell in cells.  The store
+    is read one record at a time, and its reader re-verifies every record, so every
+    ratio returned holds."""
     best = {}
     if store_dir is None:
         return best
     for _, rec in load_store(store_dir):
         cell = (rec["p"], rec["tau"], rec["predicate"])
-        if rec["p0"] == rec["p"] and cell in cells and \
-                (cell not in best or rec["ratio"] > best[cell]):
+        if cell in cells and (cell not in best or rec["ratio"] > best[cell]):
             best[cell] = rec["ratio"]
         del rec  # let it go before the next record is decoded
     return best

@@ -1,4 +1,4 @@
-"""Exponent bookkeeping for Lp -> Lp0 operator ratios."""
+"""Exponent bookkeeping for Lp -> Lp operator ratios."""
 
 from __future__ import annotations
 
@@ -8,20 +8,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ExponentConfig:
-    """Holds (p, p0) with the conjugates and p* = max{p, p/(p-1)}."""
+    """Holds p with its conjugate q and p* = max{p, p/(p-1)}."""
 
     p: float
-    p0: float
 
-    def __init__(self, p: float, p0: float | None = None):
-        if not math.isfinite(p) or p <= 1:
-            raise ValueError(f"p must be finite and > 1, got {p}")
-        if p0 is None:
-            p0 = p
-        if not math.isfinite(p0) or p0 <= 1:
-            raise ValueError(f"p0 must be finite and > 1, got {p0}")
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "p0", float(p0))
+    def __post_init__(self):
+        if not math.isfinite(self.p) or self.p <= 1:
+            raise ValueError(f"p must be finite and > 1, got {self.p}")
+        object.__setattr__(self, "p", float(self.p))
 
     @property
     def q(self) -> float:

@@ -3,7 +3,7 @@
 A depth-N difference sequence F = sum_k d_k(r_0, ..., r_{k-1}) r_k lives on
 the sign space {+-1}^(N+1) (d_1 consumes r_0, so there are N+1 coordinates).
 The transform flips increment k by beta_k and the quadratic perturbation
-pairs the result with tau * F; the exact Lp -> Lp0 ratio is computed by
+pairs the result with tau * F; the exact Lp -> Lp ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
 
 One realization serves the exact ratio and the search: from the tables of a
@@ -168,7 +168,7 @@ def _double(V, flat, flips, b=0):
 
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
                           exps: ExponentConfig) -> float:
-    """||(G_N, tau F_N)||_{p0} / ||F_N||_p by full enumeration.
+    """||(G_N, tau F_N)||_p / ||F_N||_p by full enumeration.
 
     The pointwise magnitude of the pair is (||G||^2 + tau^2 ||F||^2)^(1/2).
     A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a moment
@@ -187,7 +187,7 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
     h = _head_levels(N, 2 * m, blocks)
     flat, tail = F.flat.T, [_LEVEL_FLIPS[b] for b in cfg.beta[h:]]
-    p2, p02, tau2, P = exps.p / 2.0, exps.p0 / 2.0, cfg.tau**2, 2 ** (N + 1)
+    p2, tau2, P = exps.p / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
     # Overflowing values and squares become inf or NaN here and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,11 +198,11 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
             s = np.abs(_double(Vb, flat, tail, b) if tail else Vb)
             np.square(s, out=s)
             s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
-            n2, g2 = s[0], s[1]  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p0/2)
+            n2, g2 = s[0], s[1]  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p/2)
             if tau2:  # g2 + 0 n2 is g2 for a finite n2, and a non-finite n2 fails den below
                 g2 += tau2 * n2
             n2 **= p2
-            g2 **= p02
+            g2 **= p2
             sums.append(np.add.reduce(s, -1).tolist())  # each row summed as by .sum()
             del s, n2, g2  # one block at a time in memory
         while len(sums) > 1:  # the balanced tree of numpy's pairwise sum over the hypercube
@@ -210,11 +210,11 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         [(den, num)] = sums
         den, num = den / P, num / P
         if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
-            raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p0 = {num} "
+            raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p = {num} "
                                      "is not finite: the input is out of range")
         if not den > 0.0:
             raise ZeroDivisionError("F_N has zero L^p norm")
-        ratio = num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)
+        ratio = num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
     if not math.isfinite(ratio):
         raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
     return ratio
@@ -241,7 +241,7 @@ def _flat(tables):
     return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
 
 
-def _ratio_and_grad(x, coef, tau, p, p0):
+def _ratio_and_grad(x, coef, tau, p):
     """Log-ratio objective of B sequences and its ascent gradient.
 
     x holds the flat complex tables (B, 2^(N+1) - 2, m) and coef the flips
@@ -262,16 +262,16 @@ def _ratio_and_grad(x, coef, tau, p, p0):
     P = n2.shape[1]
 
     Dp = np.sum(n2 ** (p / 2.0), axis=1) / P
-    Up0 = np.sum(h ** (p0 / 2.0), axis=1) / P
+    Up = np.sum(h ** (p / 2.0), axis=1) / P
     if np.any(Dp <= 0.0):
         raise ZeroDivisionError("degenerate tables in search")
-    J = np.log(Up0) / p0 - np.log(Dp) / p
+    J = np.log(Up) / p - np.log(Dp) / p
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        hpow = np.where(h > 0, h ** (p0 / 2.0 - 1.0), 0.0)
+        hpow = np.where(h > 0, h ** (p / 2.0 - 1.0), 0.0)
         npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
-    coefF = (tau * tau * hpow / (2.0 * Up0[:, None]) - npow / (2.0 * Dp[:, None])) / P
-    coefG = hpow / (2.0 * Up0[:, None] * P)
+    coefF = (tau * tau * hpow / (2.0 * Up[:, None]) - npow / (2.0 * Dp[:, None])) / P
+    coefG = hpow / (2.0 * Up[:, None] * P)
     WF = coefF[:, None] * V[0]
     WG = coefG[:, None] * V[1]
 
@@ -294,7 +294,7 @@ def _normalize(x):
     return x / scale[:, None, None]
 
 
-def _ascend(x, coef, tau, p, p0, iters, deadline):
+def _ascend(x, coef, tau, p, iters, deadline):
     """Normalized gradient ascent with step halving on non-improvement.
 
     Each row of x (B, 2^(N+1) - 2, m) ascends on its own, with its own step;
@@ -304,7 +304,7 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
     out = _normalize(x)
     rows = np.arange(len(out))
     xl = out.copy()
-    J, g = _ratio_and_grad(xl, coef, tau, p, p0)
+    J, g = _ratio_and_grad(xl, coef, tau, p)
     step = np.full(len(out), 0.25)
     for _ in range(iters):
         gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
@@ -316,7 +316,7 @@ def _ascend(x, coef, tau, p, p0, iters, deadline):
             if not len(rows):
                 break
         trial = _normalize(xl + step[:, None, None] * g / gnorm[:, None, None])
-        J_try, g_try = _ratio_and_grad(trial, coef, tau, p, p0)
+        J_try, g_try = _ratio_and_grad(trial, coef, tau, p)
         acc = J_try > J
         xl[acc], J[acc], g[acc] = trial[acc], J_try[acc], g_try[acc]
         step = np.where(acc, np.minimum(step * 1.5, 1.0), step * 0.5)
@@ -362,8 +362,8 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     steps per start and a wall cap of `wall_cap_s` seconds.  `check_search`
     refuses a bad depth, tau, budget or seed before any work.
 
-    Where p0 = p two Bellman policies (`policy_flat`) come first, on top of the
-    first batch; they draw nothing from the rng.  For each candidate beta the
+    Two Bellman policies (`policy_flat`) come first, on top of the first batch;
+    they draw nothing from the rng.  For each candidate beta the
     tables are then ascended from random complex Gaussian restarts; every start,
     so the result too, has m = 1.  Consecutive starts are ascended together in
     batches of at most _BATCH_POINTS hypercube points; each start's result does
@@ -374,9 +374,9 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     records stopped_by = "wall".
     """
     check_search(N, tau, restarts=restarts, iters=iters, wall_cap_s=wall_cap_s, seed=seed)
-    p, p0 = exps.p, exps.p0
+    p = exps.p
 
-    if abs(p - 2.0) < 1e-12 and abs(p0 - 2.0) < 1e-12:
+    if abs(p - 2.0) < 1e-12:
         # Orthogonality of martingale differences makes every nonzero F
         # extremal at p = 2; no search needed.
         tables = [np.zeros((2,) * k + (1,), dtype=complex) for k in range(1, N + 1)]
@@ -390,7 +390,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
     deadline = time.monotonic() + wall_cap_s
     alt = tuple((-1) ** k for k in range(N))  # policies of it and of it with beta_N = beta_(N-1)
     policies = [(beta, policy_flat(p, tau, beta, N)[0] + 0j)
-                for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]] if p0 == p else []
+                for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]]
 
     def starts():
         """(beta, flat tables) in the order, and from the rng draws, of the search."""
@@ -408,7 +408,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
         policies = []
         betas = [beta for beta, _ in batch]
         x, fired = _ascend(np.stack([x for _, x in batch]), np.array(betas, dtype=float),
-                           tau, p, p0, iters, deadline)
+                           tau, p, iters, deadline)
         for beta, row in zip(betas, x):
             seq = MartingaleDifferenceSequence(tuple(
                 t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(row), start=1)))

@@ -1,6 +1,6 @@
 """Bellman policies (Burkholder's value function done numerically, as Nazarov-Treil-Volberg).
 
-With p0 = p, step k moves U = (F + G)/2 by +-d_k where beta_k = +1, else V = (F - G)/2.
+Step k moves U = (F + G)/2 by +-d_k where beta_k = +1, else V = (F - G)/2.
 A state (e, x) stands for (U, V) = 2^e x, x an integer pair with R <= max|x| < 2R, or
 is the absorbing origin.  An action a in 0..2R moves x to x +- a e_i, brought back into
 the band by doublings (e falls by one each) or one halving of an even pair, else refused.
@@ -146,7 +146,7 @@ def _tables(R, beta, actions):
 
 def policy_flat(p: float, tau: float, beta, N: int, R: int = RESOLUTION):
     """(flat, ratio): the real m = 1 tables (2^(N+1) - 2, 1) of the Bellman policy
-    for p0 = p, tau and the flips beta on the band of resolution R, and its ratio."""
+    for p, tau and the flips beta on the band of resolution R, and its ratio."""
     if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
         raise ValueError(f"resolution must be in 1..32, got {R}")
     beta = tuple(beta)

@@ -34,7 +34,9 @@ from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed
 IMPROVEMENT_MARGIN = 1e-12
 
 # The fields the store's readers take from every record, with the JSON types
-# each may hold; a bool, though a Python int, is none of them.
+# each may hold; a bool, though a Python int, is none of them.  The p0 field, always
+# p, stays in the record, its key and lookup_store's parameters until the store
+# format's next revision (ROADMAP item 5), so stored files keep their bytes.
 _NUMBER = (int, float)
 _RECORD_FIELDS = {"p": _NUMBER, "p0": _NUMBER, "tau": _NUMBER, "ratio": _NUMBER,
                   "N": int, "m": int, "predicate": str, "tables": list, "beta": list}
@@ -50,7 +52,7 @@ def sequence_to_record(seq: MartingaleDifferenceSequence, beta, tau: float,
     """Record of a martingale extremizer, its tables (2^k m, 2) float views of seq.flat."""
     return {
         "p": exps.p,
-        "p0": exps.p0,
+        "p0": exps.p,
         "tau": float(tau),
         "N": seq.N,
         "m": seq.m,
@@ -87,15 +89,18 @@ def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple
     seq, beta = MartingaleDifferenceSequence(tuple(tables)), rec["beta"]
     # type(b) is int, as a JSON true is no sign although true == 1.
     if len(beta) != seq.N or any(type(b) is not int or b not in (-1, 1) for b in beta) \
-            or rec.get("N", seq.N) != seq.N:
+            or type(N := rec.get("N", seq.N)) is not int or N != seq.N:
         raise ValueError(f"{seq.N} tables need a beta of {seq.N} entries +-1 and N = {seq.N}")
     return seq, tuple(beta)
 
 
 def verify_record(rec: dict) -> float:
-    """Re-evaluate a stored extremizer; raises if the stored ratio is off."""
+    """Re-evaluate a stored extremizer; raises if its p0 is not its p (ValueError)
+    or the stored ratio is off."""
+    if rec["p0"] != rec["p"]:
+        raise ValueError(f"p0 = {rec['p0']} is not p = {rec['p']}: no L^p certificate")
     seq, beta = sequence_from_record(rec)
-    exps = ExponentConfig(rec["p"], rec["p0"])
+    exps = ExponentConfig(rec["p"])
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, rec["tau"]), exps)
     # Written so that a NaN or infinite stored ratio fails.
     if not abs(ratio - rec["ratio"]) <= 1e-12 * max(1.0, ratio):

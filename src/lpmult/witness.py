@@ -8,8 +8,8 @@ half-cell offset grid each axis sign is balanced +-1, so (psi_0, ..., psi_N)
 is uniform on the sign hypercube {+-1}^(N+1).
 
 The certificate is one call, `build_witness`.  Its premise, `check_premise`,
-is p0 <= p and a symbol exactly +1 on the theta_2 axis and -1 on the theta_1
-axis (Re B, or +-I for its matrix form).  Each axis sign is then an
+is a symbol exactly +1 on the theta_2 axis and -1 on the theta_1 axis (Re B,
+or +-I for its matrix form).  Each axis sign is then an
 eigenfunction, the lift of Phi_k in block k is beta_k Phi_k, and the torus
 witness is the martingale and its transform under that law: its ratio, the
 certified number, is the enumerated `perturbed_ratio_exact`, with no FFT and
@@ -36,11 +36,9 @@ class CrossCheckError(ValueError):
     """Raised when two computations of one certified quantity disagree."""
 
 
-def check_premise(symbol: MultiplierSymbol, exps: ExponentConfig) -> None:
-    """The certificate's premise, checked before any martingale is sought:
-    p0 <= p (ValueError), then the exact axis values (CrossCheckError)."""
-    if exps.p0 > exps.p:
-        raise ValueError("the witness transference requires p0 <= p")
+def check_premise(symbol: MultiplierSymbol) -> None:
+    """The certificate's premise, checked before any martingale is sought: the
+    exact axis values (CrossCheckError)."""
     want = _AXIS_SIGNS
     if symbol.m > 1:
         want = want[:, None, None] * np.eye(symbol.m)
@@ -59,7 +57,7 @@ def build_witness(symbol: MultiplierSymbol, sequence: MartingaleDifferenceSequen
     sign on every component, so it takes C^m tables, or scalar ones standing
     for their zero-padded C^m embedding, whose ratio is the same.
     """
-    check_premise(symbol, exps)
+    check_premise(symbol)
     if symbol.m == 1 and sequence.m != 1:
         raise ValueError("scalar witnesses need scalar (m = 1) martingale tables")
     if sequence.m not in (1, symbol.m):

@@ -25,7 +25,7 @@ from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
                            sequence_to_record, store_key, verify_record, write_json)
-from test_report import listed
+from test_report import den_overflow, listed
 
 
 def _scalar(tables):
@@ -395,23 +395,25 @@ def test_nonfinite_input_is_refused(tmp_path, args, capsys):
         assert "tau" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale, beta, p0, tau", [
+_BOTH_HUGE = _scalar([np.full(2, 1e200), np.full((2, 2), 1e200)]), (1, 1)
+
+
+@pytest.mark.parametrize("instance, tau", [
     # |d|^2 overflows to inf, so both moments are infinite.
-    pytest.param(1e200, (1, 1), 4.0, 0.0, id="1e200"),
+    pytest.param(_BOTH_HUGE, 0.0, id="1e200"),
     # The same with tau^2 |F|^2 added to an infinite |G|^2.
-    pytest.param(1e200, (1, 1), 4.0, 0.5, id="1e200-tau-0.5"),
+    pytest.param(_BOTH_HUGE, 0.5, id="1e200-tau-0.5"),
     # Only ||F_N||_p^p overflows: the finite numerator over it would read 0.0.
-    pytest.param(1e100, (1, -1), 1.2, 0.0, id="1e100-p0-1.2"),
+    pytest.param(den_overflow(), 0.0, id="3e76-den-only"),
 ])
-def test_certify_refuses_overflowing_tables(tmp_path, capsys, scale, beta, p0, tau):
+def test_certify_refuses_overflowing_tables(tmp_path, capsys, instance, tau):
     # A moment out of floating-point range is refused without a numpy warning.
-    seq = _scalar([np.full(2, scale), np.full((2, 2), scale)])
+    seq, beta = instance
     inst, store = tmp_path / "inst.json", tmp_path / "store"
-    write_json(inst, sequence_to_record(seq, beta, tau, ExponentConfig(4.0, p0), 0.0, 0,
-                                        "def2"))
+    write_json(inst, sequence_to_record(seq, beta, tau, ExponentConfig(4.0), 0.0, 0, "def2"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = _run(["certify", "beurling-real", "--p", "4", "--p0", str(p0),
+        code, out = _run(["certify", "beurling-real", "--p", "4",
                           "--tau", str(tau), "--martingale", str(inst),
                           "--store-dir", str(store)], tmp_path)
     assert code == 2
@@ -508,17 +510,18 @@ def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [["search-martingale"], ["certify", "beurling-real"]])
-def test_p0_above_p_is_refused(tmp_path, monkeypatch, command):
-    # The witness transference needs p0 <= p, for a searched martingale too,
-    # and the premise is refused before any search.
+def test_p0_flag_is_refused(tmp_path, monkeypatch, command):
+    # A certificate has one exponent: --p0 is no flag of either command, refused
+    # by the parser before any search.
     def no_search(*args, **kwargs):
-        raise AssertionError("search_extremal ran before p0 > p was refused")
+        raise AssertionError("search_extremal ran with --p0 given")
 
     monkeypatch.setattr("lpmult.cli.search_extremal", no_search)
-    store = tmp_path / "store"
-    code, out = _run([*command, "--p", "4", "--p0", "8", "--n", "6",
-                      "--store-dir", str(store)], tmp_path)
-    assert code == 2
+    store, out = tmp_path / "store", tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--p", "4", "--p0", "2", "--n", "6", "--store-dir", str(store),
+              "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
     assert not list(store.glob("*.json"))
 
@@ -731,6 +734,26 @@ def test_store_record_of_wrong_type_is_refused(tmp_path, capsys, field, value):
         lookup_store(store, 4.0, 4.0, 0.0, 3, "def2")
 
 
+def test_stored_record_with_p0_not_p_exits_store_error(tmp_path, capsys):
+    # A legacy p = 4 record with p0 = 2.0, under its own key and with its own
+    # ratio there, is no L^p certificate: every reader refuses it, naming its file.
+    store = tmp_path / "store"
+    rec = dict(_random_record(np.random.default_rng(np.random.PCG64(4)), 3), p0=2.0)
+    _store_record(store, rec)
+    path = store / f"{store_key(4.0, 2.0, 0.0, 3, 'def2')}.json"
+    assert path.exists()
+    code, out = _run(["norms", "--family", "beurling", "--p", "4",
+                      "--store-dir", str(store)], tmp_path, "norms.csv")
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    with pytest.raises(StoreError, match="p0 = 2.0 is not p = 4.0"):
+        lookup_store(store, 4.0, 2.0, 0.0, 3, "def2")
+    with pytest.raises(ValueError, match="p0 = 2.0 is not p = 4.0"):
+        verify_record(rec)
+
+
 def _cut_table(rec):
     rec["tables"][2] = rec["tables"][2][:5]
 
@@ -766,6 +789,15 @@ def _beta_true(rec):
 
 def _table_object(rec):
     rec["tables"][2][0][0] = {"re": 1.0}
+
+
+def _N_true(rec):
+    # One table and N = true, which equals 1 but is no integer.
+    rec.update(tables=rec["tables"][:1], beta=rec["beta"][:1], N=True)
+
+
+def _N_float(rec):
+    rec.update(tables=rec["tables"][:1], beta=rec["beta"][:1], N=1.0)
 
 
 def _N_5_record(rec):
@@ -896,7 +928,8 @@ def _tables_int(rec):
 @pytest.mark.parametrize("malform", [
     *_MALFORMED_RECORDS[:-1],  # N_5_record is valid here
     # A store file of these fails its field types; a --martingale file has none.
-    *(pytest.param(f, id=f.__name__.strip("_")) for f in (_beta_int, _tables_int)),
+    *(pytest.param(f, id=f.__name__.strip("_"))
+      for f in (_beta_int, _tables_int, _N_true, _N_float)),
 ])
 def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, capsys,
                                                                      malform):

@@ -7,7 +7,7 @@ from lpmult.exponents import ExponentConfig
 
 def test_defaults_and_conjugates():
     e = ExponentConfig(4.0)
-    assert e.p0 == 4.0
+    assert e.p == 4.0
     assert e.q == pytest.approx(4.0 / 3.0)
     assert e.pstar == 4.0
 
@@ -25,14 +25,10 @@ def test_pstar_symmetric_under_duality():
         assert e.pstar == pytest.approx(dual.pstar)
 
 
-def test_separate_p0():
-    e = ExponentConfig(4.0, 2.0)
-    assert e.p0 == 2.0
-
-
 def test_invalid_exponents():
     for bad in (1.0, 0.5, -2.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             ExponentConfig(bad)
-    with pytest.raises(ValueError):
-        ExponentConfig(4.0, 1.0)
+    # One exponent: a second one is no argument.
+    with pytest.raises(TypeError):
+        ExponentConfig(4.0, 2.0)

@@ -185,7 +185,7 @@ def _two_pass_ratio(F, cfg, exps):
     Gv = _realize(F.flat.T, np.array(cfg.beta, dtype=float))
     n2 = np.sum(np.abs(Fv) ** 2, axis=-2)
     pair2 = np.sum(np.abs(Gv) ** 2, axis=-2) + cfg.tau**2 * n2
-    num = np.mean(pair2 ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
+    num = np.mean(pair2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
     den = np.mean(n2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
     return float(num / den)
 
@@ -196,7 +196,7 @@ def _pointwise_ratio(F, cfg, exps):
     omegas = list(product((1, -1), repeat=F.N + 1))
     n2 = np.array([np.sum(np.abs(evaluate_sequence(F, w)) ** 2) for w in omegas])
     g2 = np.array([np.sum(np.abs(evaluate_sequence(G, w)) ** 2) for w in omegas])
-    num = np.mean((g2 + cfg.tau**2 * n2) ** (exps.p0 / 2.0)) ** (1.0 / exps.p0)
+    num = np.mean((g2 + cfg.tau**2 * n2) ** (exps.p / 2.0)) ** (1.0 / exps.p)
     den = np.mean(n2 ** (exps.p / 2.0)) ** (1.0 / exps.p)
     return num / den
 
@@ -213,13 +213,12 @@ def test_fused_ratio_matches_two_pass_and_pointwise(N, monkeypatch):
         for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
             seq = _random_sequence(rng, N, m)
             cfg = TransformConfig(tuple(int(b) for b in rng.choice([-1, 1], size=N)), tau)
-            for p0 in sorted({p, 1.2}):
-                exps = ExponentConfig(p, p0)
-                ratio = perturbed_ratio_exact(seq, cfg, exps)
-                assert ratio == _two_pass_ratio(seq, cfg, exps), (block_points, m, p, p0, tau)
-                if N <= 6:
-                    ref = _pointwise_ratio(seq, cfg, exps)
-                    assert abs(ratio - ref) <= 1e-13 * ref, (m, p, p0, tau)
+            exps = ExponentConfig(p)
+            ratio = perturbed_ratio_exact(seq, cfg, exps)
+            assert ratio == _two_pass_ratio(seq, cfg, exps), (block_points, m, p, tau)
+            if N <= 6:
+                ref = _pointwise_ratio(seq, cfg, exps)
+                assert abs(ratio - ref) <= 1e-13 * ref, (m, p, tau)
 
 
 def test_blocked_ratio_memory_stays_in_blocks():
@@ -371,7 +370,7 @@ def test_realize_equals_reference_exactly(N, m):
     check(one, np.ones((1, N)))
 
 
-def _reference_ratio_and_grad(tables, beta, tau, p, p0):
+def _reference_ratio_and_grad(tables, beta, tau, p):
     """Log-ratio and its gradient 2 dJ/d(conj d_k), one full reduction per k."""
     N = len(tables)
     Fv = _reference_realize(tables)
@@ -380,12 +379,12 @@ def _reference_ratio_and_grad(tables, beta, tau, p, p0):
     h = np.sum(np.abs(Gv) ** 2, axis=-1) + tau * tau * n2
     P = n2.size
     Dp = float(np.sum(n2 ** (p / 2.0))) / P
-    Up0 = float(np.sum(h ** (p0 / 2.0))) / P
-    J = math.log(Up0) / p0 - math.log(Dp) / p
-    hpow = h ** (p0 / 2.0 - 1.0)
+    Up = float(np.sum(h ** (p / 2.0))) / P
+    J = math.log(Up) / p - math.log(Dp) / p
+    hpow = h ** (p / 2.0 - 1.0)
     npow = n2 ** (p / 2.0 - 1.0)
-    WF = ((tau * tau * hpow / (2.0 * Up0) - npow / (2.0 * Dp)) / P)[..., None] * Fv
-    WG = (hpow / (2.0 * Up0 * P))[..., None] * Gv
+    WF = ((tau * tau * hpow / (2.0 * Up) - npow / (2.0 * Dp)) / P)[..., None] * Fv
+    WG = (hpow / (2.0 * Up * P))[..., None] * Gv
     grads = []
     for k in range(1, N + 1):
         rk = np.array([1.0, -1.0]).reshape((1,) * k + (2,) + (1,) * (N - k) + (1,))
@@ -405,11 +404,10 @@ def test_batched_gradient_matches_reference(N, m, tau, p):
     betas = [tuple(int(b) for b in rng.choice([-1, 1], size=N)) for _ in range(B)]
     x = np.stack([np.concatenate([t.reshape(-1, m) for t in s.tables]) for s in seqs])
     exps = ExponentConfig(p)
-    J, grad = _ratio_and_grad(x, np.array(betas, dtype=float), tau, exps.p, exps.p0)
+    J, grad = _ratio_and_grad(x, np.array(betas, dtype=float), tau, exps.p)
     assert J.shape == (B,) and grad.shape == x.shape
     for b in range(B):
-        J_ref, grads_ref = _reference_ratio_and_grad(seqs[b].tables, betas[b], tau,
-                                                     exps.p, exps.p0)
+        J_ref, grads_ref = _reference_ratio_and_grad(seqs[b].tables, betas[b], tau, exps.p)
         assert abs(J[b] - J_ref) <= 1e-12
         ref = np.concatenate([g.reshape(-1, m) for g in grads_ref])
         assert np.max(np.abs(grad[b] - ref)) <= 1e-12
@@ -447,8 +445,8 @@ def _reference_exact_ratio(F, beta, tau, exps):
     n2 = (np.abs(_reference_realize(F.tables).reshape(P, m).T) ** 2).sum(0)
     g2 = (np.abs(_reference_realize(F.tables, beta).reshape(P, m).T) ** 2).sum(0)
     den = float((n2 ** (exps.p / 2.0)).sum()) / P
-    num = float(((g2 + tau**2 * n2) ** (exps.p0 / 2.0)).sum()) / P
-    return num ** (1.0 / exps.p0) / den ** (1.0 / exps.p)
+    num = float(((g2 + tau**2 * n2) ** (exps.p / 2.0)).sum()) / P
+    return num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
 
 
 @pytest.mark.parametrize("N", range(1, 13))
@@ -463,15 +461,14 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
         beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
         betas = [beta, beta[:5] + tuple(-b for b in beta[5:])] if N > 5 else [beta]
         cases = [(_random_sequence(rng, N, m), TransformConfig(b, tau)) for b in betas]
-        for p0 in sorted({p, 1.2}):
-            exps = ExponentConfig(p, p0)
-            refs = [_reference_exact_ratio(seq, cfg.beta, tau, exps) for seq, cfg in cases]
-            for block_points in (martingale._BLOCK_POINTS, 2**8):
-                monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
-                for (seq, cfg), ref in zip(cases * 2, refs * 2):
-                    assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
-                        N, m, p, p0, tau, cfg.beta, block_points)
-                monkeypatch.undo()
+        exps = ExponentConfig(p)
+        refs = [_reference_exact_ratio(seq, cfg.beta, tau, exps) for seq, cfg in cases]
+        for block_points in (martingale._BLOCK_POINTS, 2**8):
+            monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
+            for (seq, cfg), ref in zip(cases * 2, refs * 2):
+                assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
+                    N, m, p, tau, cfg.beta, block_points)
+            monkeypatch.undo()
 
 
 def test_exact_ratio_head_cache_is_bounded_and_read_only():

@@ -13,11 +13,11 @@ from torus import mesh
 
 
 def operator_ratio(f, M, exps):
-    """||T_M f||_{p0} / ||f||_p on the grid, with M acting in block 0."""
+    """||T_M f||_p / ||f||_p on the grid, with M acting in block 0."""
     den = f.lp_norm(exps.p)
     if den == 0.0:
         raise ZeroDivisionError("input function has zero Lp norm")
-    return tensor_lift_apply(f, M, 0).lp_norm(exps.p0) / den
+    return tensor_lift_apply(f, M, 0).lp_norm(exps.p) / den
 
 
 def l2_operator_norm(M, G):

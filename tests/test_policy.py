@@ -124,16 +124,6 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
         assert res.ratio >= policy_flat(p, tau, beta, N)[1] - 1e-12
 
 
-def test_search_at_p0_below_p_takes_no_policy_start(monkeypatch):
-    def reached(*args):
-        raise AssertionError("a policy start at p0 != p")
-
-    monkeypatch.setattr("lpmult.martingale.policy_flat", reached)
-    res = search_extremal(ExponentConfig(4.0, 3.0), 0.0, 4, restarts=2, iters=5, seed=3,
-                          wall_cap_s=60.0)
-    assert res.ratio >= 1.0
-
-
 def test_wall_capped_default_chain_at_p_four_thirds_passes_2_2_at_n10():
     # The chain's depths are independent searches, so only its N = 10 one is run: the
     # CLI's default budget, but a wall cap that fires after the first batch, which the

@@ -28,6 +28,15 @@ def listed(rec):
     return dict(rec, tables=[t.tolist() for t in rec["tables"]])
 
 
+def den_overflow():
+    """(sequence, beta) at p = 4, tau = 0 whose E|F_N|^p alone overflows: d_1 = (1, 1),
+    d_2 = (1, 1, -1, 1) and d_3 = (1, 0, 0, 1, 0, 1, 0, 1), flat, times 3e76."""
+    rows = [(1, 1), (1, 1, -1, 1), (1, 0, 0, 1, 0, 1, 0, 1)]
+    return MartingaleDifferenceSequence(tuple(
+        3e76 * np.array(r, dtype=complex).reshape((2,) * k + (1,))
+        for k, r in enumerate(rows, start=1))), (1, -1, 1)
+
+
 def _record(ratio=None, seed=0):
     d1 = np.ones((2, 1), dtype=complex)
     d2 = np.zeros((2, 2, 1), dtype=complex)
@@ -51,14 +60,13 @@ def _certify(tmp_path, *flags):
 def test_certify_report_keys_gap_and_version(tmp_path):
     rep = _certify(tmp_path, "--p", "4", "--tau", "1")
     assert set(rep) == {"N", "achieved_ratio", "budget", "certified_lower_bound", "family",
-                        "gap", "notes", "p", "p0", "params", "predicate", "seed",
+                        "gap", "notes", "p", "params", "predicate", "seed",
                         "target_constant", "tau", "timestamp", "version", "wall_time_s"}
     assert rep["gap"] == rep["target_constant"] - rep["certified_lower_bound"]
     assert rep["version"] == lpmult.__version__
 
 
-@pytest.mark.parametrize("flags", [["--p", "4", "--p0", "2"], ["--p", "1.5", "--tau", "1.5"]],
-                         ids=["p0-below-p", "tau-not-admitted"])
+@pytest.mark.parametrize("flags", [["--p", "1.5", "--tau", "1.5"]], ids=["tau-not-admitted"])
 def test_certify_report_without_target_has_no_gap(tmp_path, flags):
     rep = _certify(tmp_path, *flags)
     assert rep["target_constant"] is None
@@ -146,11 +154,10 @@ def test_verify_record_catches_tampering():
 
 
 def test_verify_record_refuses_an_overflowing_denominator():
-    # At p0 < p only ||F_N||_p^p overflows; the ratio read 0.0, and a record
-    # storing 0.0 verified.
-    seq = MartingaleDifferenceSequence((np.full((2, 1), 1e100, dtype=complex),
-                                        np.full((2, 2, 1), 1e100, dtype=complex)))
-    rec = sequence_to_record(seq, (1, -1), 0.0, ExponentConfig(4.0, 1.2), 0.0, 0, "def2")
+    # Only ||F_N||_p^p overflows (E|G_N|^p is 6.885e306); the ratio would read 0.0,
+    # and a record storing 0.0 would verify.
+    seq, beta = den_overflow()
+    rec = sequence_to_record(seq, beta, 0.0, ExponentConfig(4.0), 0.0, 0, "def2")
     with pytest.raises(FloatingPointError, match="not finite"):
         verify_record(rec)
 

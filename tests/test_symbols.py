@@ -206,9 +206,8 @@ def test_target_constants():
     fi = target_constant("F", e4, 2j)
     assert fi[0] == pytest.approx(6.0)
     assert fi[1]
-    # C^tau itself: p = p0 and tau admissible, else no target.
+    # C^tau itself: tau admissible, else no target.
     assert c_tau(ExponentConfig(4.0), 1.0) == math.hypot(3.0, 1.0)
-    assert c_tau(ExponentConfig(4.0, 2.0), 1.0) is None
     e15 = ExponentConfig(1.5)
     assert c_tau(e15, 1.5) is None
     assert c_tau(e15, 0.6, "cor7") is None
@@ -235,5 +234,3 @@ def test_target_errors():
         target_constant("F", e4, 1.0 + 1.0j)
     with pytest.raises(ValueError):
         target_constant("riesz", e4)
-    # No C^tau at p0 != p: the vector family has no target there.
-    assert target_constant("vector", ExponentConfig(4.0, 2.0)) == (None, False)

@@ -152,20 +152,6 @@ def test_symbol_checked_before_any_martingale_is_sought(monkeypatch, tmp_path):
         assert not out.exists()
 
 
-def test_exponents_checked_before_the_axis_values(monkeypatch, tmp_path):
-    # With p0 > p and a symbol off its axis values, the premise refuses p0 first:
-    # exit 2, not 3, before anything is written.
-    changed = _changed_at_axes(beurling_real(), [(0, lambda v: v + 1e-13)])
-    monkeypatch.setattr(cli, "beurling_real", lambda: changed)
-    store, out = tmp_path / "store", tmp_path / "out.json"
-    common = ["--p", "4", "--p0", "8", "--n", "2", "--iters", "30", "--restarts", "2",
-              "--store-dir", str(store), "--out", str(out)]
-    for argv in (["certify", "beurling-real"], ["search-martingale"]):
-        assert main([*argv, *common]) == 2, argv
-        assert not list(store.glob("*.json"))
-        assert not out.exists()
-
-
 def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
     # Every family is certified at the axis values alone: with the multiplier
     # lift unusable each still gives the enumerated ratio, and a search certifies.
@@ -186,12 +172,6 @@ def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
         assert json.loads(out.read_text())["certified_lower_bound"] == bound, family
     assert main(["search-martingale", "--p", "4", "--n", "2", "--iters", "30",
                  "--restarts", "2", "--store-dir", str(tmp_path / "store")]) == 0
-
-
-def test_p0_above_p_rejected():
-    with pytest.raises(ValueError):
-        build_witness(beurling_real(), _explicit_instance(), (-1, 1), 0.0,
-                      ExponentConfig(2.0, 4.0))
 
 
 def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0):
@@ -276,7 +256,7 @@ def _torus_reference(symbol, sequence, beta, tau, exps, G):
             pair = pair + grow(pair_sum, k)
         phi_sum, pair_sum = vals, pair
     den = TensorGridFunction(grid, N + 1, phi_sum).lp_norm(exps.p)
-    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(exps.p0)
+    num = TensorGridFunction(grid, N + 1, pair_sum).lp_norm(exps.p)
     return num / den
 
 
