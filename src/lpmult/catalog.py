@@ -168,6 +168,18 @@ def c_tau(exps: ExponentConfig, tau: float, predicate: str = "def2") -> float | 
     return None
 
 
+def ceiling(exps: ExponentConfig, tau: float) -> float:
+    """U = ((p* - 1)^r + |tau|^r)^(1/r), r = min(p, 2): no ratio ||(G, tau F)||_p / ||F||_p
+    of a martingale F and its +-1 transform G passes it, at any p and tau.
+
+    Burkholder gives ||G||_p <= (p* - 1) ||F||_p.  For p >= 2, Minkowski in L^(p/2)
+    on |G|^2 + tau^2 |F|^2 gives U = C^tau; for p < 2, (a + b)^(p/2) <= a^(p/2) +
+    b^(p/2) pointwise bounds ||(G, tau F)||_p^p by ||G||_p^p + |tau|^p ||F||_p^p."""
+    if exps.p >= 2.0:
+        return math.hypot(exps.pstar - 1.0, tau)
+    return ((exps.pstar - 1.0) ** exps.p + abs(tau) ** exps.p) ** (1.0 / exps.p)
+
+
 def target_constant(family: str, exps: ExponentConfig, value: complex = 0.0,
                     predicate: str = "def2") -> tuple[float | None, bool]:
     """(published target lower bound for the family at its value and the given

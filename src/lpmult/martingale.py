@@ -15,8 +15,8 @@ its head coefficients from a cache keyed by beta's first h signs (at most 62
 keys), doubles each block of at most `_BLOCK_POINTS` points on its own (no
 doubling where N <= h), forms its power sums in place and adds the per-block
 sums in the balanced tree of numpy's pairwise sum over the whole hypercube.
-`search_extremal` ascends consecutive starts together, each with its own
-step, and re-verifies every start through `perturbed_ratio_exact`.
+`search_extremal` polishes two Bellman policy starts together, each with its
+own step, and re-verifies both through `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
-from itertools import product as _iterproduct
 
 import numpy as np
 
@@ -44,10 +42,6 @@ _BLOCK_POINTS = 2**16
 # lower where the 2^(h+1) values of every row and component would pass
 # _HEAD_POINTS: a gather makes h products a point, where doubling makes two.
 _HEAD_LEVELS, _HEAD_POINTS = 5, 512
-
-# The search ascends consecutive starts together while they hold at most this
-# many hypercube points; one unbounded batch costs memory for no further speed.
-_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True, init=False)
@@ -327,53 +321,31 @@ def _ascend(x, coef, tau, p, iters, deadline):
     return out, False
 
 
-def _beta_candidates(N, rng, restarts):
-    """Systematic sweep for N <= 4, else all-ones, (-1, 1, ..., 1) and random draws.
-
-    The sweep also serves any N with fewer than max(8, restarts) patterns,
-    where distinct random draws could never fill the quota.
-    """
-    if N <= 4 or max(8, restarts) > 2**N:
-        return [tuple(b) for b in _iterproduct((-1, 1), repeat=N)]
-    cands = {(1,) * N, tuple([-1] + [1] * (N - 1))}
-    while len(cands) < max(8, restarts):
-        cands.add(tuple(int(b) for b in rng.choice([-1, 1], size=N)))
-    return sorted(cands)
-
-
-def check_search(N: int, tau: float, *, restarts: int, iters: int, wall_cap_s: float,
-                 seed: int) -> None:
-    """Refuse a depth outside 1..ENUMERATION_CAP, a tau TransformConfig refuses, a budget
-    field that is not positive (NaN included) and a negative seed."""
+def check_search(N: int, tau: float, *, iters: int, wall_cap_s: float) -> None:
+    """Refuse a depth outside 1..ENUMERATION_CAP, a tau TransformConfig refuses and a
+    budget field that is not positive (NaN included)."""
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
     TransformConfig((), tau)
-    if not (restarts >= 1 and iters >= 1 and wall_cap_s > 0):
+    if not (iters >= 1 and wall_cap_s > 0):
         raise ValueError("budget fields must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must not be negative, got {seed}")
 
 
-def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, iters: int,
-                    seed: int, wall_cap_s: float) -> SearchResult:
-    """Best (F, beta) found by alternating maximization, deterministic per seed.
+def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
+                    wall_cap_s: float) -> SearchResult:
+    """Best (F, beta) of two Bellman policy starts, each polished by gradient ascent.
 
-    The budget is `restarts` random starts per candidate beta, `iters` ascent
-    steps per start and a wall cap of `wall_cap_s` seconds.  `check_search`
-    refuses a bad depth, tau, budget or seed before any work.
-
-    Two Bellman policies (`policy_flat`) come first, on top of the first batch;
-    they draw nothing from the rng.  For each candidate beta the
-    tables are then ascended from random complex Gaussian restarts; every start,
-    so the result too, has m = 1.  Consecutive starts are ascended together in
-    batches of at most _BATCH_POINTS hypercube points; each start's result does
-    not depend on its batch.  Every ascended start is re-verified through
-    perturbed_ratio_exact, in start order.  Ties in the ratio break toward the
-    lexicographically smallest beta.  `iters` bounds every ascent; the wall cap
-    is a guard, and when it fires no further batch starts and the result
-    records stopped_by = "wall".
+    The starts are `policy_flat`'s tables for the alternating beta and for it
+    with beta_N = beta_(N-1) (the first alone at N = 1), so every table has
+    m = 1 and no number is drawn at random.  Both ascend together, each on its
+    own with its own step, for at most `iters` steps; the wall cap of
+    `wall_cap_s` seconds is a guard, and when it cuts the ascent the result
+    records stopped_by = "wall".  `check_search` refuses a bad depth, tau or
+    budget before any work.  Each polished start is re-verified through
+    perturbed_ratio_exact, in start order; ties in the ratio break toward the
+    lexicographically smallest beta.
     """
-    check_search(N, tau, restarts=restarts, iters=iters, wall_cap_s=wall_cap_s, seed=seed)
+    check_search(N, tau, iters=iters, wall_cap_s=wall_cap_s)
     p = exps.p
 
     if abs(p - 2.0) < 1e-12:
@@ -386,36 +358,19 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, restarts: int, 
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
         return SearchResult(seq, beta, ratio)
 
-    rng = np.random.default_rng(np.random.PCG64(seed))
     deadline = time.monotonic() + wall_cap_s
-    alt = tuple((-1) ** k for k in range(N))  # policies of it and of it with beta_N = beta_(N-1)
-    policies = [(beta, policy_flat(p, tau, beta, N)[0] + 0j)
-                for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]]
-
-    def starts():
-        """(beta, flat tables) in the order, and from the rng draws, of the search."""
-        for beta in _beta_candidates(N, rng, restarts):
-            for _ in range(restarts):
-                yield beta, _flat([rng.standard_normal((2**k, 1))
-                                   + 1j * rng.standard_normal((2**k, 1))
-                                   for k in range(1, N + 1)])
-
-    rows = max(1, _BATCH_POINTS // 2 ** (N + 1))
-    pending = starts()
+    alt = tuple((-1) ** k for k in range(N))
+    betas = [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]
+    x, fired = _ascend(np.stack([policy_flat(p, tau, beta, N)[0] + 0j for beta in betas]),
+                       np.array(betas, dtype=float), tau, p, iters, deadline)
     best = None  # (ratio, beta, sequence)
-    fired = False
-    while not fired and (batch := policies + list(islice(pending, rows))):
-        policies = []
-        betas = [beta for beta, _ in batch]
-        x, fired = _ascend(np.stack([x for _, x in batch]), np.array(betas, dtype=float),
-                           tau, p, iters, deadline)
-        for beta, row in zip(betas, x):
-            seq = MartingaleDifferenceSequence(tuple(
-                t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(row), start=1)))
-            ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
-            if best is None or ratio > best[0] + 1e-13 or (
-                    abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
-                best = (ratio, beta, seq)
+    for beta, row in zip(betas, x):
+        seq = MartingaleDifferenceSequence(tuple(
+            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(row), start=1)))
+        ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
+        if best is None or ratio > best[0] + 1e-13 or (
+                abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
+            best = (ratio, beta, seq)
 
     ratio, beta, seq = best
     return SearchResult(seq, beta, ratio, "wall" if fired else "iters")

@@ -18,11 +18,12 @@ import pytest
 
 import lpmult
 from lpmult import cli, martingale, report, witness
-from lpmult.catalog import beurling_real, family_symbol
+from lpmult.catalog import beurling_real, ceiling, family_symbol
 from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
+from lpmult.policy import policy_flat
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
                            sequence_to_record, store_key, verify_record, write_json)
 from test_report import den_overflow, listed
@@ -47,7 +48,7 @@ def _load_csv(path):
 
 def test_search_p2_example(tmp_path):
     code, out = _run(["search-martingale", "--p", "2", "--tau", "0.5", "--n", "4",
-                      "--seed", "1", "--store-dir", str(tmp_path / "store")], tmp_path)
+                      "--store-dir", str(tmp_path / "store")], tmp_path)
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["achieved_ratio"] == pytest.approx(math.sqrt(1.25), abs=1e-12)
@@ -55,8 +56,7 @@ def test_search_p2_example(tmp_path):
 
 
 def test_search_determinism(tmp_path):
-    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "2",
-            "--seed", "7", "--iters", "150", "--restarts", "4"]
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "2", "--iters", "150"]
     _, a = _run(args + ["--store-dir", str(tmp_path / "sa")], tmp_path, "a.json")
     _, b = _run(args + ["--store-dir", str(tmp_path / "sb")], tmp_path, "b.json")
     ra = json.loads(a.read_text())
@@ -64,6 +64,39 @@ def test_search_determinism(tmp_path):
     for volatile in ("timestamp", "wall_time_s"):
         ra.pop(volatile), rb.pop(volatile)
     assert ra == rb
+
+
+def test_ignored_search_flags_change_nothing(tmp_path, capsys):
+    # --seed and --restarts stay accepted, unlisted in --help, until perfbench stops
+    # passing them; they change no report field, and one stderr line says so.
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "200"]
+    reports = []
+    for tag, extra in (("plain", []), ("flags", ["--seed", "9", "--restarts", "4"])):
+        code, out = _run(args + extra + ["--store-dir", str(tmp_path / tag)], tmp_path,
+                         f"{tag}.json")
+        assert code == 0
+        rep = json.loads(out.read_text())
+        rep.pop("timestamp"), rep.pop("wall_time_s")
+        reports.append((rep, capsys.readouterr().err))
+    (plain, quiet), (flagged, note) = reports
+    assert plain == flagged
+    assert quiet == ""
+    assert note == "note: --seed and --restarts are ignored: the search has no random starts\n"
+    with pytest.raises(SystemExit):
+        main(["search-martingale", "--help"])
+    assert "--seed" not in capsys.readouterr().out
+
+
+def test_search_process_imports_no_numpy_random(tmp_path):
+    # The search draws no random number, so a search process never loads numpy.random.
+    script = ("import sys\n"
+              "from lpmult.cli import main\n"
+              "sys.argv = ['lpmult', 'search-martingale', '--p', '4', '--n', '3',\n"
+              "            '--iters', '30', '--store-dir', 'store', '--out', 'rep.json']\n"
+              "print(main(), 'numpy.random' in sys.modules)\n")
+    code, stdout = _process(tmp_path, ["-c", script])
+    assert code == 0
+    assert stdout.split() == ["0", "False"]
 
 
 def test_certify_explicit_instance(tmp_path):
@@ -216,14 +249,6 @@ def test_transference_shear_memory_does_not_grow_with_blocks(tmp_path):
     assert peak < 5.5 * 16 * 4**8, peak
 
 
-def test_search_restarts_beyond_beta_patterns(tmp_path):
-    # 40 restarts at N = 5 ask for more betas than the 32 patterns there are.
-    code, out = _run(["search-martingale", "--p", "4", "--n", "5", "--restarts", "40",
-                      "--iters", "2", "--store-dir", str(tmp_path / "store")], tmp_path)
-    assert code == 0
-    assert len(json.loads(out.read_text())["notes"]["beta"]) == 5
-
-
 def test_norms_tables(tmp_path):
     code, out = _run(["norms", "--family", "F", "--p", "4", "--value", "0,1"],
                      tmp_path, "norms.csv")
@@ -244,7 +269,7 @@ def test_norms_tables(tmp_path):
     store = tmp_path / "store"
     for n in ("2", "3"):
         assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", n,
-                     "--iters", "30", "--restarts", "2", "--store-dir", str(store)]) == 0
+                     "--iters", "30", "--store-dir", str(store)]) == 0
     best = max(verify_record(lookup_store(store, 4.0, 4.0, 1.0, N, "def2")) for N in (2, 3))
     code, out = _run(["norms", "--family", "vector", "--p", "4,1.5", "--value", "1",
                       "--store-dir", str(store)], tmp_path, "vector.csv")
@@ -329,7 +354,7 @@ def test_norms_vector_grid_over_p_and_tau(tmp_path):
     # certified_so_far only in the one cell the store holds, p = 4 and tau = 1.
     store = tmp_path / "store"
     assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2", "--iters", "30",
-                 "--restarts", "2", "--store-dir", str(store)]) == 0
+                 "--store-dir", str(store)]) == 0
     best = lookup_store(store, 4.0, 4.0, 1.0, 2, "def2")["ratio"]
     code, out = _run(["norms", "--family", "vector", "--p", "1.5,4", "--value", "0,0.5,1",
                       "--store-dir", str(store)], tmp_path, "grid.csv")
@@ -442,14 +467,14 @@ def test_exit_code_store_error(tmp_path):
     # certify reads the N = 2 record before it would search.
     (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
     assert main(["certify", "beurling-real", "--p", "4", "--n", "2",
-                 "--iters", "50", "--restarts", "2", "--store-dir", str(tmp_path)]) == 4
+                 "--iters", "50", "--store-dir", str(tmp_path)]) == 4
 
 
 def test_exit_code_store_error_on_write(tmp_path):
     # An N = 2 search reads the N = 2 record to compare before it writes.
     (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
     assert main(["search-martingale", "--p", "4", "--n", "2",
-                 "--iters", "50", "--restarts", "2", "--store-dir", str(tmp_path)]) == 4
+                 "--iters", "50", "--store-dir", str(tmp_path)]) == 4
 
 
 def test_corrupt_key_fails_only_what_reads_it(tmp_path):
@@ -457,7 +482,7 @@ def test_corrupt_key_fails_only_what_reads_it(tmp_path):
     store.mkdir()
     # A corrupt record for tau = 1 at N = 2; the search below uses tau = 0.
     (store / f"{store_key(4.0, 4.0, 1.0, 2, 'def2')}.json").write_text("{corrupt")
-    search = ["search-martingale", "--p", "4", "--iters", "50", "--restarts", "2",
+    search = ["search-martingale", "--p", "4", "--iters", "50",
               "--store-dir", str(store)]
     assert _run(search + ["--n", "2"], tmp_path, "n2.json")[0] == 0
     assert _run(search + ["--n", "3"], tmp_path, "n3.json")[0] == 0
@@ -470,7 +495,7 @@ def test_old_single_file_store_is_refused(tmp_path):
     store = tmp_path / "store"
     for n in ("2", "3"):
         assert main(["search-martingale", "--p", "4", "--n", n, "--iters", "50",
-                     "--restarts", "2", "--store-dir", str(store),
+                     "--store-dir", str(store),
                      "--out", str(tmp_path / "s.json")]) == 0
     # The old layout: every record in one extremizers.json.
     records = dict(load_store(store))
@@ -485,8 +510,7 @@ def test_old_single_file_store_is_refused(tmp_path):
 
 def test_certify_warm_start_from_store(tmp_path):
     store = tmp_path / "store"
-    code = main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2",
-                 "--seed", "0", "--iters", "400", "--restarts", "8",
+    code = main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2", "--iters", "400",
                  "--store-dir", str(store), "--out", str(tmp_path / "s.json")])
     assert code == 0
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1",
@@ -499,14 +523,53 @@ def test_certify_warm_start_from_store(tmp_path):
 
 
 def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
-    # A target below the certified bound is refused before the report is written
+    # A ceiling below the certified bound is refused before the report is written
     # or the store touched: a cross-check failure, not a configuration error.
-    monkeypatch.setattr("lpmult.cli.c_tau", lambda *a: 1.0)
+    monkeypatch.setattr("lpmult.cli.ceiling", lambda *a: 1.0)
     store = tmp_path / "store"
     code, _ = _run(["certify", "beurling-real", "--p", "4", "--tau", "1", "--n", "2",
                     "--store-dir", str(store)], tmp_path)
     assert code == 3
     assert not list(store.glob("*.json"))
+
+
+@pytest.mark.parametrize("p, tau", [(4.0, 1.0), (1.5, 2.0)], ids=["p4", "p1.5-outside-def2"])
+def test_certify_refuses_a_bound_above_the_proven_ceiling(tmp_path, monkeypatch, capsys, p, tau):
+    # No ratio passes U = ceiling(p, tau), C^tau defined there or not: a bound above it
+    # is a cross-check failure, with no --out file and no store record.
+    upper = ceiling(ExponentConfig(p), tau)
+    for module in (martingale, witness):
+        monkeypatch.setattr(module, "perturbed_ratio_exact", lambda *a: upper + 1e-6)
+    store = tmp_path / "store"
+    code, out = _run(["search-martingale", "--p", str(p), "--tau", str(tau), "--n", "2",
+                      "--iters", "30", "--store-dir", str(store)], tmp_path)
+    assert code == 3
+    assert not out.exists()
+    assert not list(store.glob("*.json"))
+    assert f"exceeds the proven ceiling {upper}" in capsys.readouterr().err
+
+
+def test_certify_passes_c_tau_below_the_ceiling_at_p_below_two(tmp_path):
+    # At p = 1.25, tau = 5 (outside def2) a depth-12 Bellman policy passes C^tau:
+    # a certificate, since only U = ((p* - 1)^p + tau^p)^(1/p) bounds the ratio there.
+    N, exps = 12, ExponentConfig(1.25)
+    beta = tuple((-1) ** k for k in range(N))
+    flat = policy_flat(1.25, 5.0, beta, N, 8)[0] + 0j
+    seq = MartingaleDifferenceSequence(tuple(
+        t.reshape((2,) * k + (1,)) for k, t in enumerate(martingale._levels(flat), start=1)))
+    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 5.0), exps)
+    inst = tmp_path / "policy.json"
+    write_json(inst, sequence_to_record(seq, beta, 5.0, exps, ratio, None, "def2"))
+    code, out = _run(["certify", "beurling-real", "--p", "1.25", "--tau", "5", "--n", str(N),
+                      "--martingale", str(inst), "--store-dir", str(tmp_path / "store")],
+                     tmp_path)
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["certified_lower_bound"] == ratio
+    assert rep["upper_bound"] == ceiling(exps, 5.0)
+    assert rep["target_constant"] is None
+    assert f"{math.hypot(4.0, 5.0):.6f}" == "6.403124" and f"{ratio:.6f}" == "6.678759"
+    assert f"{rep['upper_bound']:.6f}" == "7.847060"
 
 
 @pytest.mark.parametrize("command", [["search-martingale"], ["certify", "beurling-real"]])
@@ -528,7 +591,7 @@ def test_p0_flag_is_refused(tmp_path, monkeypatch, command):
 
 def test_certify_search_stores_what_a_second_certify_reads(tmp_path):
     store = tmp_path / "store"
-    flags = ["--p", "4", "--tau", "0.5", "--iters", "40", "--restarts", "2",
+    flags = ["--p", "4", "--tau", "0.5", "--iters", "40",
              "--store-dir", str(store)]
     code, out = _run(["search-martingale", *flags, "--n", "2"], tmp_path, "n2.json")
     assert code == 0
@@ -638,7 +701,7 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
         path.write_text("{corrupt")
     before = path.read_bytes()
     code, out = _run(["search-martingale", "--p", "4", "--n", "3", "--iters", "200",
-                      "--restarts", "8", "--seed", "5", "--store-dir", str(store)], tmp_path)
+                      "--store-dir", str(store)], tmp_path)
     assert code == 4
     assert str(path) in capsys.readouterr().err
     assert path.read_bytes() == before
@@ -649,7 +712,7 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
                                    pytest.param(0.0, id="zero")])
 @pytest.mark.parametrize("command", [
     pytest.param(["norms", "--family", "beurling"], id="norms"),
-    pytest.param(["search-martingale", "--n", "2", "--iters", "30", "--restarts", "2"],
+    pytest.param(["search-martingale", "--n", "2", "--iters", "30"],
                  id="store-write"),
     pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
 ])
@@ -697,7 +760,7 @@ def test_unwritable_out_writes_no_store_record(tmp_path, capsys):
     store, out = tmp_path / "store", tmp_path / "out"
     out.mkdir()
     assert main(["certify", "beurling-real", "--p", "4", "--n", "3", "--iters", "20",
-                 "--restarts", "2", "--store-dir", str(store), "--out", str(out)]) == 2
+                 "--store-dir", str(store), "--out", str(out)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert not list(store.glob("*.json"))
 
@@ -875,7 +938,7 @@ def test_search_beside_a_bad_record_below_never_reads_it(tmp_path, capsys, malfo
         path.write_text(text)
     before = path.read_bytes()
     code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
-                      "--restarts", "2", "--store-dir", str(store)], tmp_path)
+                      "--store-dir", str(store)], tmp_path)
     assert code == 0, capsys.readouterr().err
     assert path.read_bytes() == before
     assert json.loads(out.read_text())["N"] == 4
@@ -895,7 +958,7 @@ def test_search_beside_overflowing_tables_below_warns_nothing(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
-                          "--restarts", "2", "--store-dir", str(store)], tmp_path)
+                          "--store-dir", str(store)], tmp_path)
     assert code == 0, capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
@@ -912,7 +975,7 @@ def test_search_martingale_looks_up_no_store_record(tmp_path, monkeypatch):
     store = tmp_path / "store"
     for n in ("2", "3"):  # the N = 2 record is in the store when N = 3 searches
         code, _ = _run(["search-martingale", "--p", "4", "--n", n, "--iters", "30",
-                        "--restarts", "2", "--store-dir", str(store)], tmp_path)
+                        "--store-dir", str(store)], tmp_path)
         assert code == 0
     assert len(list(store.glob("*.json"))) == 2
 
@@ -1060,19 +1123,17 @@ def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
 
 
 @pytest.mark.parametrize("store_n, record, flags, message", [
-    (2, "corrupt", ["search-martingale", "--n", "3", "--restarts", "0"],
+    (2, "corrupt", ["search-martingale", "--n", "3", "--iters", "0"],
      "budget fields must be positive"),
-    (2, "valid", ["search-martingale", "--n", "3", "--restarts", "0"],
+    (2, "valid", ["search-martingale", "--n", "3", "--iters", "0"],
      "budget fields must be positive"),
-    (2, "valid", ["search-martingale", "--n", "3", "--seed", "-1"],
-     "seed must not be negative, got -1"),
-    (20, "corrupt", ["search-martingale", "--n", "21", "--restarts", "1"],
+    (20, "corrupt", ["search-martingale", "--n", "21"],
      "depth must be in 1..20, got 21"),
-    (3, "valid", ["certify", "beurling-real", "--n", "3", "--restarts", "0"],
+    (3, "valid", ["certify", "beurling-real", "--n", "3", "--iters", "0"],
      "budget fields must be positive"),
     (2, "file", ["certify", "beurling-real", "--wall-cap", "nan"],
      "budget fields must be positive"),
-], ids=["search-budget-corrupt", "search-budget-valid", "search-seed", "search-depth-corrupt",
+], ids=["search-budget-corrupt", "search-budget-valid", "search-depth-corrupt",
         "certify-budget-store", "certify-wall-cap-file"])
 def test_a_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, store_n,
                                                        record, flags, message):
@@ -1115,8 +1176,7 @@ def test_shear_refuses_p_before_any_draw(tmp_path, capsys, monkeypatch):
 
 
 def test_search_records_what_stopped_it(tmp_path):
-    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3",
-            "--seed", "5", "--iters", "30", "--restarts", "2"]
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "30"]
     code, out = _run(args + ["--wall-cap", "1e-9", "--store-dir", str(tmp_path / "s1")],
                      tmp_path, "wall.json")
     assert code == 0
@@ -1132,8 +1192,7 @@ def test_search_records_what_stopped_it(tmp_path):
 
 
 def test_certify_records_what_stopped_the_search(tmp_path):
-    args = ["certify", "beurling-real", "--p", "4", "--tau", "0.5", "--n", "3",
-            "--seed", "5", "--iters", "30", "--restarts", "2"]
+    args = ["certify", "beurling-real", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "30"]
     for extra, stopped_by in ((["--wall-cap", "1e-9"], "wall"), ([], "iters")):
         code, out = _run(args + extra + ["--store-dir", str(tmp_path / stopped_by)],
                          tmp_path, f"{stopped_by}.json")

@@ -13,6 +13,7 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double, _flat,
                                _head_levels, _head_plan, _head_values, _ratio_and_grad,
                                perturbed_ratio_exact, search_extremal)
+from lpmult.policy import policy_flat
 
 
 def _sign_index(r):
@@ -239,16 +240,14 @@ def test_blocked_ratio_memory_stays_in_blocks():
 
 
 def test_search_p2_identity():
-    res = search_extremal(ExponentConfig(2.0), 0.5, 4, restarts=16, iters=200, seed=1,
-                          wall_cap_s=60.0)
+    res = search_extremal(ExponentConfig(2.0), 0.5, 4, iters=200, wall_cap_s=60.0)
     assert res.ratio == pytest.approx(math.sqrt(1.25), abs=1e-12)
 
 
 def test_search_n2_tau1_reaches_sqrt2():
     # The symmetric +-1 flip achieves sqrt(2) at tau = 1, exceeding the
     # explicit (52/21)^(1/4) instance.
-    budget = dict(restarts=8, iters=400, seed=0, wall_cap_s=60.0)
-    res = search_extremal(ExponentConfig(4.0), 1.0, 2, **budget)
+    res = search_extremal(ExponentConfig(4.0), 1.0, 2, iters=400, wall_cap_s=60.0)
     assert res.ratio >= (52.0 / 21.0) ** 0.25 - 1e-9
     check = perturbed_ratio_exact(res.sequence, TransformConfig(res.beta, 1.0),
                                   ExponentConfig(4.0))
@@ -256,51 +255,45 @@ def test_search_n2_tau1_reaches_sqrt2():
 
 
 def test_search_respects_ceiling_below_two():
-    budget = dict(restarts=6, iters=300, seed=3, wall_cap_s=60.0)
-    exps = ExponentConfig(4.0 / 3.0)
-    res = search_extremal(exps, 0.5, 3, **budget)
+    res = search_extremal(ExponentConfig(4.0 / 3.0), 0.5, 3, iters=300, wall_cap_s=60.0)
     assert res.ratio <= math.hypot(3.0, 0.5) + 1e-9
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_search_chain_is_monotone(seed):
+def test_search_chain_is_monotone():
     # No depth starts from the one below it; the policy starts keep a small
     # budget's chain from going down.
     exps = ExponentConfig(4.0)
-    budget = dict(restarts=4, iters=40, seed=seed, wall_cap_s=600.0)
     prev = None
     for N in range(2, 12):
-        res = search_extremal(exps, 0.0, N, **budget)
+        res = search_extremal(exps, 0.0, N, iters=40, wall_cap_s=600.0)
         if prev is not None:
             assert res.ratio >= prev.ratio - 1e-12, N
         prev = res
 
 
 def test_search_determinism():
-    budget = dict(restarts=4, iters=150, seed=11, wall_cap_s=60.0)
-    a = search_extremal(ExponentConfig(4.0), 0.5, 2, **budget)
-    b = search_extremal(ExponentConfig(4.0), 0.5, 2, **budget)
+    a = search_extremal(ExponentConfig(4.0), 0.5, 2, iters=150, wall_cap_s=60.0)
+    b = search_extremal(ExponentConfig(4.0), 0.5, 2, iters=150, wall_cap_s=60.0)
     assert a.ratio == b.ratio
     assert a.beta == b.beta
     assert all(np.array_equal(x, y) for x, y in zip(a.sequence.tables, b.sequence.tables))
 
 
-_BUDGET = dict(restarts=16, iters=200, seed=0, wall_cap_s=60.0)
+_BUDGET = dict(iters=200, wall_cap_s=60.0)
 
 
 _BAD_BUDGET = "budget fields must be positive"
 _REFUSALS = {"N": "depth must be in 1..20, got", "tau": "tau must be finite with a finite square",
-             "restarts": _BAD_BUDGET, "iters": _BAD_BUDGET, "wall_cap_s": _BAD_BUDGET,
-             "seed": "seed must not be negative, got"}
+             "iters": _BAD_BUDGET, "wall_cap_s": _BAD_BUDGET}
 
 
 @pytest.mark.parametrize("p", [4.0, 2.0])
 @pytest.mark.parametrize("field, value", [
-    ("N", 0), ("N", 21), ("tau", math.nan), ("tau", math.inf), ("tau", 1e200), ("restarts", 0),
-    ("iters", 0), ("wall_cap_s", 0.0), ("wall_cap_s", math.nan), ("seed", -1)])
+    ("N", 0), ("N", 21), ("tau", math.nan), ("tau", math.inf), ("tau", 1e200), ("iters", 0),
+    ("wall_cap_s", 0.0), ("wall_cap_s", math.nan)])
 def test_search_refuses_a_bad_input_before_any_work(monkeypatch, p, field, value):
     # One table of check_search's rules, at p = 4 and on the p = 2 path, which
-    # makes no rng and ascends nothing.
+    # solves no policy and ascends nothing.
     def reached(*args):
         raise AssertionError("the search worked on a bad input")
 
@@ -310,27 +303,6 @@ def test_search_refuses_a_bad_input_before_any_work(monkeypatch, p, field, value
     N, tau = inputs.pop("N"), inputs.pop("tau")
     with pytest.raises(ValueError, match=_REFUSALS[field]):
         search_extremal(ExponentConfig(p), tau, N, **inputs)
-
-
-def test_beta_candidates_sweep_when_quota_exceeds_patterns():
-    # 40 distinct betas cannot be drawn from the 32 patterns at N = 5; the
-    # sweep takes every pattern with no draw instead of looping forever.
-    def fresh():
-        return np.random.default_rng(np.random.PCG64(0))
-
-    rng = fresh()
-    assert sorted(martingale._beta_candidates(5, rng, 40)) == sorted(product((-1, 1), repeat=5))
-    assert rng.bit_generator.state == fresh().bit_generator.state
-    # At exactly 2^N distinct draws can still fill the quota, and still do.
-    rng = fresh()
-    assert len(martingale._beta_candidates(5, rng, 32)) == 32
-    assert rng.bit_generator.state != fresh().bit_generator.state
-
-
-def test_search_returns_when_restarts_exceed_patterns():
-    res = search_extremal(ExponentConfig(4.0), 0.0, 5, restarts=40, iters=2, seed=1,
-                          wall_cap_s=60.0)
-    assert len(res.beta) == 5 and res.ratio >= 1.0
 
 
 def _reference_realize(tables, beta=None):
@@ -413,20 +385,20 @@ def test_batched_gradient_matches_reference(N, m, tau, p):
         assert np.max(np.abs(grad[b] - ref)) <= 1e-12
 
 
-def test_search_independent_of_batch(monkeypatch):
-    budget = dict(restarts=4, iters=60, seed=13, wall_cap_s=60.0)
-    exps = ExponentConfig(4.0)
-    results, ratios = [], []
-    for points in (1, 2**20):
-        monkeypatch.setattr(martingale, "_BATCH_POINTS", points)
-        results.append(search_extremal(exps, 0.5, 5, **budget))
-        ratios.append(perturbed_ratio_exact(
-            results[0].sequence, TransformConfig(results[0].beta, 0.5), exps))
-    one, whole = results
-    assert one.beta == whole.beta
-    assert abs(one.ratio - whole.ratio) <= 1e-12
-    # The exact ratio does not depend on the search's batch size.
-    assert ratios[0] == ratios[1]
+def test_search_independent_of_batch():
+    # The search polishes its two policy starts in one batch: each row ascends
+    # bit for bit as it would alone, and the search returns one of them.
+    tau, N = 0.5, 5
+    alt = (1, -1, 1, -1, 1)
+    betas = [alt, alt[:-1] + (-1,)]
+    x = np.stack([policy_flat(4.0, tau, beta, N)[0] + 0j for beta in betas])
+    coef = np.array(betas, dtype=float)
+    both, _ = martingale._ascend(x, coef, tau, 4.0, 60, math.inf)
+    for b in range(2):
+        alone, _ = martingale._ascend(x[b:b + 1], coef[b:b + 1], tau, 4.0, 60, math.inf)
+        assert np.array_equal(alone[0], both[b])
+    res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=60.0)
+    assert np.array_equal(res.sequence.flat, both[betas.index(res.beta)])
 
 
 def test_transform_config_refuses_entries_off_plus_minus_one():

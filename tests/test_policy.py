@@ -117,8 +117,7 @@ def test_beta_of_another_length_is_refused():
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 5), (4.0, 1.0, 6), (4.0 / 3.0, 0.5, 4),
                                        (3.0, 0.0, 1)])
 def test_search_is_at_least_each_policy_start(p, tau, N):
-    res = search_extremal(ExponentConfig(p), tau, N, restarts=2, iters=5, seed=3,
-                          wall_cap_s=60.0)
+    res = search_extremal(ExponentConfig(p), tau, N, iters=5, wall_cap_s=60.0)
     alt = _alternating(N)
     for beta in [alt] if N == 1 else [alt, alt[:-1] + alt[-2:-1]]:
         assert res.ratio >= policy_flat(p, tau, beta, N)[1] - 1e-12
@@ -126,8 +125,7 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
 
 def test_wall_capped_default_chain_at_p_four_thirds_passes_2_2_at_n10():
     # The chain's depths are independent searches, so only its N = 10 one is run: the
-    # CLI's default budget, but a wall cap that fires after the first batch, which the
-    # two policy starts ride on top of, so they decide the bound.
-    res = search_extremal(ExponentConfig(4.0 / 3.0), 0.0, 10, restarts=16, iters=600, seed=0,
-                          wall_cap_s=1e-3)
+    # CLI's default budget, but a wall cap that fires after the first ascent step, so
+    # the two policy starts decide the bound.
+    res = search_extremal(ExponentConfig(4.0 / 3.0), 0.0, 10, iters=600, wall_cap_s=1e-3)
     assert res.ratio >= 2.2 and res.stopped_by == "wall"

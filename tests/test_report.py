@@ -60,8 +60,8 @@ def _certify(tmp_path, *flags):
 def test_certify_report_keys_gap_and_version(tmp_path):
     rep = _certify(tmp_path, "--p", "4", "--tau", "1")
     assert set(rep) == {"N", "achieved_ratio", "budget", "certified_lower_bound", "family",
-                        "gap", "notes", "p", "params", "predicate", "seed",
-                        "target_constant", "tau", "timestamp", "version", "wall_time_s"}
+                        "gap", "notes", "p", "params", "predicate", "target_constant",
+                        "tau", "timestamp", "upper_bound", "version", "wall_time_s"}
     assert rep["gap"] == rep["target_constant"] - rep["certified_lower_bound"]
     assert rep["version"] == lpmult.__version__
 

@@ -129,7 +129,7 @@ def test_symbol_off_the_axis_values_exits_crosscheck(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "beurling_real", lambda: changed)
     store, out = tmp_path / "store", tmp_path / "out.json"
     assert main(["certify", "beurling-real", "--p", "4", "--n", "2", "--iters", "30",
-                 "--restarts", "2", "--store-dir", str(store), "--out", str(out)]) == 3
+                 "--store-dir", str(store), "--out", str(out)]) == 3
     assert not list(store.glob("*.json"))
     assert not out.exists()
 
@@ -171,7 +171,7 @@ def test_no_certificate_runs_a_lift(monkeypatch, tmp_path):
         assert main(["certify", *family, *args]) == 0, family
         assert json.loads(out.read_text())["certified_lower_bound"] == bound, family
     assert main(["search-martingale", "--p", "4", "--n", "2", "--iters", "30",
-                 "--restarts", "2", "--store-dir", str(tmp_path / "store")]) == 0
+                 "--store-dir", str(tmp_path / "store")]) == 0
 
 
 def _random_spec(N, seed=0, m=1, tau=1.0, p=4.0):
