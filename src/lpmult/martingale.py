@@ -105,6 +105,7 @@ def _head_plan(h):
     return 2**k - 2 + (i >> (h + 1 - k)), 1.0 - 2.0 * (i >> (h - k) & 1)
 
 
+@functools.cache
 def _head_levels(N, values, blocks):
     """Head levels h for `values` rows times components, raised to one value a block."""
     return max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // values).bit_length() - 2),
@@ -160,6 +161,7 @@ def _double(V, flat, flips, b=0):
     return V
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN moments are refused below
 def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
                           exps: ExponentConfig) -> float:
     """||(G_N, tau F_N)||_p / ||F_N||_p by full enumeration.
@@ -183,32 +185,28 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     flat, tail = F.flat.T, [_LEVEL_FLIPS[b] for b in cfg.beta[h:]]
     p2, tau2, P = exps.p / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
-    # Overflowing values and squares become inf or NaN here and are refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = _head_values(flat, _head_flips(cfg.beta[:h]))
-        step = V.shape[-1] // blocks
-        for b in range(blocks):
-            Vb = V[..., b * step:(b + 1) * step] if blocks > 1 else V
-            s = np.abs(_double(Vb, flat, tail, b) if tail else Vb)
-            np.square(s, out=s)
-            s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
-            n2, g2 = s[0], s[1]  # made in place into |F|^p and (|G|^2 + tau^2 |F|^2)^(p/2)
-            if tau2:  # g2 + 0 n2 is g2 for a finite n2, and a non-finite n2 fails den below
-                g2 += tau2 * n2
-            n2 **= p2
-            g2 **= p2
-            sums.append(np.add.reduce(s, -1).tolist())  # each row summed as by .sum()
-            del s, n2, g2  # one block at a time in memory
-        while len(sums) > 1:  # the balanced tree of numpy's pairwise sum over the hypercube
-            sums = [[d0 + d1, n0 + n1] for (d0, n0), (d1, n1) in zip(sums[0::2], sums[1::2])]
-        [(den, num)] = sums
-        den, num = den / P, num / P
-        if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
-            raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p = {num} "
-                                     "is not finite: the input is out of range")
-        if not den > 0.0:
-            raise ZeroDivisionError("F_N has zero L^p norm")
-        ratio = num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
+    V = _head_values(flat, _head_flips(cfg.beta[:h]))
+    step = V.shape[-1] // blocks
+    for b in range(blocks):
+        Vb = V[..., b * step:(b + 1) * step] if blocks > 1 else V
+        s = np.abs(_double(Vb, flat, tail, b) if tail else Vb)
+        np.square(s, out=s)
+        s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
+        if tau2:  # |G|^2 + 0 |F|^2 is |G|^2 for a finite |F|^2; a non-finite one fails den below
+            s[1] += tau2 * s[0]
+        s **= p2  # in place, one pass: rows |F|^p and (|G|^2 + tau^2 |F|^2)^(p/2)
+        sums.append(np.add.reduce(s, -1).tolist())  # each row summed as by .sum()
+        del s  # one block at a time in memory
+    while len(sums) > 1:  # the balanced tree of numpy's pairwise sum over the hypercube
+        sums = [[d0 + d1, n0 + n1] for (d0, n0), (d1, n1) in zip(sums[0::2], sums[1::2])]
+    [(den, num)] = sums
+    den, num = den / P, num / P
+    if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
+        raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p = {num} "
+                                 "is not finite: the input is out of range")
+    if not den > 0.0:
+        raise ZeroDivisionError("F_N has zero L^p norm")
+    ratio = num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
     if not math.isfinite(ratio):
         raise FloatingPointError(f"ratio {ratio} is not finite: the input is out of range")
     return ratio

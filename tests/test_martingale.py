@@ -155,16 +155,25 @@ def test_extend_with_zero_preserves_ratio():
 
 
 def test_ratio_input_validation():
+    # numpy's error state after every exit, a refusal or a return, is the one before the call.
+    before = np.geterr()
     seq = _explicit_instance()
     with pytest.raises(ValueError):
         perturbed_ratio_exact(seq, TransformConfig((1,), 0.0), ExponentConfig(4.0))
-    # 1e-170 is not zero, but its square underflows, so ||F_N||_p is 0.
-    for tiny in (0.0, 1e-170):
-        zero = MartingaleDifferenceSequence((np.full((2, 1), tiny),))
+    assert np.geterr() == before
+    # 1e-170 is not zero, but its square underflows, so ||F_N||_p is 0; the
+    # squares of 1e200 overflow, so no moment is finite.
+    for value, error in ((0.0, ZeroDivisionError), (1e-170, ZeroDivisionError),
+                         (1e200, FloatingPointError)):
+        seq = MartingaleDifferenceSequence((np.full((2, 1), value),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ZeroDivisionError):
-                perturbed_ratio_exact(zero, TransformConfig((1,), 0.0), ExponentConfig(4.0))
+            with pytest.raises(error):
+                perturbed_ratio_exact(seq, TransformConfig((1,), 0.0), ExponentConfig(4.0))
+        assert np.geterr() == before
+    assert perturbed_ratio_exact(_explicit_instance(), TransformConfig((1, -1), 0.5),
+                                 ExponentConfig(4.0)) > 0.0
+    assert np.geterr() == before
     with pytest.raises(ValueError):
         TransformConfig((2,), 0.0)
 
@@ -427,8 +436,15 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
     # but not the tail are evaluated in alternating order: the head
     # coefficients shared through the cache carry nothing from call to call.
     # Blocks of 2^8 points split N >= 7 into 2^(N-6) blocks, each doubled and
-    # summed on its own, against the same one-block reference.
+    # summed on its own, against the same one-block reference; the doubling
+    # calls count them, so no plan kept from the 2^16 calls may serve the 2^8 ones.
     rng = np.random.default_rng(np.random.PCG64(900 + N))
+    doubled = []
+
+    def counted(V, flat, flips, b=0):
+        doubled.append(b)
+        return _double(V, flat, flips, b)
+
     for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
         beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
         betas = [beta, beta[:5] + tuple(-b for b in beta[5:])] if N > 5 else [beta]
@@ -437,9 +453,13 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
         refs = [_reference_exact_ratio(seq, cfg.beta, tau, exps) for seq, cfg in cases]
         for block_points in (martingale._BLOCK_POINTS, 2**8):
             monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(martingale, "_double", counted)
             for (seq, cfg), ref in zip(cases * 2, refs * 2):
+                doubled.clear()
                 assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
                     N, m, p, tau, cfg.beta, block_points)
+                if block_points == 2**8 and N >= 7:
+                    assert doubled == list(range(2 ** (N - 6))), (N, m, block_points)
             monkeypatch.undo()
 
 

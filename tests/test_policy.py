@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmult import policy
+from lpmult import catalog, policy
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
                                perturbed_ratio_exact, search_extremal)
@@ -74,6 +74,18 @@ def test_backward_evaluation_is_the_tables_exact_ratio(p, tau, N, R, beta):
     assert flat.shape == (2 ** (N + 1) - 2, 1) and flat.dtype == float
     exact = _exact(flat, beta, tau, p)
     assert abs(ratio - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_start_value_is_not_positive_at_the_proven_ceiling(tau):
+    # The start value is the best E(|G|^2 + tau^2 |F|^2)^(p/2) - C^p E|F|^p of the
+    # band's martingales. By Burkholder's inequality, through the proven ceiling U,
+    # none passes 0 at C = U; 2% below U the policy does. At N = 512 this checks
+    # the band's transitions and weights far past any enumeration.
+    exps, beta = ExponentConfig(4.0), _alternating(512)
+    U = catalog.ceiling(exps, tau)
+    assert policy._solve(exps.p, tau, beta, 16, U)[0] <= 0.0
+    assert policy._solve(exps.p, tau, beta, 16, 0.98 * U)[0] > 0.0
 
 
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 8), (4.0, 1.0, 6), (4.0 / 3.0, 0.0, 8),
