@@ -9,14 +9,16 @@ enumerating all 2^(N+1) sign patterns with uniform weight.
 One realization serves the exact ratio and the search: from the tables of a
 sequence, one array level after level, `_head_values` gathers the values of F
 and G at the first h <= 5 levels in one step, and `_double` takes them through
-the rest, V <- (V + c, V - c), one sign coordinate a level (O(2^(N+1)) work);
-the search gradient is reduced by the reverse halving.  The exact ratio takes
-its head coefficients from a cache keyed by beta's first h signs (at most 62
-keys), doubles each block of at most `_BLOCK_POINTS` points on its own (no
-doubling where N <= h), forms its power sums in place and adds the per-block
-sums in the balanced tree of numpy's pairwise sum over the whole hypercube.
-`search_extremal` polishes two Bellman policy starts together, each with its
-own step, and re-verifies both through `perturbed_ratio_exact`.
+the rest, one sign coordinate a level (O(2^(N+1)) work): F <- (F + t, F - t)
+and G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
+beta_k choosing only which half of G gets the sum.  The search doubles each
+start with its own beta and reduces its gradient by the reverse halving.  The
+exact ratio takes its head coefficients from a cache keyed by beta's first h
+signs (at most 62 keys), doubles each block of at most `_BLOCK_POINTS` points
+on its own (no doubling where N <= h), forms its power sums in place and adds
+the per-block sums in the balanced tree of numpy's pairwise sum over the whole
+hypercube.  `search_extremal` polishes two Bellman policy starts together,
+each with its own step, and re-verifies both through `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
@@ -112,13 +114,6 @@ def _head_levels(N, values, blocks):
                blocks.bit_length() - 2)
 
 
-# A doubling level's flips (1, beta_k) in the exact ratio, for beta_k = +1 and -1.
-# Complex flips spare a cast in every table product; a product by +-1 is exact.
-_LEVEL_FLIPS = {b: np.array([1, b], complex).reshape(2, 1, 1) for b in (1, -1)}
-for _f in _LEVEL_FLIPS.values():
-    _f.flags.writeable = False
-
-
 @functools.cache
 def _head_flips(beta):
     """(1, beta) times the signs: the exact ratio's head coefficients (2, 1, h, 2^(h+1))."""
@@ -140,23 +135,29 @@ def _head_values(flat, head):
     return np.add.reduce(flat.take(_head_plan(head.shape[-2])[0], axis=-1) * head, axis=-2)
 
 
-def _double(V, flat, flips, b=0):
-    """Block b of the values V (..., m, w) doubled through the last len(flips) levels.
+def _double(V, flat, beta, b=0):
+    """Block b of the (F, G) values V (2, ..., m, w) doubled through the last len(beta) levels.
 
-    Each level appends its sign as the fastest bit, V <- (V + c, V - c): c is the
-    level's table on the block's prefixes times the level's entry of flips,
-    which broadcasts with (..., m, w).  Block b of a hypercube cut into equal
-    blocks in point order holds prefixes b * w ... (b + 1) * w - 1 of a level,
-    w the block's width there.
+    Each level appends its sign as the fastest bit: F <- (F + t, F - t) and
+    G <- (G + beta_k t, G - beta_k t), t the level's table on the block's
+    prefixes broadcast over F and G; where beta_k = -1 the same two ufunc
+    calls write through strided views.  Block b of a hypercube cut into equal
+    blocks in point order holds prefixes b * w ... (b + 1) * w - 1 of a
+    level, w the block's width there.
     """
     N = (flat.shape[-1] + 2).bit_length() - 2
-    for lvl, f in enumerate(flips, start=N - len(flips)):
+    for lvl, bk in enumerate(beta, start=N - len(beta)):
         w = V.shape[-1]
         at = 2 ** (lvl + 1) - 2 + b * w
-        c = flat[..., at:at + w] * f
+        t = flat[..., at:at + w]
         new = np.empty(V.shape + (2,), dtype=complex)
-        np.add(V, c, out=new[..., 0])
-        np.subtract(V, c, out=new[..., 1])
+        plus, minus = new[..., 0], new[..., 1]
+        if bk < 0:  # row r of the sum at new[r, ..., r], of the difference at new[r, ..., 1 - r]
+            s0, d, rest = new.strides[0], new.itemsize, new.strides[1:-1]
+            plus = np.ndarray(V.shape, complex, new, 0, (s0 + d,) + rest)
+            minus = np.ndarray(V.shape, complex, new, d, (s0 - d,) + rest)
+        np.add(V, t, out=plus)
+        np.subtract(V, t, out=minus)
         V = new.reshape(V.shape[:-1] + (-1,))
     return V
 
@@ -182,7 +183,7 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
         raise ValueError(f"beta must have length {N}")
     blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
     h = _head_levels(N, 2 * m, blocks)
-    flat, tail = F.flat.T, [_LEVEL_FLIPS[b] for b in cfg.beta[h:]]
+    flat, tail = F.flat.T, cfg.beta[h:]
     p2, tau2, P = exps.p / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
     V = _head_values(flat, _head_flips(cfg.beta[:h]))
@@ -247,8 +248,9 @@ def _ratio_and_grad(x, coef, tau, p):
     flips[1] = coef
     hl = _head_levels(N, 2 * B * m, 1)
     flat = x.swapaxes(-1, -2)
-    V = _double(_head_values(flat, flips[..., None, :hl, None] * _head_plan(hl)[1]), flat,
-                np.moveaxis(flips[..., None, None, hl:], -1, 0))
+    V = _head_values(flat, flips[..., None, :hl, None] * _head_plan(hl)[1])
+    if N > hl:  # each start's pair through its own flips
+        V = np.stack([_double(V[:, i], flat[i], beta[hl:]) for i, beta in enumerate(coef)], 1)
     n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
     h = g2 + tau * tau * n2
     P = n2.shape[1]

@@ -180,13 +180,18 @@ def test_ratio_input_validation():
 
 def _realize(flat, coef, blocks=1):
     """Values (..., m, 2^(N+1)) of flat tables (..., m, 2^(N+1) - 2) under flips coef
-    (..., N): `_head_values` and then `_double` on each of `blocks` blocks, joined."""
+    (..., N): each flip row is the G half of the pair (ones, row), realized by
+    `_head_values` and then `_double` on each of `blocks` blocks, joined."""
     N, m = coef.shape[-1], flat.shape[-2]
     h = _head_levels(N, coef[..., 0].size * m, blocks)
-    V = _head_values(flat, coef[..., None, :h, None] * _head_plan(h)[1])
-    w, tail = V.shape[-1] // blocks, np.moveaxis(coef[..., None, None, h:], -1, 0)
-    return np.concatenate([_double(V[..., b * w:(b + 1) * w], flat, tail, b)
-                           for b in range(blocks)], axis=-1)
+    flat = np.broadcast_to(flat, coef.shape[:-1] + flat.shape[-2:])
+    rows = []
+    for f, beta in zip(flat.reshape((-1,) + flat.shape[-2:]), coef.reshape(-1, N)):
+        V = _head_values(f, np.stack([np.ones(N), beta])[:, None, :h, None] * _head_plan(h)[1])
+        w = V.shape[-1] // blocks
+        rows.append(np.concatenate([_double(V[..., b * w:(b + 1) * w], f, beta[h:], b)
+                                    for b in range(blocks)], axis=-1)[1])
+    return np.reshape(rows, coef.shape[:-1] + (m, -1))
 
 
 def _two_pass_ratio(F, cfg, exps):
@@ -396,18 +401,21 @@ def test_batched_gradient_matches_reference(N, m, tau, p):
 
 def test_search_independent_of_batch():
     # The search polishes its two policy starts in one batch: each row ascends
-    # bit for bit as it would alone, and the search returns one of them.
-    tau, N = 0.5, 5
-    alt = (1, -1, 1, -1, 1)
-    betas = [alt, alt[:-1] + (-1,)]
-    x = np.stack([policy_flat(4.0, tau, beta, N)[0] + 0j for beta in betas])
-    coef = np.array(betas, dtype=float)
-    both, _ = martingale._ascend(x, coef, tau, 4.0, 60, math.inf)
-    for b in range(2):
-        alone, _ = martingale._ascend(x[b:b + 1], coef[b:b + 1], tau, 4.0, 60, math.inf)
-        assert np.array_equal(alone[0], both[b])
-    res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=60.0)
-    assert np.array_equal(res.sequence.flat, both[betas.index(res.beta)])
+    # bit for bit as it would alone, and the search returns one of them.  At
+    # N = 5 the head holds every level; at N = 8 each start doubles its last
+    # three levels through its own beta, the two differing in beta_N.
+    tau = 0.5
+    for N in (5, 8):
+        alt = tuple((-1) ** k for k in range(N))
+        betas = [alt, alt[:-1] + alt[-2:-1]]
+        x = np.stack([policy_flat(4.0, tau, beta, N)[0] + 0j for beta in betas])
+        coef = np.array(betas, dtype=float)
+        both, _ = martingale._ascend(x, coef, tau, 4.0, 60, math.inf)
+        for b in range(2):
+            alone, _ = martingale._ascend(x[b:b + 1], coef[b:b + 1], tau, 4.0, 60, math.inf)
+            assert np.array_equal(alone[0], both[b]), (N, b)
+        res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=60.0)
+        assert np.array_equal(res.sequence.flat, both[betas.index(res.beta)]), N
 
 
 def test_transform_config_refuses_entries_off_plus_minus_one():
@@ -430,7 +438,7 @@ def _reference_exact_ratio(F, beta, tau, exps):
     return num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
 
 
-@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("N", [*range(1, 13), 15, 16])
 def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
     # Sequences whose betas share their first five signs (the head of N <= 12)
     # but not the tail are evaluated in alternating order: the head
@@ -438,6 +446,9 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
     # Blocks of 2^8 points split N >= 7 into 2^(N-6) blocks, each doubled and
     # summed on its own, against the same one-block reference; the doubling
     # calls count them, so no plan kept from the 2^16 calls may serve the 2^8 ones.
+    # N = 15 and 16 run at the default block alone, as 2 and 4 blocks: with beta
+    # and its tail negated, each doubling level of a multi-block call runs in
+    # both write orders.
     rng = np.random.default_rng(np.random.PCG64(900 + N))
     doubled = []
 
@@ -451,15 +462,16 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
         cases = [(_random_sequence(rng, N, m), TransformConfig(b, tau)) for b in betas]
         exps = ExponentConfig(p)
         refs = [_reference_exact_ratio(seq, cfg.beta, tau, exps) for seq, cfg in cases]
-        for block_points in (martingale._BLOCK_POINTS, 2**8):
+        for block_points in [martingale._BLOCK_POINTS] + ([2**8] if N <= 14 else []):
             monkeypatch.setattr(martingale, "_BLOCK_POINTS", block_points)
             monkeypatch.setattr(martingale, "_double", counted)
             for (seq, cfg), ref in zip(cases * 2, refs * 2):
                 doubled.clear()
                 assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
                     N, m, p, tau, cfg.beta, block_points)
-                if block_points == 2**8 and N >= 7:
-                    assert doubled == list(range(2 ** (N - 6))), (N, m, block_points)
+                if 2 ** (N + 2) > block_points:  # more than one block
+                    assert doubled == list(range(2 ** (N + 2) // block_points)), (
+                        N, m, block_points)
             monkeypatch.undo()
 
 
@@ -479,5 +491,3 @@ def test_exact_ratio_head_cache_is_bounded_and_read_only():
     assert head.shape == (2, 1, 3, 16)
     with pytest.raises(ValueError):
         head[0, 0, 0, 0] = 0.0
-    # The flips of the doubling levels are two fixed arrays, read-only too.
-    assert not any(f.flags.writeable for f in martingale._LEVEL_FLIPS.values())

@@ -88,6 +88,41 @@ def test_start_value_is_not_positive_at_the_proven_ceiling(tau):
     assert policy._solve(exps.p, tau, beta, 16, 0.98 * U)[0] > 0.0
 
 
+def _unnormalized_values(p, C, beta, R):
+    """W_N, ..., W_1 at tau = 0 on the band's states from x_(S/2) on: `_solve`'s
+    recursion without its per-step normalization, so each is in the unit e = 0."""
+    canon, allowed = policy._weights(R, p)
+    num, den = policy._payoff(R, p, 0.0)
+    h = len(canon) // 2
+    W = num[h:] - C**p * den[h:]
+    yield W
+    for b in reversed(beta[1:]):
+        child, weight, first, _ = allowed[(1 - b) // 2]
+        Wx = W.take(child) * weight
+        W = np.maximum.reduceat(Wx[0] + Wx[1], first)
+        yield W
+
+
+@pytest.mark.parametrize("R", [8, 16])
+@pytest.mark.parametrize("p", [1.25, 4.0 / 3.0, 1.5, 3.0, 4.0])
+def test_unnormalized_values_stay_under_burkholders_function(p, R):
+    # Burkholder's Phi(f, g) = alpha_p (|g| - (p* - 1)|f|)(|f| + |g|)^(p-1) majorizes
+    # the tau = 0 payoff at C = p* - 1 and is concave along each line a step moves
+    # on (|dg| = |df|), so every value at every band state and step is at most Phi.
+    # 2% below p* - 1 some state passes it, also after all 39 steps. The check reads
+    # the band's children and weights far past any enumeration.
+    ps = max(p, p / (p - 1.0))
+    x = policy._band(R)[0].astype(float)
+    x = x[len(x) // 2:]
+    f, g = np.abs(x[:, 0] + x[:, 1]), np.abs(x[:, 0] - x[:, 1])
+    phi = p * (1.0 - 1.0 / ps) ** (p - 1.0) * (g - (ps - 1.0) * f) * (f + g) ** (p - 1.0)
+    tol, beta = 1e-15 * np.abs(phi).max(), _alternating(40)
+    for k, W in enumerate(_unnormalized_values(p, ps - 1.0, beta, R)):
+        assert np.all(W <= phi + tol), (k, np.max(W - phi) / np.abs(phi).max())
+    *_, W = _unnormalized_values(p, 0.98 * (ps - 1.0), beta, R)
+    assert np.any(W > phi + tol)
+
+
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 8), (4.0, 1.0, 6), (4.0 / 3.0, 0.0, 8),
                                        (1.5, 0.5, 7), (6.0, 0.0, 5)])
 def test_evaluated_ratio_is_at_least_every_accepted_bound(p, tau, N):
