@@ -11,14 +11,14 @@ sequence, one array level after level, `_head_values` gathers the values of F
 and G at the first h <= 5 levels in one step, and `_double` takes them through
 the rest, one sign coordinate a level (O(2^(N+1)) work): F <- (F + t, F - t)
 and G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
-beta_k choosing only which half of G gets the sum.  The search doubles each
-start with its own beta and reduces its gradient by the reverse halving.  The
-exact ratio takes its head coefficients from a cache keyed by beta's first h
-signs (at most 62 keys), doubles each block of at most `_BLOCK_POINTS` points
+beta_k choosing only which half of G gets the sum.  Both take their head
+coefficients from a cache keyed by beta's first h signs (at most 62 keys).
+The search's gradient realizes one sequence and reduces by the reverse
+halving.  The exact ratio doubles each block of at most `_BLOCK_POINTS` points
 on its own (no doubling where N <= h), forms its power sums in place and adds
 the per-block sums in the balanced tree of numpy's pairwise sum over the whole
-hypercube.  `search_extremal` polishes two Bellman policy starts together,
-each with its own step, and re-verifies both through `perturbed_ratio_exact`.
+hypercube.  `search_extremal` polishes two Bellman policy starts one after the
+other, under one deadline, and re-verifies each through `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _head_levels(N, values, blocks):
 
 @functools.cache
 def _head_flips(beta):
-    """(1, beta) times the signs: the exact ratio's head coefficients (2, 1, h, 2^(h+1))."""
+    """(1, beta) times the signs: the head coefficients (2, 1, h, 2^(h+1)) of F and G."""
     coef = np.array([(1,) * len(beta), beta], complex)[:, None, :, None] * _head_plan(len(beta))[1]
     coef.flags.writeable = False  # shared by every call whose beta starts with these h signs
     return coef
@@ -127,9 +127,9 @@ def _head_values(flat, head):
 
     flat (..., m, 2^(N+1) - 2) holds d_k at 2^k - 2 ... 2^(k+1) - 3 of its last
     axis, and head (..., h, 2^(h+1)) level k's flip times the sign of r_k at
-    each point: coef[..., None, :h, None] * _head_plan(h)[1] for flips coef
-    (..., N).  Each point adds its terms in level order; point index bits run
-    from r_0 (slowest) to r_h, bit 0 for +1.  Returns (..., m, 2^(h+1)).
+    each point, as `_head_flips(beta[:h])` gives for F and G.  Each point adds
+    its terms in level order; point index bits run from r_0 (slowest) to r_h,
+    bit 0 for +1.  Returns (..., m, 2^(h+1)).
     """
     # The level axis is outside the contiguous point axis, so the levels add in order.
     return np.add.reduce(flat.take(_head_plan(head.shape[-2])[0], axis=-1) * head, axis=-2)
@@ -234,47 +234,41 @@ def _flat(tables):
     return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
 
 
-def _ratio_and_grad(x, coef, tau, p):
-    """Log-ratio objective of B sequences and its ascent gradient.
+def _ratio_and_grad(x, beta, tau, p):
+    """Log-ratio objective of one sequence and its ascent gradient.
 
-    x holds the flat complex tables (B, 2^(N+1) - 2, m) and coef the flips
-    (B, N).  Returns (J, grad): J (B,) the log of each perturbed ratio, grad
-    the complex gradient 2 dJ/d(conj x), shaped like x.  The gradient is
-    reduced by repeated halving: summing out the last coordinate r_k leaves
-    the weights on r_0..r_{k-1}, whose +/- difference is the level-k term.
+    x holds the flat complex tables (2^(N+1) - 2, m) and beta the flips as +-1.
+    Returns (J, grad): J the log of the perturbed ratio, grad the complex
+    gradient 2 dJ/d(conj x), shaped like x.  The gradient is reduced by
+    repeated halving: summing out the last coordinate r_k leaves the weights
+    on r_0..r_{k-1}, whose +/- difference is the level-k term.
     """
-    B, N, m = x.shape[0], coef.shape[1], x.shape[2]
-    flips = np.ones((2,) + coef.shape, dtype=complex)
-    flips[1] = coef
-    hl = _head_levels(N, 2 * B * m, 1)
-    flat = x.swapaxes(-1, -2)
-    V = _head_values(flat, flips[..., None, :hl, None] * _head_plan(hl)[1])
-    if N > hl:  # each start's pair through its own flips
-        V = np.stack([_double(V[:, i], flat[i], beta[hl:]) for i, beta in enumerate(coef)], 1)
+    N, m = len(beta), x.shape[1]
+    hl = _head_levels(N, 2 * m, 1)
+    V = _head_values(x.T, _head_flips(beta[:hl]))
+    if N > hl:
+        V = _double(V, x.T, beta[hl:])
     n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
     h = g2 + tau * tau * n2
-    P = n2.shape[1]
+    P = len(n2)
 
-    Dp = np.sum(n2 ** (p / 2.0), axis=1) / P
-    Up = np.sum(h ** (p / 2.0), axis=1) / P
-    if np.any(Dp <= 0.0):
+    Dp = np.sum(n2 ** (p / 2.0)) / P
+    Up = np.sum(h ** (p / 2.0)) / P
+    if Dp <= 0.0:
         raise ZeroDivisionError("degenerate tables in search")
     J = np.log(Up) / p - np.log(Dp) / p
 
     with np.errstate(divide="ignore", invalid="ignore"):
         hpow = np.where(h > 0, h ** (p / 2.0 - 1.0), 0.0)
         npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
-    coefF = (tau * tau * hpow / (2.0 * Up[:, None]) - npow / (2.0 * Dp[:, None])) / P
-    coefG = hpow / (2.0 * Up[:, None] * P)
-    WF = coefF[:, None] * V[0]
-    WG = coefG[:, None] * V[1]
+    WF = (tau * tau * hpow / (2.0 * Up) - npow / (2.0 * Dp)) / P * V[0]
+    WG = hpow / (2.0 * Up * P) * V[1]
 
     grad = np.empty_like(x)
     for k, g in reversed(list(enumerate(_levels(grad), start=1))):
-        WF = WF.reshape(B, m, -1, 2)
-        WG = WG.reshape(B, m, -1, 2)
-        g.swapaxes(-1, -2)[:] = 2.0 * (WF[..., 0] - WF[..., 1]
-                                       + coef[:, k - 1, None, None] * (WG[..., 0] - WG[..., 1]))
+        WF = WF.reshape(m, -1, 2)
+        WG = WG.reshape(m, -1, 2)
+        g.T[:] = 2.0 * (WF[..., 0] - WF[..., 1] + beta[k - 1] * (WG[..., 0] - WG[..., 1]))
         if k > 1:
             WF = WF[..., 0] + WF[..., 1]
             WG = WG[..., 0] + WG[..., 1]
@@ -282,43 +276,35 @@ def _ratio_and_grad(x, coef, tau, p):
 
 
 def _normalize(x):
-    scale = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    if np.any(scale == 0.0):
+    scale = np.sqrt(np.sum(np.abs(x) ** 2))
+    if scale == 0.0:
         raise ZeroDivisionError("zero tables")
-    return x / scale[:, None, None]
+    return x / scale
 
 
-def _ascend(x, coef, tau, p, iters, deadline):
+def _ascend(x, beta, tau, p, iters, deadline):
     """Normalized gradient ascent with step halving on non-improvement.
 
-    Each row of x (B, 2^(N+1) - 2, m) ascends on its own, with its own step;
-    a row that stops (vanishing gradient or step) leaves the batch.  Returns
-    the ascended tables and whether the wall-clock deadline cut the ascent.
+    Ascends the flat tables x (2^(N+1) - 2, m) under the flips beta until
+    `iters` steps are taken or the gradient or the step vanishes.  Returns the
+    ascended tables and whether the wall-clock deadline cut the ascent.
     """
-    out = _normalize(x)
-    rows = np.arange(len(out))
-    xl = out.copy()
-    J, g = _ratio_and_grad(xl, coef, tau, p)
-    step = np.full(len(out), 0.25)
+    x = _normalize(x)
+    J, g = _ratio_and_grad(x, beta, tau, p)
+    step = 0.25
     for _ in range(iters):
-        gnorm = np.sqrt(np.sum(np.abs(g) ** 2, axis=(1, 2)))
-        go = (gnorm >= 1e-14) & (step >= 1e-13)
-        if not go.all():
-            out[rows[~go]] = xl[~go]
-            rows, xl, coef, J, g, step, gnorm = (
-                a[go] for a in (rows, xl, coef, J, g, step, gnorm))
-            if not len(rows):
-                break
-        trial = _normalize(xl + step[:, None, None] * g / gnorm[:, None, None])
-        J_try, g_try = _ratio_and_grad(trial, coef, tau, p)
-        acc = J_try > J
-        xl[acc], J[acc], g[acc] = trial[acc], J_try[acc], g_try[acc]
-        step = np.where(acc, np.minimum(step * 1.5, 1.0), step * 0.5)
+        gnorm = np.sqrt(np.sum(np.abs(g) ** 2))
+        if not (gnorm >= 1e-14 and step >= 1e-13):  # a NaN gradient stops too
+            break
+        trial = _normalize(x + step * g / gnorm)
+        J_try, g_try = _ratio_and_grad(trial, beta, tau, p)
+        if J_try > J:
+            x, J, g, step = trial, J_try, g_try, min(step * 1.5, 1.0)
+        else:
+            step *= 0.5
         if time.monotonic() > deadline:
-            out[rows] = xl
-            return out, True
-    out[rows] = xl
-    return out, False
+            return x, True
+    return x, False
 
 
 def check_search(N: int, tau: float, *, iters: int, wall_cap_s: float) -> None:
@@ -337,13 +323,13 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
 
     The starts are `policy_flat`'s tables for the alternating beta and for it
     with beta_N = beta_(N-1) (the first alone at N = 1), so every table has
-    m = 1 and no number is drawn at random.  Both ascend together, each on its
-    own with its own step, for at most `iters` steps; the wall cap of
-    `wall_cap_s` seconds is a guard, and when it cuts the ascent the result
-    records stopped_by = "wall".  `check_search` refuses a bad depth, tau or
-    budget before any work.  Each polished start is re-verified through
-    perturbed_ratio_exact, in start order; ties in the ratio break toward the
-    lexicographically smallest beta.
+    m = 1 and no number is drawn at random.  Each ascends on its own for at
+    most `iters` steps.  The wall cap of `wall_cap_s` seconds is a guard: one
+    deadline for both starts, checked after each step, so each start takes at
+    least one step; when it cuts either ascent the result records stopped_by =
+    "wall".  `check_search` refuses a bad depth, tau or budget before any work.
+    Each polished start is re-verified through perturbed_ratio_exact, in start
+    order; ties in the ratio break toward the lexicographically smallest beta.
     """
     check_search(N, tau, iters=iters, wall_cap_s=wall_cap_s)
     p = exps.p
@@ -360,13 +346,12 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
 
     deadline = time.monotonic() + wall_cap_s
     alt = tuple((-1) ** k for k in range(N))
-    betas = [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]
-    x, fired = _ascend(np.stack([policy_flat(p, tau, beta, N)[0] + 0j for beta in betas]),
-                       np.array(betas, dtype=float), tau, p, iters, deadline)
-    best = None  # (ratio, beta, sequence)
-    for beta, row in zip(betas, x):
+    best, fired = None, False  # (ratio, beta, sequence)
+    for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]:
+        x, cut = _ascend(policy_flat(p, tau, beta, N)[0] + 0j, beta, tau, p, iters, deadline)
+        fired |= cut
         seq = MartingaleDifferenceSequence(tuple(
-            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(row), start=1)))
+            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(x), start=1)))
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
         if best is None or ratio > best[0] + 1e-13 or (
                 abs(ratio - best[0]) <= 1e-13 and beta < best[1]):

@@ -79,10 +79,10 @@ def _float_table(k: int, pairs) -> np.ndarray:
 
 def sequence_from_record(rec: dict) -> tuple[MartingaleDifferenceSequence, tuple[int, ...]]:
     if not (isinstance(rec, dict) and {"m", "tables", "beta"} <= rec.keys()
-            and type(rec["m"]) is int and isinstance(rec["tables"], list)
-            and isinstance(rec["beta"], list)):
+            and type(rec["m"]) is int and rec["m"] > 0  # reshape would infer an m of -1
+            and isinstance(rec["tables"], list) and isinstance(rec["beta"], list)):
         raise ValueError("a martingale record is a JSON object with the fields "
-                         "m (an integer), tables and beta (lists)")
+                         "m (a positive integer), tables and beta (lists)")
     m, tables = rec["m"], []
     for k, pairs in enumerate(rec["tables"], start=1):
         tables.append(_float_table(k, pairs).view(complex).reshape((2,) * k + (m,)))

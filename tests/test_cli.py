@@ -863,6 +863,11 @@ def _N_float(rec):
     rec.update(tables=rec["tables"][:1], beta=rec["beta"][:1], N=1.0)
 
 
+def _m_minus_1(rec):
+    # reshape would read m = -1 as "infer", so the tables alone would set m.
+    rec["m"] = -1
+
+
 def _N_5_record(rec):
     # A complete record, but of another key: only a store file can hold it.
     rec.update(_random_record(np.random.default_rng(np.random.PCG64(7)), 5))
@@ -872,7 +877,7 @@ def _N_5_record(rec):
 _MALFORMED_RECORDS = [pytest.param(f, id=f.__name__.strip("_"))
                       for f in (_cut_table, _letter, _nan, _beta_cut, _beta_entry_2,
                                 _fourth_table, _N_5, _beta_true, _table_object,
-                                _N_5_record)]
+                                _m_minus_1, _N_5_record)]
 
 
 @pytest.mark.parametrize("malform", _MALFORMED_RECORDS)
@@ -1005,6 +1010,7 @@ def test_martingale_file_that_makes_no_martingale_exits_config_error(tmp_path, c
                      tmp_path)
     assert code == 2
     assert not out.exists()
+    assert not list((tmp_path / "store").glob("*.json"))
     assert "invalid configuration" in capsys.readouterr().err
 
 

@@ -383,39 +383,57 @@ def _reference_ratio_and_grad(tables, beta, tau, p):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0])
-def test_batched_gradient_matches_reference(N, m, tau, p):
+def test_gradient_matches_reference(N, m, tau, p):
     rng = np.random.default_rng(np.random.PCG64(N * 100 + m * 10 + int(tau * 2)))
-    B = 5
-    seqs = [_random_sequence(rng, N, m) for _ in range(B)]
-    betas = [tuple(int(b) for b in rng.choice([-1, 1], size=N)) for _ in range(B)]
-    x = np.stack([np.concatenate([t.reshape(-1, m) for t in s.tables]) for s in seqs])
+    seqs = [_random_sequence(rng, N, m) for _ in range(5)]
+    betas = [tuple(int(b) for b in rng.choice([-1, 1], size=N)) for _ in range(5)]
     exps = ExponentConfig(p)
-    J, grad = _ratio_and_grad(x, np.array(betas, dtype=float), tau, exps.p)
-    assert J.shape == (B,) and grad.shape == x.shape
-    for b in range(B):
-        J_ref, grads_ref = _reference_ratio_and_grad(seqs[b].tables, betas[b], tau, exps.p)
-        assert abs(J[b] - J_ref) <= 1e-12
+    for seq, beta in zip(seqs, betas):
+        J, grad = _ratio_and_grad(seq.flat, beta, tau, exps.p)
+        assert grad.shape == seq.flat.shape
+        J_ref, grads_ref = _reference_ratio_and_grad(seq.tables, beta, tau, exps.p)
+        assert abs(J - J_ref) <= 1e-12
         ref = np.concatenate([g.reshape(-1, m) for g in grads_ref])
-        assert np.max(np.abs(grad[b] - ref)) <= 1e-12
+        assert np.max(np.abs(grad - ref)) <= 1e-12
+
+
+def _policy_starts(tau, N):
+    alt = tuple((-1) ** k for k in range(N))
+    return {beta: policy_flat(4.0, tau, beta, N)[0] + 0j for beta in (alt, alt[:-1] + alt[-2:-1])}
 
 
 def test_search_independent_of_batch():
-    # The search polishes its two policy starts in one batch: each row ascends
-    # bit for bit as it would alone, and the search returns one of them.  At
-    # N = 5 the head holds every level; at N = 8 each start doubles its last
-    # three levels through its own beta, the two differing in beta_N.
+    # The search returns one of its two policy starts bit for bit as it
+    # ascends alone.  At N = 5 the head holds every level; at N = 8 each start
+    # doubles its last three levels through its own beta, the two differing in
+    # beta_N.
     tau = 0.5
     for N in (5, 8):
-        alt = tuple((-1) ** k for k in range(N))
-        betas = [alt, alt[:-1] + alt[-2:-1]]
-        x = np.stack([policy_flat(4.0, tau, beta, N)[0] + 0j for beta in betas])
-        coef = np.array(betas, dtype=float)
-        both, _ = martingale._ascend(x, coef, tau, 4.0, 60, math.inf)
-        for b in range(2):
-            alone, _ = martingale._ascend(x[b:b + 1], coef[b:b + 1], tau, 4.0, 60, math.inf)
-            assert np.array_equal(alone[0], both[b]), (N, b)
+        starts = _policy_starts(tau, N)
         res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=60.0)
-        assert np.array_equal(res.sequence.flat, both[betas.index(res.beta)]), N
+        alone, _ = martingale._ascend(starts[res.beta], res.beta, tau, 4.0, 60, math.inf)
+        assert np.array_equal(res.sequence.flat, alone), N
+
+
+def test_search_wall_cap_is_one_deadline_checked_after_each_step(monkeypatch):
+    # A wall cap that has passed before any step still lets each start take
+    # one: the objective is evaluated at each start and at one trial, and the
+    # second start is not starved by the first's cut.  Here the first trial
+    # is rejected, so only the count tells one step from none.
+    tau, N = 0.5, 8
+    starts, calls = _policy_starts(tau, N), []
+
+    def counted(x, beta, *args):
+        calls.append(beta)
+        return _ratio_and_grad(x, beta, *args)
+
+    monkeypatch.setattr(martingale, "_ratio_and_grad", counted)
+    res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=1e-9)
+    assert res.stopped_by == "wall"
+    assert calls == [beta for beta in starts for _ in range(2)]
+    monkeypatch.undo()
+    one, cut = martingale._ascend(starts[res.beta], res.beta, tau, 4.0, 1, math.inf)
+    assert not cut and np.array_equal(res.sequence.flat, one)
 
 
 def test_transform_config_refuses_entries_off_plus_minus_one():
