@@ -14,11 +14,11 @@ and G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
 beta_k choosing only which half of G gets the sum.  Both take their head
 coefficients from a cache keyed by beta's first h signs (at most 62 keys).
 The search's gradient realizes one sequence and reduces by the reverse
-halving.  The exact ratio doubles each block of at most `_BLOCK_POINTS` points
-on its own (no doubling where N <= h), forms its power sums in place and adds
-the per-block sums in the balanced tree of numpy's pairwise sum over the whole
-hypercube.  `search_extremal` polishes two Bellman policy starts one after the
-other, under one deadline, and re-verifies each through `perturbed_ratio_exact`.
+halving.  The exact ratio doubles the levels its blocks share once, then each
+block of `_BLOCK_POINTS` points through the rest (none where N <= h), forms
+its power sums in place, a square at p = 4, and adds the per-block sums in
+numpy's pairwise-sum tree.  `search_extremal` polishes two Bellman policy
+starts in turn, under one deadline, and checks each by `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def _head_plan(h):
 
 @functools.cache
 def _head_levels(N, values, blocks):
-    """Head levels h for `values` rows times components, raised to one value a block."""
-    return max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // values).bit_length() - 2),
-               blocks.bit_length() - 2)
+    """(h, k): head levels h for `values` rows times components, and the k = N - log2(blocks)
+    levels all blocks share (the hypercube one block's row wide), raised to a column a block."""
+    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // values).bit_length() - 2))
+    return h, max(N + 1 - blocks.bit_length(), blocks.bit_length() - 2)
 
 
 @functools.cache
@@ -135,8 +136,9 @@ def _head_values(flat, head):
     return np.add.reduce(flat.take(_head_plan(head.shape[-2])[0], axis=-1) * head, axis=-2)
 
 
-def _double(V, flat, beta, b=0):
-    """Block b of the (F, G) values V (2, ..., m, w) doubled through the last len(beta) levels.
+def _double(V, flat, beta, h, b=0):
+    """Block b of the (F, G) values V (2, ..., m, w) at level h doubled through levels
+    h + 1 ... h + len(beta), beta their flips.
 
     Each level appends its sign as the fastest bit: F <- (F + t, F - t) and
     G <- (G + beta_k t, G - beta_k t), t the level's table on the block's
@@ -145,8 +147,7 @@ def _double(V, flat, beta, b=0):
     blocks in point order holds prefixes b * w ... (b + 1) * w - 1 of a
     level, w the block's width there.
     """
-    N = (flat.shape[-1] + 2).bit_length() - 2
-    for lvl, bk in enumerate(beta, start=N - len(beta)):
+    for lvl, bk in enumerate(beta, start=h):
         w = V.shape[-1]
         at = 2 ** (lvl + 1) - 2 + b * w
         t = flat[..., at:at + w]
@@ -171,7 +172,7 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     A zero (or underflowing) ||F_N||_p raises ZeroDivisionError, and a moment
     or ratio out of floating-point range raises FloatingPointError.
 
-    F and G are realized together, one block of the hypercube at a time.
+    F and G are realized together, the levels all blocks share once, then a block at a time.
     numpy sums a contiguous row pairwise, splitting it exactly at its halves
     down to 128 elements, so per-block sums (at least 128 points a row) added
     in a balanced tree give the whole-hypercube sums bit for bit.
@@ -182,20 +183,23 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     if len(cfg.beta) != N:
         raise ValueError(f"beta must have length {N}")
     blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
-    h = _head_levels(N, 2 * m, blocks)
-    flat, tail = F.flat.T, cfg.beta[h:]
+    h, k = _head_levels(N, 2 * m, blocks)
+    flat, tail = F.flat.T, cfg.beta[k:]
     p2, tau2, P = exps.p / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
     V = _head_values(flat, _head_flips(cfg.beta[:h]))
+    if k > h:  # the levels every block shares, doubled once for the whole hypercube
+        V = _double(V, flat, cfg.beta[h:k], h)
     step = V.shape[-1] // blocks
     for b in range(blocks):
         Vb = V[..., b * step:(b + 1) * step] if blocks > 1 else V
-        s = np.abs(_double(Vb, flat, tail, b) if tail else Vb)
+        s = np.abs(_double(Vb, flat, tail, k, b) if tail else Vb)
         np.square(s, out=s)
         s = s.sum(-2) if m > 1 else s[..., 0, :]  # the sum of one square is that square
         if tau2:  # |G|^2 + 0 |F|^2 is |G|^2 for a finite |F|^2; a non-finite one fails den below
             s[1] += tau2 * s[0]
-        s **= p2  # in place, one pass: rows |F|^p and (|G|^2 + tau^2 |F|^2)^(p/2)
+        # In place, one pass: rows |F|^p and (|G|^2 + tau^2 |F|^2)^(p/2), a square at p = 4.
+        np.square(s, out=s) if p2 == 2.0 else np.power(s, p2, out=s)
         sums.append(np.add.reduce(s, -1).tolist())  # each row summed as by .sum()
         del s  # one block at a time in memory
     while len(sums) > 1:  # the balanced tree of numpy's pairwise sum over the hypercube
@@ -244,10 +248,10 @@ def _ratio_and_grad(x, beta, tau, p):
     on r_0..r_{k-1}, whose +/- difference is the level-k term.
     """
     N, m = len(beta), x.shape[1]
-    hl = _head_levels(N, 2 * m, 1)
+    hl = _head_levels(N, 2 * m, 1)[0]
     V = _head_values(x.T, _head_flips(beta[:hl]))
     if N > hl:
-        V = _double(V, x.T, beta[hl:])
+        V = _double(V, x.T, beta[hl:], hl)
     n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
     h = g2 + tau * tau * n2
     P = len(n2)

@@ -183,13 +183,13 @@ def _realize(flat, coef, blocks=1):
     (..., N): each flip row is the G half of the pair (ones, row), realized by
     `_head_values` and then `_double` on each of `blocks` blocks, joined."""
     N, m = coef.shape[-1], flat.shape[-2]
-    h = _head_levels(N, coef[..., 0].size * m, blocks)
+    h = _head_levels(N, coef[..., 0].size * m, blocks)[0]
     flat = np.broadcast_to(flat, coef.shape[:-1] + flat.shape[-2:])
     rows = []
     for f, beta in zip(flat.reshape((-1,) + flat.shape[-2:]), coef.reshape(-1, N)):
         V = _head_values(f, np.stack([np.ones(N), beta])[:, None, :h, None] * _head_plan(h)[1])
         w = V.shape[-1] // blocks
-        rows.append(np.concatenate([_double(V[..., b * w:(b + 1) * w], f, beta[h:], b)
+        rows.append(np.concatenate([_double(V[..., b * w:(b + 1) * w], f, beta[h:], h, b)
                                     for b in range(blocks)], axis=-1)[1])
     return np.reshape(rows, coef.shape[:-1] + (m, -1))
 
@@ -237,20 +237,22 @@ def test_fused_ratio_matches_two_pass_and_pointwise(N, monkeypatch):
 
 
 def test_blocked_ratio_memory_stays_in_blocks():
-    # Enumerating F and G at N = 18 on all 2^19 points at once peaks at
-    # 20 MiB of temporaries; blocks of 2^16 points need about 2 MiB.
-    rng = np.random.default_rng(np.random.PCG64(18))
-    seq = _random_sequence(rng, 18)
-    cfg = TransformConfig((1, -1) * 9, 0.5)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        perturbed_ratio_exact(seq, cfg, ExponentConfig(4.0))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    # Enumerating F and G on all 2^(N+1) points at once peaks at 24 MiB of
+    # temporaries at N = 18 and 96 MiB at N = 20; blocks of 2^16 points, and
+    # the levels they share doubled only to one block's size, need about 2.5 MiB.
+    for N in (18, 20):
+        rng = np.random.default_rng(np.random.PCG64(N))
+        seq = _random_sequence(rng, N)
+        cfg = TransformConfig((1, -1) * (N // 2), 0.5)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            perturbed_ratio_exact(seq, cfg, ExponentConfig(4.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (N, peak)
 
 
 def test_search_p2_identity():
@@ -462,17 +464,17 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
     # but not the tail are evaluated in alternating order: the head
     # coefficients shared through the cache carry nothing from call to call.
     # Blocks of 2^8 points split N >= 7 into 2^(N-6) blocks, each doubled and
-    # summed on its own, against the same one-block reference; the doubling
-    # calls count them, so no plan kept from the 2^16 calls may serve the 2^8 ones.
-    # N = 15 and 16 run at the default block alone, as 2 and 4 blocks: with beta
-    # and its tail negated, each doubling level of a multi-block call runs in
-    # both write orders.
+    # summed on its own after one call doubles the levels they share, against
+    # the same one-block reference; the doubling calls count them, so no plan
+    # kept from the 2^16 calls may serve the 2^8 ones.  N = 15 and 16 run at
+    # the default block alone, as 2 and 4 blocks: with beta and its tail
+    # negated, each doubling level of a multi-block call runs in both write orders.
     rng = np.random.default_rng(np.random.PCG64(900 + N))
     doubled = []
 
-    def counted(V, flat, flips, b=0):
+    def counted(V, flat, flips, h, b=0):
         doubled.append(b)
-        return _double(V, flat, flips, b)
+        return _double(V, flat, flips, h, b)
 
     for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
         beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
@@ -487,8 +489,8 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
                 doubled.clear()
                 assert perturbed_ratio_exact(seq, cfg, exps) == ref, (
                     N, m, p, tau, cfg.beta, block_points)
-                if 2 ** (N + 2) > block_points:  # more than one block
-                    assert doubled == list(range(2 ** (N + 2) // block_points)), (
+                if 2 ** (N + 2) > block_points:  # more than one block: the shared call first
+                    assert doubled == [0, *range(2 ** (N + 2) // block_points)], (
                         N, m, block_points)
             monkeypatch.undo()
 
