@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .exponents import ExponentConfig
+from .exponents import ExponentConfig, Frozen
 
 FAMILIES = ("beurling", "beurling-real", "beurling-imag", "beurling-matrix",
             "rotated", "scaled", "F", "vector")
 
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
+class MultiplierSymbol(Frozen):
     """A symbol xi -> scalar (m = 1) or m x m matrix (m > 1) on R^d minus the origin.
 
     ``evaluator`` must accept an array of shape (..., d) of nonzero
@@ -41,15 +39,13 @@ class MultiplierSymbol:
     there as well.
     """
 
-    d: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    m: int = 1
-    total: bool = False
-    name: str = "symbol"
+    __slots__ = ("d", "evaluator", "m", "total", "name")
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
+    def __init__(self, d: int, evaluator: Callable[[np.ndarray], np.ndarray], m: int = 1,
+                 total: bool = False, name: str = "symbol"):
+        if d < 1 or m < 1:
             raise ValueError("d and m must be positive")
+        super().__init__(d, evaluator, m, total, name)
 
     def evaluate(self, xi) -> np.ndarray:
         """Evaluate at frequencies of shape (..., d); zeros map to zero unless total."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import json
 import math
@@ -34,10 +33,7 @@ from .exponents import ExponentConfig
 from .martingale import check_search, search_extremal
 from .report import (StoreError, lookup_store, load_store, read_martingale,
                      sequence_from_record, sequence_to_record, update_store)
-from .tensor import TensorGridFunction, check_grid_size, check_norm_exponent, shear_norm_check
-from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
 from .witness import CrossCheckError, build_witness, check_premise
-from .grid import TorusGrid
 
 # Unused: perfbench/tracing.py pins this site, and CI's "tracer sites resolve" step checks it.
 build_matrix_witness = build_witness
@@ -80,6 +76,7 @@ def _output(path: Path | None):
 
 
 def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
+    import csv  # loaded by the commands that write CSV alone
     with _output(path) as fh:
         csv.writer(fh).writerows([header, *rows])
 
@@ -171,6 +168,9 @@ def _symbol_by_name(name: str):
 
 
 def cmd_transference(args) -> int:
+    from .grid import TorusGrid  # these three loaded by this command alone
+    from .tensor import TensorGridFunction, check_grid_size, check_norm_exponent, shear_norm_check
+    from .transference import GaussianPairingConfig, gaussian_damped_pairing, multiplier_deviation
     if args.halvings < 0 or args.doublings < 0:
         raise ValueError("--halvings and --n-doubling must not be negative")
     if args.mode == "gaussian":
@@ -266,56 +266,69 @@ def cmd_norms(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("search-martingale", "certify", "transference", "norms")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with `command`'s subparser alone if it names one, else with all four."""
     parser = argparse.ArgumentParser(
         prog="lpmult",
         description="Lower-bound certification for Lp Fourier multiplier norms.")
     parser.add_argument("--version", action="version", version=lpmult.__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A metavar only for one subparser: it would change the "invalid choice" and
+    # "required" errors, which only the parser with all four gives.
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    wanted = {command} if one else set(_COMMANDS)
 
-    sm = sub.add_parser("search-martingale",
-                        help="search for an extremal martingale, certify it through Re B "
-                             "and store it")
-    _add_common(sm)
-    sm.add_argument("--n", type=int, required=True)
-    sm.set_defaults(func=cmd_certify, family="martingale", theta=0.0, martingale=None)
+    if "search-martingale" in wanted:
+        sm = sub.add_parser("search-martingale",
+                            help="search for an extremal martingale, certify it through Re B "
+                                 "and store it")
+        _add_common(sm)
+        sm.add_argument("--n", type=int, required=True)
+        sm.set_defaults(func=cmd_certify, family="martingale", theta=0.0, martingale=None)
 
-    ct = sub.add_parser("certify", help="build a witness and certify a lower bound")
-    ct.add_argument("family", choices=_CERTIFY_FAMILIES)
-    _add_common(ct)
-    ct.add_argument("--n", type=int, default=2)
-    ct.add_argument("--theta", type=float, default=0.0)
-    ct.add_argument("--martingale", type=Path, default=None)
-    ct.set_defaults(func=cmd_certify)
+    if "certify" in wanted:
+        ct = sub.add_parser("certify", help="build a witness and certify a lower bound")
+        ct.add_argument("family", choices=_CERTIFY_FAMILIES)
+        _add_common(ct)
+        ct.add_argument("--n", type=int, default=2)
+        ct.add_argument("--theta", type=float, default=0.0)
+        ct.add_argument("--martingale", type=Path, default=None)
+        ct.set_defaults(func=cmd_certify)
 
-    tr = sub.add_parser("transference", help="Gaussian pairing / deviation / shear sweeps")
-    tr.add_argument("mode", choices=["gaussian", "deviation", "shear"])
-    tr.add_argument("--symbol", default="beurling-real",
-                    choices=["identity", "beurling", "beurling-real", "beurling-imag"])
-    tr.add_argument("--j", default="0,1")
-    tr.add_argument("--k", default="0,1")
-    tr.add_argument("--eps-start", type=float, default=1.0)
-    tr.add_argument("--halvings", type=int, default=10)
-    tr.add_argument("--p0", type=float, default=2.0)
-    tr.add_argument("--support", default="1,0:0,1")
-    tr.add_argument("--n-start", type=int, default=10)
-    tr.add_argument("--n-doubling", dest="doublings", type=int, default=2)
-    tr.add_argument("--grid", type=int, default=8)
-    tr.add_argument("--blocks", type=int, default=2)
-    tr.add_argument("--n-shift", type=int, default=2)
-    tr.add_argument("--p", type=float, default=4.0)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--out", type=Path, default=None)
-    tr.set_defaults(func=cmd_transference)
+    if "transference" in wanted:
+        tr = sub.add_parser("transference", help="Gaussian pairing / deviation / shear sweeps")
+        tr.add_argument("mode", choices=["gaussian", "deviation", "shear"])
+        tr.add_argument("--symbol", default="beurling-real",
+                        choices=["identity", "beurling", "beurling-real", "beurling-imag"])
+        tr.add_argument("--j", default="0,1")
+        tr.add_argument("--k", default="0,1")
+        tr.add_argument("--eps-start", type=float, default=1.0)
+        tr.add_argument("--halvings", type=int, default=10)
+        tr.add_argument("--p0", type=float, default=2.0)
+        tr.add_argument("--support", default="1,0:0,1")
+        tr.add_argument("--n-start", type=int, default=10)
+        tr.add_argument("--n-doubling", dest="doublings", type=int, default=2)
+        tr.add_argument("--grid", type=int, default=8)
+        tr.add_argument("--blocks", type=int, default=2)
+        tr.add_argument("--n-shift", type=int, default=2)
+        tr.add_argument("--p", type=float, default=4.0)
+        tr.add_argument("--seed", type=int, default=0)
+        tr.add_argument("--out", type=Path, default=None)
+        tr.set_defaults(func=cmd_transference)
 
-    nm = sub.add_parser("norms", help="tabulate target constants per family")
-    nm.add_argument("--family", required=True, choices=FAMILIES)
-    nm.add_argument("--p", default="4")
-    nm.add_argument("--value", help="comma list: rotated theta, scaled c, F z or vector tau")
-    nm.add_argument("--predicate", choices=["def2", "cor7"], default="def2")
-    nm.add_argument("--store-dir", type=Path, default=None)
-    nm.add_argument("--out", type=Path, default=None)
-    nm.set_defaults(func=cmd_norms)
+    if "norms" in wanted:
+        nm = sub.add_parser("norms", help="tabulate target constants per family")
+        nm.add_argument("--family", required=True, choices=FAMILIES)
+        nm.add_argument("--p", default="4")
+        nm.add_argument("--value", help="comma list: rotated theta, scaled c, F z or vector tau")
+        nm.add_argument("--predicate", choices=["def2", "cor7"], default="def2")
+        nm.add_argument("--store-dir", type=Path, default=None)
+        nm.add_argument("--out", type=Path, default=None)
+        nm.set_defaults(func=cmd_norms)
 
     return parser
 
@@ -326,8 +339,8 @@ def main(argv=None) -> int:
         # imports made is garbage, so freeze it, and no later full collection, the
         # exit's included, walks it again.  main(argv) in process leaves GC alone.
         gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except StoreError as exc:

@@ -26,12 +26,10 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentConfig
-from .policy import policy_flat
+from .exponents import ExponentConfig, Frozen
 
 ENUMERATION_CAP = 20
 
@@ -46,14 +44,13 @@ _BLOCK_POINTS = 2**16
 _HEAD_LEVELS, _HEAD_POINTS = 5, 512
 
 
-@dataclass(frozen=True, init=False)
-class MartingaleDifferenceSequence:
+class MartingaleDifferenceSequence(Frozen):
     """Difference tables d_k: {+-1}^k -> C^m, k = 1..N, held in one read-only array
     flat (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in the search and a
     store record.  The constructor takes, and `tables` gives back as views of
     flat, tables[k-1] (2,)*k + (m,), axis j indexing r_j with +1 -> 0, -1 -> 1."""
 
-    flat: np.ndarray
+    __slots__ = ("flat",)
 
     def __init__(self, tables):
         tabs = [np.asarray(t, dtype=complex) for t in tables]
@@ -69,7 +66,7 @@ class MartingaleDifferenceSequence:
             row = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"table {int(row + 2).bit_length() - 1} has non-finite entries")
         flat.flags.writeable = False  # store records and `tables` are views of it
-        object.__setattr__(self, "flat", flat)
+        super().__init__(flat)
 
     @property
     def N(self) -> int:
@@ -85,19 +82,17 @@ class MartingaleDifferenceSequence:
                      for k, t in enumerate(_levels(self.flat), start=1))
 
 
-@dataclass(frozen=True)
-class TransformConfig:
+class TransformConfig(Frozen):
     """Sign flips beta in {+-1}^N and the perturbation weight tau."""
 
-    beta: tuple[int, ...]
-    tau: float
+    __slots__ = ("beta", "tau")
 
-    def __post_init__(self):
-        if any(b not in (-1, 1) for b in self.beta):  # before int(), which truncates 1.5
+    def __init__(self, beta: tuple[int, ...], tau: float):
+        if any(b not in (-1, 1) for b in beta):  # before int(), which truncates 1.5
             raise ValueError("beta entries must be +-1")
-        if not math.isfinite(self.tau * self.tau):
-            raise ValueError(f"tau must be finite with a finite square, got {self.tau}")
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
+        if not math.isfinite(tau * tau):
+            raise ValueError(f"tau must be finite with a finite square, got {tau}")
+        super().__init__(tuple(int(b) for b in beta), tau)
 
 
 @functools.cache
@@ -220,12 +215,12 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
 # --- extremal search -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    sequence: MartingaleDifferenceSequence
-    beta: tuple[int, ...]
-    ratio: float
-    stopped_by: str = "iters"
+class SearchResult(Frozen):
+    __slots__ = ("sequence", "beta", "ratio", "stopped_by")
+
+    def __init__(self, sequence: MartingaleDifferenceSequence, beta: tuple[int, ...],
+                 ratio: float, stopped_by: str = "iters"):
+        super().__init__(sequence, beta, ratio, stopped_by)
 
 
 def _levels(x):
@@ -238,14 +233,15 @@ def _flat(tables):
     return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
 
 
-def _ratio_and_grad(x, beta, tau, p):
-    """Log-ratio objective of one sequence and its ascent gradient.
+def log_ratio(x, beta, tau, p):
+    """Log-ratio objective of one sequence, with its ascent gradient on demand.
 
     x holds the flat complex tables (2^(N+1) - 2, m) and beta the flips as +-1.
-    Returns (J, grad): J the log of the perturbed ratio, grad the complex
-    gradient 2 dJ/d(conj x), shaped like x.  The gradient is reduced by
-    repeated halving: summing out the last coordinate r_k leaves the weights
-    on r_0..r_{k-1}, whose +/- difference is the level-k term.
+    Returns (J, gradient): J the log of the perturbed ratio, gradient() the
+    complex gradient 2 dJ/d(conj x), shaped like x, built only when called.
+    The gradient is reduced by repeated halving: summing out the last
+    coordinate r_k leaves the weights on r_0..r_{k-1}, whose +/- difference is
+    the level-k term.
     """
     N, m = len(beta), x.shape[1]
     hl = _head_levels(N, 2 * m, 1)[0]
@@ -262,21 +258,24 @@ def _ratio_and_grad(x, beta, tau, p):
         raise ZeroDivisionError("degenerate tables in search")
     J = np.log(Up) / p - np.log(Dp) / p
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hpow = np.where(h > 0, h ** (p / 2.0 - 1.0), 0.0)
-        npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
-    WF = (tau * tau * hpow / (2.0 * Up) - npow / (2.0 * Dp)) / P * V[0]
-    WG = hpow / (2.0 * Up * P) * V[1]
+    def gradient():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hpow = np.where(h > 0, h ** (p / 2.0 - 1.0), 0.0)
+            npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
+        WF = (tau * tau * hpow / (2.0 * Up) - npow / (2.0 * Dp)) / P * V[0]
+        WG = hpow / (2.0 * Up * P) * V[1]
 
-    grad = np.empty_like(x)
-    for k, g in reversed(list(enumerate(_levels(grad), start=1))):
-        WF = WF.reshape(m, -1, 2)
-        WG = WG.reshape(m, -1, 2)
-        g.T[:] = 2.0 * (WF[..., 0] - WF[..., 1] + beta[k - 1] * (WG[..., 0] - WG[..., 1]))
-        if k > 1:
-            WF = WF[..., 0] + WF[..., 1]
-            WG = WG[..., 0] + WG[..., 1]
-    return J, grad
+        grad = np.empty_like(x)
+        for k, g in reversed(list(enumerate(_levels(grad), start=1))):
+            WF = WF.reshape(m, -1, 2)
+            WG = WG.reshape(m, -1, 2)
+            g.T[:] = 2.0 * (WF[..., 0] - WF[..., 1] + beta[k - 1] * (WG[..., 0] - WG[..., 1]))
+            if k > 1:
+                WF = WF[..., 0] + WF[..., 1]
+                WG = WG[..., 0] + WG[..., 1]
+        return grad
+
+    return J, gradient
 
 
 def _normalize(x):
@@ -290,20 +289,22 @@ def _ascend(x, beta, tau, p, iters, deadline):
     """Normalized gradient ascent with step halving on non-improvement.
 
     Ascends the flat tables x (2^(N+1) - 2, m) under the flips beta until
-    `iters` steps are taken or the gradient or the step vanishes.  Returns the
-    ascended tables and whether the wall-clock deadline cut the ascent.
+    `iters` steps are taken or the gradient or the step vanishes; a trial's
+    gradient is built only if its step is accepted.  Returns the ascended
+    tables and whether the wall-clock deadline cut the ascent.
     """
     x = _normalize(x)
-    J, g = _ratio_and_grad(x, beta, tau, p)
+    J, gradient = log_ratio(x, beta, tau, p)
+    g = gradient()
     step = 0.25
     for _ in range(iters):
         gnorm = np.sqrt(np.sum(np.abs(g) ** 2))
         if not (gnorm >= 1e-14 and step >= 1e-13):  # a NaN gradient stops too
             break
         trial = _normalize(x + step * g / gnorm)
-        J_try, g_try = _ratio_and_grad(trial, beta, tau, p)
+        J_try, gradient = log_ratio(trial, beta, tau, p)
         if J_try > J:
-            x, J, g, step = trial, J_try, g_try, min(step * 1.5, 1.0)
+            x, J, g, step = trial, J_try, gradient(), min(step * 1.5, 1.0)
         else:
             step *= 0.5
         if time.monotonic() > deadline:
@@ -325,7 +326,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
                     wall_cap_s: float) -> SearchResult:
     """Best (F, beta) of two Bellman policy starts, each polished by gradient ascent.
 
-    The starts are `policy_flat`'s tables for the alternating beta and for it
+    The starts are `policy_tables`' tables for the alternating beta and for it
     with beta_N = beta_(N-1) (the first alone at N = 1), so every table has
     m = 1 and no number is drawn at random.  Each ascends on its own for at
     most `iters` steps.  The wall cap of `wall_cap_s` seconds is a guard: one
@@ -348,11 +349,12 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
         return SearchResult(seq, beta, ratio)
 
+    from .policy import policy_tables  # loaded by a search alone
     deadline = time.monotonic() + wall_cap_s
     alt = tuple((-1) ** k for k in range(N))
     best, fired = None, False  # (ratio, beta, sequence)
     for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]:
-        x, cut = _ascend(policy_flat(p, tau, beta, N)[0] + 0j, beta, tau, p, iters, deadline)
+        x, cut = _ascend(policy_tables(p, tau, beta, N) + 0j, beta, tau, p, iters, deadline)
         fired |= cut
         seq = MartingaleDifferenceSequence(tuple(
             t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(x), start=1)))

@@ -144,13 +144,23 @@ def _tables(R, beta, actions):
     return np.concatenate(levels)[:, None]
 
 
-def policy_flat(p: float, tau: float, beta, N: int, R: int = RESOLUTION):
-    """(flat, ratio): the real m = 1 tables (2^(N+1) - 2, 1) of the Bellman policy
-    for p, tau and the flips beta on the band of resolution R, and its ratio."""
+def _policy(p, tau, beta, N, R):
+    """(beta as a tuple, the actions of its Bellman policy), the inputs checked first."""
     if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
         raise ValueError(f"resolution must be in 1..32, got {R}")
     beta = tuple(beta)
     if len(beta) != N or N < 1:
         raise ValueError(f"beta must have length N >= 1, got {len(beta)} for N = {N}")
-    actions, _ = _bisect(p, tau, beta, R)
-    return _tables(R, beta, actions), _evaluate(p, tau, beta, R, actions)
+    return beta, _bisect(p, tau, beta, R)[0]
+
+
+def policy_tables(p: float, tau: float, beta, N: int, R: int = RESOLUTION):
+    """The real m = 1 tables (2^(N+1) - 2, 1) of the Bellman policy for p, tau and the
+    flips beta on the band of resolution R: a start of the search."""
+    return _tables(R, *_policy(p, tau, beta, N, R))
+
+
+def policy_ratio(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> float:
+    """The ratio of that policy, by its backward evaluation."""
+    beta, actions = _policy(p, tau, beta, N, R)
+    return _evaluate(p, tau, beta, R, actions)

@@ -100,6 +100,7 @@ def gaussian_damped_pairing(cfg: GaussianPairingConfig, M: MultiplierSymbol) -> 
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite deviation is refused below
 def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
     """max over (l_1, ..., l_k) of ||M(l_k + l_{k-1}/N + ... + l_1/N^{k-1}) - M(l_k)||.
 
@@ -107,6 +108,7 @@ def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
     perturbed direction above, so this measures how far the lifted symbol
     sits from its blockwise limit; a matrix symbol's norm is the spectral
     one.  The support and its tuples must be nonempty, each ending in l_k != 0.
+    A deviation out of floating-point range raises FloatingPointError.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -121,4 +123,7 @@ def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
     xi = [sum(l / N ** (len(ls) - 1 - i) for i, l in enumerate(ls)) for ls in support]
     diff = M.evaluate(xi) - M.evaluate([ls[-1] for ls in support])
     dev = np.abs(diff) if M.m == 1 else np.linalg.norm(diff, ord=2, axis=(-2, -1))
-    return float(np.max(dev))
+    dev = float(np.max(dev))
+    if not math.isfinite(dev):
+        raise FloatingPointError(f"deviation {dev} is not finite at N={N}")
+    return dev

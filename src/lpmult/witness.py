@@ -24,12 +24,18 @@ import numpy as np
 from .exponents import ExponentConfig
 from .martingale import MartingaleDifferenceSequence, TransformConfig, perturbed_ratio_exact
 from .catalog import MultiplierSymbol
-# Unused: perfbench/tracing.py resolves this site, and CI's "tracer sites resolve" step checks it.
-from .tensor import tensor_lift_apply  # noqa: F401
 
 # The axis frequencies +-(0, 1) and +-(1, 0), and the symbol value each needs.
 _AXES = np.array([(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)])
 _AXIS_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def __getattr__(name):
+    """tensor_lift_apply, loaded on first access: unused here, a perfbench/tracing.py site."""
+    if name != "tensor_lift_apply":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .tensor import tensor_lift_apply
+    return tensor_lift_apply
 
 
 class CrossCheckError(ValueError):

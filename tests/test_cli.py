@@ -23,7 +23,7 @@ from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_flat
+from lpmult.policy import policy_tables
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
                            sequence_to_record, store_key, verify_record, write_json)
 from test_report import den_overflow, listed
@@ -404,6 +404,9 @@ def test_exit_code_invalid_config(tmp_path):
                  id="gaussian-halvings-negative"),
     pytest.param(["transference", "deviation", "--n-doubling", "-3"],
                  id="deviation-doublings-negative"),
+    # A frequency whose square overflows makes a NaN deviation: refused with no warning.
+    pytest.param(["transference", "deviation", "--support", "1" + "0" * 200 + ",0:1,0"],
+                 id="deviation-overflow"),
     # 64^8 points, 2 PiB of summands: refused before the first draw.
     pytest.param(["transference", "shear", "--grid", "64", "--blocks", "8"],
                  id="shear-oversized"),
@@ -554,7 +557,7 @@ def test_certify_passes_c_tau_below_the_ceiling_at_p_below_two(tmp_path):
     # a certificate, since only U = ((p* - 1)^p + tau^p)^(1/p) bounds the ratio there.
     N, exps = 12, ExponentConfig(1.25)
     beta = tuple((-1) ** k for k in range(N))
-    flat = policy_flat(1.25, 5.0, beta, N, 8)[0] + 0j
+    flat = policy_tables(1.25, 5.0, beta, N, 8) + 0j
     seq = MartingaleDifferenceSequence(tuple(
         t.reshape((2,) * k + (1,)) for k, t in enumerate(martingale._levels(flat), start=1)))
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 5.0), exps)
@@ -587,6 +590,24 @@ def test_p0_flag_is_refused(tmp_path, monkeypatch, command):
     assert exc.value.code == 2
     assert not out.exists()
     assert not list(store.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["certify", "beurling-real", "--p", "4", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+    ([], "the following arguments are required: command")])
+def test_usage_names_all_four_commands(capsys, argv, error):
+    # A command's process builds its own subparser alone; its usage line still names all four.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: lpmult [-h] [--version]\n"
+                          "              {search-martingale,certify,transference,norms} ...\n")
+    assert err.splitlines()[-1].startswith("lpmult: error: ") and error in err.splitlines()[-1]
+    with pytest.raises(SystemExit):
+        cli.build_parser("certify").parse_args(["norms", "--family", "beurling"])
+    assert "invalid choice: 'norms'" in capsys.readouterr().err
 
 
 def test_certify_search_stores_what_a_second_certify_reads(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 from lpmult import martingale
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double, _flat,
-                               _head_levels, _head_plan, _head_values, _ratio_and_grad,
+                               _head_levels, _head_plan, _head_values, log_ratio,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_flat
+from lpmult.policy import policy_tables
 
 
 def _sign_index(r):
@@ -391,7 +391,8 @@ def test_gradient_matches_reference(N, m, tau, p):
     betas = [tuple(int(b) for b in rng.choice([-1, 1], size=N)) for _ in range(5)]
     exps = ExponentConfig(p)
     for seq, beta in zip(seqs, betas):
-        J, grad = _ratio_and_grad(seq.flat, beta, tau, exps.p)
+        J, gradient = log_ratio(seq.flat, beta, tau, exps.p)
+        grad = gradient()
         assert grad.shape == seq.flat.shape
         J_ref, grads_ref = _reference_ratio_and_grad(seq.tables, beta, tau, exps.p)
         assert abs(J - J_ref) <= 1e-12
@@ -401,7 +402,7 @@ def test_gradient_matches_reference(N, m, tau, p):
 
 def _policy_starts(tau, N):
     alt = tuple((-1) ** k for k in range(N))
-    return {beta: policy_flat(4.0, tau, beta, N)[0] + 0j for beta in (alt, alt[:-1] + alt[-2:-1])}
+    return {beta: policy_tables(4.0, tau, beta, N) + 0j for beta in (alt, alt[:-1] + alt[-2:-1])}
 
 
 def test_search_independent_of_batch():
@@ -427,9 +428,9 @@ def test_search_wall_cap_is_one_deadline_checked_after_each_step(monkeypatch):
 
     def counted(x, beta, *args):
         calls.append(beta)
-        return _ratio_and_grad(x, beta, *args)
+        return log_ratio(x, beta, *args)
 
-    monkeypatch.setattr(martingale, "_ratio_and_grad", counted)
+    monkeypatch.setattr(martingale, "log_ratio", counted)
     res = search_extremal(ExponentConfig(4.0), tau, N, iters=60, wall_cap_s=1e-9)
     assert res.stopped_by == "wall"
     assert calls == [beta for beta in starts for _ in range(2)]

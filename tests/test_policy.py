@@ -9,7 +9,7 @@ from lpmult import catalog, policy
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_flat
+from lpmult.policy import policy_ratio, policy_tables
 
 
 def _alternating(N):
@@ -70,7 +70,7 @@ def test_band_equals_the_doubling_loops(R):
 ])
 def test_backward_evaluation_is_the_tables_exact_ratio(p, tau, N, R, beta):
     beta = _alternating(N) if beta is None else beta
-    flat, ratio = policy_flat(p, tau, beta, N, R)
+    flat, ratio = policy_tables(p, tau, beta, N, R), policy_ratio(p, tau, beta, N, R)
     assert flat.shape == (2 ** (N + 1) - 2, 1) and flat.dtype == float
     exact = _exact(flat, beta, tau, p)
     assert abs(ratio - exact) <= 1e-15 * exact
@@ -136,7 +136,7 @@ def test_evaluated_ratio_is_at_least_every_accepted_bound(p, tau, N):
 
 def test_policy_column_at_p4():
     # The alternating-beta policies of R = 8, actions 0..16 and 21 solves at p = 4, tau = 0.
-    got = [policy_flat(4.0, 0.0, _alternating(N), N)[1] for N in range(2, 9)]
+    got = [policy_ratio(4.0, 0.0, _alternating(N), N) for N in range(2, 9)]
     want = [1.0, 2**0.5, 1.537912, 1.743237, 1.854122, 1.977108, 2.067159]
     assert got == pytest.approx(want, abs=5e-7)
 
@@ -147,18 +147,18 @@ def test_resolution_past_uint8_actions_is_refused_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="resolution must be in 1..32, got 33"):
-            policy_flat(4.0, 0.0, _alternating(4), 4, 33)
+            policy_tables(4.0, 0.0, _alternating(4), 4, 33)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10, peak
     with pytest.raises(ValueError, match="resolution"):
-        policy_flat(4.0, 0.0, _alternating(4), 4, 0)
+        policy_tables(4.0, 0.0, _alternating(4), 4, 0)
 
 
 def test_beta_of_another_length_is_refused():
     with pytest.raises(ValueError, match="beta must have length"):
-        policy_flat(4.0, 0.0, (1, -1), 3)
+        policy_tables(4.0, 0.0, (1, -1), 3)
 
 
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 5), (4.0, 1.0, 6), (4.0 / 3.0, 0.5, 4),
@@ -167,7 +167,7 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
     res = search_extremal(ExponentConfig(p), tau, N, iters=5, wall_cap_s=60.0)
     alt = _alternating(N)
     for beta in [alt] if N == 1 else [alt, alt[:-1] + alt[-2:-1]]:
-        assert res.ratio >= policy_flat(p, tau, beta, N)[1] - 1e-12
+        assert res.ratio >= policy_ratio(p, tau, beta, N) - 1e-12
 
 
 def test_wall_capped_default_chain_at_p_four_thirds_passes_2_2_at_n10():
