@@ -326,7 +326,7 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
                     wall_cap_s: float) -> SearchResult:
     """Best (F, beta) of two Bellman policy starts, each polished by gradient ascent.
 
-    The starts are `policy_tables`' tables for the alternating beta and for it
+    The starts are `solve_policy`'s tables for the alternating beta and for it
     with beta_N = beta_(N-1) (the first alone at N = 1), so every table has
     m = 1 and no number is drawn at random.  Each ascends on its own for at
     most `iters` steps.  The wall cap of `wall_cap_s` seconds is a guard: one
@@ -349,12 +349,13 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
         return SearchResult(seq, beta, ratio)
 
-    from .policy import policy_tables  # loaded by a search alone
+    from .policy import solve_policy  # loaded by a search alone
     deadline = time.monotonic() + wall_cap_s
     alt = tuple((-1) ** k for k in range(N))
     best, fired = None, False  # (ratio, beta, sequence)
     for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]:
-        x, cut = _ascend(policy_tables(p, tau, beta, N) + 0j, beta, tau, p, iters, deadline)
+        start = solve_policy(p, tau, beta, N).tables() + 0j
+        x, cut = _ascend(start, beta, tau, p, iters, deadline)
         fired |= cut
         seq = MartingaleDifferenceSequence(tuple(
             t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(x), start=1)))

@@ -15,6 +15,9 @@ import functools
 
 import numpy as np
 
+from .exponents import Frozen
+from .martingale import ENUMERATION_CAP
+
 RESOLUTION = 8  # the search's policy starts: the band's R, with actions 0..2R,
 SOLVES = 21  # and the number of bisection solves on C
 
@@ -116,51 +119,47 @@ def _bisect(p, tau, beta, R):
     return _solve(p, tau, beta, R, lo, policy=True)[1], lo
 
 
-def _evaluate(p, tau, beta, R, actions):
-    """The policy's ratio: its recursion with the stored actions, ratio^p = Num / Den."""
-    _, child, de, start = _band(R)
-    num, den = _payoff(R, p, tau)
-    cols = np.arange(num.size)
-    for b, a in zip(reversed(beta[1:]), actions[::-1]):  # no action a policy takes is refused
-        i = (1 - b) // 2
-        c, w = child[i][:, a, cols], 0.5 * 2.0 ** (p * de[i][:, a, cols])
-        num, den = (num.take(c) * w).sum(0), (den.take(c) * w).sum(0)
-        num, den = num / num.max(), den / num.max()
-    s = start[(1 - beta[0]) // 2]
-    return float((num[s].sum() / den[s].sum()) ** (1.0 / p))
+class Policy(Frozen):
+    """A solved Bellman policy: p, tau, the flips beta, the band's R, the actions
+    (N - 1, S + 1) uint8 for steps 2..N and C, the largest bound the bisection accepted."""
+
+    __slots__ = ("p", "tau", "beta", "R", "actions", "C")
+
+    def ratio(self) -> float:
+        """The ratio at any N: the recursion with the stored actions, ratio^p = Num / Den."""
+        _, child, de, start = _band(self.R)
+        num, den = _payoff(self.R, self.p, self.tau)
+        cols = np.arange(num.size)
+        for b, a in zip(reversed(self.beta[1:]), self.actions[::-1]):  # none is a refused action
+            i = (1 - b) // 2
+            c, w = child[i][:, a, cols], 0.5 * 2.0 ** (self.p * de[i][:, a, cols])
+            num, den = (num.take(c) * w).sum(0), (den.take(c) * w).sum(0)
+            num, den = num / num.max(), den / num.max()
+        s = start[(1 - self.beta[0]) // 2]
+        return float((num[s].sum() / den[s].sum()) ** (1.0 / self.p))
+
+    def tables(self):
+        """Real m = 1 flat tables (2^(N+1) - 2, 1), for N <= ENUMERATION_CAP only: d_1 = R,
+        and d_k = a_k(x) 2^e at the state (e, x) that r_1..r_{k-1} reach, whatever r_0."""
+        if len(self.beta) > ENUMERATION_CAP:  # refused before 2^(N+1) floats, 16 GiB at N = 30
+            raise ValueError(f"depth {len(self.beta)} exceeds enumeration cap {ENUMERATION_CAP}")
+        _, child, de, start = _band(self.R)
+        s, e = start[(1 - self.beta[0]) // 2], np.zeros(2, int)
+        levels = [np.full(2, float(self.R))]
+        for b, act in zip(self.beta[1:], self.actions):
+            i, a = (1 - b) // 2, act[s]
+            d = np.ldexp(a.astype(float), e)
+            levels.append(np.concatenate([d, d]))
+            s, e = child[i][:, a, s].T.reshape(-1), np.repeat(e, 2) + de[i][:, a, s].T.reshape(-1)
+        return np.concatenate(levels)[:, None]
 
 
-def _tables(R, beta, actions):
-    """Real flat tables (2^(N+1) - 2, 1): d_1 = R, and d_k = a_k(x) 2^e at the state
-    (e, x) that r_1..r_{k-1} reach, whatever r_0."""
-    _, child, de, start = _band(R)
-    s, e = start[(1 - beta[0]) // 2], np.zeros(2, int)
-    levels = [np.full(2, float(R))]
-    for b, act in zip(beta[1:], actions):
-        i, a = (1 - b) // 2, act[s]
-        d = np.ldexp(a.astype(float), e)
-        levels.append(np.concatenate([d, d]))
-        s, e = child[i][:, a, s].T.reshape(-1), np.repeat(e, 2) + de[i][:, a, s].T.reshape(-1)
-    return np.concatenate(levels)[:, None]
-
-
-def _policy(p, tau, beta, N, R):
-    """(beta as a tuple, the actions of its Bellman policy), the inputs checked first."""
+def solve_policy(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> Policy:
+    """The Bellman policy for p, tau and the flips beta on the band of resolution R,
+    from one bisection, the inputs checked first: a start of the search."""
     if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
         raise ValueError(f"resolution must be in 1..32, got {R}")
     beta = tuple(beta)
     if len(beta) != N or N < 1:
         raise ValueError(f"beta must have length N >= 1, got {len(beta)} for N = {N}")
-    return beta, _bisect(p, tau, beta, R)[0]
-
-
-def policy_tables(p: float, tau: float, beta, N: int, R: int = RESOLUTION):
-    """The real m = 1 tables (2^(N+1) - 2, 1) of the Bellman policy for p, tau and the
-    flips beta on the band of resolution R: a start of the search."""
-    return _tables(R, *_policy(p, tau, beta, N, R))
-
-
-def policy_ratio(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> float:
-    """The ratio of that policy, by its backward evaluation."""
-    beta, actions = _policy(p, tau, beta, N, R)
-    return _evaluate(p, tau, beta, R, actions)
+    return Policy(p, tau, beta, R, *_bisect(p, tau, beta, R))

@@ -36,7 +36,7 @@ IMPROVEMENT_MARGIN = 1e-12
 # The fields the store's readers take from every record, with the JSON types
 # each may hold; a bool, though a Python int, is none of them.  The p0 field, always
 # p, stays in the record, its key and lookup_store's parameters until the store
-# format's next revision (ROADMAP item 5), so stored files keep their bytes.
+# format's next revision (ROADMAP item 6), so stored files keep their bytes.
 _NUMBER = (int, float)
 _RECORD_FIELDS = {"p": _NUMBER, "p0": _NUMBER, "tau": _NUMBER, "ratio": _NUMBER,
                   "N": int, "m": int, "predicate": str, "tables": list, "beta": list}

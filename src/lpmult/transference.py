@@ -122,8 +122,9 @@ def multiplier_deviation(M: MultiplierSymbol, support, N: int) -> float:
             raise ValueError("the last frequency in each tuple must be nonzero")
     xi = [sum(l / N ** (len(ls) - 1 - i) for i, l in enumerate(ls)) for ls in support]
     diff = M.evaluate(xi) - M.evaluate([ls[-1] for ls in support])
-    dev = np.abs(diff) if M.m == 1 else np.linalg.norm(diff, ord=2, axis=(-2, -1))
-    dev = float(np.max(dev))
+    if M.m > 1 and np.isfinite(diff).all():  # an SVD of a non-finite matrix does not converge
+        diff = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+    dev = float(np.max(np.abs(diff)))
     if not math.isfinite(dev):
         raise FloatingPointError(f"deviation {dev} is not finite at N={N}")
     return dev

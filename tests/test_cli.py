@@ -23,7 +23,7 @@ from lpmult.cli import main
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_tables
+from lpmult.policy import solve_policy
 from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
                            sequence_to_record, store_key, verify_record, write_json)
 from test_report import den_overflow, listed
@@ -557,7 +557,7 @@ def test_certify_passes_c_tau_below_the_ceiling_at_p_below_two(tmp_path):
     # a certificate, since only U = ((p* - 1)^p + tau^p)^(1/p) bounds the ratio there.
     N, exps = 12, ExponentConfig(1.25)
     beta = tuple((-1) ** k for k in range(N))
-    flat = policy_tables(1.25, 5.0, beta, N, 8) + 0j
+    flat = solve_policy(1.25, 5.0, beta, N, 8).tables() + 0j
     seq = MartingaleDifferenceSequence(tuple(
         t.reshape((2,) * k + (1,)) for k, t in enumerate(martingale._levels(flat), start=1)))
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 5.0), exps)

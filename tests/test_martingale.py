@@ -13,7 +13,7 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double, _flat,
                                _head_levels, _head_plan, _head_values, log_ratio,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_tables
+from lpmult.policy import solve_policy
 
 
 def _sign_index(r):
@@ -402,7 +402,8 @@ def test_gradient_matches_reference(N, m, tau, p):
 
 def _policy_starts(tau, N):
     alt = tuple((-1) ** k for k in range(N))
-    return {beta: policy_tables(4.0, tau, beta, N) + 0j for beta in (alt, alt[:-1] + alt[-2:-1])}
+    return {beta: solve_policy(4.0, tau, beta, N).tables() + 0j
+            for beta in (alt, alt[:-1] + alt[-2:-1])}
 
 
 def test_search_independent_of_batch():

@@ -9,7 +9,7 @@ from lpmult import catalog, policy
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
                                perturbed_ratio_exact, search_extremal)
-from lpmult.policy import policy_ratio, policy_tables
+from lpmult.policy import solve_policy
 
 
 def _alternating(N):
@@ -70,7 +70,8 @@ def test_band_equals_the_doubling_loops(R):
 ])
 def test_backward_evaluation_is_the_tables_exact_ratio(p, tau, N, R, beta):
     beta = _alternating(N) if beta is None else beta
-    flat, ratio = policy_tables(p, tau, beta, N, R), policy_ratio(p, tau, beta, N, R)
+    pol = solve_policy(p, tau, beta, N, R)
+    flat, ratio = pol.tables(), pol.ratio()
     assert flat.shape == (2 ** (N + 1) - 2, 1) and flat.dtype == float
     exact = _exact(flat, beta, tau, p)
     assert abs(ratio - exact) <= 1e-15 * exact
@@ -128,15 +129,15 @@ def test_unnormalized_values_stay_under_burkholders_function(p, R):
 def test_evaluated_ratio_is_at_least_every_accepted_bound(p, tau, N):
     # The bisection's lo only rises, so the last C it accepts is the largest.
     beta = _alternating(N)
-    actions, lo = policy._bisect(p, tau, beta, policy.RESOLUTION)
-    assert actions.dtype == np.uint8 and actions.shape == (N - 1, 12 * 64 - 32 + 1)
-    ratio = policy._evaluate(p, tau, beta, policy.RESOLUTION, actions)
-    assert lo > 0.0 and ratio >= lo
+    pol = solve_policy(p, tau, beta, N)
+    assert pol.actions.dtype == np.uint8 and pol.actions.shape == (N - 1, 12 * 64 - 32 + 1)
+    ratio = pol.ratio()
+    assert pol.C > 0.0 and ratio >= pol.C
 
 
 def test_policy_column_at_p4():
     # The alternating-beta policies of R = 8, actions 0..16 and 21 solves at p = 4, tau = 0.
-    got = [policy_ratio(4.0, 0.0, _alternating(N), N) for N in range(2, 9)]
+    got = [solve_policy(4.0, 0.0, _alternating(N), N).ratio() for N in range(2, 9)]
     want = [1.0, 2**0.5, 1.537912, 1.743237, 1.854122, 1.977108, 2.067159]
     assert got == pytest.approx(want, abs=5e-7)
 
@@ -147,18 +148,57 @@ def test_resolution_past_uint8_actions_is_refused_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="resolution must be in 1..32, got 33"):
-            policy_tables(4.0, 0.0, _alternating(4), 4, 33)
+            solve_policy(4.0, 0.0, _alternating(4), 4, 33)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10, peak
     with pytest.raises(ValueError, match="resolution"):
-        policy_tables(4.0, 0.0, _alternating(4), 4, 0)
+        solve_policy(4.0, 0.0, _alternating(4), 4, 0)
 
 
 def test_beta_of_another_length_is_refused():
     with pytest.raises(ValueError, match="beta must have length"):
-        policy_tables(4.0, 0.0, (1, -1), 3)
+        solve_policy(4.0, 0.0, (1, -1), 3)
+
+
+def test_one_policy_is_one_bisection(monkeypatch):
+    # SOLVES solves of C, then one at the accepted C for the actions; the ratio and
+    # the tables read the stored actions and solve nothing.
+    calls, solve = [], policy._solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "_solve", counted)
+    pol = solve_policy(4.0, 0.5, _alternating(6), 6)
+    assert len(calls) == policy.SOLVES + 1 == 22 and calls[-1] == pol.C
+    pol.ratio(), pol.tables()
+    assert len(calls) == 22
+
+
+def test_tables_past_the_enumeration_cap_are_refused_before_any_allocation():
+    # At N = 30 the tables would be 2^31 floats, 16 GiB: refused before any level is built.
+    pol = solve_policy(4.0, 0.0, _alternating(30), 30, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth 30 exceeds enumeration cap 20"):
+            pol.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+    assert solve_policy(4.0, 0.0, _alternating(20), 20, 2).tables().shape == (2**21 - 2, 1)
+
+
+def test_deep_policy_has_a_ratio_and_no_tables():
+    # Past the enumeration cap a policy is still a martingale: its evaluated ratio is at
+    # least the bound the bisection accepted and at most the proven ceiling.
+    pol = solve_policy(4.0, 0.0, _alternating(64), 64, 8)
+    assert pol.C <= pol.ratio() <= catalog.ceiling(ExponentConfig(4.0), 0.0)
+    with pytest.raises(ValueError, match="depth 64 exceeds enumeration cap"):
+        pol.tables()
 
 
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 5), (4.0, 1.0, 6), (4.0 / 3.0, 0.5, 4),
@@ -167,7 +207,7 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
     res = search_extremal(ExponentConfig(p), tau, N, iters=5, wall_cap_s=60.0)
     alt = _alternating(N)
     for beta in [alt] if N == 1 else [alt, alt[:-1] + alt[-2:-1]]:
-        assert res.ratio >= policy_ratio(p, tau, beta, N) - 1e-12
+        assert res.ratio >= solve_policy(p, tau, beta, N).ratio() - 1e-12
 
 
 def test_wall_capped_default_chain_at_p_four_thirds_passes_2_2_at_n10():

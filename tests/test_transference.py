@@ -167,9 +167,10 @@ def test_deviation_validation():
         multiplier_deviation(sym, [((1.0, 0.0),), ()], 10)
 
 
-@pytest.mark.parametrize("family", ["beurling-real", "beurling"])
+@pytest.mark.parametrize("family", ["beurling-real", "beurling", "beurling-matrix"])
 def test_deviation_out_of_range_is_refused_with_no_warning(family):
     # A frequency whose square overflows makes the symbol inf/inf = NaN there: refused
-    # as the pairing refuses its non-finite value, with no numpy warning (an error here).
+    # as the pairing refuses its non-finite value, with no numpy warning (an error here),
+    # and for a matrix symbol before its spectral norm, whose SVD would not converge.
     with pytest.raises(FloatingPointError, match="deviation nan is not finite"):
         multiplier_deviation(family_symbol(family), [((1e200, 0.0), (1.0, 0.0))], 10)
