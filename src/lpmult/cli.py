@@ -50,12 +50,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--store-dir", type=Path, default=Path("lpmult-store"))
     p.add_argument("--predicate", choices=["def2", "cor7"], default="def2")
-    p.add_argument("--iters", type=int, default=600)
-    p.add_argument("--wall-cap", type=float, default=60.0)
     # Accepted and ignored, unlisted, until perfbench stops passing them: the
-    # search has no random starts.
-    for flag in ("--seed", "--restarts"):
-        p.add_argument(flag, type=int, help=argparse.SUPPRESS)
+    # search is its Bellman policy, with no random start and no ascent.
+    for flag, kind in (("--seed", int), ("--restarts", int), ("--iters", int),
+                       ("--wall-cap", float)):
+        p.add_argument(flag, type=kind, help=argparse.SUPPRESS)
 
 
 @contextlib.contextmanager
@@ -106,7 +105,7 @@ def _martingale(args, exps):
     if args.family != "martingale" and (rec := lookup_store(
             args.store_dir, exps.p, exps.p, args.tau, args.n, args.predicate)) is not None:
         return *sequence_from_record(rec), "store", None
-    res = search_extremal(exps, args.tau, args.n, iters=args.iters, wall_cap_s=args.wall_cap)
+    res = search_extremal(exps, args.tau, args.n)
     return res.sequence, res.beta, "search", res
 
 
@@ -115,10 +114,10 @@ def cmd_certify(args) -> int:
     exps = ExponentConfig(args.p)
     symbol = family_symbol(args.family) if args.family == "beurling-matrix" else beurling_real()
     check_premise(symbol)  # before any file is read or search run
-    check_search(args.n, args.tau, iters=args.iters, wall_cap_s=args.wall_cap)  # searched or not
-    if args.seed is not None or args.restarts is not None:
-        print("note: --seed and --restarts are ignored: the search has no random starts",
-              file=sys.stderr)
+    check_search(args.n, args.tau)  # searched or not
+    if any(v is not None for v in (args.seed, args.restarts, args.iters, args.wall_cap)):
+        print("note: --seed, --restarts, --iters and --wall-cap are ignored: the search is "
+              "its Bellman policy, with no random start and no ascent", file=sys.stderr)
     if not math.isfinite(args.theta):
         raise ValueError(f"--theta must be finite, got {args.theta}")
     sign, angle = _reduction(args.family, args.theta)
@@ -136,8 +135,6 @@ def cmd_certify(args) -> int:
         "beta": list(beta),
         "symbol_convention": "displayed quotient (xi2^2-xi1^2+2i xi1 xi2)/|xi|^2",
     }
-    if res is not None:
-        notes["stopped_by"] = res.stopped_by
 
     upper = ceiling(exps, args.tau)
     if not ratio <= upper * (1.0 + 1e-12):
@@ -151,7 +148,6 @@ def cmd_certify(args) -> int:
         "achieved_ratio": ratio, "certified_lower_bound": ratio,
         "target_constant": target, "gap": None if target is None else target - ratio,
         "upper_bound": upper, "predicate": args.predicate,
-        "budget": {"iters": args.iters, "wall_cap_s": args.wall_cap},
         "wall_time_s": wall, "version": lpmult.__version__, "notes": notes,
     }
     with _output(args.out) as fh:  # opened first: a bad --out fails before the store write

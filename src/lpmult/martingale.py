@@ -6,26 +6,24 @@ The transform flips increment k by beta_k and the quadratic perturbation
 pairs the result with tau * F; the exact Lp -> Lp ratio is computed by
 enumerating all 2^(N+1) sign patterns with uniform weight.
 
-One realization serves the exact ratio and the search: from the tables of a
-sequence, one array level after level, `_head_values` gathers the values of F
-and G at the first h <= 5 levels in one step, and `_double` takes them through
-the rest, one sign coordinate a level (O(2^(N+1)) work): F <- (F + t, F - t)
-and G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
-beta_k choosing only which half of G gets the sum.  Both take their head
-coefficients from a cache keyed by beta's first h signs (at most 62 keys).
-The search's gradient realizes one sequence and reduces by the reverse
-halving.  The exact ratio doubles the levels its blocks share once, then each
-block of `_BLOCK_POINTS` points through the rest (none where N <= h), forms
-its power sums in place, a square at p = 4, and adds the per-block sums in
-numpy's pairwise-sum tree.  `search_extremal` polishes two Bellman policy
-starts in turn, under one deadline, and checks each by `perturbed_ratio_exact`.
+One realization serves the exact ratio: from the tables of a sequence, one
+array level after level, `_head_values` gathers the values of F and G at the
+first h <= 5 levels in one step, and `_double` takes them through the rest,
+one sign coordinate a level (O(2^(N+1)) work): F <- (F + t, F - t) and
+G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
+beta_k choosing only which half of G gets the sum.  The head coefficients come
+from a cache keyed by beta's first h signs (at most 62 keys).  The exact ratio
+doubles the levels its blocks share once, then each block of `_BLOCK_POINTS`
+points through the rest (none where N <= h), forms its power sums in place, a
+square at p = 4, and adds the per-block sums in numpy's pairwise-sum tree.
+`search_extremal` returns the better of two Bellman policy starts, each
+enumerated by `perturbed_ratio_exact`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 
 import numpy as np
 
@@ -202,8 +200,9 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     [(den, num)] = sums
     den, num = den / P, num / P
     if not (math.isfinite(den) and math.isfinite(num)):  # den = inf would give 0.0
-        raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p = {num} "
-                                 "is not finite: the input is out of range")
+        raise FloatingPointError(f"E|F_N|^p = {den} or E|(G_N, tau F_N)|^p = {num} is not "
+                                 f"finite at p = {exps.p}, tau = {cfg.tau}: the input is out "
+                                 "of range")
     if not den > 0.0:
         raise ZeroDivisionError("F_N has zero L^p norm")
     ratio = num ** (1.0 / exps.p) / den ** (1.0 / exps.p)
@@ -216,11 +215,7 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
 
 
 class SearchResult(Frozen):
-    __slots__ = ("sequence", "beta", "ratio", "stopped_by")
-
-    def __init__(self, sequence: MartingaleDifferenceSequence, beta: tuple[int, ...],
-                 ratio: float, stopped_by: str = "iters"):
-        super().__init__(sequence, beta, ratio, stopped_by)
+    __slots__ = ("sequence", "beta", "ratio")
 
 
 def _levels(x):
@@ -233,110 +228,24 @@ def _flat(tables):
     return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
 
 
-def log_ratio(x, beta, tau, p):
-    """Log-ratio objective of one sequence, with its ascent gradient on demand.
-
-    x holds the flat complex tables (2^(N+1) - 2, m) and beta the flips as +-1.
-    Returns (J, gradient): J the log of the perturbed ratio, gradient() the
-    complex gradient 2 dJ/d(conj x), shaped like x, built only when called.
-    The gradient is reduced by repeated halving: summing out the last
-    coordinate r_k leaves the weights on r_0..r_{k-1}, whose +/- difference is
-    the level-k term.
-    """
-    N, m = len(beta), x.shape[1]
-    hl = _head_levels(N, 2 * m, 1)[0]
-    V = _head_values(x.T, _head_flips(beta[:hl]))
-    if N > hl:
-        V = _double(V, x.T, beta[hl:], hl)
-    n2, g2 = np.sum(V.real ** 2 + V.imag ** 2, axis=-2)  # |V|^2 with no hypot pass
-    h = g2 + tau * tau * n2
-    P = len(n2)
-
-    Dp = np.sum(n2 ** (p / 2.0)) / P
-    Up = np.sum(h ** (p / 2.0)) / P
-    if Dp <= 0.0:
-        raise ZeroDivisionError("degenerate tables in search")
-    J = np.log(Up) / p - np.log(Dp) / p
-
-    def gradient():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hpow = np.where(h > 0, h ** (p / 2.0 - 1.0), 0.0)
-            npow = np.where(n2 > 0, n2 ** (p / 2.0 - 1.0), 0.0)
-        WF = (tau * tau * hpow / (2.0 * Up) - npow / (2.0 * Dp)) / P * V[0]
-        WG = hpow / (2.0 * Up * P) * V[1]
-
-        grad = np.empty_like(x)
-        for k, g in reversed(list(enumerate(_levels(grad), start=1))):
-            WF = WF.reshape(m, -1, 2)
-            WG = WG.reshape(m, -1, 2)
-            g.T[:] = 2.0 * (WF[..., 0] - WF[..., 1] + beta[k - 1] * (WG[..., 0] - WG[..., 1]))
-            if k > 1:
-                WF = WF[..., 0] + WF[..., 1]
-                WG = WG[..., 0] + WG[..., 1]
-        return grad
-
-    return J, gradient
-
-
-def _normalize(x):
-    scale = np.sqrt(np.sum(np.abs(x) ** 2))
-    if scale == 0.0:
-        raise ZeroDivisionError("zero tables")
-    return x / scale
-
-
-def _ascend(x, beta, tau, p, iters, deadline):
-    """Normalized gradient ascent with step halving on non-improvement.
-
-    Ascends the flat tables x (2^(N+1) - 2, m) under the flips beta until
-    `iters` steps are taken or the gradient or the step vanishes; a trial's
-    gradient is built only if its step is accepted.  Returns the ascended
-    tables and whether the wall-clock deadline cut the ascent.
-    """
-    x = _normalize(x)
-    J, gradient = log_ratio(x, beta, tau, p)
-    g = gradient()
-    step = 0.25
-    for _ in range(iters):
-        gnorm = np.sqrt(np.sum(np.abs(g) ** 2))
-        if not (gnorm >= 1e-14 and step >= 1e-13):  # a NaN gradient stops too
-            break
-        trial = _normalize(x + step * g / gnorm)
-        J_try, gradient = log_ratio(trial, beta, tau, p)
-        if J_try > J:
-            x, J, g, step = trial, J_try, gradient(), min(step * 1.5, 1.0)
-        else:
-            step *= 0.5
-        if time.monotonic() > deadline:
-            return x, True
-    return x, False
-
-
-def check_search(N: int, tau: float, *, iters: int, wall_cap_s: float) -> None:
-    """Refuse a depth outside 1..ENUMERATION_CAP, a tau TransformConfig refuses and a
-    budget field that is not positive (NaN included)."""
+def check_search(N: int, tau: float) -> None:
+    """Refuse a depth outside 1..ENUMERATION_CAP and a tau TransformConfig refuses."""
     if N < 1 or N > ENUMERATION_CAP:
         raise ValueError(f"depth must be in 1..{ENUMERATION_CAP}, got {N}")
     TransformConfig((), tau)
-    if not (iters >= 1 and wall_cap_s > 0):
-        raise ValueError("budget fields must be positive")
 
 
-def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
-                    wall_cap_s: float) -> SearchResult:
-    """Best (F, beta) of two Bellman policy starts, each polished by gradient ascent.
+def search_extremal(exps: ExponentConfig, tau: float, N: int) -> SearchResult:
+    """Best (F, beta) of two Bellman policy starts.
 
     The starts are `solve_policy`'s tables for the alternating beta and for it
-    with beta_N = beta_(N-1) (the first alone at N = 1), so every table has
-    m = 1 and no number is drawn at random.  Each ascends on its own for at
-    most `iters` steps.  The wall cap of `wall_cap_s` seconds is a guard: one
-    deadline for both starts, checked after each step, so each start takes at
-    least one step; when it cuts either ascent the result records stopped_by =
-    "wall".  `check_search` refuses a bad depth, tau or budget before any work.
-    Each polished start is re-verified through perturbed_ratio_exact, in start
-    order; ties in the ratio break toward the lexicographically smallest beta.
+    with beta_N = beta_(N-1) (the first alone at N = 1): m = 1 tables, with no
+    number drawn at random and no clock read.  `check_search` refuses a bad
+    depth or tau before any work.  Each start is enumerated by
+    perturbed_ratio_exact, in start order; ties in the ratio break toward the
+    lexicographically smallest beta.
     """
-    check_search(N, tau, iters=iters, wall_cap_s=wall_cap_s)
+    check_search(N, tau)
     p = exps.p
 
     if abs(p - 2.0) < 1e-12:
@@ -350,19 +259,14 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int, *, iters: int,
         return SearchResult(seq, beta, ratio)
 
     from .policy import solve_policy  # loaded by a search alone
-    deadline = time.monotonic() + wall_cap_s
     alt = tuple((-1) ** k for k in range(N))
-    best, fired = None, False  # (ratio, beta, sequence)
+    best = None
     for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]:
-        start = solve_policy(p, tau, beta, N).tables() + 0j
-        x, cut = _ascend(start, beta, tau, p, iters, deadline)
-        fired |= cut
+        flat = solve_policy(p, tau, beta, N).tables()
         seq = MartingaleDifferenceSequence(tuple(
-            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(x), start=1)))
+            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(flat), start=1)))
         ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
-        if best is None or ratio > best[0] + 1e-13 or (
-                abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
-            best = (ratio, beta, seq)
-
-    ratio, beta, seq = best
-    return SearchResult(seq, beta, ratio, "wall" if fired else "iters")
+        if best is None or ratio > best.ratio + 1e-13 or (
+                abs(ratio - best.ratio) <= 1e-13 and beta < best.beta):
+            best = SearchResult(seq, beta, ratio)
+    return best

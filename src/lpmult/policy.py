@@ -5,7 +5,9 @@ A state (e, x) stands for (U, V) = 2^e x, x an integer pair with R <= max|x| < 2
 is the absorbing origin.  An action a in 0..2R moves x to x +- a e_i, brought back into
 the band by doublings (e falls by one each) or one halving of an even pair, else refused.
 The payoff (g^2 + tau^2 f^2)^(p/2) - C^p |f|^p, f = U + V and g = U - V, is p-homogeneous:
-the program runs on the band alone, a child weighted by 1/2 2^(p de).  Bisection on C
+the program runs on the band alone, a child weighted by 1/2 2^(p de).  It runs on the band
+scaled by 1/(2R), with the payoff divided by C^p and its first term held over t^p,
+t = max(1, |tau|), so that no term grows like (4R)^p, |tau|^p or C^p.  Bisection on C
 picks a policy, and its backward evaluation is its ratio.
 """
 
@@ -77,10 +79,12 @@ def _weights(R, p):
 
 @functools.cache
 def _payoff(R, p, tau):
-    """The payoff's two terms on the band, (g^2 + tau^2 f^2)^(p/2) and |f|^p."""
-    x = _band(R)[0].astype(float)
-    f, g = x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]
-    return (g * g + tau * tau * f * f) ** (p / 2.0), np.abs(f) ** p
+    """The payoff's two terms on the band scaled by 1/(2R), ((g^2 + tau^2 f^2) / t^2)^(p/2)
+    and |f|^p, t = max(1, |tau|): each below 8^(p/2)."""
+    t = max(1.0, abs(tau))
+    x = _band(R)[0] / (2.0 * R)
+    f, g = x[:, 0] + x[:, 1], (x[:, 0] - x[:, 1]) / t
+    return (g * g + (tau / t) * (tau / t) * f * f) ** (p / 2.0), np.abs(f) ** p
 
 
 def _solve(p, tau, beta, R, C, policy=False):
@@ -89,7 +93,7 @@ def _solve(p, tau, beta, R, C, policy=False):
     canon, allowed = _weights(R, p)
     num, den = _payoff(R, p, tau)
     h = len(canon) // 2
-    W = num[h:] - C**p * den[h:]
+    W = num[h:] * (max(1.0, abs(tau)) / C) ** p - den[h:]
     actions = []
     for b in reversed(beta[1:]):
         child, weight, first, at = allowed[(1 - b) // 2]
@@ -136,7 +140,7 @@ class Policy(Frozen):
             num, den = (num.take(c) * w).sum(0), (den.take(c) * w).sum(0)
             num, den = num / num.max(), den / num.max()
         s = start[(1 - self.beta[0]) // 2]
-        return float((num[s].sum() / den[s].sum()) ** (1.0 / self.p))
+        return float(max(1.0, abs(self.tau)) * (num[s].sum() / den[s].sum()) ** (1.0 / self.p))
 
     def tables(self):
         """Real m = 1 flat tables (2^(N+1) - 2, 1), for N <= ENUMERATION_CAP only: d_1 = R,
@@ -159,6 +163,10 @@ def solve_policy(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> Pol
     from one bisection, the inputs checked first: a start of the search."""
     if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
         raise ValueError(f"resolution must be in 1..32, got {R}")
+    # A child weight 1/2 2^(p de), de in -bit_length(R - 1)..1, must be a normal float.
+    if not p * max(1, (R - 1).bit_length()) <= 1021:
+        raise ValueError(f"p = {p} is out of the policy's float range at R = {R}: "
+                         "a child weight 2^(p de) leaves the normal floats")
     beta = tuple(beta)
     if len(beta) != N or N < 1:
         raise ValueError(f"beta must have length N >= 1, got {len(beta)} for N = {N}")

@@ -112,7 +112,7 @@ def test_criterion_04_search_progress():
     exps = ExponentConfig(4.0)
     ratios = []
     for N in range(2, 9):
-        res = search_extremal(exps, 0.0, N, iters=1000, wall_cap_s=60.0)
+        res = search_extremal(exps, 0.0, N)
         ratios.append(res.ratio)
     for a, b in zip(ratios, ratios[1:]):
         assert b >= a - 1e-12

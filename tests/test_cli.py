@@ -24,8 +24,8 @@ from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig,
                                perturbed_ratio_exact, search_extremal)
 from lpmult.policy import solve_policy
-from lpmult.report import (StoreError, load_store, lookup_store, sequence_from_record,
-                           sequence_to_record, store_key, verify_record, write_json)
+from lpmult.report import (StoreError, load_store, lookup_store, sequence_to_record,
+                           store_key, verify_record, write_json)
 from test_report import den_overflow, listed
 
 
@@ -56,7 +56,7 @@ def test_search_p2_example(tmp_path):
 
 
 def test_search_determinism(tmp_path):
-    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "2", "--iters", "150"]
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "2"]
     _, a = _run(args + ["--store-dir", str(tmp_path / "sa")], tmp_path, "a.json")
     _, b = _run(args + ["--store-dir", str(tmp_path / "sb")], tmp_path, "b.json")
     ra = json.loads(a.read_text())
@@ -67,24 +67,30 @@ def test_search_determinism(tmp_path):
 
 
 def test_ignored_search_flags_change_nothing(tmp_path, capsys):
-    # --seed and --restarts stay accepted, unlisted in --help, until perfbench stops
-    # passing them; they change no report field, and one stderr line says so.
-    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "200"]
+    # --seed, --restarts, --iters and --wall-cap stay accepted, unlisted in --help, until
+    # perfbench stops passing them; whatever their values, they change no report field,
+    # and one stderr line says so.
+    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3"]
     reports = []
-    for tag, extra in (("plain", []), ("flags", ["--seed", "9", "--restarts", "4"])):
+    for tag, extra in (("plain", []), ("seed", ["--seed", "9", "--restarts", "4"]),
+                       ("budget", ["--iters", "5", "--wall-cap", "1e-9"]),
+                       ("bad-budget", ["--iters", "0", "--wall-cap", "nan"])):
         code, out = _run(args + extra + ["--store-dir", str(tmp_path / tag)], tmp_path,
                          f"{tag}.json")
         assert code == 0
         rep = json.loads(out.read_text())
         rep.pop("timestamp"), rep.pop("wall_time_s")
         reports.append((rep, capsys.readouterr().err))
-    (plain, quiet), (flagged, note) = reports
-    assert plain == flagged
+    (plain, quiet), *flagged = reports
     assert quiet == ""
-    assert note == "note: --seed and --restarts are ignored: the search has no random starts\n"
+    for rep, note in flagged:
+        assert rep == plain
+        assert note == ("note: --seed, --restarts, --iters and --wall-cap are ignored: the "
+                        "search is its Bellman policy, with no random start and no ascent\n")
     with pytest.raises(SystemExit):
         main(["search-martingale", "--help"])
-    assert "--seed" not in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert not any(flag in help_text for flag in ("--seed", "--restarts", "--iters", "--wall"))
 
 
 def test_search_process_imports_no_numpy_random(tmp_path):
@@ -92,7 +98,7 @@ def test_search_process_imports_no_numpy_random(tmp_path):
     script = ("import sys\n"
               "from lpmult.cli import main\n"
               "sys.argv = ['lpmult', 'search-martingale', '--p', '4', '--n', '3',\n"
-              "            '--iters', '30', '--store-dir', 'store', '--out', 'rep.json']\n"
+              "            '--store-dir', 'store', '--out', 'rep.json']\n"
               "print(main(), 'numpy.random' in sys.modules)\n")
     code, stdout = _process(tmp_path, ["-c", script])
     assert code == 0
@@ -269,7 +275,7 @@ def test_norms_tables(tmp_path):
     store = tmp_path / "store"
     for n in ("2", "3"):
         assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", n,
-                     "--iters", "30", "--store-dir", str(store)]) == 0
+                     "--store-dir", str(store)]) == 0
     best = max(verify_record(lookup_store(store, 4.0, 4.0, 1.0, N, "def2")) for N in (2, 3))
     code, out = _run(["norms", "--family", "vector", "--p", "4,1.5", "--value", "1",
                       "--store-dir", str(store)], tmp_path, "vector.csv")
@@ -353,7 +359,7 @@ def test_norms_vector_grid_over_p_and_tau(tmp_path):
     # The paper's C^tau surface in one call: a row per p and tau, p by p, with
     # certified_so_far only in the one cell the store holds, p = 4 and tau = 1.
     store = tmp_path / "store"
-    assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2", "--iters", "30",
+    assert main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2",
                  "--store-dir", str(store)]) == 0
     best = lookup_store(store, 4.0, 4.0, 1.0, 2, "def2")["ratio"]
     code, out = _run(["norms", "--family", "vector", "--p", "1.5,4", "--value", "0,0.5,1",
@@ -387,8 +393,6 @@ def test_exit_code_invalid_config(tmp_path):
                  id="search-tau-nan"),
     pytest.param(["search-martingale", "--p", "4", "--tau", "1e200", "--n", "2"],
                  id="search-tau-1e200"),
-    pytest.param(["search-martingale", "--p", "4", "--n", "2", "--wall-cap", "nan"],
-                 id="search-wall-cap-nan"),
     pytest.param(["transference", "shear", "--p", "nan"], id="shear-p-nan"),
     pytest.param(["transference", "gaussian", "--eps-start", "nan"], id="gaussian-eps-nan"),
     pytest.param(["transference", "gaussian", "--eps-start", "inf"], id="gaussian-eps-inf"),
@@ -470,14 +474,14 @@ def test_exit_code_store_error(tmp_path):
     # certify reads the N = 2 record before it would search.
     (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
     assert main(["certify", "beurling-real", "--p", "4", "--n", "2",
-                 "--iters", "50", "--store-dir", str(tmp_path)]) == 4
+                 "--store-dir", str(tmp_path)]) == 4
 
 
 def test_exit_code_store_error_on_write(tmp_path):
     # An N = 2 search reads the N = 2 record to compare before it writes.
     (tmp_path / f"{store_key(4.0, 4.0, 0.0, 2, 'def2')}.json").write_text("{corrupt")
     assert main(["search-martingale", "--p", "4", "--n", "2",
-                 "--iters", "50", "--store-dir", str(tmp_path)]) == 4
+                 "--store-dir", str(tmp_path)]) == 4
 
 
 def test_corrupt_key_fails_only_what_reads_it(tmp_path):
@@ -485,7 +489,7 @@ def test_corrupt_key_fails_only_what_reads_it(tmp_path):
     store.mkdir()
     # A corrupt record for tau = 1 at N = 2; the search below uses tau = 0.
     (store / f"{store_key(4.0, 4.0, 1.0, 2, 'def2')}.json").write_text("{corrupt")
-    search = ["search-martingale", "--p", "4", "--iters", "50",
+    search = ["search-martingale", "--p", "4",
               "--store-dir", str(store)]
     assert _run(search + ["--n", "2"], tmp_path, "n2.json")[0] == 0
     assert _run(search + ["--n", "3"], tmp_path, "n3.json")[0] == 0
@@ -497,7 +501,7 @@ def test_corrupt_key_fails_only_what_reads_it(tmp_path):
 def test_old_single_file_store_is_refused(tmp_path):
     store = tmp_path / "store"
     for n in ("2", "3"):
-        assert main(["search-martingale", "--p", "4", "--n", n, "--iters", "50",
+        assert main(["search-martingale", "--p", "4", "--n", n,
                      "--store-dir", str(store),
                      "--out", str(tmp_path / "s.json")]) == 0
     # The old layout: every record in one extremizers.json.
@@ -513,7 +517,7 @@ def test_old_single_file_store_is_refused(tmp_path):
 
 def test_certify_warm_start_from_store(tmp_path):
     store = tmp_path / "store"
-    code = main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2", "--iters", "400",
+    code = main(["search-martingale", "--p", "4", "--tau", "1", "--n", "2",
                  "--store-dir", str(store), "--out", str(tmp_path / "s.json")])
     assert code == 0
     code, out = _run(["certify", "beurling-real", "--p", "4", "--tau", "1",
@@ -545,7 +549,7 @@ def test_certify_refuses_a_bound_above_the_proven_ceiling(tmp_path, monkeypatch,
         monkeypatch.setattr(module, "perturbed_ratio_exact", lambda *a: upper + 1e-6)
     store = tmp_path / "store"
     code, out = _run(["search-martingale", "--p", str(p), "--tau", str(tau), "--n", "2",
-                      "--iters", "30", "--store-dir", str(store)], tmp_path)
+                      "--store-dir", str(store)], tmp_path)
     assert code == 3
     assert not out.exists()
     assert not list(store.glob("*.json"))
@@ -612,7 +616,7 @@ def test_usage_names_all_four_commands(capsys, argv, error):
 
 def test_certify_search_stores_what_a_second_certify_reads(tmp_path):
     store = tmp_path / "store"
-    flags = ["--p", "4", "--tau", "0.5", "--iters", "40",
+    flags = ["--p", "4", "--tau", "0.5",
              "--store-dir", str(store)]
     code, out = _run(["search-martingale", *flags, "--n", "2"], tmp_path, "n2.json")
     assert code == 0
@@ -721,7 +725,7 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
     if damage == "corrupt":
         path.write_text("{corrupt")
     before = path.read_bytes()
-    code, out = _run(["search-martingale", "--p", "4", "--n", "3", "--iters", "200",
+    code, out = _run(["search-martingale", "--p", "4", "--n", "3",
                       "--store-dir", str(store)], tmp_path)
     assert code == 4
     assert str(path) in capsys.readouterr().err
@@ -733,7 +737,7 @@ def test_store_write_refuses_a_record_it_cannot_re_verify(tmp_path, capsys, dama
                                    pytest.param(0.0, id="zero")])
 @pytest.mark.parametrize("command", [
     pytest.param(["norms", "--family", "beurling"], id="norms"),
-    pytest.param(["search-martingale", "--n", "2", "--iters", "30"],
+    pytest.param(["search-martingale", "--n", "2"],
                  id="store-write"),
     pytest.param(["certify", "beurling-real", "--n", "2"], id="certify"),
 ])
@@ -780,7 +784,7 @@ def test_unwritable_out_writes_no_store_record(tmp_path, capsys):
     # --out is opened before the store write, so a directory there stores nothing.
     store, out = tmp_path / "store", tmp_path / "out"
     out.mkdir()
-    assert main(["certify", "beurling-real", "--p", "4", "--n", "3", "--iters", "20",
+    assert main(["certify", "beurling-real", "--p", "4", "--n", "3",
                  "--store-dir", str(store), "--out", str(out)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert not list(store.glob("*.json"))
@@ -963,7 +967,7 @@ def test_search_beside_a_bad_record_below_never_reads_it(tmp_path, capsys, malfo
     else:
         path.write_text(text)
     before = path.read_bytes()
-    code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
+    code, out = _run(["search-martingale", "--p", "4", "--n", "4",
                       "--store-dir", str(store)], tmp_path)
     assert code == 0, capsys.readouterr().err
     assert path.read_bytes() == before
@@ -983,7 +987,7 @@ def test_search_beside_overflowing_tables_below_warns_nothing(tmp_path, capsys):
     before = path.read_bytes()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = _run(["search-martingale", "--p", "4", "--n", "4", "--iters", "30",
+        code, out = _run(["search-martingale", "--p", "4", "--n", "4",
                           "--store-dir", str(store)], tmp_path)
     assert code == 0, capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -1000,7 +1004,7 @@ def test_search_martingale_looks_up_no_store_record(tmp_path, monkeypatch):
     monkeypatch.setattr("lpmult.cli.lookup_store", reached)
     store = tmp_path / "store"
     for n in ("2", "3"):  # the N = 2 record is in the store when N = 3 searches
-        code, _ = _run(["search-martingale", "--p", "4", "--n", n, "--iters", "30",
+        code, _ = _run(["search-martingale", "--p", "4", "--n", n,
                         "--store-dir", str(store)], tmp_path)
         assert code == 0
     assert len(list(store.glob("*.json"))) == 2
@@ -1137,6 +1141,26 @@ def test_matrix_family_certifies_vector_tables(tmp_path):
     assert json.loads(out.read_text())["achieved_ratio"] == ratio
 
 
+@pytest.mark.parametrize("flags, expected", [
+    (["--p", "100"], 2.296080367792616), (["--p", "150"], 2.3084314647443693),
+    (["--p", "200"], "at p = 200.0, tau = 0.0"),
+    (["--p", "4", "--tau", "1e150"], "at p = 4.0, tau = 1e+150"),
+], ids=["p100", "p150", "p200", "tau-1e150"])
+def test_extreme_p_or_tau_search_exits_with_no_warning(tmp_path, capsys, flags, expected):
+    # The policy's DP runs in float range (a numpy warning fails the test), so a
+    # search certifies its policy, or exits 2 with a message that names p and tau
+    # where the enumerated moments of its tables leave float range.
+    code, out = _run(["search-martingale", *flags, "--n", "4",
+                      "--store-dir", str(tmp_path / "store")], tmp_path)
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    if isinstance(expected, str):
+        assert code == 2 and expected in err and not out.exists()
+    else:
+        assert code == 0
+        assert json.loads(out.read_text())["achieved_ratio"] == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf"])
 def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
     # No search runs, so the refusal is the transform's own check of tau.
@@ -1150,18 +1174,18 @@ def test_nonfinite_tau_with_martingale_file_is_refused(tmp_path, capsys, tau):
 
 
 @pytest.mark.parametrize("store_n, record, flags, message", [
-    (2, "corrupt", ["search-martingale", "--n", "3", "--iters", "0"],
-     "budget fields must be positive"),
-    (2, "valid", ["search-martingale", "--n", "3", "--iters", "0"],
-     "budget fields must be positive"),
+    (2, "corrupt", ["search-martingale", "--n", "3", "--tau", "nan"],
+     "tau must be finite with a finite square"),
+    (2, "valid", ["search-martingale", "--n", "3", "--tau", "1e200"],
+     "tau must be finite with a finite square"),
     (20, "corrupt", ["search-martingale", "--n", "21"],
      "depth must be in 1..20, got 21"),
-    (3, "valid", ["certify", "beurling-real", "--n", "3", "--iters", "0"],
-     "budget fields must be positive"),
-    (2, "file", ["certify", "beurling-real", "--wall-cap", "nan"],
-     "budget fields must be positive"),
-], ids=["search-budget-corrupt", "search-budget-valid", "search-depth-corrupt",
-        "certify-budget-store", "certify-wall-cap-file"])
+    (3, "valid", ["certify", "beurling-real", "--n", "3", "--tau", "inf"],
+     "tau must be finite with a finite square"),
+    (2, "file", ["certify", "beurling-real", "--tau", "1e200"],
+     "tau must be finite with a finite square"),
+], ids=["search-tau-corrupt", "search-tau-valid", "search-depth-corrupt",
+        "certify-tau-store", "certify-tau-file"])
 def test_a_bad_flag_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, store_n,
                                                        record, flags, message):
     # Every search flag is checked before the store or the --martingale file is
@@ -1202,33 +1226,6 @@ def test_shear_refuses_p_before_any_draw(tmp_path, capsys, monkeypatch):
     assert "p must be >= 1" in capsys.readouterr().err
 
 
-def test_search_records_what_stopped_it(tmp_path):
-    args = ["search-martingale", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "30"]
-    code, out = _run(args + ["--wall-cap", "1e-9", "--store-dir", str(tmp_path / "s1")],
-                     tmp_path, "wall.json")
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["notes"]["stopped_by"] == "wall"
-    seq, beta = sequence_from_record(lookup_store(tmp_path / "s1", 4.0, 4.0, 0.5, 3, "def2"))
-    assert list(beta) == rep["notes"]["beta"]
-    ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 0.5), ExponentConfig(4.0))
-    assert ratio == rep["achieved_ratio"]
-    code, out = _run(args + ["--store-dir", str(tmp_path / "s2")], tmp_path, "iters.json")
-    assert code == 0
-    assert json.loads(out.read_text())["notes"]["stopped_by"] == "iters"
-
-
-def test_certify_records_what_stopped_the_search(tmp_path):
-    args = ["certify", "beurling-real", "--p", "4", "--tau", "0.5", "--n", "3", "--iters", "30"]
-    for extra, stopped_by in ((["--wall-cap", "1e-9"], "wall"), ([], "iters")):
-        code, out = _run(args + extra + ["--store-dir", str(tmp_path / stopped_by)],
-                         tmp_path, f"{stopped_by}.json")
-        assert code == 0
-        notes = json.loads(out.read_text())["notes"]
-        assert notes["martingale_source"] == "search"
-        assert notes["stopped_by"] == stopped_by
-
-
 def test_certify_depth_12_from_file(tmp_path):
     # 4^13 torus points would be 1 GiB per complex array; the factored
     # certificate enumerates the 2^13 sign patterns instead.
@@ -1242,7 +1239,6 @@ def test_certify_depth_12_from_file(tmp_path):
     assert rep["N"] == N
     assert rep["achieved_ratio"] == rep["certified_lower_bound"] == ratio
     assert rep["notes"]["certificate"] == "factored"
-    assert "stopped_by" not in rep["notes"]
 
 
 def _process(tmp_path, code):

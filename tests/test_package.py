@@ -58,7 +58,7 @@ def test_search_and_certify_load_only_what_they_use(tmp_path):
     inst.write_text(json.dumps({"m": 1, "tables": [[[1.0, 0.0], [-1.0, 0.0]],
                                                    [[0.5, 0.0]] * 4], "beta": [1, -1]}))
     common = ["--p", "4", "--store-dir", str(tmp_path / "store"), "--out", "out.json"]
-    search = _loaded(tmp_path, ["search-martingale", "--n", "3", "--iters", "5", *common])
+    search = _loaded(tmp_path, ["search-martingale", "--n", "3", *common])
     certify = _loaded(tmp_path, ["certify", "beurling-real", "--n", "2",
                                  "--martingale", str(inst), *common])
     unused = {"lpmult.tensor", "lpmult.grid", "lpmult.transference", "csv"}
@@ -76,7 +76,7 @@ def test_search_and_certify_load_only_what_they_use(tmp_path):
 def _values():
     seq = MartingaleDifferenceSequence((np.ones((2, 1)),))
     return [ExponentConfig(p=4.0), beurling_real(), seq, TransformConfig(beta=(1,), tau=0.5),
-            SearchResult(sequence=seq, beta=(1,), ratio=1.0), solve_policy(4.0, 0.0, (1,), 1)]
+            SearchResult(seq, (1,), 1.0), solve_policy(4.0, 0.0, (1,), 1)]
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
@@ -100,7 +100,7 @@ def test_value_types_keep_their_fields_and_checks():
     assert (sym.d, sym.m, sym.total, sym.name) == (2, 1, False, "beurling-real")
     assert seq.N == 1 and seq.flat.shape == (2, 1) and not seq.flat.flags.writeable
     assert (cfg.beta, cfg.tau) == ((1,), 0.5) and type(cfg.beta[0]) is int
-    assert (res.beta, res.ratio, res.stopped_by) == ((1,), 1.0, "iters")
+    assert (res.sequence, res.beta, res.ratio) == (seq, (1,), 1.0)
     assert (pol.p, pol.tau, pol.beta, pol.R, pol.actions.shape) == (4.0, 0.0, (1,), 8, (0, 737))
     with pytest.raises(ValueError, match="d and m must be positive"):
         MultiplierSymbol(d=2, evaluator=np.ones_like, m=0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpmult import catalog, policy
+from lpmult import catalog, martingale, policy
 from lpmult.exponents import ExponentConfig
 from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
                                perturbed_ratio_exact, search_extremal)
@@ -90,8 +90,9 @@ def test_start_value_is_not_positive_at_the_proven_ceiling(tau):
 
 
 def _unnormalized_values(p, C, beta, R):
-    """W_N, ..., W_1 at tau = 0 on the band's states from x_(S/2) on: `_solve`'s
-    recursion without its per-step normalization, so each is in the unit e = 0."""
+    """W_N, ..., W_1 at tau = 0 on the band's states from x_(S/2) on, scaled by 1/(2R) as
+    `_payoff` scales them: `_solve`'s recursion without its per-step normalization and
+    its division by C^p, so each is in the unit e = 0."""
     canon, allowed = policy._weights(R, p)
     num, den = policy._payoff(R, p, 0.0)
     h = len(canon) // 2
@@ -113,7 +114,7 @@ def test_unnormalized_values_stay_under_burkholders_function(p, R):
     # 2% below p* - 1 some state passes it, also after all 39 steps. The check reads
     # the band's children and weights far past any enumeration.
     ps = max(p, p / (p - 1.0))
-    x = policy._band(R)[0].astype(float)
+    x = policy._band(R)[0] / (2.0 * R)  # the band as _payoff scales it
     x = x[len(x) // 2:]
     f, g = np.abs(x[:, 0] + x[:, 1]), np.abs(x[:, 0] - x[:, 1])
     phi = p * (1.0 - 1.0 / ps) ** (p - 1.0) * (g - (ps - 1.0) * f) * (f + g) ** (p - 1.0)
@@ -204,15 +205,69 @@ def test_deep_policy_has_a_ratio_and_no_tables():
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 5), (4.0, 1.0, 6), (4.0 / 3.0, 0.5, 4),
                                        (3.0, 0.0, 1)])
 def test_search_is_at_least_each_policy_start(p, tau, N):
-    res = search_extremal(ExponentConfig(p), tau, N, iters=5, wall_cap_s=60.0)
+    res = search_extremal(ExponentConfig(p), tau, N)
     alt = _alternating(N)
     for beta in [alt] if N == 1 else [alt, alt[:-1] + alt[-2:-1]]:
         assert res.ratio >= solve_policy(p, tau, beta, N).ratio() - 1e-12
 
 
-def test_wall_capped_default_chain_at_p_four_thirds_passes_2_2_at_n10():
+@pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 1), (4.0, 0.5, 5), (4.0, 0.0, 8),
+                                       (4.0 / 3.0, 1.0, 7), (6.0, 0.5, 10), (1.5, 2.0, 4)])
+def test_search_returns_its_better_policy_start_bit_for_bit(monkeypatch, p, tau, N):
+    # The search is its policy starts: each start's tables enumerated once, in start
+    # order, and the better returned as solve_policy gives them, ties in the ratio
+    # going to the smaller beta.
+    alt = tuple((-1) ** k for k in range(N))
+    starts = [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]
+    calls, exact = [], martingale.perturbed_ratio_exact
+
+    def counted(seq, cfg, exps):
+        calls.append(cfg.beta)
+        return exact(seq, cfg, exps)
+
+    monkeypatch.setattr(martingale, "perturbed_ratio_exact", counted)
+    res = search_extremal(ExponentConfig(p), tau, N)
+    assert calls == starts
+    monkeypatch.undo()
+    best = None
+    for beta in starts:
+        flat = solve_policy(p, tau, beta, N).tables()
+        ratio = _exact(flat, beta, tau, p)
+        if best is None or ratio > best[0] + 1e-13 or (
+                abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
+            best = (ratio, beta, flat)
+    assert (res.ratio, res.beta) == best[:2]
+    assert res.sequence.flat.real.tobytes() == best[2].tobytes()
+    assert not res.sequence.flat.imag.any()
+
+
+def test_default_chain_at_p_four_thirds_passes_2_2_at_n10():
     # The chain's depths are independent searches, so only its N = 10 one is run: the
-    # CLI's default budget, but a wall cap that fires after the first ascent step, so
-    # the two policy starts decide the bound.
-    res = search_extremal(ExponentConfig(4.0 / 3.0), 0.0, 10, iters=600, wall_cap_s=1e-3)
-    assert res.ratio >= 2.2 and res.stopped_by == "wall"
+    # better of the two R = 8 policy starts, 2.208345.
+    res = search_extremal(ExponentConfig(4.0 / 3.0), 0.0, 10)
+    assert res.ratio >= 2.2
+
+
+@pytest.mark.parametrize("p", [100.0, 200.0, 300.0, 340.0])
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1e150])
+def test_extreme_p_and_tau_solve_in_float_range(p, tau):
+    # The solve runs on the band scaled by 1/(2R), with the payoff divided by
+    # max(1, |tau|)^p C^p: no term grows like (4R)^p, |tau|^p or C^p, so the DP
+    # runs clean (a numpy warning fails the test) up to the refused p.
+    pol = solve_policy(p, tau, _alternating(12), 12)
+    assert 0.0 < pol.C <= catalog.ceiling(ExponentConfig(p), tau)
+    assert np.isfinite(pol.tables()).all()
+
+
+def test_p_out_of_the_weights_range_is_refused_before_any_array_work(monkeypatch):
+    # A child weight 1/2 2^(p de), de down to -3 at R = 8 and -4 at R = 16, must
+    # stay a normal float: p <= 1021/3 and p <= 1021/4.
+    def reached(*args):
+        raise AssertionError("the band was built for a refused p")
+
+    for p, R in [(340.4, 8), (255.3, 16)]:
+        solve_policy(p - 0.1, 0.0, _alternating(3), 3, R)
+        monkeypatch.setattr(policy, "_band", reached)
+        with pytest.raises(ValueError, match=f"p = {p} is out of the policy's float range"):
+            solve_policy(p, 0.0, _alternating(3), 3, R)
+        monkeypatch.undo()
