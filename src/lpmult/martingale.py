@@ -8,7 +8,7 @@ enumerating all 2^(N+1) sign patterns with uniform weight.
 
 One realization serves the exact ratio: from the tables of a sequence, one
 array level after level, `_head_values` gathers the values of F and G at the
-first h <= 5 levels in one step, and `_double` takes them through the rest,
+first h = min(N, 5) levels in one step, and `_double` takes them through the rest,
 one sign coordinate a level (O(2^(N+1)) work): F <- (F + t, F - t) and
 G <- (G + beta_k t, G - beta_k t), the level's table t added as it is and
 beta_k choosing only which half of G gets the sum.  The head coefficients come
@@ -16,8 +16,8 @@ from a cache keyed by beta's first h signs (at most 62 keys).  The exact ratio
 doubles the levels its blocks share once, then each block of `_BLOCK_POINTS`
 points through the rest (none where N <= h), forms its power sums in place, a
 square at p = 4, and adds the per-block sums in numpy's pairwise-sum tree.
-`search_extremal` returns the better of two Bellman policy starts, each
-enumerated by `perturbed_ratio_exact`.
+`search_extremal` returns the better of two Bellman policy starts, chosen by
+each start's `Policy.ratio()`; the certificate alone enumerates the winner.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ ENUMERATION_CAP = 20
 # cache; N <= 14 is one block.
 _BLOCK_POINTS = 2**16
 
-# A realization gathers its first h <= _HEAD_LEVELS levels in one step, h
-# lower where the 2^(h+1) values of every row and component would pass
-# _HEAD_POINTS: a gather makes h products a point, where doubling makes two.
-_HEAD_LEVELS, _HEAD_POINTS = 5, 512
+# A realization gathers its first h = min(N, _HEAD_LEVELS) levels in one step.
+_HEAD_LEVELS = 5
 
 
 class MartingaleDifferenceSequence(Frozen):
@@ -101,11 +99,11 @@ def _head_plan(h):
 
 
 @functools.cache
-def _head_levels(N, values, blocks):
-    """(h, k): head levels h for `values` rows times components, and the k = N - log2(blocks)
-    levels all blocks share (the hypercube one block's row wide), raised to a column a block."""
-    h = max(1, min(N, _HEAD_LEVELS, (_HEAD_POINTS // values).bit_length() - 2))
-    return h, max(N + 1 - blocks.bit_length(), blocks.bit_length() - 2)
+def _head_levels(N, blocks):
+    """(h, k): the h = min(N, _HEAD_LEVELS) head levels, whatever the rows and components,
+    and the k = N - log2(blocks) levels all blocks share (the hypercube one block's row
+    wide), raised to a column a block."""
+    return min(N, _HEAD_LEVELS), max(N + 1 - blocks.bit_length(), blocks.bit_length() - 2)
 
 
 @functools.cache
@@ -176,7 +174,7 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
     if len(cfg.beta) != N:
         raise ValueError(f"beta must have length {N}")
     blocks = max(1, 2 ** (N + 2) // _BLOCK_POINTS)
-    h, k = _head_levels(N, 2 * m, blocks)
+    h, k = _head_levels(N, blocks)
     flat, tail = F.flat.T, cfg.beta[k:]
     p2, tau2, P = exps.p / 2.0, cfg.tau**2, 2 ** (N + 1)
     sums = []  # [den, num] a block
@@ -238,35 +236,30 @@ def check_search(N: int, tau: float) -> None:
 def search_extremal(exps: ExponentConfig, tau: float, N: int) -> SearchResult:
     """Best (F, beta) of two Bellman policy starts.
 
-    The starts are `solve_policy`'s tables for the alternating beta and for it
-    with beta_N = beta_(N-1) (the first alone at N = 1): m = 1 tables, with no
-    number drawn at random and no clock read.  `check_search` refuses a bad
-    depth or tau before any work.  Each start is enumerated by
-    perturbed_ratio_exact, in start order; ties in the ratio break toward the
-    lexicographically smallest beta.
+    The starts are `solve_policy`'s policies for the alternating beta and for it with
+    beta_N = beta_(N-1) (the first alone at N = 1): no number drawn at random and no
+    clock read.  `check_search` refuses a bad depth or tau before any work.  Each start
+    is valued by its `Policy.ratio()`, in start order, ties within 1e-13 going to the
+    smaller beta; only the winner's m = 1 tables are built, and no hypercube enumerated.
     """
     check_search(N, tau)
-    p = exps.p
-
-    if abs(p - 2.0) < 1e-12:
-        # Orthogonality of martingale differences makes every nonzero F
-        # extremal at p = 2; no search needed.
+    if abs(exps.p - 2.0) < 1e-12:
+        # Orthogonality of martingale differences makes every nonzero F extremal
+        # at p = 2; no search needed.  Here G = F: the ratio is (1 + tau^2)^(1/2).
         tables = [np.zeros((2,) * k + (1,), dtype=complex) for k in range(1, N + 1)]
         tables[0][:] = 1.0
-        seq = MartingaleDifferenceSequence(tuple(tables))
-        beta = (1,) * N
-        ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
-        return SearchResult(seq, beta, ratio)
+        return SearchResult(MartingaleDifferenceSequence(tuple(tables)), (1,) * N,
+                            math.hypot(1.0, tau))
 
     from .policy import solve_policy  # loaded by a search alone
     alt = tuple((-1) ** k for k in range(N))
     best = None
     for beta in [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]:
-        flat = solve_policy(p, tau, beta, N).tables()
-        seq = MartingaleDifferenceSequence(tuple(
-            t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(flat), start=1)))
-        ratio = perturbed_ratio_exact(seq, TransformConfig(beta, tau), exps)
-        if best is None or ratio > best.ratio + 1e-13 or (
-                abs(ratio - best.ratio) <= 1e-13 and beta < best.beta):
-            best = SearchResult(seq, beta, ratio)
-    return best
+        pol = solve_policy(exps.p, tau, beta, N)
+        ratio = pol.ratio()
+        if best is None or ratio > best[1] + 1e-13 or (
+                abs(ratio - best[1]) <= 1e-13 and beta < best[0].beta):
+            best = pol, ratio
+    levels = enumerate(_levels(best[0].tables()), start=1)
+    seq = MartingaleDifferenceSequence(tuple(t.reshape((2,) * k + (1,)) for k, t in levels))
+    return SearchResult(seq, best[0].beta, best[1])

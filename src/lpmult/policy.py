@@ -8,12 +8,13 @@ The payoff (g^2 + tau^2 f^2)^(p/2) - C^p |f|^p, f = U + V and g = U - V, is p-ho
 the program runs on the band alone, a child weighted by 1/2 2^(p de).  It runs on the band
 scaled by 1/(2R), with the payoff divided by C^p and its first term held over t^p,
 t = max(1, |tau|), so that no term grows like (4R)^p, |tau|^p or C^p.  Bisection on C
-picks a policy, and its backward evaluation is its ratio.
+picks a policy; its backward evaluation is its ratio, by which a search picks a start.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -57,13 +58,14 @@ def _band(R):
 
 @functools.cache
 def _weights(R, p):
-    """(canon, allowed).  State S - 1 - s is -x_s, of the same value bit for bit (a
-    child pair's two products add in the other order), so the solves run on the
-    states from x_(S/2) on, canon (S + 1,) giving each state's place among them.
-    Per axis, `allowed` holds their allowed actions in state order: the children's
-    places and weights 1/2 2^(p de) (2, n), each state's first, and the index of
-    each into (S/2 + 1, 2R + 1)."""
+    """(weight, canon, allowed): weight[de] = 1/2 2^(p de), a negative de read from the end,
+    the child weights both passes index.  State S - 1 - s is -x_s, of the same value bit
+    for bit (a child pair's two products add in the other order), so the solves run on
+    the states from x_(S/2) on, canon (S + 1,) giving each state's place among them.  Per
+    axis, `allowed` holds their allowed actions in state order: the children's places and
+    weights (2, n), each state's first, and the index of each into (S/2 + 1, 2R + 1)."""
     child, de = _band(R)[1:3]
+    weight = 0.5 * 2.0 ** (p * np.r_[0.0, 1.0, -(R - 1).bit_length():0])  # de = 0, 1, then < 0
     h = (child.shape[-1] - 1) // 2
     canon = np.concatenate([np.arange(h)[::-1], np.arange(h + 1)])
     ok = (child[..., h:] >= 0).all(1)
@@ -73,8 +75,8 @@ def _weights(R, p):
         s, a = np.divmod(at, ok.shape[1])
         first = np.flatnonzero(np.diff(s, prepend=-1))  # a = 0 is allowed at every state
         s += h
-        allowed.append((canon[child[i][:, a, s]], 0.5 * 2.0 ** (p * de[i][:, a, s]), first, at))
-    return canon, allowed
+        allowed.append((canon[child[i][:, a, s]], weight[de[i][:, a, s]], first, at))
+    return weight, canon, allowed
 
 
 @functools.cache
@@ -90,7 +92,7 @@ def _payoff(R, p, tau):
 def _solve(p, tau, beta, R, C, policy=False):
     """The value of the payoff at C under the best policy, in some positive unit, and
     that policy's actions (N - 1, S + 1) uint8 for steps 2..N when `policy` is set."""
-    canon, allowed = _weights(R, p)
+    _, canon, allowed = _weights(R, p)
     num, den = _payoff(R, p, tau)
     h = len(canon) // 2
     W = num[h:] * (max(1.0, abs(tau)) / C) ** p - den[h:]
@@ -130,28 +132,33 @@ class Policy(Frozen):
     __slots__ = ("p", "tau", "beta", "R", "actions", "C")
 
     def ratio(self) -> float:
-        """The ratio at any N: the recursion with the stored actions, ratio^p = Num / Den."""
+        """The ratio at any N: the recursion with the stored actions, ratio^p = Num / Den,
+        num and den scaled each step by exact powers of two of their own, the exponent
+        difference k carried, so that no start state's value can underflow."""
         _, child, de, start = _band(self.R)
         num, den = _payoff(self.R, self.p, self.tau)
-        cols = np.arange(num.size)
+        weight, cols, k = _weights(self.R, self.p)[0], np.arange(num.size), 0
         for b, a in zip(reversed(self.beta[1:]), self.actions[::-1]):  # none is a refused action
             i = (1 - b) // 2
-            c, w = child[i][:, a, cols], 0.5 * 2.0 ** (self.p * de[i][:, a, cols])
+            c, w = child[i][:, a, cols], weight[de[i][:, a, cols]]
             num, den = (num.take(c) * w).sum(0), (den.take(c) * w).sum(0)
-            num, den = num / num.max(), den / num.max()
+            en, ed = math.frexp(num.max())[1], math.frexp(den.max())[1]
+            num, den, k = np.ldexp(num, -en), np.ldexp(den, -ed), k + en - ed
         s = start[(1 - self.beta[0]) // 2]
-        return float(max(1.0, abs(self.tau)) * (num[s].sum() / den[s].sum()) ** (1.0 / self.p))
+        return float(max(1.0, abs(self.tau)) * (num[s].sum() / den[s].sum()) ** (1.0 / self.p)
+                     * 2.0 ** (k / self.p))
 
     def tables(self):
-        """Real m = 1 flat tables (2^(N+1) - 2, 1), for N <= ENUMERATION_CAP only: d_1 = R,
-        and d_k = a_k(x) 2^e at the state (e, x) that r_1..r_{k-1} reach, whatever r_0."""
+        """Real m = 1 flat tables (2^(N+1) - 2, 1), for N <= ENUMERATION_CAP only, in the
+        band's scale 2^-b, b = bit_length(2R - 1), as `_payoff`'s: d_1 = R 2^-b < 1, and
+        d_k = a_k(x) 2^(e-b) at the state (e, x) that r_1..r_{k-1} reach, whatever r_0."""
         if len(self.beta) > ENUMERATION_CAP:  # refused before 2^(N+1) floats, 16 GiB at N = 30
             raise ValueError(f"depth {len(self.beta)} exceeds enumeration cap {ENUMERATION_CAP}")
         _, child, de, start = _band(self.R)
-        s, e = start[(1 - self.beta[0]) // 2], np.zeros(2, int)
-        levels = [np.full(2, float(self.R))]
-        for b, act in zip(self.beta[1:], self.actions):
-            i, a = (1 - b) // 2, act[s]
+        s, e = start[(1 - self.beta[0]) // 2], np.full(2, -(2 * self.R - 1).bit_length())
+        levels = [np.ldexp(np.full(2, float(self.R)), e)]
+        for bk, act in zip(self.beta[1:], self.actions):
+            i, a = (1 - bk) // 2, act[s]
             d = np.ldexp(a.astype(float), e)
             levels.append(np.concatenate([d, d]))
             s, e = child[i][:, a, s].T.reshape(-1), np.repeat(e, 2) + de[i][:, a, s].T.reshape(-1)

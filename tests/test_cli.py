@@ -540,6 +540,18 @@ def test_certify_invariant_guard_exits_crosscheck(tmp_path, monkeypatch):
     assert not list(store.glob("*.json"))
 
 
+def test_search_enumerates_only_for_its_certificate_and_store(tmp_path, monkeypatch):
+    # The search picks its start by Policy.ratio(): a search-martingale process
+    # enumerates the hypercube twice, for the certificate and for the store write.
+    calls = []
+    for module in (martingale, witness, report):
+        monkeypatch.setattr(module, "perturbed_ratio_exact", lambda *a, name=module.__name__,
+                            exact=module.perturbed_ratio_exact: calls.append(name) or exact(*a))
+    code, _ = _run(["search-martingale", "--p", "4", "--n", "8",
+                    "--store-dir", str(tmp_path / "store")], tmp_path)
+    assert code == 0 and calls == ["lpmult.witness", "lpmult.report"]
+
+
 @pytest.mark.parametrize("p, tau", [(4.0, 1.0), (1.5, 2.0)], ids=["p4", "p1.5-outside-def2"])
 def test_certify_refuses_a_bound_above_the_proven_ceiling(tmp_path, monkeypatch, capsys, p, tau):
     # No ratio passes U = ceiling(p, tau), C^tau defined there or not: a bound above it
@@ -1143,13 +1155,14 @@ def test_matrix_family_certifies_vector_tables(tmp_path):
 
 @pytest.mark.parametrize("flags, expected", [
     (["--p", "100"], 2.296080367792616), (["--p", "150"], 2.3084314647443693),
-    (["--p", "200"], "at p = 200.0, tau = 0.0"),
+    (["--p", "200"], 2.3146319055763835), (["--p", "300"], 2.320849000776127),
     (["--p", "4", "--tau", "1e150"], "at p = 4.0, tau = 1e+150"),
-], ids=["p100", "p150", "p200", "tau-1e150"])
+], ids=["p100", "p150", "p200", "p300", "tau-1e150"])
 def test_extreme_p_or_tau_search_exits_with_no_warning(tmp_path, capsys, flags, expected):
-    # The policy's DP runs in float range (a numpy warning fails the test), so a
-    # search certifies its policy, or exits 2 with a message that names p and tau
-    # where the enumerated moments of its tables leave float range.
+    # The policy's DP runs in float range (a numpy warning fails the test), and its
+    # tables are in the band's own scale, d_1 = R 2^-b < 1, so their moments stay in
+    # range up to the refused p. A search certifies its policy, or exits 2 with a
+    # message that names p and tau where the enumerated moments leave float range.
     code, out = _run(["search-martingale", *flags, "--n", "4",
                       "--store-dir", str(tmp_path / "store")], tmp_path)
     err = capsys.readouterr().err

@@ -183,7 +183,7 @@ def _realize(flat, coef, blocks=1):
     (..., N): each flip row is the G half of the pair (ones, row), realized by
     `_head_values` and then `_double` on each of `blocks` blocks, joined."""
     N, m = coef.shape[-1], flat.shape[-2]
-    h = _head_levels(N, coef[..., 0].size * m, blocks)[0]
+    h = _head_levels(N, blocks)[0]
     flat = np.broadcast_to(flat, coef.shape[:-1] + flat.shape[-2:])
     rows = []
     for f, beta in zip(flat.reshape((-1,) + flat.shape[-2:]), coef.reshape(-1, N)):
@@ -328,11 +328,12 @@ def _reference_realize(tables, beta=None):
 
 
 @pytest.mark.parametrize("N", range(1, 9))
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
 def test_realize_equals_reference_exactly(N, m):
     # The gathered head and the doubling add each point's terms in level
     # order, as the reference does, so every value agrees bit for bit, also
-    # where each block of the head's values is doubled on its own.
+    # where each block of the head's values is doubled on its own.  The head
+    # is min(N, 5) levels at every m, 5 and 16 components included.
     rng = np.random.default_rng(np.random.PCG64(700 + 10 * N + m))
     P = 2 ** (N + 1)
 
@@ -401,7 +402,8 @@ def test_exact_ratio_equals_reference_bit_for_bit(N, monkeypatch):
         doubled.append(b)
         return _double(V, flat, flips, h, b)
 
-    for m, p, tau in product((1, 2), (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
+    ms = (1, 2, 5) if N <= 8 else (1, 2)  # at m = 5 too the head is min(N, 5) levels
+    for m, p, tau in product(ms, (4.0, 4.0 / 3.0, 2.0), (0.0, 0.5)):
         beta = tuple(int(b) for b in rng.choice([-1, 1], size=N))
         betas = [beta, beta[:5] + tuple(-b for b in beta[5:])] if N > 5 else [beta]
         cases = [(_random_sequence(rng, N, m), TransformConfig(b, tau)) for b in betas]

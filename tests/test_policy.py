@@ -93,7 +93,7 @@ def _unnormalized_values(p, C, beta, R):
     """W_N, ..., W_1 at tau = 0 on the band's states from x_(S/2) on, scaled by 1/(2R) as
     `_payoff` scales them: `_solve`'s recursion without its per-step normalization and
     its division by C^p, so each is in the unit e = 0."""
-    canon, allowed = policy._weights(R, p)
+    _, canon, allowed = policy._weights(R, p)
     num, den = policy._payoff(R, p, 0.0)
     h = len(canon) // 2
     W = num[h:] - C**p * den[h:]
@@ -214,31 +214,55 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 1), (4.0, 0.5, 5), (4.0, 0.0, 8),
                                        (4.0 / 3.0, 1.0, 7), (6.0, 0.5, 10), (1.5, 2.0, 4)])
 def test_search_returns_its_better_policy_start_bit_for_bit(monkeypatch, p, tau, N):
-    # The search is its policy starts: each start's tables enumerated once, in start
-    # order, and the better returned as solve_policy gives them, ties in the ratio
-    # going to the smaller beta.
+    # The search is its policy starts: each start valued by its own Policy.ratio(),
+    # the hypercube never enumerated, and the better returned as solve_policy gives
+    # it, ties in the ratio going to the smaller beta.
     alt = tuple((-1) ** k for k in range(N))
     starts = [alt, alt[:-1] + alt[-2:-1]][:min(N, 2)]
-    calls, exact = [], martingale.perturbed_ratio_exact
 
-    def counted(seq, cfg, exps):
-        calls.append(cfg.beta)
-        return exact(seq, cfg, exps)
+    def enumerated(*args):
+        raise AssertionError("the search enumerated the hypercube")
 
-    monkeypatch.setattr(martingale, "perturbed_ratio_exact", counted)
+    monkeypatch.setattr(martingale, "perturbed_ratio_exact", enumerated)
     res = search_extremal(ExponentConfig(p), tau, N)
-    assert calls == starts
     monkeypatch.undo()
     best = None
     for beta in starts:
-        flat = solve_policy(p, tau, beta, N).tables()
-        ratio = _exact(flat, beta, tau, p)
+        pol = solve_policy(p, tau, beta, N)
+        ratio = pol.ratio()
         if best is None or ratio > best[0] + 1e-13 or (
                 abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
-            best = (ratio, beta, flat)
+            best = (ratio, beta, pol.tables())
     assert (res.ratio, res.beta) == best[:2]
     assert res.sequence.flat.real.tobytes() == best[2].tobytes()
     assert not res.sequence.flat.imag.any()
+
+
+@pytest.mark.parametrize("p, N", [(250.0, 64), (300.0, 20), (300.0, 64), (340.0, 16),
+                                  (340.0, 20), (340.0, 64)])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_ratio_holds_where_the_start_values_would_underflow(p, N, tau):
+    # Each step scales num and den by powers of two of their own, so the start states'
+    # den cannot underflow against the band's num (a numpy warning fails the test).
+    # At p = 300, N = 64 the bisection's C sits 1.2e-4 above the evaluated ratio: the
+    # solve's sign at C^p, p = 300, is not that fine, so there the ratio is only finite.
+    U = catalog.ceiling(ExponentConfig(p), tau)
+    for beta in [_alternating(N), _alternating(N)[:-1] + _alternating(N)[-2:-1]]:
+        pol = solve_policy(p, tau, beta, N)
+        ratio = pol.ratio()
+        assert np.isfinite(ratio) and ratio <= U
+        assert (p, N) == (300.0, 64) or pol.C <= ratio
+
+
+@pytest.mark.parametrize("R", [1, 8, 32])
+@pytest.mark.parametrize("p", [1.25, 4.0, 90.0])
+def test_child_weights_are_one_table(R, p):
+    # Both passes read 1/2 2^(p de) from one table indexed by de, a negative de from
+    # its end; each entry is the power computed at that de, bit for bit.
+    weight, _, allowed = policy._weights(R, p)
+    de = policy._band(R)[2]
+    assert np.array_equal(weight[de], 0.5 * 2.0 ** (p * de))
+    assert all(np.isin(w, weight).all() for _, w, _, _ in allowed)
 
 
 def test_default_chain_at_p_four_thirds_passes_2_2_at_n10():
