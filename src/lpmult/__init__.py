@@ -1,7 +1,7 @@
 """Lower-bound certification toolkit for Lp norms of Fourier multipliers.
 
 Certified bounds come from explicit test functions: extremal perturbed martingale
-transforms found by exact enumeration and gradient search, lifted to sign-function
+transforms found by Bellman policy search and exact enumeration, lifted to sign-function
 witnesses on product tori by one checked call, `build_witness`, whose premise is the
 symbol's exact value on the coordinate axes, with Gaussian transference and
 shear-invariance checks connecting the discrete model to the continuous operators.

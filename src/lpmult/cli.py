@@ -98,15 +98,15 @@ def _reduction(family: str, theta: float) -> tuple[int, float]:
 
 
 def _martingale(args, exps):
-    """(sequence, beta, source, search result or None), its flags checked already: from the
-    --martingale file, the store record at depth N (certify only), or a search."""
+    """(sequence, beta, source), its flags checked already: from the --martingale file,
+    the store record at depth N (certify only), or the `sequence()` of the searched policy."""
     if args.martingale is not None:
-        return *read_martingale(args.martingale), "file", None
+        return *read_martingale(args.martingale), "file"
     if args.family != "martingale" and (rec := lookup_store(
             args.store_dir, exps.p, exps.p, args.tau, args.n, args.predicate)) is not None:
-        return *sequence_from_record(rec), "store", None
-    res = search_extremal(exps, args.tau, args.n)
-    return res.sequence, res.beta, "search", res
+        return *sequence_from_record(rec), "store"
+    pol = search_extremal(exps, args.tau, args.n)
+    return pol.sequence(), pol.beta, "search"
 
 
 def cmd_certify(args) -> int:
@@ -123,7 +123,7 @@ def cmd_certify(args) -> int:
     sign, angle = _reduction(args.family, args.theta)
 
     t0 = time.monotonic()
-    seq, beta, source, res = _martingale(args, exps)
+    seq, beta, source = _martingale(args, exps)
     ratio = build_witness(symbol, seq, beta, args.tau, exps)
     wall = time.monotonic() - t0
 
@@ -151,7 +151,7 @@ def cmd_certify(args) -> int:
         "wall_time_s": wall, "version": lpmult.__version__, "notes": notes,
     }
     with _output(args.out) as fh:  # opened first: a bad --out fails before the store write
-        if res is not None:
+        if source == "search":
             update_store(args.store_dir, sequence_to_record(
                 seq, beta, args.tau, exps, ratio, None, args.predicate))
         fh.write(json.dumps(dict(report, timestamp=time.time()), indent=2,

@@ -16,8 +16,9 @@ from a cache keyed by beta's first h signs (at most 62 keys).  The exact ratio
 doubles the levels its blocks share once, then each block of `_BLOCK_POINTS`
 points through the rest (none where N <= h), forms its power sums in place, a
 square at p = 4, and adds the per-block sums in numpy's pairwise-sum tree.
-`search_extremal` returns the better of two Bellman policy starts, chosen by
-each start's `Policy.ratio()`; the certificate alone enumerates the winner.
+`search_extremal` returns the better of two Bellman policy starts, a `Policy`
+chosen by each start's `Policy.ratio()`; the certificate alone enumerates the
+winner's `Policy.sequence()`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ _HEAD_LEVELS = 5
 
 class MartingaleDifferenceSequence(Frozen):
     """Difference tables d_k: {+-1}^k -> C^m, k = 1..N, held in one read-only array
-    flat (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in the search and a
-    store record.  The constructor takes, and `tables` gives back as views of
+    flat (2^(N+1) - 2, m), d_k at rows 2^k - 2 ... 2^(k+1) - 3 as in a store
+    record.  The constructor takes, and `tables` gives back as views of
     flat, tables[k-1] (2,)*k + (m,), axis j indexing r_j with +1 -> 0, -1 -> 1."""
 
     __slots__ = ("flat",)
@@ -57,7 +58,7 @@ class MartingaleDifferenceSequence(Frozen):
             if t.shape != (2,) * k + (m,):
                 raise ValueError(
                     f"table {k} has shape {t.shape}, expected {(2,) * k + (m,)}")
-        flat = _flat(tabs)
+        flat = np.concatenate([t.reshape(-1, m) for t in tabs])
         if not np.isfinite(flat).all():
             row = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"table {int(row + 2).bit_length() - 1} has non-finite entries")
@@ -74,8 +75,8 @@ class MartingaleDifferenceSequence(Frozen):
 
     @property
     def tables(self) -> tuple[np.ndarray, ...]:
-        return tuple(t.reshape((2,) * k + (self.m,))
-                     for k, t in enumerate(_levels(self.flat), start=1))
+        return tuple(self.flat[2**k - 2:2**(k + 1) - 2].reshape((2,) * k + (self.m,))
+                     for k in range(1, self.N + 1))
 
 
 class TransformConfig(Frozen):
@@ -212,20 +213,6 @@ def perturbed_ratio_exact(F: MartingaleDifferenceSequence, cfg: TransformConfig,
 # --- extremal search -------------------------------------------------------
 
 
-class SearchResult(Frozen):
-    __slots__ = ("sequence", "beta", "ratio")
-
-
-def _levels(x):
-    """Views of flat tables x (..., 2^(N+1) - 2, m) as tables[k-1] (..., 2^k, m)."""
-    N = (x.shape[-2] + 2).bit_length() - 2
-    return [x[..., 2**k - 2: 2**(k + 1) - 2, :] for k in range(1, N + 1)]
-
-
-def _flat(tables):
-    return np.concatenate([t.reshape(-1, t.shape[-1]) for t in tables])
-
-
 def check_search(N: int, tau: float) -> None:
     """Refuse a depth outside 1..ENUMERATION_CAP and a tau TransformConfig refuses."""
     if N < 1 or N > ENUMERATION_CAP:
@@ -233,24 +220,15 @@ def check_search(N: int, tau: float) -> None:
     TransformConfig((), tau)
 
 
-def search_extremal(exps: ExponentConfig, tau: float, N: int) -> SearchResult:
-    """Best (F, beta) of two Bellman policy starts.
+def search_extremal(exps: ExponentConfig, tau: float, N: int):
+    """The better `lpmult.policy.Policy` of two Bellman policy starts, at every p.
 
     The starts are `solve_policy`'s policies for the alternating beta and for it with
-    beta_N = beta_(N-1) (the first alone at N = 1): no number drawn at random and no
-    clock read.  `check_search` refuses a bad depth or tau before any work.  Each start
-    is valued by its `Policy.ratio()`, in start order, ties within 1e-13 going to the
-    smaller beta; only the winner's m = 1 tables are built, and no hypercube enumerated.
+    beta_N = beta_(N-1) (the first alone at N = 1): no number drawn at random and no clock
+    read.  `check_search` refuses a bad depth or tau before any work.  Each start is valued
+    by its `Policy.ratio()`, ties within 1e-13 going to the smaller beta; no table is built.
     """
     check_search(N, tau)
-    if abs(exps.p - 2.0) < 1e-12:
-        # Orthogonality of martingale differences makes every nonzero F extremal
-        # at p = 2; no search needed.  Here G = F: the ratio is (1 + tau^2)^(1/2).
-        tables = [np.zeros((2,) * k + (1,), dtype=complex) for k in range(1, N + 1)]
-        tables[0][:] = 1.0
-        return SearchResult(MartingaleDifferenceSequence(tuple(tables)), (1,) * N,
-                            math.hypot(1.0, tau))
-
     from .policy import solve_policy  # loaded by a search alone
     alt = tuple((-1) ** k for k in range(N))
     best = None
@@ -260,6 +238,4 @@ def search_extremal(exps: ExponentConfig, tau: float, N: int) -> SearchResult:
         if best is None or ratio > best[1] + 1e-13 or (
                 abs(ratio - best[1]) <= 1e-13 and beta < best[0].beta):
             best = pol, ratio
-    levels = enumerate(_levels(best[0].tables()), start=1)
-    seq = MartingaleDifferenceSequence(tuple(t.reshape((2,) * k + (1,)) for k, t in levels))
-    return SearchResult(seq, best[0].beta, best[1])
+    return best[0]

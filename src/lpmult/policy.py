@@ -8,7 +8,8 @@ The payoff (g^2 + tau^2 f^2)^(p/2) - C^p |f|^p, f = U + V and g = U - V, is p-ho
 the program runs on the band alone, a child weighted by 1/2 2^(p de).  It runs on the band
 scaled by 1/(2R), with the payoff divided by C^p and its first term held over t^p,
 t = max(1, |tau|), so that no term grows like (4R)^p, |tau|^p or C^p.  Bisection on C
-picks a policy; its backward evaluation is its ratio, by which a search picks a start.
+picks a policy; its backward evaluation is its ratio, by which a search picks a start,
+and its `sequence()` is the martingale a certificate enumerates.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 
 import numpy as np
 
-from .exponents import Frozen
-from .martingale import ENUMERATION_CAP
+from .exponents import ExponentConfig, Frozen
+from .martingale import ENUMERATION_CAP, MartingaleDifferenceSequence
 
 RESOLUTION = 8  # the search's policy starts: the band's R, with actions 0..2R,
 SOLVES = 21  # and the number of bisection solves on C
@@ -148,9 +149,9 @@ class Policy(Frozen):
         return float(max(1.0, abs(self.tau)) * (num[s].sum() / den[s].sum()) ** (1.0 / self.p)
                      * 2.0 ** (k / self.p))
 
-    def tables(self):
-        """Real m = 1 flat tables (2^(N+1) - 2, 1), for N <= ENUMERATION_CAP only, in the
-        band's scale 2^-b, b = bit_length(2R - 1), as `_payoff`'s: d_1 = R 2^-b < 1, and
+    def sequence(self) -> MartingaleDifferenceSequence:
+        """The policy's real m = 1 sequence, for N <= ENUMERATION_CAP only, in the band's
+        scale 2^-b, b = bit_length(2R - 1), as `_payoff`'s: d_1 = R 2^-b < 1, and
         d_k = a_k(x) 2^(e-b) at the state (e, x) that r_1..r_{k-1} reach, whatever r_0."""
         if len(self.beta) > ENUMERATION_CAP:  # refused before 2^(N+1) floats, 16 GiB at N = 30
             raise ValueError(f"depth {len(self.beta)} exceeds enumeration cap {ENUMERATION_CAP}")
@@ -162,7 +163,8 @@ class Policy(Frozen):
             d = np.ldexp(a.astype(float), e)
             levels.append(np.concatenate([d, d]))
             s, e = child[i][:, a, s].T.reshape(-1), np.repeat(e, 2) + de[i][:, a, s].T.reshape(-1)
-        return np.concatenate(levels)[:, None]
+        return MartingaleDifferenceSequence(
+            [t.reshape((2,) * k + (1,)) for k, t in enumerate(levels, start=1)])
 
 
 def solve_policy(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> Policy:
@@ -170,10 +172,13 @@ def solve_policy(p: float, tau: float, beta, N: int, R: int = RESOLUTION) -> Pol
     from one bisection, the inputs checked first: a start of the search."""
     if not 1 <= R <= 32:  # the band's work arrays grow as R^3, to about 120 MiB at R = 32
         raise ValueError(f"resolution must be in 1..32, got {R}")
+    ExponentConfig(p)  # refuses p <= 1 and NaN, on which the bisection divides by zero
     # A child weight 1/2 2^(p de), de in -bit_length(R - 1)..1, must be a normal float.
     if not p * max(1, (R - 1).bit_length()) <= 1021:
         raise ValueError(f"p = {p} is out of the policy's float range at R = {R}: "
                          "a child weight 2^(p de) leaves the normal floats")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     beta = tuple(beta)
     if len(beta) != N or N < 1:
         raise ValueError(f"beta must have length N >= 1, got {len(beta)} for N = {N}")

@@ -113,7 +113,7 @@ def test_criterion_04_search_progress():
     ratios = []
     for N in range(2, 9):
         res = search_extremal(exps, 0.0, N)
-        ratios.append(res.ratio)
+        ratios.append(res.ratio())
     for a, b in zip(ratios, ratios[1:]):
         assert b >= a - 1e-12
     for r in ratios:

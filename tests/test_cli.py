@@ -573,9 +573,7 @@ def test_certify_passes_c_tau_below_the_ceiling_at_p_below_two(tmp_path):
     # a certificate, since only U = ((p* - 1)^p + tau^p)^(1/p) bounds the ratio there.
     N, exps = 12, ExponentConfig(1.25)
     beta = tuple((-1) ** k for k in range(N))
-    flat = solve_policy(1.25, 5.0, beta, N, 8).tables() + 0j
-    seq = MartingaleDifferenceSequence(tuple(
-        t.reshape((2,) * k + (1,)) for k, t in enumerate(martingale._levels(flat), start=1)))
+    seq = solve_policy(1.25, 5.0, beta, N, 8).sequence()
     ratio = perturbed_ratio_exact(seq, TransformConfig(beta, 5.0), exps)
     inst = tmp_path / "policy.json"
     write_json(inst, sequence_to_record(seq, beta, 5.0, exps, ratio, None, "def2"))

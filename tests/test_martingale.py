@@ -11,7 +11,7 @@ import pytest
 
 from lpmult import martingale, policy
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double, _flat,
+from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _double,
                                _head_levels, _head_plan, _head_values,
                                perturbed_ratio_exact, search_extremal)
 
@@ -62,7 +62,7 @@ def test_table_shape_validation():
 
 @pytest.mark.parametrize("N, m", [(1, 1), (2, 2), (5, 1), (5, 2)])
 def test_sequence_holds_its_tables_in_one_flat_array(N, m):
-    # d_k at rows 2^k - 2 ... 2^(k+1) - 3, as the search lays out its starts.
+    # d_k at rows 2^k - 2 ... 2^(k+1) - 3, the levels in order.
     rng = np.random.default_rng(np.random.PCG64(90 + 10 * N + m))
     tables = [rng.standard_normal((2,) * k + (m,))
               + 1j * rng.standard_normal((2,) * k + (m,)) for k in range(1, N + 1)]
@@ -70,7 +70,7 @@ def test_sequence_holds_its_tables_in_one_flat_array(N, m):
     seq = MartingaleDifferenceSequence(tables)
     assert (seq.N, seq.m) == (N, m)
     assert seq.flat.shape == (2 ** (N + 1) - 2, m)
-    assert np.array_equal(seq.flat, _flat(tables))
+    assert np.array_equal(seq.flat, np.concatenate([t.reshape(-1, m) for t in tables]))
     back = seq.tables
     assert len(back) == N
     for t, b in zip(tables, back):
@@ -255,24 +255,33 @@ def test_blocked_ratio_memory_stays_in_blocks():
         assert peak < 8 * 2**20, (N, peak)
 
 
-def test_search_p2_identity():
-    res = search_extremal(ExponentConfig(2.0), 0.5, 4)
-    assert res.ratio == pytest.approx(math.sqrt(1.25), abs=1e-12)
+@pytest.mark.parametrize("N", [1, 4, 12, 20])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 2.0, 1e100])
+def test_search_p2_identity(N, tau):
+    # Orthogonality of martingale differences makes every nonzero F extremal at p = 2,
+    # with ratio (1 + tau^2)^(1/2): the policy starts tie, and the smaller beta wins.
+    res = search_extremal(ExponentConfig(2.0), tau, N)
+    want = math.hypot(1.0, tau)
+    exact = perturbed_ratio_exact(res.sequence(), TransformConfig(res.beta, tau),
+                                  ExponentConfig(2.0))
+    assert abs(exact - want) <= 1e-15 * want and abs(res.ratio() - want) <= 1e-15 * want
+    alt = tuple((-1) ** k for k in range(N))
+    assert res.beta == min([alt, alt[:-1] + alt[-2:-1]][:min(N, 2)])
 
 
 def test_search_n2_tau1_reaches_sqrt2():
     # The symmetric +-1 flip achieves sqrt(2) at tau = 1, exceeding the
     # explicit (52/21)^(1/4) instance.
     res = search_extremal(ExponentConfig(4.0), 1.0, 2)
-    assert res.ratio >= (52.0 / 21.0) ** 0.25 - 1e-9
-    check = perturbed_ratio_exact(res.sequence, TransformConfig(res.beta, 1.0),
+    assert res.ratio() >= (52.0 / 21.0) ** 0.25 - 1e-9
+    check = perturbed_ratio_exact(res.sequence(), TransformConfig(res.beta, 1.0),
                                   ExponentConfig(4.0))
-    assert check == pytest.approx(res.ratio, abs=1e-12)
+    assert check == pytest.approx(res.ratio(), abs=1e-12)
 
 
 def test_search_respects_ceiling_below_two():
     res = search_extremal(ExponentConfig(4.0 / 3.0), 0.5, 3)
-    assert res.ratio <= math.hypot(3.0, 0.5) + 1e-9
+    assert res.ratio() <= math.hypot(3.0, 0.5) + 1e-9
 
 
 def test_search_chain_is_monotone():
@@ -283,16 +292,16 @@ def test_search_chain_is_monotone():
     for N in range(2, 12):
         res = search_extremal(exps, 0.0, N)
         if prev is not None:
-            assert res.ratio >= prev.ratio - 1e-12, N
+            assert res.ratio() >= prev.ratio() - 1e-12, N
         prev = res
 
 
 def test_search_determinism():
     a = search_extremal(ExponentConfig(4.0), 0.5, 2)
     b = search_extremal(ExponentConfig(4.0), 0.5, 2)
-    assert a.ratio == b.ratio
+    assert a.ratio() == b.ratio()
     assert a.beta == b.beta
-    assert all(np.array_equal(x, y) for x, y in zip(a.sequence.tables, b.sequence.tables))
+    assert all(np.array_equal(x, y) for x, y in zip(a.sequence().tables, b.sequence().tables))
 
 
 _REFUSALS = {"N": "depth must be in 1..20, got", "tau": "tau must be finite with a finite square"}
@@ -302,8 +311,8 @@ _REFUSALS = {"N": "depth must be in 1..20, got", "tau": "tau must be finite with
 @pytest.mark.parametrize("field, value", [
     ("N", 0), ("N", 21), ("tau", math.nan), ("tau", math.inf), ("tau", 1e200)])
 def test_search_refuses_a_bad_input_before_any_work(monkeypatch, p, field, value):
-    # One table of check_search's rules, at p = 4 and on the p = 2 path, which
-    # solves no policy.
+    # One table of check_search's rules, at p = 4 and at p = 2, where the search
+    # solves policies too: the guard runs before either start.
     def reached(*args):
         raise AssertionError("the search worked on a bad input")
 
@@ -361,7 +370,7 @@ def test_search_reads_no_clock(monkeypatch):
     for name in ("monotonic", "perf_counter", "time"):
         monkeypatch.setattr(time, name, clock)
     for N in (1, 2, 8):
-        assert search_extremal(ExponentConfig(4.0), 0.5, N).ratio > 1.0
+        assert search_extremal(ExponentConfig(4.0), 0.5, N).ratio() > 1.0
 
 
 def test_transform_config_refuses_entries_off_plus_minus_one():

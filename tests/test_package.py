@@ -13,7 +13,7 @@ import pytest
 import lpmult
 from lpmult.catalog import MultiplierSymbol, beurling_real
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import MartingaleDifferenceSequence, SearchResult, TransformConfig
+from lpmult.martingale import MartingaleDifferenceSequence, TransformConfig
 from lpmult.policy import solve_policy
 from test_cli import _process
 
@@ -76,7 +76,7 @@ def test_search_and_certify_load_only_what_they_use(tmp_path):
 def _values():
     seq = MartingaleDifferenceSequence((np.ones((2, 1)),))
     return [ExponentConfig(p=4.0), beurling_real(), seq, TransformConfig(beta=(1,), tau=0.5),
-            SearchResult(seq, (1,), 1.0), solve_policy(4.0, 0.0, (1,), 1)]
+            solve_policy(4.0, 0.0, (1,), 1)]
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
@@ -95,12 +95,11 @@ def test_value_types_are_read_only(value):
 
 
 def test_value_types_keep_their_fields_and_checks():
-    exps, sym, seq, cfg, res, pol = _values()
+    exps, sym, seq, cfg, pol = _values()
     assert (exps.p, exps.q, exps.pstar) == (4.0, 4.0 / 3.0, 4.0)
     assert (sym.d, sym.m, sym.total, sym.name) == (2, 1, False, "beurling-real")
     assert seq.N == 1 and seq.flat.shape == (2, 1) and not seq.flat.flags.writeable
     assert (cfg.beta, cfg.tau) == ((1,), 0.5) and type(cfg.beta[0]) is int
-    assert (res.sequence, res.beta, res.ratio) == (seq, (1,), 1.0)
     assert (pol.p, pol.tau, pol.beta, pol.R, pol.actions.shape) == (4.0, 0.0, (1,), 8, (0, 737))
     with pytest.raises(ValueError, match="d and m must be positive"):
         MultiplierSymbol(d=2, evaluator=np.ones_like, m=0)

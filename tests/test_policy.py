@@ -7,19 +7,12 @@ import pytest
 
 from lpmult import catalog, martingale, policy
 from lpmult.exponents import ExponentConfig
-from lpmult.martingale import (MartingaleDifferenceSequence, TransformConfig, _levels,
-                               perturbed_ratio_exact, search_extremal)
+from lpmult.martingale import TransformConfig, perturbed_ratio_exact, search_extremal
 from lpmult.policy import solve_policy
 
 
 def _alternating(N):
     return tuple((-1) ** k for k in range(N))
-
-
-def _exact(flat, beta, tau, p):
-    seq = MartingaleDifferenceSequence(tuple(
-        t.reshape((2,) * k + (1,)) for k, t in enumerate(_levels(flat), start=1)))
-    return perturbed_ratio_exact(seq, TransformConfig(beta, tau), ExponentConfig(p))
 
 
 def _reference_band(R):
@@ -71,9 +64,9 @@ def test_band_equals_the_doubling_loops(R):
 def test_backward_evaluation_is_the_tables_exact_ratio(p, tau, N, R, beta):
     beta = _alternating(N) if beta is None else beta
     pol = solve_policy(p, tau, beta, N, R)
-    flat, ratio = pol.tables(), pol.ratio()
-    assert flat.shape == (2 ** (N + 1) - 2, 1) and flat.dtype == float
-    exact = _exact(flat, beta, tau, p)
+    seq, ratio = pol.sequence(), pol.ratio()
+    assert seq.flat.shape == (2 ** (N + 1) - 2, 1) and not seq.flat.imag.any()
+    exact = perturbed_ratio_exact(seq, TransformConfig(beta, tau), ExponentConfig(p))
     assert abs(ratio - exact) <= 1e-15 * exact
 
 
@@ -165,7 +158,7 @@ def test_beta_of_another_length_is_refused():
 
 def test_one_policy_is_one_bisection(monkeypatch):
     # SOLVES solves of C, then one at the accepted C for the actions; the ratio and
-    # the tables read the stored actions and solve nothing.
+    # the sequence read the stored actions and solve nothing.
     calls, solve = [], policy._solve
 
     def counted(*args, **kwargs):
@@ -175,7 +168,7 @@ def test_one_policy_is_one_bisection(monkeypatch):
     monkeypatch.setattr(policy, "_solve", counted)
     pol = solve_policy(4.0, 0.5, _alternating(6), 6)
     assert len(calls) == policy.SOLVES + 1 == 22 and calls[-1] == pol.C
-    pol.ratio(), pol.tables()
+    pol.ratio(), pol.sequence()
     assert len(calls) == 22
 
 
@@ -185,12 +178,12 @@ def test_tables_past_the_enumeration_cap_are_refused_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="depth 30 exceeds enumeration cap 20"):
-            pol.tables()
+            pol.sequence()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10, peak
-    assert solve_policy(4.0, 0.0, _alternating(20), 20, 2).tables().shape == (2**21 - 2, 1)
+    assert solve_policy(4.0, 0.0, _alternating(20), 20, 2).sequence().flat.shape == (2**21 - 2, 1)
 
 
 def test_deep_policy_has_a_ratio_and_no_tables():
@@ -199,7 +192,7 @@ def test_deep_policy_has_a_ratio_and_no_tables():
     pol = solve_policy(4.0, 0.0, _alternating(64), 64, 8)
     assert pol.C <= pol.ratio() <= catalog.ceiling(ExponentConfig(4.0), 0.0)
     with pytest.raises(ValueError, match="depth 64 exceeds enumeration cap"):
-        pol.tables()
+        pol.sequence()
 
 
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 5), (4.0, 1.0, 6), (4.0 / 3.0, 0.5, 4),
@@ -208,7 +201,7 @@ def test_search_is_at_least_each_policy_start(p, tau, N):
     res = search_extremal(ExponentConfig(p), tau, N)
     alt = _alternating(N)
     for beta in [alt] if N == 1 else [alt, alt[:-1] + alt[-2:-1]]:
-        assert res.ratio >= solve_policy(p, tau, beta, N).ratio() - 1e-12
+        assert res.ratio() >= solve_policy(p, tau, beta, N).ratio() - 1e-12
 
 
 @pytest.mark.parametrize("p, tau, N", [(4.0, 0.0, 1), (4.0, 0.5, 5), (4.0, 0.0, 8),
@@ -232,10 +225,10 @@ def test_search_returns_its_better_policy_start_bit_for_bit(monkeypatch, p, tau,
         ratio = pol.ratio()
         if best is None or ratio > best[0] + 1e-13 or (
                 abs(ratio - best[0]) <= 1e-13 and beta < best[1]):
-            best = (ratio, beta, pol.tables())
-    assert (res.ratio, res.beta) == best[:2]
-    assert res.sequence.flat.real.tobytes() == best[2].tobytes()
-    assert not res.sequence.flat.imag.any()
+            best = (ratio, beta, pol.sequence())
+    assert (res.ratio(), res.beta) == best[:2]
+    assert res.sequence().flat.tobytes() == best[2].flat.tobytes()
+    assert not res.sequence().flat.imag.any()
 
 
 @pytest.mark.parametrize("p, N", [(250.0, 64), (300.0, 20), (300.0, 64), (340.0, 16),
@@ -269,18 +262,18 @@ def test_default_chain_at_p_four_thirds_passes_2_2_at_n10():
     # The chain's depths are independent searches, so only its N = 10 one is run: the
     # better of the two R = 8 policy starts, 2.208345.
     res = search_extremal(ExponentConfig(4.0 / 3.0), 0.0, 10)
-    assert res.ratio >= 2.2
+    assert res.ratio() >= 2.2
 
 
 @pytest.mark.parametrize("p", [100.0, 200.0, 300.0, 340.0])
-@pytest.mark.parametrize("tau", [0.0, 1.0, 1e150])
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1e150, 1e200])
 def test_extreme_p_and_tau_solve_in_float_range(p, tau):
     # The solve runs on the band scaled by 1/(2R), with the payoff divided by
     # max(1, |tau|)^p C^p: no term grows like (4R)^p, |tau|^p or C^p, so the DP
     # runs clean (a numpy warning fails the test) up to the refused p.
     pol = solve_policy(p, tau, _alternating(12), 12)
     assert 0.0 < pol.C <= catalog.ceiling(ExponentConfig(p), tau)
-    assert np.isfinite(pol.tables()).all()
+    assert np.isfinite(pol.sequence().flat).all()
 
 
 def test_p_out_of_the_weights_range_is_refused_before_any_array_work(monkeypatch):
@@ -295,3 +288,18 @@ def test_p_out_of_the_weights_range_is_refused_before_any_array_work(monkeypatch
         with pytest.raises(ValueError, match=f"p = {p} is out of the policy's float range"):
             solve_policy(p, 0.0, _alternating(3), 3, R)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p, tau", [(4.0, float("nan")), (4.0, float("inf")),
+                                    (4.0, float("-inf")), (1.0, 0.0), (0.5, 0.0),
+                                    (float("nan"), 0.0)])
+def test_p_and_tau_are_checked_before_any_array_work(monkeypatch, p, tau):
+    # Each is refused, naming its value, before the band is built. Unchecked, every one but
+    # the NaN p (then refused as out of float range) ends in a ZeroDivisionError.
+    def reached(*args):
+        raise AssertionError("the band was built for a refused p or tau")
+
+    monkeypatch.setattr(policy, "_band", reached)
+    name, value = ("tau", tau) if p == 4.0 else ("p", p)
+    with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}$"):
+        solve_policy(p, tau, _alternating(3), 3)
