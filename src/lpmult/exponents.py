@@ -7,8 +7,9 @@ import math
 
 
 class Frozen:
-    """A value type: __init__ sets its __slots__ fields once, in order; assigning or deleting
-    one then raises AttributeError, as on a frozen dataclass, whose code generation it skips."""
+    """lpmult's one way to declare a read-only value: a subclass's __init__ checks and
+    converts its arguments, then sets its __slots__ fields once, in order, here; assigning or
+    deleting one then raises AttributeError.  A value compares and hashes by identity."""
 
     __slots__ = ()
 

@@ -9,23 +9,22 @@ torus or a product of tori, are ``tensor.TensorGridFunction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .exponents import Frozen
 
-@dataclass(frozen=True)
-class TorusGrid:
+
+class TorusGrid(Frozen):
     """Uniform offset grid on [-pi, pi)^d with G points per axis (G even)."""
 
-    d: int
-    G: int
+    __slots__ = ("d", "G")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-        if self.G < 2 or self.G % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 2, got {self.G}")
+    def __init__(self, d: int, G: int):
+        if d < 1:
+            raise ValueError(f"dimension must be positive, got {d}")
+        if G < 2 or G % 2 != 0:
+            raise ValueError(f"points per axis must be even and >= 2, got {G}")
+        super().__init__(d, G)
 
     @property
     def spacing(self) -> float:

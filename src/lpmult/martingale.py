@@ -50,15 +50,17 @@ class MartingaleDifferenceSequence(Frozen):
     __slots__ = ("flat",)
 
     def __init__(self, tables):
-        tabs = [np.asarray(t, dtype=complex) for t in tables]
+        tabs = [np.asarray(t) for t in tables]
         if not tabs:
             raise ValueError("need at least one difference table")
         m = tabs[0].shape[-1]
         for k, t in enumerate(tabs, start=1):
+            if t.dtype.kind not in "biufc":
+                raise ValueError(f"table {k} has non-numeric entries of type {t.dtype}")
             if t.shape != (2,) * k + (m,):
                 raise ValueError(
                     f"table {k} has shape {t.shape}, expected {(2,) * k + (m,)}")
-        flat = np.concatenate([t.reshape(-1, m) for t in tabs])
+        flat = np.concatenate([t.reshape(-1, m) for t in tabs], dtype=complex)  # one copy
         if not np.isfinite(flat).all():
             row = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"table {int(row + 2).bit_length() - 1} has non-finite entries")

@@ -116,7 +116,7 @@ def _solve(p, tau, beta, R, C, policy=False):
 def _bisect(p, tau, beta, R):
     """(actions, lo): the policy at lo, the last (so the largest) of SOLVES bisections
     of C on [0, p* - 1 + |tau|] whose value is positive."""
-    lo, hi = 0.0, max(p, p / (p - 1.0)) - 1.0 + abs(tau)
+    lo, hi = 0.0, ExponentConfig(p).pstar - 1.0 + abs(tau)
     for _ in range(SOLVES):
         C = 0.5 * (lo + hi)
         if _solve(p, tau, beta, R, C)[0] > 0.0:

@@ -8,12 +8,11 @@ discrete Fourier multiplier on the centered lattice [-G/2, G/2)^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import TorusGrid, coefficients, from_coefficients
 from .catalog import MultiplierSymbol
+from .exponents import Frozen
+from .grid import TorusGrid, coefficients, from_coefficients
 
 POINT_CAP = 2**24
 
@@ -33,27 +32,24 @@ def check_norm_exponent(p: float) -> None:
         raise ValueError(f"p must be >= 1, got {p}")
 
 
-@dataclass(frozen=True)
-class TensorGridFunction:
+class TensorGridFunction(Frozen):
     """Complex samples on a product (T^d)^J of identical offset grids.
 
     Values have shape (G,)*(d*J), optionally with a trailing component
     axis of length m; block j occupies sample axes d*j .. d*j + d - 1.
     """
 
-    grid: TorusGrid
-    J: int
-    values: np.ndarray
+    __slots__ = ("grid", "J", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        d, G, J = self.grid.d, self.grid.G, self.J
-        check_grid_size(self.grid, J)
+    def __init__(self, grid: TorusGrid, J: int, values):
+        vals = np.asarray(values, dtype=complex)
+        d, G = grid.d, grid.G
+        check_grid_size(grid, J)
         if vals.shape[: d * J] != (G,) * (d * J) or vals.ndim not in (d * J, d * J + 1):
             raise ValueError(f"values shape {vals.shape} does not match (d={d}, G={G}, J={J})")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function has non-finite entries")
+        super().__init__(grid, J, vals)
 
     @property
     def m(self) -> int:
@@ -103,11 +99,10 @@ def tensor_lift_apply(phi: TensorGridFunction, M: MultiplierSymbol,
     return TensorGridFunction(grid, J, out[..., 0] if M.m == 1 else out)
 
 
-@dataclass(frozen=True)
-class ShearCheck:
-    lhs: float        # eta-average of ||sum_k f^k_eta||_p^p
-    rhs: float        # ||sum_k f_k||_p^p
-    aligned: bool = True  # every shift is a whole number of grid cells
+class ShearCheck(Frozen):
+    """lhs, rhs: the shear identity's two sides; aligned: every shift is whole grid cells."""
+
+    __slots__ = ("lhs", "rhs", "aligned")
 
 
 def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
@@ -122,8 +117,8 @@ def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
         raise ValueError("need at least one summand")
     f0 = summands[0]
     grid, J = f0.grid, f0.J
-    for f in summands:
-        if f.grid != grid or f.J != J:
+    for f in summands:  # a Frozen grid compares by identity, so compare its values
+        if (f.grid.d, f.grid.G, f.J) != (grid.d, grid.G, J):
             raise ValueError("summands must share one product grid")
 
     total = sum(f.values for f in summands)
@@ -136,4 +131,4 @@ def shear_norm_check(summands, N: int, p: float) -> ShearCheck:
         cells = [-t * N ** (j + 1) % grid.G for j in range(J) for _ in range(grid.d)]
         shifted = np.roll(total, cells, axis=tuple(range(grid.d * J)))
         acc += TensorGridFunction(grid, J, shifted).lp_norm(p) ** p
-    return ShearCheck(lhs=acc / grid.G, rhs=rhs)
+    return ShearCheck(acc / grid.G, rhs, True)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import MultiplierSymbol
+from .exponents import Frozen
 
 # The quadrature radius R solves pi (p0 + q0) R^2 / eps = ln 1e14, and the
 # step is R / _HALF_NODES.
@@ -24,27 +24,20 @@ _TAIL_LOG = math.log(1e14)
 _HALF_NODES = 32
 
 
-@dataclass(frozen=True)
-class GaussianPairingConfig:
+class GaussianPairingConfig(Frozen):
     """Inputs for the damped pairing of exp(2pi i (j,x)) against exp(2pi i (k,x))."""
 
-    d: int
-    j: tuple
-    k: tuple
-    eps: float
-    p0: float = 2.0
+    __slots__ = ("d", "j", "k", "eps", "p0")
 
-    def __post_init__(self):
-        j = tuple(float(v) for v in self.j)
-        k = tuple(float(v) for v in self.k)
-        if len(j) != self.d or len(k) != self.d:
-            raise ValueError(f"frequencies must have length d={self.d}")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if not (math.isfinite(self.p0) and self.p0 > 1):
-            raise ValueError(f"p0 must be finite and exceed 1, got {self.p0}")
+    def __init__(self, d: int, j, k, eps: float, p0: float = 2.0):
+        j, k = tuple(float(v) for v in j), tuple(float(v) for v in k)
+        if len(j) != d or len(k) != d:
+            raise ValueError(f"frequencies must have length d={d}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not (math.isfinite(p0) and p0 > 1):
+            raise ValueError(f"p0 must be finite and exceed 1, got {p0}")
+        super().__init__(d, j, k, eps, p0)
 
     @property
     def q0(self) -> float:

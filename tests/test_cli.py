@@ -1007,6 +1007,27 @@ def test_search_beside_overflowing_tables_below_warns_nothing(tmp_path, capsys):
     assert lookup_store(store, 4.0, 4.0, 0.0, 4, "def2") is not None
 
 
+def test_search_at_the_tails_of_p_and_tau_certifies_or_refuses_cleanly(tmp_path, capsys):
+    # Over a fixed grid of p from 1.0001 to 300, tau up to 1e150 and N = 2, 4: every
+    # search exits 0 with a bound under the ceiling, or 2, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0001, 1.01, 2.5, 20.0, 60.0, 150.0, 300.0):
+            for tau in (0.0, 1.0, 1e60, 1e150):
+                for n in (2, 4):
+                    code, out = _run(["search-martingale", "--p", str(p), "--tau", str(tau),
+                                      "--n", str(n), "--store-dir", str(tmp_path / "store")],
+                                     tmp_path)
+                    err = capsys.readouterr().err
+                    assert code in (0, 2) and "Warning" not in err, (p, tau, n, code, err)
+                    if code == 2:  # only where tau^p, and so the enumerated moments, overflow
+                        assert tau > 0 and p * math.log10(tau) > 308, (p, tau, n, err)
+                        continue
+                    bound = json.loads(out.read_text())["certified_lower_bound"]
+                    upper = ceiling(ExponentConfig(p), tau)
+                    assert bound <= upper * (1.0 + 1e-12), (p, tau, n, bound, upper)
+
+
 def test_search_martingale_looks_up_no_store_record(tmp_path, monkeypatch):
     def reached(*args):
         raise AssertionError("search-martingale looked up a store record")

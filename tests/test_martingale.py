@@ -89,6 +89,32 @@ def test_non_finite_entry_names_its_table(bad, k, at):
         MartingaleDifferenceSequence(tables)
 
 
+@pytest.mark.parametrize("bad", [np.array([["1.0"]] * 4), np.array([[None]] * 4)],
+                         ids=["str", "object"])
+def test_non_numeric_table_names_its_level(bad):
+    # A ValueError, which the CLI reports with exit 2, never a TypeError; a string
+    # entry is refused, not parsed.
+    with pytest.raises(ValueError, match="^table 2 has non-numeric entries"):
+        MartingaleDifferenceSequence([np.ones((2, 1)), bad.reshape(2, 2, 1)])
+
+
+def test_sequence_copies_float_tables_once():
+    # Float levels are converted straight into flat by one concatenation; a complex
+    # copy of each level before it took the peak to about twice flat.
+    rng = np.random.default_rng(np.random.PCG64(16))
+    tables = [rng.standard_normal((2,) * k + (1,)) for k in range(1, 17)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        seq = MartingaleDifferenceSequence(tables)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * seq.flat.nbytes, (peak, seq.flat.nbytes)
+    assert np.array_equal(seq.flat, np.concatenate([t.reshape(-1, 1) for t in tables]))
+
+
 def test_evaluate_sequence_explicit():
     seq = _explicit_instance()
     # omega = (r0, r1, r2); F = d1(r0) r1 + d2(r0, r1) r2.

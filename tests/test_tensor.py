@@ -219,6 +219,16 @@ def test_shear_input_validation():
     fb = TensorGridFunction(grid_b, 1, np.ones(8))
     with pytest.raises(ValueError):
         shear_norm_check([fa, fb], 2, 4.0)
+    with pytest.raises(ValueError, match="one product grid"):  # the same grid, but J = 1 and 2
+        shear_norm_check([fa, TensorGridFunction(grid_a, 2, np.ones((4, 4)))], 2, 4.0)
+
+
+def test_shear_summands_on_grids_equal_in_value_share_one_product_grid():
+    # Two TorusGrid(1, 4) objects are one grid: the check compares (d, G, J), not identity.
+    fa = TensorGridFunction(TorusGrid(1, 4), 1, np.arange(4.0))
+    fb = TensorGridFunction(TorusGrid(1, 4), 1, np.ones(4))
+    chk = shear_norm_check([fa, fb], 2, 4.0)
+    assert (chk.lhs, chk.rhs) == _shear_per_summand([fa, fb], 2, 4.0)
 
 
 def test_p2_lift_inequality():
